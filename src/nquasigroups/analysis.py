@@ -389,20 +389,37 @@ def shell_to_json_obj(sh):
     }
 
 
+def _symbols_in_range(xs, length, k):
+    return (isinstance(xs, list) and len(xs) == length
+            and all(type(x) is int and 0 <= x < k for x in xs))
+
+
 def shell_from_json_obj(obj):
+    """Shell from its JSON object.
+
+    arity and order must be integers >= 1; the basepoint lists arity
+    coordinates and each entry arity coordinates plus a value, all JSON
+    integers in 0..order-1.  Anything else raises AnalysisError.
+    """
     if not isinstance(obj, dict):
         raise AnalysisError("shell JSON must be an object")
     try:
-        n = int(obj["arity"])
-        k = int(obj["order"])
-        base = tuple(int(c) for c in obj["basepoint"])
-        rows = obj["entries"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise AnalysisError("malformed shell JSON: %s" % e)
+        n, k = obj["arity"], obj["order"]
+        base, rows = obj["basepoint"], obj["entries"]
+    except KeyError as e:
+        raise AnalysisError("shell JSON misses field %s" % e)
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise AnalysisError("shell arity and order must be integers >= 1")
+    if not _symbols_in_range(base, n, k):
+        raise AnalysisError(
+            "basepoint must list %d integers in 0..%d" % (n, k - 1))
+    if not isinstance(rows, list):
+        raise AnalysisError("shell entries must be a list")
     entries = {}
     for row in rows:
-        if len(row) != n + 1:
-            raise AnalysisError("shell entry %r must list %d coordinates + value"
-                                % (row, n))
-        entries[tuple(int(c) for c in row[:n])] = int(row[n])
-    return Shell(n, k, base, entries)
+        if not _symbols_in_range(row, n + 1, k):
+            raise AnalysisError(
+                "shell entry %r must list %d coordinates + value, integers "
+                "in 0..%d" % (row, n, k - 1))
+        entries[tuple(row[:n])] = row[n]
+    return Shell(n, k, tuple(base), entries)

@@ -52,7 +52,7 @@ def _read_shell(path):
     data = _read_input(path)
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise analysis.AnalysisError("bad shell JSON: %s" % e)
     return analysis.shell_from_json_obj(obj)
 

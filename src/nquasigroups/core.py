@@ -136,6 +136,19 @@ def _lines(n, k):
                 yield ax, top + lo, stride
 
 
+def _lines_through(n, k, idx):
+    """Yield (base_index, stride) of the n axis lines through a flat index.
+
+    Axis order as in _lines; the line along an axis holds the cells
+    base_index + j * stride for j in 0..k-1.
+    """
+    block = k ** n
+    for _ in range(n):
+        stride = block // k
+        yield idx - idx % block + idx % stride, stride
+        block = stride
+
+
 def validate(t):
     """Check the Latin property on every axis line.
 
@@ -344,15 +357,33 @@ def to_json_obj(t):
 
 
 def from_json_obj(obj):
+    """Table from its JSON object.
+
+    arity, order and every value must be JSON integers, not floats or
+    booleans, and there must be order**arity values; anything else raises
+    StructuralError.  Symbol ranges are left to validate().
+    """
     if not isinstance(obj, dict):
         raise StructuralError("table JSON must be an object")
     try:
         arity, order, values = obj["arity"], obj["order"], obj["values"]
     except KeyError as e:
         raise StructuralError("table JSON misses field %s" % e)
+    if type(arity) is not int or type(order) is not int:
+        raise StructuralError("arity and order must be integers")
     if not isinstance(values, list):
         raise StructuralError("values must be a list")
-    return QTable(int(arity), int(order), tuple(int(v) for v in values))
+    if not all(type(v) is int for v in values):
+        raise StructuralError("values must be integers")
+    t = QTable(arity, order, tuple(values))
+    count = len(values)
+    # order**arity > count whenever order >= 2 and 2**arity > count; the
+    # test keeps a huge arity from ever reaching the power
+    if (order > 1 and arity >= count.bit_length()) or order ** arity != count:
+        raise StructuralError(
+            "%d values do not fill a table of order %d and arity %d"
+            % (count, order, arity))
+    return t
 
 
 def to_json(t):
@@ -362,7 +393,7 @@ def to_json(t):
 def from_json(s):
     try:
         obj = json.loads(s)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise StructuralError("bad table JSON: %s" % e)
     return from_json_obj(obj)
 

@@ -1,12 +1,54 @@
 """Exact enumeration, lower-bound exponents, family certification."""
 
 import math
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nquasigroups.census as census
 from nquasigroups import analysis, core
 from nquasigroups import constructions as C
+
+import randgen
+
+
+def materialized_certificate(fam):
+    """Reference certifier: builds all 2^s switched tables and validates
+    each one in full, as family certification did before line-local checks.
+    """
+    comps = fam.components
+    s = len(comps)
+    base = fam.base
+    for comp in comps:
+        analysis.switch_component(base, comp)
+    cert = {"path": "components", "component_count": s,
+            "pairwise_disjoint": True, "flips_valid": True,
+            "materialized": 0, "distinct": None}
+    if 2 ** s <= census.MATERIALIZE_CAP:
+        flips = []
+        for comp in comps:
+            a, b = sorted(comp.pair)
+            flips.append([(base.index(c.coords), a + b) for c in comp.cells])
+        seen = set()
+        for mask in range(2 ** s):
+            vals = list(base.values)
+            for ci in range(s):
+                if mask >> ci & 1:
+                    for idx, ab in flips[ci]:
+                        vals[idx] = ab - vals[idx]
+            tv = tuple(vals)
+            assert tv not in seen
+            seen.add(tv)
+            assert core.validate(core.QTable(base.arity, base.order, tv)).ok
+        cert["materialized"] = 2 ** s
+        cert["distinct"] = True
+    return s, cert
+
+
+def family(n, k):
+    return C.build_family5(n) if k == 5 else C.build_family_k(n, k)
 
 
 class TestEnumerateCount:
@@ -135,6 +177,64 @@ class TestVerifyFamily:
         comps = analysis.find_components(q, 0, 1)
         fam = C.CountingFamily(base=q, components=tuple(comps), claimed_log2=5)
         with pytest.raises(census.CertificationError):
+            census._certify_components(fam)
+
+
+class TestCertifyComponents:
+    @pytest.mark.parametrize("n,k", [(3, 5), (4, 5), (2, 7), (3, 7), (6, 5)])
+    def test_matches_materialized_reference(self, n, k):
+        fam = family(n, k)
+        assert census._certify_components(fam) == materialized_certificate(fam)
+
+    @given(st.integers(2, 3), st.integers(2, 5), st.integers(0, 10 ** 5),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_local_check_matches_full_validate(self, n, k, seed, data):
+        if n == 2:
+            t = randgen.random_binary(k, seed)
+        else:
+            t = randgen.random_reducible(3, k, seed)[0]
+        a, b = sorted(data.draw(st.sets(st.integers(0, k - 1),
+                                        min_size=2, max_size=2)))
+        ab_cells = [i for i, v in enumerate(t.values) if v in (a, b)]
+        flipped = data.draw(st.lists(st.sampled_from(ab_cells), unique=True))
+        vals = array("B", t.values)
+        census._flip(vals, flipped, a + b)
+        local = census._lines_latin(vals, k,
+                                    census._touched_lines(t, flipped))
+        full = core.validate(core.QTable(n, k, tuple(vals))).ok
+        assert local == full
+
+    def test_non_latin_base_rejected(self):
+        q = C.fixture("Q52")
+        comps = analysis.find_components(q, 0, 1)
+        vals = list(q.values)
+        vals[-1] = vals[-2]
+        broken = core.QTable(2, 5, tuple(vals))
+        fam = C.CountingFamily(base=broken, components=(comps[0],),
+                               claimed_log2=1)
+        with pytest.raises(census.CertificationError,
+                           match="base table is not Latin"):
+            census._certify_components(fam)
+
+    def test_proper_subset_of_component_rejected(self):
+        q = C.fixture("Q52")
+        comp = max(analysis.find_components(q, 0, 1), key=len)
+        part = analysis.Component(frozenset(comp.sorted_cells()[1:]),
+                                  comp.pair)
+        fam = C.CountingFamily(base=q, components=(part,), claimed_log2=1)
+        with pytest.raises(census.CertificationError,
+                           match="does not switch.*Latin"):
+            census._certify_components(fam)
+
+    def test_cell_outside_pair_rejected(self):
+        q = C.fixture("Q52")
+        comp = analysis.find_components(q, 0, 1)[0]
+        stray = next(x for x in q.cells() if q.values[q.index(x)] == 2)
+        bad = analysis.Component(comp.cells | {core.Cell(stray)}, comp.pair)
+        fam = C.CountingFamily(base=q, components=(bad,), claimed_log2=1)
+        with pytest.raises(census.CertificationError,
+                           match="does not switch.*not in"):
             census._certify_components(fam)
 
 

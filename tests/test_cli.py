@@ -1,12 +1,15 @@
 """Command-line behavior: formats, pipelines, exit codes, goldens."""
 
+import contextlib
 import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nquasigroups import cli, core
+from nquasigroups import analysis, cli, core
 from nquasigroups import constructions as C
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,6 +54,25 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/does/not/exist")
         assert code == 1 and err
+
+
+class TestStrictTableJson:
+    @pytest.mark.parametrize("text", [
+        '{"arity":2,"order":2,"values":[0.9,1.2,1,0]}',
+        '{"arity":2,"order":2,"values":[false,true,true,false]}',
+        '{"arity":true,"order":2,"values":[0,1]}',
+        '{"arity":2,"order":"2","values":[0,1,1,0]}',
+        '{"arity":2,"order":2,"values":[0,1,1]}',
+    ])
+    def test_rejected_exit_1(self, capsys, monkeypatch, text):
+        feed_stdin(monkeypatch, text)
+        code, out, err = run_cli(capsys, "validate", "-")
+        assert code == 1 and out == "" and "error" in err
+
+    def test_integer_values_accepted(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, '{"arity":2,"order":2,"values":[0,1,1,0]}')
+        code, out, _ = run_cli(capsys, "validate", "-")
+        assert code == 0 and json.loads(out) == {"ok": True}
 
 
 class TestEval:
@@ -226,6 +248,71 @@ class TestReconstructCli:
         feed_stdin(monkeypatch, shell_out)
         code, _, err = run_cli(capsys, "reconstruct", "-")
         assert code == 1 and err
+
+
+class TestStrictShellJson:
+    def shell_obj(self):
+        t = C.build_closed(3, 4, 2)
+        return analysis.shell_to_json_obj(analysis.extract_shell(t, (0, 0, 0)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("basepoint", [0, 0]),
+        ("basepoint", [0, 0, 0, 0]),
+        ("basepoint", [0, 0.0, 0]),
+        ("basepoint", 0),
+        ("entries", 5),
+        ("entries", [5]),
+        ("entries", [[0, 0, 0, 0.0]]),
+        ("entries", [[0, True, 0, 1]]),
+        ("entries", [[0, 0, 0, 4]]),
+        ("entries", [[0, 0, -1, 1]]),
+        ("arity", 3.0),
+        ("order", True),
+    ])
+    def test_rejected_exit_1(self, capsys, monkeypatch, field, value):
+        obj = self.shell_obj()
+        obj[field] = value
+        feed_stdin(monkeypatch, json.dumps(obj))
+        code, out, err = run_cli(capsys, "reconstruct", "-")
+        assert code == 1 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "reconstruct"])
+def test_deeply_nested_json_exit_1(capsys, monkeypatch, command):
+    feed_stdin(monkeypatch, '{"a":' * 100000 + "1" + "}" * 100000)
+    code, out, err = run_cli(capsys, command, "-")
+    assert code == 1 and out == "" and "error" in err
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-1, 4) | st.floats() | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30)
+SMALL_INTS = st.lists(st.integers(-1, 4), max_size=6)
+TABLE_LIKE = st.fixed_dictionaries({
+    "arity": JSON_SCALARS, "order": JSON_SCALARS,
+    "values": SMALL_INTS | JSON_VALUES})
+SHELL_LIKE = st.fixed_dictionaries({
+    "arity": JSON_SCALARS, "order": JSON_SCALARS,
+    "basepoint": SMALL_INTS | JSON_VALUES,
+    "entries": st.lists(SMALL_INTS, max_size=8) | JSON_VALUES})
+
+
+class TestArbitraryJson:
+    @given(TABLE_LIKE | SHELL_LIKE | JSON_VALUES)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_cli_never_raises(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("arbitrary") / "in.json"
+        path.write_text(json.dumps(obj))
+        for command in ("validate", "reconstruct"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run([command, str(path)])
+            assert code in (0, 1, 2)
 
 
 class TestCensusCli:

@@ -301,3 +301,28 @@ class TestSerialization:
             core.from_json('{"arity": 2, "order": 2}')
         with pytest.raises(core.StructuralError):
             core.from_text("0 1\n1\n")
+
+    @pytest.mark.parametrize("obj", [
+        {"arity": 2, "order": 2, "values": [0.9, 1.2, 1, 0]},
+        {"arity": 2, "order": 2, "values": [0.0, 1, 1, 0]},
+        {"arity": 2, "order": 2, "values": [False, True, True, False]},
+        {"arity": True, "order": 2, "values": [0, 1]},
+        {"arity": 2, "order": 2.0, "values": [0, 1, 1, 0]},
+        {"arity": "2", "order": 2, "values": [0, 1, 1, 0]},
+        {"arity": 2, "order": 2, "values": [0, 1, 1]},
+        {"arity": 10 ** 12, "order": 2, "values": [0, 1, 1, 0]},
+        {"arity": 0, "order": 2, "values": [0]},
+    ])
+    def test_strict_json_fields(self, obj):
+        with pytest.raises(core.StructuralError):
+            core.from_json_obj(obj)
+
+
+class TestLinesThrough:
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_line_scan(self, n, k, data):
+        idx = data.draw(st.integers(0, k ** n - 1))
+        want = [(base, stride) for _, base, stride in core._lines(n, k)
+                if any(base + j * stride == idx for j in range(k))]
+        assert list(core._lines_through(n, k, idx)) == want
