@@ -10,6 +10,10 @@ from dataclasses import dataclass
 
 from .core import Cell, QTable, _lines, validate
 
+# reconstruct tries every split and assembles k^n cells for each one:
+# refuse shells whose splits times cells exceed this (4^8 still fits)
+RECONSTRUCT_BUDGET = 1 << 24
+
 
 class AnalysisError(ValueError):
     """Bad arguments to an analysis procedure."""
@@ -260,11 +264,20 @@ def reconstruct(sh):
     validates and matches the shell.  For arity >= 4 all survivors are
     provably identical and the single table is returned; for arity 3 the
     deduplicated candidate list is returned, since distinct reducible
-    tables can share a shell there.
+    tables can share a shell there.  Shells whose 2^n - n - 2 splits times
+    k^n cells exceed RECONSTRUCT_BUDGET are refused before any split.
     """
-    n = sh.arity
+    n, k = sh.arity, sh.order
     if n < 3:
         raise AnalysisError("reconstruction needs arity >= 3")
+    # 2^n - n - 2 >= 2^(n-2) for n >= 3: past the budget's bit length the
+    # splits alone exceed it, and 2^n is never formed
+    if (n - 2 > RECONSTRUCT_BUDGET.bit_length()
+            or (2 ** n - n - 2) * k ** n > RECONSTRUCT_BUDGET):
+        raise AnalysisError(
+            "reconstruction at arity %d, order %d tries 2^%d - %d splits of "
+            "%d^%d cells each, over the %d-cell budget"
+            % (n, k, n, n + 2, k, n, RECONSTRUCT_BUDGET))
     candidates = []
     seen = set()
     for size in range(2, n):

@@ -64,17 +64,9 @@ def _visit_order(n, k, visit):
     raise ValueError("visit must be 'index' or 'transposed'")
 
 
-def _cell_lines(n, k, idx):
-    """Global line ids (one per axis) of the cell at a flat index."""
-    out = []
-    block = k ** (n - 1)
-    for a in range(n):
-        s = k ** (n - 1 - a)
-        out.append(a * block + (idx // (s * k)) * s + idx % s)
-    return tuple(out)
-
-
 def _check_budget(n, k, budget):
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     total = k ** n
     if total > budget:
         raise BudgetError(
@@ -83,64 +75,52 @@ def _check_budget(n, k, budget):
     return total
 
 
-def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
-                    time_limit=DEFAULT_TIME_LIMIT, visit="index",
-                    reduce_first_line=False):
-    """Exact number of n-ary quasigroups of order k, by backtracking.
+def _search(n, k, cells, pinned, time_limit):
+    """Backtrack over the given cells of a k^n table, in the given order.
 
-    Cells are filled in the chosen visitation order with one used-symbol
-    bitmask per axis line.  reduce_first_line pins the first visited line
-    to the identity and multiplies the result by k!, which counts the same
-    set because symbol relabeling acts freely.  Deterministic.
+    pinned maps flat indices outside cells to fixed symbols.  Each cell
+    tries, lowest first, the symbols not yet used on any of its n axis
+    lines, with one used-symbol bitmask per line.  At the last cell the
+    generator yields (placed, m): placed[i] is the bit of the symbol at
+    cells[i] for every earlier cell, and each bit of m completes a Latin
+    table.  placed is the live search state, valid until the next step.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    total = _check_budget(n, k, budget)
-    if k == 1:
-        return 1
-    order = _visit_order(n, k, visit)
-    cell_lines = [_cell_lines(n, k, idx) for idx in order]
+    total = k ** n
+
+    def line_ids(idx):
+        # a line is keyed by its axis and its first cell
+        return tuple(axis * total + base for axis, (base, _)
+                     in enumerate(_lines_through(n, k, idx)))
+
+    cell_lines = [line_ids(idx) for idx in cells]
+    masks = [0] * (n * total)
+    for idx, sym in pinned.items():
+        for lid in line_ids(idx):
+            masks[lid] |= 1 << sym
     full = (1 << k) - 1
-    masks = [0] * (n * k ** (n - 1))
-    placed = [0] * total
-    cand = [0] * total
+    last = len(cells) - 1
+    placed = [0] * len(cells)
+    cand = [0] * len(cells)
     deadline = math.inf if time_limit is None else time.monotonic() + time_limit
 
-    start = 0
-    multiplier = 1
-    if reduce_first_line:
-        # the first k visited cells always form a single line
-        for pos in range(k):
-            b = 1 << pos
-            placed[pos] = b
-            for lid in cell_lines[pos]:
-                masks[lid] |= b
-        start = k
-        multiplier = math.factorial(k)
-        if start == total:
-            return multiplier
-
-    count = 0
-    last = total - 1
-    pos = start
+    pos = 0
     acc = 0
-    for lid in cell_lines[pos]:
+    for lid in cell_lines[0]:
         acc |= masks[lid]
-    cand[pos] = full & ~acc
+    cand[0] = full & ~acc
     nodes = 0
-    while pos >= start:
+    while True:
         m = cand[pos]
         if m == 0:
             pos -= 1
-            if pos < start:
-                break
+            if pos < 0:
+                return
             b = placed[pos]
             for lid in cell_lines[pos]:
                 masks[lid] ^= b
             continue
         if pos == last:
-            # every remaining candidate at the final cell completes a table
-            count += m.bit_count()
+            yield placed, m
             cand[pos] = 0
             continue
         b = m & (-m)
@@ -154,69 +134,54 @@ def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
             acc |= masks[lid]
         cand[pos] = full & ~acc
         nodes += 1
-        if nodes & 0xFFFF == 0 and time.monotonic() > deadline:
+        if nodes & 0xFFF == 0 and time.monotonic() > deadline:
             raise BudgetError(
                 "time limit exceeded after %d nodes at (n=%d, k=%d)"
                 % (nodes, n, k))
-    return count * multiplier
+
+
+def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
+                    time_limit=DEFAULT_TIME_LIMIT, visit="index"):
+    """Exact number of n-ary quasigroups of order k, by backtracking.
+
+    Only reduced tables are searched: every axis line through the origin
+    is pinned to the identity, f(0,..,x,..,0) = x.  The result is R times
+    k! * ((k-1)!)^(n-1), R the number of reduced tables, and this is exact
+    because f maps one-to-one onto (sigma, tau_2..tau_n, g): sigma is the
+    symbol permutation read off axis 1 through the origin, tau_a the
+    argument permutation of axis a, fixing 0, that turns axis a's origin
+    line into sigma, and g = sigma^-1 f(x_1, tau_2 x_2, .., tau_n x_n) is
+    reduced (the normalisation of McKay & Wanless, "A census of small
+    Latin hypercubes", 2008).  The free cells are filled in the chosen
+    visitation order.  Deterministic.
+    """
+    _check_budget(n, k, budget)
+    pinned = {j * stride: j for _, stride in _lines_through(n, k, 0)
+              for j in range(k)}
+    multiplier = math.factorial(k) * math.factorial(k - 1) ** (n - 1)
+    cells = [idx for idx in _visit_order(n, k, visit) if idx not in pinned]
+    if not cells:
+        return multiplier
+    reduced = 0
+    for _, m in _search(n, k, cells, pinned, time_limit):
+        reduced += m.bit_count()
+    return reduced * multiplier
 
 
 def enumerate_tables(n, k, budget=DEFAULT_CELL_BUDGET,
                      time_limit=DEFAULT_TIME_LIMIT, visit="index"):
     """Yield every n-ary quasigroup of order k, in search order."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
     total = _check_budget(n, k, budget)
-    if k == 1:
-        yield QTable(n, 1, (0,) * total)
-        return
     order = _visit_order(n, k, visit)
-    cell_lines = [_cell_lines(n, k, idx) for idx in order]
-    full = (1 << k) - 1
-    masks = [0] * (n * k ** (n - 1))
-    placed = [0] * total
-    cand = [0] * total
-    sym = [0] * total
-    deadline = math.inf if time_limit is None else time.monotonic() + time_limit
-
-    last = total - 1
-    pos = 0
-    cand[0] = full
-    nodes = 0
-    while pos >= 0:
-        m = cand[pos]
-        if m == 0:
-            pos -= 1
-            if pos < 0:
-                break
-            b = placed[pos]
-            for lid in cell_lines[pos]:
-                masks[lid] ^= b
-            continue
-        if pos == last:
-            while m:
-                b = m & (-m)
-                m ^= b
-                sym[order[pos]] = b.bit_length() - 1
-                yield QTable(n, k, tuple(sym))
-            cand[pos] = 0
-            continue
-        b = m & (-m)
-        cand[pos] = m ^ b
-        placed[pos] = b
-        sym[order[pos]] = b.bit_length() - 1
-        for lid in cell_lines[pos]:
-            masks[lid] |= b
-        pos += 1
-        acc = 0
-        for lid in cell_lines[pos]:
-            acc |= masks[lid]
-        cand[pos] = full & ~acc
-        nodes += 1
-        if nodes & 0xFFFF == 0 and time.monotonic() > deadline:
-            raise BudgetError(
-                "time limit exceeded after %d nodes at (n=%d, k=%d)"
-                % (nodes, n, k))
+    vals = [0] * total
+    for placed, m in _search(n, k, order, {}, time_limit):
+        for idx, b in zip(order, placed):
+            vals[idx] = b.bit_length() - 1
+        while m:
+            b = m & (-m)
+            m ^= b
+            vals[order[-1]] = b.bit_length() - 1
+            yield QTable(n, k, tuple(vals))
 
 
 def bound_exponents(n, k):

@@ -51,6 +51,110 @@ def family(n, k):
     return C.build_family5(n) if k == 5 else C.build_family_k(n, k)
 
 
+def _raw_cell_lines(n, k, idx):
+    """Global line ids (one per axis) of the cell at a flat index."""
+    out = []
+    block = k ** (n - 1)
+    for a in range(n):
+        s = k ** (n - 1 - a)
+        out.append(a * block + (idx // (s * k)) * s + idx % s)
+    return tuple(out)
+
+
+def raw_count(n, k, visit="index"):
+    """Reference count: the unreduced backtracker over every cell, as the
+    census ran it before reduced tables."""
+    total = k ** n
+    if k == 1:
+        return 1
+    order = census._visit_order(n, k, visit)
+    cell_lines = [_raw_cell_lines(n, k, idx) for idx in order]
+    full = (1 << k) - 1
+    masks = [0] * (n * k ** (n - 1))
+    placed = [0] * total
+    cand = [0] * total
+    count = 0
+    last = total - 1
+    pos = 0
+    cand[0] = full
+    while pos >= 0:
+        m = cand[pos]
+        if m == 0:
+            pos -= 1
+            if pos < 0:
+                break
+            b = placed[pos]
+            for lid in cell_lines[pos]:
+                masks[lid] ^= b
+            continue
+        if pos == last:
+            count += m.bit_count()
+            cand[pos] = 0
+            continue
+        b = m & (-m)
+        cand[pos] = m ^ b
+        placed[pos] = b
+        for lid in cell_lines[pos]:
+            masks[lid] |= b
+        pos += 1
+        acc = 0
+        for lid in cell_lines[pos]:
+            acc |= masks[lid]
+        cand[pos] = full & ~acc
+    return count
+
+
+def raw_tables(n, k, visit="index"):
+    """Reference enumeration: the table generator as it was before the
+    census shared one search core; its order is the contract."""
+    total = k ** n
+    if k == 1:
+        yield core.QTable(n, 1, (0,) * total)
+        return
+    order = census._visit_order(n, k, visit)
+    cell_lines = [_raw_cell_lines(n, k, idx) for idx in order]
+    full = (1 << k) - 1
+    masks = [0] * (n * k ** (n - 1))
+    placed = [0] * total
+    cand = [0] * total
+    sym = [0] * total
+    last = total - 1
+    pos = 0
+    cand[0] = full
+    while pos >= 0:
+        m = cand[pos]
+        if m == 0:
+            pos -= 1
+            if pos < 0:
+                break
+            b = placed[pos]
+            for lid in cell_lines[pos]:
+                masks[lid] ^= b
+            continue
+        if pos == last:
+            while m:
+                b = m & (-m)
+                m ^= b
+                sym[order[pos]] = b.bit_length() - 1
+                yield core.QTable(n, k, tuple(sym))
+            cand[pos] = 0
+            continue
+        b = m & (-m)
+        cand[pos] = m ^ b
+        placed[pos] = b
+        sym[order[pos]] = b.bit_length() - 1
+        for lid in cell_lines[pos]:
+            masks[lid] |= b
+        pos += 1
+        acc = 0
+        for lid in cell_lines[pos]:
+            acc |= masks[lid]
+        cand[pos] = full & ~acc
+
+
+VISITS = ("index", "transposed")
+
+
 class TestEnumerateCount:
     def test_binary_symbols(self):
         for n in range(1, 7):
@@ -69,9 +173,20 @@ class TestEnumerateCount:
         assert a == b == 576
 
     def test_reduced_mode_matches(self):
-        for n, k in [(2, 3), (3, 3), (2, 4)]:
-            assert census.enumerate_count(n, k, reduce_first_line=True) \
-                == census.enumerate_count(n, k)
+        cases = [(n, 2) for n in range(1, 7)] + [(2, 3), (3, 3), (4, 3),
+                                                  (1, 4), (2, 4)]
+        for n, k in cases:
+            for visit in VISITS:
+                assert census.enumerate_count(n, k, visit=visit) \
+                    == raw_count(n, k, visit)
+
+    @pytest.mark.parametrize("visit", VISITS)
+    @pytest.mark.parametrize("n,k,count", [(2, 6, 812_851_200),
+                                           (4, 4, 36_972_288)])
+    def test_new_goldens(self, n, k, count, visit):
+        # (2,6): the classical number of Latin squares of order 6;
+        # (4,4): Potapov & Krotov's count of 4-quasigroups of order 4
+        assert census.enumerate_count(n, k, visit=visit) == count
 
     def test_trivial_orders(self):
         assert census.enumerate_count(3, 1) == 1
@@ -84,6 +199,12 @@ class TestEnumerateCount:
     def test_time_limit(self):
         with pytest.raises(census.BudgetError):
             census.enumerate_count(2, 6, time_limit=0.05)
+
+    @pytest.mark.parametrize("visit", VISITS)
+    @pytest.mark.parametrize("n,k", [(3, 2), (2, 3), (3, 3), (2, 4), (2, 1)])
+    def test_tables_match_reference_order(self, n, k, visit):
+        assert list(census.enumerate_tables(n, k, visit=visit)) \
+            == list(raw_tables(n, k, visit))
 
     def test_emitted_tables_all_valid(self):
         tabs = list(census.enumerate_tables(2, 3))

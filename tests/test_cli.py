@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,18 @@ class TestReconstructCli:
         feed_stdin(monkeypatch, shell_out)
         code, _, err = run_cli(capsys, "reconstruct", "-")
         assert code == 1 and err
+
+
+    def test_over_work_budget_exit_1(self, capsys, monkeypatch):
+        # 2^40 splits of a one-cell table: refused before any split
+        shell = {"arity": 40, "order": 1, "basepoint": [0] * 40,
+                 "entries": [[0] * 41]}
+        feed_stdin(monkeypatch, json.dumps(shell))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "reconstruct", "-")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == "" and "budget" in err
+        assert "Traceback" not in err
 
 
 class TestStrictShellJson:
