@@ -8,10 +8,11 @@ immutable inputs.
 import itertools
 from dataclasses import dataclass
 
-from .core import Cell, QTable, _lines, validate
+from .core import Cell, QTable, _lines, _offsets, validate
 
-# reconstruct tries every split and assembles k^n cells for each one:
-# refuse shells whose splits times cells exceed this (4^8 still fits)
+# reconstruct assembles k^n cells for every split its retract tests leave,
+# at worst all of them: refuse shells whose splits times cells exceed this
+# (4^8 and 5^7 still fit)
 RECONSTRUCT_BUDGET = 1 << 24
 
 
@@ -111,27 +112,31 @@ def is_reducible_wrt(q, split, return_witness=False):
 
     The criterion: the level-set partition of the map (S-tuple -> value)
     must be identical for every fixing of the complement axes.  That
-    partition (the fibers of the inner map) is the witness.
+    partition (the fibers of the inner map) is the witness, labeled by
+    first appearance.  Each fixing of the complement gathers one row of
+    values through flat offsets; a row has the first row's partition
+    exactly when the pairs (first-row value, row value) are a bijection,
+    i.e. there are as many distinct pairs as distinct values on each side.
+
+    The criterion passes to retracts, which reconstruct uses to prune.
+    Fixing an axis outside S only drops rows, so the retract is reducible
+    over S (when |S| <= n-2 leaves it admissible there).  Fixing an axis
+    i in S keeps the S-tuples with that value of x_i in every row, and the
+    common partition restricted to them is common again: the retract is
+    reducible over S minus i (when |S| >= 3).
     """
     n, k = q.arity, q.order
     S = _checked_axes(split, n)
-    sset = set(S)
-    C = [i for i in range(1, n + 1) if i not in sset]
-    w = [k ** (n - i) for i in range(n + 1)]  # w[i] = weight of axis i, 1-based
-    s_offsets = [
-        sum(c * w[a] for a, c in zip(S, tup))
-        for tup in itertools.product(range(k), repeat=len(S))
-    ]
+    C = [i for i in range(1, n + 1) if i not in S]
+    s_offsets = _offsets(n, k, S)
     vals = q.values
-    ref = None
-    for ctup in itertools.product(range(k), repeat=len(C)):
-        c_off = sum(c * w[a] for a, c in zip(C, ctup))
-        sig = _class_signature(vals[c_off + s] for s in s_offsets)
-        if ref is None:
-            ref = sig
-        elif sig != ref:
+    rows = ([vals[c + s] for s in s_offsets] for c in _offsets(n, k, C))
+    first = next(rows)
+    classes = len(set(first))
+    for row in rows:
+        if not len(set(zip(first, row))) == classes == len(set(row)):
             return (False, None) if return_witness else False
-    return (True, ref) if return_witness else True
+    return (True, _class_signature(first)) if return_witness else True
 
 
 def find_reductions(q):
@@ -257,15 +262,44 @@ def reconstruct_with_split(sh, split, probe=None):
     return t
 
 
-def reconstruct(sh):
-    """Recover a reducible table from its shell.
+def _shell_retracts(sh):
+    """The n retracts of the shell's table through its basepoint.
 
-    Tries every admissible split and keeps each assembled table that
-    validates and matches the shell.  For arity >= 4 all survivors are
-    provably identical and the single table is returned; for arity 3 the
-    deduplicated candidate list is returned, since distinct reducible
-    tables can share a shell there.  Shells whose 2^n - n - 2 splits times
-    k^n cells exceed RECONSTRUCT_BUDGET are refused before any split.
+    Retract i fixes axis i at basepoint_i; its axes are the others in
+    order.  Every cell read touches the basepoint, so the shell holds it.
+    """
+    n, k, base = sh.arity, sh.order, sh.basepoint
+    ent = sh.entries
+    retracts = []
+    try:
+        for i in range(n):
+            pin = (base[i],)
+            vals = [ent[x[:i] + pin + x[i:]]
+                    for x in itertools.product(range(k), repeat=n - 1)]
+            retracts.append(QTable(n - 1, k, tuple(vals)))
+    except KeyError as e:
+        raise ReconstructionError("shell is missing required entry %s" % e)
+    return retracts
+
+
+def reconstruct(sh):
+    """Recover a reducible table from its shell: the deduplicated list of
+    every table that validates, matches the shell and is reducible over
+    some admissible split, in split order.
+
+    For arity >= 4 the list provably holds one table (the caller may
+    insist on it); for arity 3 distinct reducible tables can share a
+    shell.  Splits are pruned before any k^n assembly on the shell's own
+    retracts through the basepoint.  If q(x) = h(g(x_S), x_C), fixing
+    axis i keeps the level sets of the inner map: for i outside S and
+    |S| <= n-2 retract i is reducible over S, and for i in S and
+    |S| >= 3 it is reducible over S minus i (axes renumbered in the
+    retract).  Both hold for every table is_reducible_wrt accepts, and a
+    candidate's retracts are the shell's, so a split failing either test
+    cannot yield a candidate; the surviving splits are assembled and
+    checked in full.  Arity 3 has no such test and tries every split.
+    Shells whose 2^n - n - 2 splits times k^n cells exceed
+    RECONSTRUCT_BUDGET are refused before any split.
     """
     n, k = sh.arity, sh.order
     if n < 3:
@@ -278,10 +312,26 @@ def reconstruct(sh):
             "reconstruction at arity %d, order %d tries 2^%d - %d splits of "
             "%d^%d cells each, over the %d-cell budget"
             % (n, k, n, n + 2, k, n, RECONSTRUCT_BUDGET))
+    retracts = _shell_retracts(sh)
+    verdicts = {}  # (i, split of retract i) -> is_reducible_wrt
+
+    def survives(S):
+        for i in range(1, n + 1):
+            if len(S) < 3 if i in S else len(S) > n - 2:
+                continue
+            key = (i, tuple(a - (a > i) for a in S if a != i))
+            if key not in verdicts:
+                verdicts[key] = is_reducible_wrt(retracts[i - 1], key[1])
+            if not verdicts[key]:
+                return False
+        return True
+
     candidates = []
     seen = set()
     for size in range(2, n):
         for S in itertools.combinations(range(1, n + 1), size):
+            if not survives(S):
+                continue
             split = Split(frozenset(S))
             try:
                 t = reconstruct_with_split(sh, split)
@@ -294,13 +344,7 @@ def reconstruct(sh):
                 candidates.append(t)
     if not candidates:
         raise ReconstructionError("not reducible or shell inconsistent")
-    if n == 3:
-        return candidates
-    if len(candidates) > 1:
-        raise ReconstructionError(
-            "shell admits %d distinct tables; uniqueness expected at arity >= 4"
-            % len(candidates))
-    return candidates[0]
+    return candidates
 
 
 def find_components(q, a, b):
@@ -412,7 +456,8 @@ def shell_from_json_obj(obj):
 
     arity and order must be integers >= 1; the basepoint lists arity
     coordinates and each entry arity coordinates plus a value, all JSON
-    integers in 0..order-1.  Anything else raises AnalysisError.
+    integers in 0..order-1.  The entries must list every cell touching the
+    basepoint once and no other cell.  Anything else raises AnalysisError.
     """
     if not isinstance(obj, dict):
         raise AnalysisError("shell JSON must be an object")
@@ -428,11 +473,26 @@ def shell_from_json_obj(obj):
             "basepoint must list %d integers in 0..%d" % (n, k - 1))
     if not isinstance(rows, list):
         raise AnalysisError("shell entries must be a list")
+    base = tuple(base)
     entries = {}
     for row in rows:
         if not _symbols_in_range(row, n + 1, k):
             raise AnalysisError(
                 "shell entry %r must list %d coordinates + value, integers "
                 "in 0..%d" % (row, n, k - 1))
-        entries[tuple(row[:n])] = row[n]
-    return Shell(n, k, tuple(base), entries)
+        cell = tuple(row[:n])
+        if cell in entries:
+            raise AnalysisError("shell lists cell %r twice" % (cell,))
+        if not any(c == o for c, o in zip(cell, base)):
+            raise AnalysisError(
+                "shell cell %r has no coordinate at the basepoint" % (cell,))
+        entries[cell] = row[n]
+    # the cells touching the basepoint number k^n - (k-1)^n >= k^(n-1),
+    # at least 2^(n-1) for k >= 2: test bit lengths so k^n is never formed
+    # for a huge arity
+    count = len(entries)
+    if (k > 1 and n - 1 >= count.bit_length()) or k ** n - (k - 1) ** n != count:
+        raise AnalysisError(
+            "shell of arity %d, order %d has %d entries, not k^n - (k-1)^n"
+            % (n, k, count))
+    return Shell(n, k, base, entries)

@@ -421,15 +421,16 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     """Full report for (n, k): exact count when affordable, bounds, family.
 
     exact='auto' enumerates only the desk-scale cases with known-bounded
-    runtimes (any k <= 3 within budget, plus (2,4), (2,5), (3,4));
-    'on' forces the attempt, 'off' skips it.
+    runtimes: (2,4), (2,5), (3,4), and any k <= 3 while n * k**n fits the
+    budget, since the search holds n line masks per cell; past that the
+    count is None.  'on' forces the attempt, 'off' skips it.
     """
     if exact not in ("auto", "on", "off"):
         raise ValueError("exact must be 'auto', 'on', or 'off'")
     t0 = time.monotonic()
     exact_count = None
     attempt = exact == "on" or (
-        exact == "auto" and k ** n <= budget
+        exact == "auto" and n * k ** n <= budget
         and (k <= 3 or (n, k) in _EXACT_AUTO))
     if attempt:
         exact_count = enumerate_count(n, k, budget=budget,

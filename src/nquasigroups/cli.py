@@ -196,13 +196,18 @@ def _cmd_reconstruct(args):
         return 0
     if args.probe is not None:
         raise _UsageError("--probe requires --split")
-    result = analysis.reconstruct(sh)
-    if isinstance(result, list):
+    tables = analysis.reconstruct(sh)
+    if sh.arity == 3:
         if args.pretty:
             raise _UsageError("--pretty applies to single-table outputs only")
-        _emit([core.to_json_obj(t) for t in result])
-    else:
-        _emit_table(result, args.pretty)
+        _emit([core.to_json_obj(t) for t in tables])
+        return 0
+    # theorem (1): a reducible table of arity >= 4 is fixed by its shell
+    if len(tables) > 1:
+        raise analysis.ReconstructionError(
+            "shell admits %d distinct tables; uniqueness expected at arity >= 4"
+            % len(tables))
+    _emit_table(tables[0], args.pretty)
     return 0
 
 

@@ -149,6 +149,20 @@ def _lines_through(n, k, idx):
         block = stride
 
 
+def _offsets(n, k, axes):
+    """Flat offsets of all assignments to the given 1-based axes.
+
+    In itertools.product order over the axes as listed, the last varying
+    fastest; the cells of a k**n cube with every other axis at 0.
+    """
+    offs = [0]
+    for a in axes:
+        w = k ** (n - a)
+        steps = range(0, k * w, w)
+        offs = [o + c for o in offs for c in steps]
+    return offs
+
+
 def validate(t):
     """Check the Latin property on every axis line.
 
@@ -245,14 +259,8 @@ def retract(t, fixed):
     free = [ax for ax in range(1, n + 1) if ax not in fixed]
     if not free:
         raise StructuralError("retract must leave at least one axis free")
-    full = [0] * n
-    for ax, sym in fixed.items():
-        full[ax - 1] = sym
-    vals = []
-    for x in itertools.product(range(k), repeat=len(free)):
-        for ax, c in zip(free, x):
-            full[ax - 1] = c
-        vals.append(t.values[t.index(full)])
+    base = sum(sym * k ** (n - ax) for ax, sym in fixed.items())
+    vals = [t.values[base + o] for o in _offsets(n, k, free)]
     return _debug_check(QTable(len(free), k, tuple(vals)), "retract")
 
 

@@ -79,7 +79,7 @@ def test_criterion_5_shell_reconstruction():
         k = 4 + i % 2
         q, _ = randgen.random_reducible(4, k, seed=i)
         sh = analysis.extract_shell(q, (0,) * 4)
-        assert analysis.reconstruct(sh).values == q.values, i
+        assert [c.values for c in analysis.reconstruct(sh)] == [q.values], i
     q3, f3, _ = C.build_shell_counterexample()
     sh3 = analysis.extract_shell(q3, (0, 0, 0))
     cands = analysis.reconstruct(sh3)

@@ -1,6 +1,7 @@
 """Reducibility decisions, shells, reconstruction, switching components."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -187,7 +188,7 @@ class TestReconstruct:
     def test_unique_n4(self):
         t = C.build_closed(4, 5, 2)
         sh = A.extract_shell(t, (0, 0, 0, 0))
-        assert A.reconstruct(sh).values == t.values
+        assert [c.values for c in A.reconstruct(sh)] == [t.values]
 
     def test_counterexample_ambiguity(self):
         q, f, loop = C.build_shell_counterexample()
@@ -216,7 +217,137 @@ class TestReconstruct:
         for _ in range(3):
             bp = tuple(rng.randrange(4) for _ in range(4))
             sh = A.extract_shell(t, bp)
-            assert A.reconstruct(sh).values == t.values
+            assert [c.values for c in A.reconstruct(sh)] == [t.values]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_partial_shell_raises_reconstruction_error(self, n):
+        t, _ = randgen.random_reducible(n, 4, 5)
+        sh = A.extract_shell(t, (1,) * n)
+        for cell in sorted(sh.entries)[::7]:
+            entries = dict(sh.entries)
+            del entries[cell]
+            partial = A.Shell(n, 4, sh.basepoint, entries)
+            with pytest.raises(A.ReconstructionError, match="missing"):
+                A.reconstruct(partial)
+
+    def test_retracts_prune_before_assembly(self, monkeypatch):
+        assembled = []
+        assemble = A.reconstruct_with_split
+        monkeypatch.setattr(A, "reconstruct_with_split",
+                            lambda sh, split: assembled.append(split)
+                            or assemble(sh, split))
+        t, split = randgen.random_reducible(5, 4, 1)
+        assert [c.values for c in A.reconstruct(
+            A.extract_shell(t, (0,) * 5))] == [t.values]
+        assert A.Split(frozenset(split)) in assembled
+        assert len(assembled) < 25
+        assembled.clear()
+        with pytest.raises(A.ReconstructionError):
+            A.reconstruct(A.extract_shell(C.build_irreducible(5, 4), (0,) * 5))
+        assert assembled == []
+
+    def test_scale_5_7_nonzero_basepoint(self):
+        # about 2 s with pruning; assembling all 119 splits took 25-50 s
+        t, _ = randgen.random_reducible(7, 5, 3)
+        sh = A.extract_shell(t, (2, 0, 4, 1, 3, 0, 2))
+        t0 = time.perf_counter()
+        assert [c.values for c in A.reconstruct(sh)] == [t.values]
+        assert time.perf_counter() - t0 < 15.0
+
+
+def reference_is_reducible_wrt(q, split, return_witness=False):
+    """Tuple-by-tuple reducibility test: one class signature per fixing of
+    the complement, offsets summed per tuple."""
+    n, k = q.arity, q.order
+    S = A._checked_axes(split, n)
+    C = [i for i in range(1, n + 1) if i not in S]
+    w = [k ** (n - i) for i in range(n + 1)]
+    s_offsets = [sum(c * w[a] for a, c in zip(S, tup))
+                 for tup in itertools.product(range(k), repeat=len(S))]
+    ref = None
+    for ctup in itertools.product(range(k), repeat=len(C)):
+        c_off = sum(c * w[a] for a, c in zip(C, ctup))
+        sig = A._class_signature(q.values[c_off + s] for s in s_offsets)
+        if ref is None:
+            ref = sig
+        elif sig != ref:
+            return (False, None) if return_witness else False
+    return (True, ref) if return_witness else True
+
+
+def all_splits(n):
+    return [A.Split(frozenset(S)) for size in range(2, n)
+            for S in itertools.combinations(range(1, n + 1), size)]
+
+
+def reference_reconstruct(sh):
+    """Every split assembled and checked in full; the candidate list, empty
+    when no split survives."""
+    candidates = []
+    seen = set()
+    for split in all_splits(sh.arity):
+        try:
+            t = A.reconstruct_with_split(sh, split)
+        except A.ReconstructionError:
+            continue
+        if reference_is_reducible_wrt(t, split) and t.values not in seen:
+            seen.add(t.values)
+            candidates.append(t)
+    return candidates
+
+
+def reconstruct_or_empty(sh):
+    try:
+        return A.reconstruct(sh)
+    except A.ReconstructionError:
+        return []
+
+
+class TestAgainstReference:
+    """The offset-table reducibility test and the retract-pruned
+    reconstruct against the slow paths they replace."""
+
+    def check_table(self, t):
+        for split in all_splits(t.arity):
+            assert (A.is_reducible_wrt(t, split, return_witness=True)
+                    == reference_is_reducible_wrt(t, split, return_witness=True))
+        assert A.find_reductions(t) == [
+            s for s in sorted(all_splits(t.arity), key=A.Split.bitmask)
+            if reference_is_reducible_wrt(t, s)]
+
+    def check_shell(self, sh):
+        got = [c.values for c in reconstruct_or_empty(sh)]
+        assert got == [c.values for c in reference_reconstruct(sh)]
+        return got
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_random_reducible(self, n, k):
+        import random
+        rng = random.Random(100 * n + k)
+        for seed in range(2):
+            t, _ = randgen.random_reducible(n, k, 10 * n + k + seed)
+            self.check_table(t)
+            bp = tuple(rng.randrange(k) for _ in range(n))
+            assert t.values in self.check_shell(A.extract_shell(t, bp))
+
+    def test_shell_counterexample(self):
+        q, f, _ = C.build_shell_counterexample()
+        for t in (q, f):
+            self.check_table(t)
+        got = self.check_shell(A.extract_shell(q, (0, 0, 0)))
+        assert q.values in got and f.values in got
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (5, 4), (4, 5)])
+    def test_irreducible(self, n, k):
+        t = C.build_irreducible(n, k)
+        self.check_table(t)
+        got = self.check_shell(A.extract_shell(t, (0,) * n))
+        # at arity 3 a reducible table can share the irreducible one's shell
+        assert n == 3 or got == []
+        # at other basepoints one may share it at any arity: build_irreducible
+        # (4, 4) at (3, 3, 3, 3) is one case, so only agreement is asserted
+        self.check_shell(A.extract_shell(t, (k - 1,) * n))
 
 
 class TestFindComponents:

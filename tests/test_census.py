@@ -1,6 +1,7 @@
 """Exact enumeration, lower-bound exponents, family certification."""
 
 import math
+import time
 from array import array
 
 import pytest
@@ -380,6 +381,13 @@ class TestRunCensus:
         rep = census.run_census(2, 6)
         assert rep.exact_count is None
         assert rep.family_log2 == 9
+
+    def test_auto_skips_search_past_cell_line_budget(self):
+        # 2^20 cells fit the budget, but 20 line masks per cell do not
+        t0 = time.perf_counter()
+        rep = census.run_census(20, 2)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.exact_count is None
 
     def test_exact_on_forces(self):
         rep = census.run_census(2, 5, exact="on")

@@ -289,6 +289,32 @@ class TestStrictShellJson:
         code, out, err = run_cli(capsys, "reconstruct", "-")
         assert code == 1 and out == "" and "error" in err
 
+    def run_entries(self, capsys, monkeypatch, entries):
+        obj = self.shell_obj()
+        obj["entries"] = entries
+        feed_stdin(monkeypatch, json.dumps(obj))
+        code, out, err = run_cli(capsys, "reconstruct", "-")
+        assert code == 1 and out == "" and "Traceback" not in err
+        return err
+
+    def test_duplicated_cell_exit_1(self, capsys, monkeypatch):
+        entries = self.shell_obj()["entries"]
+        # same cell, other value: it used to overwrite the first silently
+        dup = entries[5][:3] + [(entries[5][3] + 1) % 4]
+        err = self.run_entries(capsys, monkeypatch, entries[:-1] + [dup])
+        assert "twice" in err
+
+    def test_off_basepoint_entry_exit_1(self, capsys, monkeypatch):
+        entries = self.shell_obj()["entries"]
+        err = self.run_entries(capsys, monkeypatch,
+                               entries[:-1] + [[1, 2, 3, 0]])
+        assert "basepoint" in err
+
+    def test_dropped_entry_exit_1(self, capsys, monkeypatch):
+        entries = self.shell_obj()["entries"]
+        err = self.run_entries(capsys, monkeypatch, entries[:17] + entries[18:])
+        assert "entries" in err
+
 
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 def test_deeply_nested_json_exit_1(capsys, monkeypatch, command):

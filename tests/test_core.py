@@ -326,3 +326,18 @@ class TestLinesThrough:
         want = [(base, stride) for _, base, stride in core._lines(n, k)
                 if any(base + j * stride == idx for j in range(k))]
         assert list(core._lines_through(n, k, idx)) == want
+
+
+class TestOffsets:
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_index_over_product(self, n, k, data):
+        axes = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+        t = core.QTable(n, k, (0,) * k ** n)
+        want = []
+        for x in itertools.product(range(k), repeat=len(axes)):
+            cell = [0] * n
+            for a, c in zip(axes, x):
+                cell[a - 1] = c
+            want.append(t.index(cell))
+        assert core._offsets(n, k, axes) == want
