@@ -8,7 +8,8 @@ immutable inputs.
 import itertools
 from dataclasses import dataclass
 
-from .core import Cell, QTable, _lines, _offsets, validate
+from .core import (Cell, QTable, StructuralError, _axis_chunks, _offsets,
+                   validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -196,6 +197,16 @@ def extract_shell(q, basepoint):
     return Shell(n, k, base, entries)
 
 
+def _check_basepoint(sh):
+    """Refuse a hand-built shell whose basepoint does not list arity
+    coordinates in 0..order-1 (shell_from_json_obj never builds one)."""
+    n, k, base = sh.arity, sh.order, sh.basepoint
+    if not (isinstance(base, (tuple, list))
+            and _symbols_in_range(list(base), n, k)):
+        raise AnalysisError(
+            "basepoint must list %d integers in 0..%d" % (n, k - 1))
+
+
 def reconstruct_with_split(sh, split, probe=None):
     """Assemble the full table from a shell, assuming reducibility over split.
 
@@ -208,6 +219,7 @@ def reconstruct_with_split(sh, split, probe=None):
     """
     n, k = sh.arity, sh.order
     S = _checked_axes(split, n)
+    _check_basepoint(sh)
     if probe is None:
         probe = S[0]
     if probe not in S:
@@ -222,16 +234,16 @@ def reconstruct_with_split(sh, split, probe=None):
 
     try:
         delta = [ent[shell_cell({probe: x})] for x in range(k)]
-        g0 = {
-            stup: ent[shell_cell(dict(zip(S, stup)))]
-            for stup in itertools.product(range(k), repeat=len(S))
-        }
-        h0 = {}
+        g0 = [ent[shell_cell(dict(zip(S, stup)))]
+              for stup in itertools.product(range(k), repeat=len(S))]
+        h0 = []  # one row over the C-tuples per probe value
         for xp in range(k):
+            row = []
             for ctup in itertools.product(range(k), repeat=len(C)):
                 assign = dict(zip(C, ctup))
                 assign[probe] = xp
-                h0[(xp,) + ctup] = ent[shell_cell(assign)]
+                row.append(ent[shell_cell(assign)])
+            h0.append(row)
     except KeyError as e:
         raise ReconstructionError("shell is missing required entry %s" % e)
 
@@ -242,13 +254,12 @@ def reconstruct_with_split(sh, split, probe=None):
     for x, v in enumerate(delta):
         dinv[v] = x
 
-    vals = []
-    spos = [a - 1 for a in S]
-    cpos = [a - 1 for a in C]
-    for x in itertools.product(range(k), repeat=n):
-        stup = tuple(x[p] for p in spos)
-        ctup = tuple(x[p] for p in cpos)
-        vals.append(h0[(dinv[g0[stup]],) + ctup])
+    # the cell with S-part s and C-part c sits at s_off[s] + c_off[c]
+    vals = [None] * k ** n
+    c_offs = _offsets(n, k, C)
+    for s_off, g in zip(_offsets(n, k, S), g0):
+        for c_off, v in zip(c_offs, h0[dinv[g]]):
+            vals[s_off + c_off] = v
     t = QTable(n, k, tuple(vals))
 
     if not validate(t).ok:
@@ -299,11 +310,13 @@ def reconstruct(sh):
     cannot yield a candidate; the surviving splits are assembled and
     checked in full.  Arity 3 has no such test and tries every split.
     Shells whose 2^n - n - 2 splits times k^n cells exceed
-    RECONSTRUCT_BUDGET are refused before any split.
+    RECONSTRUCT_BUDGET are refused before any split, and so are shells
+    whose basepoint is not arity coordinates in 0..order-1.
     """
     n, k = sh.arity, sh.order
     if n < 3:
         raise AnalysisError("reconstruction needs arity >= 3")
+    _check_basepoint(sh)
     # 2^n - n - 2 >= 2^(n-2) for n >= 3: past the budget's bit length the
     # splits alone exceed it, and 2^n is never formed
     if (n - 2 > RECONSTRUCT_BUDGET.bit_length()
@@ -347,6 +360,17 @@ def reconstruct(sh):
     return candidates
 
 
+def _hit_positions(vals, k, hits, sym, bases, slices):
+    """Position j of sym on each line of an _axis_chunks chunk, in bases
+    order.  On Latin lines the 0/1 hit flags hold one 1 per line, so the
+    j-weighted sum of the k slices puts j in that line's byte."""
+    if k > 256:
+        return [line.index(sym) for line in zip(*[vals[sl] for sl in slices])]
+    pos = sum(j * int.from_bytes(hits[sl], "little")
+              for j, sl in enumerate(slices) if j)
+    return pos.to_bytes(len(bases), "little")
+
+
 def find_components(q, a, b):
     """Minimal ab-switching components of q, as a partition of the ab-cells.
 
@@ -354,6 +378,18 @@ def find_components(q, a, b):
     flip together, so components are the connected parts of the cell graph
     with one edge per line.  Each part flips to a valid table and no proper
     nonempty subset of a part does.  Sorted by smallest cell index.
+
+    A non-Latin table has no such graph and raises AnalysisError; the
+    check is validate's one-hot sums.  On a Latin table the 0/1 flags
+    "cell holds a" put exactly one 1 on every line, so the sum over j of
+    j times the flags of a line's j-th cells is the position of its
+    a-cell; the same big-integer sums validate takes, weighted by j, give
+    the positions of a and of b on every line of an axis at once
+    (_hit_positions).  The two ab-cells of a line along the last axis are
+    joined by that line's edge, so the union-find runs over those lines,
+    line number = cell index // k, and a root is the smallest line of its
+    part: parts met in a scan by line come in the order of their smallest
+    lines, and so of their smallest cells.
     """
     n, k = q.arity, q.order
     if k < 2:
@@ -363,47 +399,69 @@ def find_components(q, a, b):
     for s in (a, b):
         if not isinstance(s, int) or not 0 <= s < k:
             raise AnalysisError("symbol %r out of range 0..%d" % (s, k - 1))
+    try:
+        latin = validate(q).ok
+    except StructuralError:
+        latin = False
+    if not latin:
+        raise AnalysisError("table is not Latin; components are undefined")
 
     vals = q.values
-    parent = {}
+    if k <= 256:
+        raw = bytes(vals)
+        hits_a = raw.translate(bytes(a) + b"\x01" + bytes(255 - a))
+        hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
+    else:
+        hits_a = hits_b = None
+    lines = k ** (n - 1)
+    # the last axis: one chunk, its lines in order
+    (bases, slices), = _axis_chunks(n, k, n - 1)
+    last_a = _hit_positions(vals, k, hits_a, a, bases, slices)
+    last_b = _hit_positions(vals, k, hits_b, b, bases, slices)
 
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+    parent = memoryview(bytearray(4 * lines)).cast("I")
+    for i in range(lines):
+        parent[i] = i
+    for ax in range(n - 1):
+        stride = k ** (n - 1 - ax)
+        for bases, slices in _axis_chunks(n, k, ax):
+            pos_a = _hit_positions(vals, k, hits_a, a, bases, slices)
+            pos_b = _hit_positions(vals, k, hits_b, b, bases, slices)
+            for base, i, j in zip(bases, pos_a, pos_b):
+                x = (base + i * stride) // k
+                while True:
+                    r = parent[x]
+                    if r == x:
+                        break
+                    g = parent[r]
+                    parent[x] = g
+                    x = g
+                y = (base + j * stride) // k
+                while True:
+                    r = parent[y]
+                    if r == y:
+                        break
+                    g = parent[r]
+                    parent[y] = g
+                    y = g
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
 
-    def union(i, j):
-        for x in (i, j):
-            if x not in parent:
-                parent[x] = x
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for ax, bidx, stride in _lines(n, k):
-        ca = cb = None
-        for j in range(k):
-            idx = bidx + j * stride
-            v = vals[idx]
-            if v == a:
-                ca = idx
-            elif v == b:
-                cb = idx
-        if ca is None or cb is None:
-            raise AnalysisError("table is not Latin; components are undefined")
-        union(ca, cb)
-
+    # parent[i] <= i throughout, so one step from an already flattened
+    # parent finds the root
     groups = {}
-    for idx in parent:
-        groups.setdefault(find(idx), []).append(idx)
-    comps = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        cells = frozenset(Cell(q.coords(i)) for i in groups[root])
-        comps.append(Component(cells, frozenset((a, b))))
-    return comps
+    for i, (j, l) in enumerate(zip(last_a, last_b)):
+        r = parent[i] = parent[parent[i]]
+        groups.setdefault(r, []).extend((i * k + j, i * k + l))
+    m = k ** (n // 2)
+    high = list(itertools.product(range(k), repeat=n - n // 2))
+    low = list(itertools.product(range(k), repeat=n // 2))
+    pair = frozenset((a, b))
+    return [Component(frozenset(Cell(high[i // m] + low[i % m]) for i in cells),
+                      pair)
+            for cells in groups.values()]
 
 
 def switch_component(q, comp):

@@ -67,9 +67,13 @@ class QTable:
         return [list(self.values[i * k:(i + 1) * k]) for i in range(k)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
-    """A coordinate tuple into some table."""
+    """A coordinate tuple into some table.
+
+    Slotted: find_components makes one per a/b cell, and a per-instance
+    dict would cost about 40 bytes each.
+    """
 
     coords: tuple
 
@@ -117,10 +121,16 @@ class ValidationReport:
 
 def _check_structure(t):
     k, n = t.order, t.arity
-    if len(t.values) != k ** n:
+    vals = t.values
+    if len(vals) != k ** n:
         raise StructuralError(
-            "values length %d, want %d" % (len(t.values), k ** n))
-    for v in t.values:
+            "values length %d, want %d" % (len(vals), k ** n))
+    # C-level passes first; the per-value loop only names the first bad one
+    if all(issubclass(tp, int) for tp in set(map(type, vals))):
+        distinct = set(vals)
+        if 0 <= min(distinct) and max(distinct) < k:
+            return
+    for v in vals:
         if not isinstance(v, int) or not 0 <= v < k:
             raise StructuralError("symbol %r out of range 0..%d" % (v, k - 1))
 
@@ -149,6 +159,30 @@ def _lines_through(n, k, idx):
         block = stride
 
 
+def _axis_chunks(n, k, ax):
+    """Cover the lines along 0-based axis ax with k aligned slices each.
+
+    Yields (bases, slices): bases lists the first cells of some lines,
+    and slices[j] picks from a flat row-major sequence the cell
+    base + j * stride of each of them, in bases order.  When the k**ax
+    blocks are no more than the stride the slices are the k contiguous
+    rows of one block, otherwise the k strided columns through one offset;
+    either way an axis takes at most k**((n - 1) // 2) chunks.
+    """
+    size = k ** n
+    stride = k ** (n - 1 - ax)
+    block = stride * k
+    if k ** ax <= stride:
+        for top in range(0, size, block):
+            yield (range(top, top + stride),
+                   [slice(top + j * stride, top + (j + 1) * stride)
+                    for j in range(k)])
+    else:
+        for lo in range(stride):
+            yield (range(lo, size, block),
+                   [slice(lo + j * stride, size, block) for j in range(k)])
+
+
 def _offsets(n, k, axes):
     """Flat offsets of all assignments to the given 1-based axes.
 
@@ -163,6 +197,43 @@ def _offsets(n, k, axes):
     return offs
 
 
+def _one_hot_width(k):
+    """Bytes per one-hot field such that k fields of 1 << (k-1) add up
+    without a carry, or None past 8."""
+    for w in (1, 2, 4, 8):
+        if k << (k - 1) < 1 << (8 * w):
+            return w
+    return None
+
+
+def _one_hot_latin(t, w):
+    """Latin verdict from whole-axis sums of w-byte one-hot fields (see
+    validate)."""
+    k, n = t.order, t.arity
+    raw = bytes(t.values)
+    buf = bytearray(w * len(raw))
+    for i in range(w):
+        # byte i of 1 << v, as a translation table over v
+        buf[i::w] = raw.translate(
+            bytes(8 * i) + b"\x01\x02\x04\x08\x10\x20\x40\x80"
+            + bytes(248 - 8 * i))
+    # slicing a bytearray with a step is a plain C loop, much faster than
+    # copying a strided memoryview
+    fields = buf if w == 1 else memoryview(buf).cast(
+        {2: "H", 4: "I", 8: "Q"}[w])
+    full = ((1 << k) - 1).to_bytes(w, "little")
+    targets = {}
+    for ax in range(n):
+        for bases, slices in _axis_chunks(n, k, ax):
+            total = sum(int.from_bytes(fields[sl], "little") for sl in slices)
+            count = len(bases)
+            if count not in targets:
+                targets[count] = int.from_bytes(full * count, "little")
+            if total != targets[count]:
+                return False
+    return True
+
+
 def validate(t):
     """Check the Latin property on every axis line.
 
@@ -170,9 +241,23 @@ def validate(t):
     the first offending axis in scan order).  Structural problems, wrong
     length or out-of-range symbols, raise StructuralError instead: they are
     not Latin violations.
+
+    The verdict comes from one-hot sums over whole axes.  Cell value v
+    becomes the field 1 << v, w bytes wide.  A line is Latin exactly when
+    its k fields add up to 2^k - 1: distinct values give each bit once,
+    and k powers of two that sum to a number with k one bits must be
+    distinct, since merging a repeated pair would write it with fewer
+    than k.  The width leaves room for k * 2^(k-1), so fields never carry
+    into each other, and one big-integer sum of k slices of the flat
+    fields (_axis_chunks) checks many lines at once.  Only a failing
+    table, or an order too large for 8-byte fields, is scanned line by
+    line to list its violations.
     """
     _check_structure(t)
     k, n = t.order, t.arity
+    w = _one_hot_width(k)
+    if w is not None and _one_hot_latin(t, w):
+        return ValidationReport(True)
     vals = t.values
     violations = []
     for ax, base, stride in _lines(n, k):

@@ -246,6 +246,17 @@ class TestReconstruct:
             A.reconstruct(A.extract_shell(C.build_irreducible(5, 4), (0,) * 5))
         assert assembled == []
 
+    @pytest.mark.parametrize("basepoint", [
+        (0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 4), (0, -1, 0, 0), (0, 0.0, 0, 0)])
+    def test_malformed_basepoint_rejected(self, basepoint):
+        t = C.build_closed(4, 4, 2)
+        entries = A.extract_shell(t, (0, 0, 0, 0)).entries
+        sh = A.Shell(4, 4, basepoint, entries)
+        with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
+            A.reconstruct(sh)
+        with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
+            A.reconstruct_with_split(sh, A.Split(frozenset({1, 2})))
+
     def test_scale_5_7_nonzero_basepoint(self):
         # about 2 s with pruning; assembling all 119 splits took 25-50 s
         t, _ = randgen.random_reducible(7, 5, 3)
@@ -280,6 +291,57 @@ def all_splits(n):
             for S in itertools.combinations(range(1, n + 1), size)]
 
 
+def reference_reconstruct_with_split(sh, split):
+    """Cell-by-cell assembly from coordinate tuples, as reconstruct_with_split
+    did before it went through flat offsets."""
+    n, k = sh.arity, sh.order
+    S = A._checked_axes(split, n)
+    probe = S[0]
+    C_ = [i for i in range(1, n + 1) if i not in S]
+    base, ent = sh.basepoint, sh.entries
+
+    def shell_cell(assign):
+        return tuple(assign.get(i, base[i - 1]) for i in range(1, n + 1))
+
+    delta = [ent[shell_cell({probe: x})] for x in range(k)]
+    g0 = {stup: ent[shell_cell(dict(zip(S, stup)))]
+          for stup in itertools.product(range(k), repeat=len(S))}
+    h0 = {}
+    for xp in range(k):
+        for ctup in itertools.product(range(k), repeat=len(C_)):
+            assign = dict(zip(C_, ctup))
+            assign[probe] = xp
+            h0[(xp,) + ctup] = ent[shell_cell(assign)]
+    if sorted(delta) != list(range(k)):
+        raise A.ReconstructionError(
+            "split inconsistent with shell: probe retract is not a permutation")
+    dinv = [0] * k
+    for x, v in enumerate(delta):
+        dinv[v] = x
+    vals = []
+    for x in itertools.product(range(k), repeat=n):
+        stup = tuple(x[a - 1] for a in S)
+        ctup = tuple(x[a - 1] for a in C_)
+        vals.append(h0[(dinv[g0[stup]],) + ctup])
+    t = core.QTable(n, k, tuple(vals))
+    if not core.validate(t).ok:
+        raise A.ReconstructionError(
+            "split inconsistent with shell: assembled table is not Latin")
+    for cell, v in ent.items():
+        if t.values[t.index(cell)] != v:
+            raise A.ReconstructionError(
+                "split inconsistent with shell: assembled table disagrees at %r"
+                % (cell,))
+    return t
+
+
+def assembly_outcome(fn, sh, split):
+    try:
+        return fn(sh, split).values
+    except A.ReconstructionError as e:
+        return str(e)
+
+
 def reference_reconstruct(sh):
     """Every split assembled and checked in full; the candidate list, empty
     when no split survives."""
@@ -287,7 +349,7 @@ def reference_reconstruct(sh):
     seen = set()
     for split in all_splits(sh.arity):
         try:
-            t = A.reconstruct_with_split(sh, split)
+            t = reference_reconstruct_with_split(sh, split)
         except A.ReconstructionError:
             continue
         if reference_is_reducible_wrt(t, split) and t.values not in seen:
@@ -304,8 +366,8 @@ def reconstruct_or_empty(sh):
 
 
 class TestAgainstReference:
-    """The offset-table reducibility test and the retract-pruned
-    reconstruct against the slow paths they replace."""
+    """The offset-table reducibility test, the offset assembly and the
+    retract-pruned reconstruct against the slow paths they replace."""
 
     def check_table(self, t):
         for split in all_splits(t.arity):
@@ -316,6 +378,9 @@ class TestAgainstReference:
             if reference_is_reducible_wrt(t, s)]
 
     def check_shell(self, sh):
+        for split in all_splits(sh.arity):
+            assert (assembly_outcome(A.reconstruct_with_split, sh, split)
+                    == assembly_outcome(reference_reconstruct_with_split, sh, split))
         got = [c.values for c in reconstruct_or_empty(sh)]
         assert got == [c.values for c in reference_reconstruct(sh)]
         return got
@@ -348,6 +413,93 @@ class TestAgainstReference:
         # at other basepoints one may share it at any arity: build_irreducible
         # (4, 4) at (3, 3, 3, 3) is one case, so only agreement is asserted
         self.check_shell(A.extract_shell(t, (k - 1,) * n))
+
+
+def reference_find_components(q, a, b):
+    """The dict union-find over cells that find_components ran before its
+    whole-axis hit sums: the oracle."""
+    n, k = q.arity, q.order
+    vals = q.values
+    parent = {}
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    for ax, bidx, stride in core._lines(n, k):
+        ca = cb = None
+        for j in range(k):
+            idx = bidx + j * stride
+            if vals[idx] == a:
+                ca = idx
+            elif vals[idx] == b:
+                cb = idx
+        if ca is None or cb is None:
+            raise A.AnalysisError("table is not Latin; components are undefined")
+        for x in (ca, cb):
+            parent.setdefault(x, x)
+        ri, rj = find(ca), find(cb)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for idx in parent:
+        groups.setdefault(find(idx), []).append(idx)
+    return [A.Component(frozenset(core.Cell(q.coords(i)) for i in groups[r]),
+                        frozenset((a, b)))
+            for r in sorted(groups, key=lambda r: min(groups[r]))]
+
+
+def latin_tables():
+    """Latin tables of arity 1..5 and orders 2..7: random squares,
+    superpositions, isotopes of the cyclic sum, irreducible builds."""
+    import random
+    rng = random.Random(7)
+    out = [z_add(2, 1), z_add(7, 1), C.fixture("Q52"), C.build_ptq(7)]
+    out += [randgen.random_binary(k, 30 + k) for k in range(2, 8)]
+    out += [randgen.random_reducible(n, k, n * k)[0]
+            for n, k in [(3, 3), (3, 5), (4, 4), (5, 3), (3, 6)]]
+    for n, k in [(3, 4), (4, 5), (5, 2), (2, 6)]:
+        res, perms = list(range(k)), [list(range(k)) for _ in range(n)]
+        for p in [res] + perms:
+            rng.shuffle(p)
+        out.append(core.from_function(
+            n, k, lambda *x: res[sum(p[c] for p, c in zip(perms, x)) % k]))
+    out += [C.build_irreducible(3, 4), C.build_irreducible(4, 5)]
+    return out
+
+
+class TestFindComponentsAgainstReference:
+    @pytest.mark.parametrize("t", latin_tables(),
+                             ids=lambda t: "%d^%d" % (t.order, t.arity))
+    def test_every_pair(self, t):
+        assert core.validate(t).ok
+        for a, b in itertools.permutations(range(t.order), 2):
+            assert A.find_components(t, a, b) == reference_find_components(t, a, b)
+
+    def test_order_past_256(self):
+        # positions come from per-line slices when a byte cannot hold them
+        t = z_add(257)
+        for a, b in [(0, 1), (5, 200), (256, 3)]:
+            comps = A.find_components(t, a, b)
+            assert comps == reference_find_components(t, a, b)
+
+    def test_non_latin_rejected(self):
+        # every line holds a 0 and a 1, but row 0 holds two 0s; the old
+        # union-find returned components here
+        t = core.QTable(2, 3, (0, 1, 0, 1, 2, 0, 2, 0, 1))
+        assert reference_find_components(t, 0, 1)
+        with pytest.raises(A.AnalysisError, match="not Latin"):
+            A.find_components(t, 0, 1)
+        # a line missing the pair, an out-of-range symbol, a short table
+        for bad in [core.QTable(2, 2, (0, 1, 0, 1)),
+                    core.QTable(2, 2, (0, 1, 1, 5)),
+                    core.QTable(2, 2, (0, 1, 1))]:
+            with pytest.raises(A.AnalysisError, match="not Latin"):
+                A.find_components(bad, 0, 1)
 
 
 class TestFindComponents:

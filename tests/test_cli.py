@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -207,6 +210,13 @@ class TestComponents:
         code, _, err = run_cli(capsys, "components", "-", "--pair", "1,1")
         assert code == 1 and err
 
+    def test_non_latin_exit_1(self, capsys, monkeypatch):
+        # each line holds a 0 and a 1, but row 0 holds two 0s
+        feed_stdin(monkeypatch, "0 1 0\n1 2 0\n2 0 1\n")
+        code, out, err = run_cli(capsys, "components", "-", "--pair", "0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: table is not Latin; components are undefined\n"
+
 
 class TestReconstructCli:
     def test_shell_roundtrip_n4(self, capsys, monkeypatch, tmp_path):
@@ -373,6 +383,29 @@ class TestCensusCli:
         code, _, err = run_cli(capsys, "census", "--n", "6", "--k", "13",
                                "--exact", "on")
         assert code == 1 and err
+
+
+def test_table_commands_load_neither_numpy_nor_array(tmp_path):
+    # the kernels run on builtins: a child loading either would pay its
+    # start-up time and resident memory
+    table = tmp_path / "t.json"
+    table.write_text(core.to_json(C.build_closed(4, 5, 2)))
+    script = (
+        "import contextlib, io, sys\n"
+        "from nquasigroups import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(['validate', sys.argv[1]]),\n"
+        "             cli.run(['components', sys.argv[1], '--pair', '0,1',\n"
+        "                      '--switch', '0']),\n"
+        "             cli.run(['census', '--n', '3', '--k', '4'])]\n"
+        "print(codes, sorted(m for m in ('numpy', 'array') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, str(table)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] []\n"
 
 
 class TestUsage:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,120 @@ class TestValidate:
     @settings(max_examples=15, deadline=None)
     def test_random_squares_validate(self, k, seed):
         assert core.is_valid(randgen.random_binary(k, seed))
+
+
+def reference_check_structure(t):
+    """The per-value structure check validate ran before its C-level passes."""
+    k, n = t.order, t.arity
+    if len(t.values) != k ** n:
+        raise core.StructuralError(
+            "values length %d, want %d" % (len(t.values), k ** n))
+    for v in t.values:
+        if not isinstance(v, int) or not 0 <= v < k:
+            raise core.StructuralError("symbol %r out of range 0..%d" % (v, k - 1))
+
+
+def reference_validate(t):
+    """The per-line scan validate ran before its one-hot sums: the oracle."""
+    reference_check_structure(t)
+    k, n = t.order, t.arity
+    vals = t.values
+    violations = []
+    for ax, base, stride in core._lines(n, k):
+        mask = 0
+        for j in range(k):
+            mask |= 1 << vals[base + j * stride]
+        if mask != (1 << k) - 1:
+            fixed = list(t.coords(base))
+            fixed[ax] = None
+            violations.append(core.LineViolation(ax + 1, tuple(fixed)))
+    return core.ValidationReport(not violations, tuple(violations))
+
+
+def outcome(fn, t):
+    try:
+        return fn(t)
+    except core.StructuralError as e:
+        return ("StructuralError", str(e))
+
+
+def isotope_of_sum(n, k, rng):
+    """A random isotope of the n-ary cyclic sum: Latin, every axis permuted."""
+    res = list(range(k))
+    rng.shuffle(res)
+    perms = []
+    for _ in range(n):
+        perms.append(list(range(k)))
+        rng.shuffle(perms[-1])
+    return core.from_function(
+        n, k, lambda *x: res[sum(p[c] for p, c in zip(perms, x)) % k])
+
+
+# values a perturbed cell may take besides an in-range symbol
+ODD_VALUES = [-1, 0.0, 1.5, True, False, None, "0"]
+
+
+class TestValidateAgainstReference:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, data):
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, {1: 70, 2: 30, 3: 12, 4: 7}[n]))
+        t = isotope_of_sum(n, k, data.draw(st.randoms(use_true_random=False)))
+        vals = list(t.values)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(vals) - 1))
+            vals[i] = data.draw(st.one_of(
+                st.integers(0, k - 1), st.integers(0, k - 1),
+                st.sampled_from(ODD_VALUES + [k, k + 5])))
+        t = core.QTable(n, k, tuple(vals))
+        assert outcome(core.validate, t) == outcome(reference_validate, t)
+
+    @pytest.mark.parametrize("k", [6, 7, 13, 14, 28, 29, 58, 59, 60, 64])
+    def test_field_width_boundaries(self, k):
+        # widths 1 | 2 at k = 7, 2 | 4 at 14, 4 | 8 at 29, none past 59
+        t = isotope_of_sum(2, k, random.Random(k))
+        assert core.validate(t) == reference_validate(t) == core.ValidationReport(True)
+        for i in (0, k * k // 2, k * k - 1):
+            vals = list(t.values)
+            vals[i] = (vals[i] + 1) % k
+            bad = core.QTable(2, k, tuple(vals))
+            rep = core.validate(bad)
+            assert rep == reference_validate(bad) and not rep.ok
+
+    def test_one_hot_width(self):
+        assert [core._one_hot_width(k) for k in (1, 6, 7, 13, 14, 28, 29, 59, 60)] \
+            == [1, 1, 2, 2, 4, 4, 8, 8, None]
+
+    def test_two_swapped_symbols_in_one_line(self):
+        # swapping two neighbours along axis 3 keeps that line a
+        # permutation and breaks the axis-1 and axis-2 lines through both
+        t = isotope_of_sum(3, 5, random.Random(1))
+        vals = list(t.values)
+        vals[0], vals[1] = vals[1], vals[0]
+        bad = core.QTable(3, 5, tuple(vals))
+        rep = core.validate(bad)
+        assert rep == reference_validate(bad)
+        assert [v.axis for v in rep.violations] == [1, 1, 2, 2]
+
+    def test_first_bad_symbol_named(self):
+        t = core.QTable(2, 3, (0, 1, 2, 1, 2.0, 7, 2, 0, 1))
+        with pytest.raises(core.StructuralError, match=r"symbol 2\.0 out of range"):
+            core.validate(t)
+        t = core.QTable(2, 3, (0, 1, 2, 1, 9, -1, 2, 0, 1))
+        with pytest.raises(core.StructuralError, match="symbol 9 out of range"):
+            core.validate(t)
+
+    def test_debug_validate_reports_first_violation(self, monkeypatch):
+        outer = core.QTable(2, 3, (0, 1, 2, 1, 2, 0, 0, 1, 2))
+        inner = z_add(3)
+        monkeypatch.setattr(core, "DEBUG_VALIDATE", False)
+        t = core.superpose(outer, 1, inner)
+        first = reference_validate(t).violations[0]
+        monkeypatch.setattr(core, "DEBUG_VALIDATE", True)
+        with pytest.raises(AssertionError) as err:
+            core.superpose(outer, 1, inner)
+        assert str(err.value) == "superpose produced an invalid table: %r" % (first,)
 
 
 class TestEvaluate:
