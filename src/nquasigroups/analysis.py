@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (Cell, QTable, StructuralError, _axis_chunks, _offsets,
-                   validate)
+                   retract, validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -62,22 +62,95 @@ class Shell:
     entries: dict
 
 
-@dataclass(frozen=True)
+def _coord_tuples(indices, n, k):
+    """Coordinate tuples of flat row-major indices of a k^n table, in the
+    order given; each is a high half plus a low half from two short
+    tables."""
+    m = k ** (n // 2)
+    high = list(itertools.product(range(k), repeat=n - n // 2))
+    low = list(itertools.product(range(k), repeat=n // 2))
+    return [high[i // m] + low[i % m] for i in indices]
+
+
 class Component:
     """A switching set: cells valued in {a,b} whose a<->b flip stays Latin.
 
     Components returned by find_components are additionally inclusion-minimal;
     constructed families may carry larger (non-minimal) switching sets.
+
+    Built by hand as Component(cells, pair), with cells a frozenset of
+    Cell and pair the two symbols {a, b}.  find_components instead keeps
+    the sorted flat row-major indices of its cells in a table of the
+    given shape (indices, a read-only uint32 memoryview) and builds the
+    Cell frozenset only when a caller reads .cells.  Both forms of the
+    same part compare equal.
     """
 
-    cells: frozenset   # of Cell
-    pair: frozenset    # the two symbols {a, b}
+    __slots__ = ("pair", "shape", "_data", "_cells")
+
+    def __init__(self, cells, pair):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "shape", None)  # (arity, order) if indexed
+        object.__setattr__(self, "_data", None)
+        object.__setattr__(self, "_cells", cells)
+
+    @classmethod
+    def from_indices(cls, indices, arity, order, pair):
+        """Component of a table of the given shape from the sorted flat
+        indices of its cells (any uint32 buffer)."""
+        comp = cls(None, pair)
+        object.__setattr__(comp, "shape", (arity, order))
+        object.__setattr__(comp, "_data", bytes(indices))
+        return comp
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Component is immutable")
+
+    @property
+    def indices(self):
+        """Sorted flat indices of the cells, or None for a hand-built
+        component."""
+        if self._data is None:
+            return None
+        return memoryview(self._data).cast("I")
+
+    @property
+    def cells(self):
+        """The cells as a frozenset of Cell, built on first read."""
+        if self._cells is None:
+            n, k = self.shape
+            object.__setattr__(self, "_cells", frozenset(
+                Cell(x) for x in _coord_tuples(self.indices, n, k)))
+        return self._cells
+
+    def coords(self):
+        """Coordinate tuples of the cells in row-major (coordinate) order."""
+        if self._data is None:
+            return sorted(c.coords for c in self._cells)
+        return _coord_tuples(self.indices, *self.shape)
 
     def sorted_cells(self):
         return sorted(self.cells, key=lambda c: c.coords)
 
     def __len__(self):
-        return len(self.cells)
+        if self._data is None:
+            return len(self._cells)
+        return len(self._data) // 4
+
+    def __eq__(self, other):
+        if not isinstance(other, Component):
+            return NotImplemented
+        if self.pair != other.pair:
+            return False
+        if self._data is not None and self.shape == other.shape:
+            return self._data == other._data
+        return self.cells == other.cells
+
+    def __hash__(self):
+        return hash((len(self), self.pair))
+
+    def __repr__(self):
+        return "Component(cells=%r, pair=%r)" % (self.cells, self.pair)
 
 
 def component_from_tuples(cells, a, b):
@@ -207,6 +280,32 @@ def _check_basepoint(sh):
             "basepoint must list %d integers in 0..%d" % (n, k - 1))
 
 
+def _shell_read(sh, free):
+    """Shell values over the cells whose 1-based axis i ranges over
+    free[i], every other axis at the basepoint, in itertools.product
+    order.  A missing cell raises KeyError naming it."""
+    base, ent = sh.basepoint, sh.entries
+    return [ent[x] for x in itertools.product(
+        *[free.get(i, (base[i - 1],)) for i in range(1, len(base) + 1)])]
+
+
+def _agrees_with_shell(sh, t):
+    """True when the shell lists exactly the cells touching its basepoint
+    and t holds the shell's value on each.  Those cells are the n
+    hyperplanes x_i = basepoint_i, so t's retracts through the basepoint
+    (gathered through flat offsets) must equal the shell's; False also
+    covers a partial or padded shell, which the caller scans."""
+    n, k = t.arity, t.order
+    if len(sh.entries) != k ** n - (k - 1) ** n:
+        return False
+    try:
+        planes = _shell_retracts(sh)
+    except ReconstructionError:
+        return False
+    return all(retract(t, {i: o}).values == plane.values
+               for i, (o, plane) in enumerate(zip(sh.basepoint, planes), 1))
+
+
 def reconstruct_with_split(sh, split, probe=None):
     """Assemble the full table from a shell, assuming reducibility over split.
 
@@ -215,7 +314,9 @@ def reconstruct_with_split(sh, split, probe=None):
     g0 over the S-axes, h0 over (p, C-axes), and the unary d(x) = value at
     x in the probe slot alone.  The table is h0(d^-1(g0(x_S)), x_C).
     The result must validate and agree with the shell, else the split is
-    inconsistent with the shell.
+    inconsistent with the shell; agreement is checked hyperplane by
+    hyperplane, and only a disagreement scans the entries to name the
+    first disagreeing cell.
     """
     n, k = sh.arity, sh.order
     S = _checked_axes(split, n)
@@ -226,28 +327,19 @@ def reconstruct_with_split(sh, split, probe=None):
         raise AnalysisError("probe axis %r is not in the split" % (probe,))
     sset = set(S)
     C = [i for i in range(1, n + 1) if i not in sset]
-    base = sh.basepoint
     ent = sh.entries
-
-    def shell_cell(assign):
-        return tuple(assign.get(i, base[i - 1]) for i in range(1, n + 1))
+    every = range(k)
 
     try:
-        delta = [ent[shell_cell({probe: x})] for x in range(k)]
-        g0 = [ent[shell_cell(dict(zip(S, stup)))]
-              for stup in itertools.product(range(k), repeat=len(S))]
-        h0 = []  # one row over the C-tuples per probe value
-        for xp in range(k):
-            row = []
-            for ctup in itertools.product(range(k), repeat=len(C)):
-                assign = dict(zip(C, ctup))
-                assign[probe] = xp
-                row.append(ent[shell_cell(assign)])
-            h0.append(row)
+        delta = _shell_read(sh, {probe: every})
+        g0 = _shell_read(sh, dict.fromkeys(S, every))
+        # one row over the C-tuples per probe value
+        h0 = [_shell_read(sh, {probe: (xp,), **dict.fromkeys(C, every)})
+              for xp in every]
     except KeyError as e:
         raise ReconstructionError("shell is missing required entry %s" % e)
 
-    if sorted(delta) != list(range(k)):
+    if sorted(delta) != list(every):
         raise ReconstructionError(
             "split inconsistent with shell: probe retract is not a permutation")
     dinv = [0] * k
@@ -265,11 +357,12 @@ def reconstruct_with_split(sh, split, probe=None):
     if not validate(t).ok:
         raise ReconstructionError(
             "split inconsistent with shell: assembled table is not Latin")
-    for cell, v in ent.items():
-        if t.values[t.index(cell)] != v:
-            raise ReconstructionError(
-                "split inconsistent with shell: assembled table disagrees at %r"
-                % (cell,))
+    if not _agrees_with_shell(sh, t):
+        for cell, v in ent.items():
+            if t.values[t.index(cell)] != v:
+                raise ReconstructionError(
+                    "split inconsistent with shell: assembled table disagrees "
+                    "at %r" % (cell,))
     return t
 
 
@@ -279,15 +372,13 @@ def _shell_retracts(sh):
     Retract i fixes axis i at basepoint_i; its axes are the others in
     order.  Every cell read touches the basepoint, so the shell holds it.
     """
-    n, k, base = sh.arity, sh.order, sh.basepoint
-    ent = sh.entries
+    n, k = sh.arity, sh.order
     retracts = []
     try:
-        for i in range(n):
-            pin = (base[i],)
-            vals = [ent[x[:i] + pin + x[i:]]
-                    for x in itertools.product(range(k), repeat=n - 1)]
-            retracts.append(QTable(n - 1, k, tuple(vals)))
+        for i in range(1, n + 1):
+            free = dict.fromkeys((j for j in range(1, n + 1) if j != i),
+                                 range(k))
+            retracts.append(QTable(n - 1, k, tuple(_shell_read(sh, free))))
     except KeyError as e:
         raise ReconstructionError("shell is missing required entry %s" % e)
     return retracts
@@ -309,6 +400,10 @@ def reconstruct(sh):
     candidate's retracts are the shell's, so a split failing either test
     cannot yield a candidate; the surviving splits are assembled and
     checked in full.  Arity 3 has no such test and tries every split.
+    A surviving split over which a candidate already found is reducible
+    is skipped: a table reducible over S is h0(d^-1(g0(x_S)), x_C) with
+    g0, h0 and d read from its own shell, so assembling S would rebuild
+    that candidate.
     Shells whose 2^n - n - 2 splits times k^n cells exceed
     RECONSTRUCT_BUDGET are refused before any split, and so are shells
     whose basepoint is not arity coordinates in 0..order-1.
@@ -346,6 +441,10 @@ def reconstruct(sh):
             if not survives(S):
                 continue
             split = Split(frozenset(S))
+            # a candidate reducible over S agrees with the shell, so the
+            # assembly over S would rebuild that same table
+            if any(is_reducible_wrt(c, split) for c in candidates):
+                continue
             try:
                 t = reconstruct_with_split(sh, split)
             except ReconstructionError:
@@ -389,7 +488,10 @@ def find_components(q, a, b):
     joined by that line's edge, so the union-find runs over those lines,
     line number = cell index // k, and a root is the smallest line of its
     part: parts met in a scan by line come in the order of their smallest
-    lines, and so of their smallest cells.
+    lines, and so of their smallest cells.  A counting pass sizes each
+    part, and a second scan by line writes every part's flat cell indices,
+    already sorted, into one uint32 buffer; each Component keeps its slice
+    and builds no Cell until .cells is read.
     """
     n, k = q.arity, q.order
     if k < 2:
@@ -450,18 +552,37 @@ def find_components(q, a, b):
                     parent[x] = y
 
     # parent[i] <= i throughout, so one step from an already flattened
-    # parent finds the root
-    groups = {}
-    for i, (j, l) in enumerate(zip(last_a, last_b)):
+    # parent finds the root; a root is met before the rest of its part
+    fill = memoryview(bytearray(4 * lines)).cast("I")
+    roots = []
+    for i in range(lines):
         r = parent[i] = parent[parent[i]]
-        groups.setdefault(r, []).extend((i * k + j, i * k + l))
-    m = k ** (n // 2)
-    high = list(itertools.product(range(k), repeat=n - n // 2))
-    low = list(itertools.product(range(k), repeat=n // 2))
+        if r == i:
+            roots.append(i)
+        fill[r] += 2
+    # every part's cells, two per line, in one buffer; fill[r] becomes the
+    # next free slot of root r's span
+    spans = []
+    start = 0
+    for r in roots:
+        end = start + fill[r]
+        spans.append((start, end))
+        fill[r] = start
+        start = end
+    cells = memoryview(bytearray(4 * start)).cast("I")
+    for i, (j, l) in enumerate(zip(last_a, last_b)):
+        r = parent[i]
+        p = fill[r]
+        fill[r] = p + 2
+        x = i * k
+        if j < l:
+            cells[p] = x + j
+            cells[p + 1] = x + l
+        else:
+            cells[p] = x + l
+            cells[p + 1] = x + j
     pair = frozenset((a, b))
-    return [Component(frozenset(Cell(high[i // m] + low[i % m]) for i in cells),
-                      pair)
-            for cells in groups.values()]
+    return [Component.from_indices(cells[s:e], n, k, pair) for s, e in spans]
 
 
 def switch_component(q, comp):
@@ -469,13 +590,25 @@ def switch_component(q, comp):
 
     Checks that every cell is valued in the pair and that the flipped table
     is Latin, so a set that is not actually a switching set of q is refused.
+    A component of a table of q's shape flips by its flat indices; only a
+    cell outside the pair sends it to the Cell scan, which names the first
+    such cell in the order of comp.cells.
     """
     pair = sorted(comp.pair)
     if len(pair) != 2:
         raise AnalysisError("component pair must hold two symbols")
     a, b = pair
-    if not comp.cells:
+    if not len(comp):
         raise AnalysisError("empty component")
+    if comp.shape == (q.arity, q.order):
+        vals = list(q.values)
+        for idx in comp.indices:
+            v = vals[idx]
+            if v != a and v != b:
+                break
+            vals[idx] = a + b - v
+        else:
+            return _flipped(q, vals)
     vals = list(q.values)
     for cell in comp.cells:
         idx = q.index(cell.coords)
@@ -485,6 +618,10 @@ def switch_component(q, comp):
                 "not a component of this table: cell %r holds %d, not in {%d,%d}"
                 % (cell.coords, v, a, b))
         vals[idx] = a + b - v
+    return _flipped(q, vals)
+
+
+def _flipped(q, vals):
     t = QTable(q.arity, q.order, tuple(vals))
     if not validate(t).ok:
         raise AnalysisError("not a component: the flip breaks the Latin property")

@@ -253,13 +253,22 @@ def _certify_components(fam):
         raise CertificationError(
             "family claims log2 = %d but carries %d components"
             % (fam.claimed_log2, s))
-    cellsets = [frozenset(c.coords for c in comp.cells) for comp in comps]
-    for i in range(s):
-        for j in range(i + 1, s):
-            if cellsets[i] & cellsets[j]:
-                raise CertificationError(
-                    "components %d and %d share cells" % (i, j))
     base = fam.base
+    # components of a table of the base's shape carry sorted flat indices;
+    # others are mapped through their coordinates
+    if all(comp.shape == (base.arity, base.order) for comp in comps):
+        cellsets = [comp.indices for comp in comps]
+    else:
+        cellsets = [sorted(base.index(c.coords) for c in comp.cells)
+                    for comp in comps]
+    if len(set(itertools.chain.from_iterable(cellsets))) != sum(
+            map(len, cellsets)):
+        sets = [frozenset(c) for c in cellsets]
+        for i in range(s):
+            for j in range(i + 1, s):
+                if sets[i] & sets[j]:
+                    raise CertificationError(
+                        "components %d and %d share cells" % (i, j))
     rep = validate(base)
     if not rep.ok:
         bad = rep.violations[0]
@@ -279,7 +288,7 @@ def _certify_components(fam):
                 "component %d does not switch: it needs two symbols and "
                 "at least one cell" % i)
         a, b = pair
-        idxs = sorted(base.index(c) for c in cellsets[i])
+        idxs = cellsets[i]
         for idx in idxs:
             if vals[idx] != a and vals[idx] != b:
                 raise CertificationError(

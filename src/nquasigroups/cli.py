@@ -95,8 +95,8 @@ def _component_obj(c):
     a, b = sorted(c.pair)
     return {
         "pair": [a, b],
-        "size": len(c.cells),
-        "cells": [list(cell.coords) for cell in c.sorted_cells()],
+        "size": len(c),
+        "cells": [list(x) for x in c.coords()],
     }
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from . import analysis
 from .core import (
     QTable,
+    check_cell_budget,
     from_function,
     from_json_obj,
     from_rows,
@@ -109,6 +110,7 @@ def build_qkr(k, r):
     if m % 2 == 0:
         raise ConstructionError(
             "formula inapplicable for even k - r; use build_closed")
+    check_cell_budget(2, k, ConstructionError)
 
     def q(i, j):
         if i < r and j < r:
@@ -203,6 +205,7 @@ def complete_rectangle(p):
     against admissible columns.  A full valid table passes through
     unchanged.
     """
+    check_cell_budget(2, p.order, ConstructionError)
     col_used = _check_partial(p)
     k = p.order
     rows = [list(r) for r in p.rows]
@@ -250,6 +253,7 @@ def build_closed(n, k, r):
         raise ConstructionError("need arity >= 2")
     if not 2 <= r <= k // 2:
         raise ConstructionError("need 2 <= r <= k//2, got r=%d, k=%d" % (r, k))
+    check_cell_budget(n, k, ConstructionError)
     return iterate(_closed_binary(k, r), n - 1)
 
 
@@ -293,6 +297,7 @@ def irreducible_base(n, k):
     """
     if n < 3 or k < 4:
         raise ConstructionError("need arity >= 3 and order >= 4")
+    check_cell_budget(n, k, ConstructionError)
     if n >= 4:
         return build_closed(n, k, 2)
     if k <= 7:
@@ -328,6 +333,7 @@ def build_ptq(k):
     if k < 7 or k % 2 == 0 or k % 3 == 0:
         raise ConstructionError(
             "order must be odd, >= 7, and not divisible by 3; got %d" % k)
+    check_cell_budget(2, k, ConstructionError)
     t = k // 3
 
     pi = list(range(k))
@@ -409,6 +415,7 @@ def build_family5(n):
     """
     if n < 2:
         raise ConstructionError("need arity >= 2")
+    check_cell_budget(n, 5, ConstructionError)
     q = fixture(FixtureId.Q52)
     q2 = iterate(q, 2)
 
@@ -449,6 +456,7 @@ def build_family_k(n, k):
     """
     if n < 2:
         raise ConstructionError("need arity >= 2")
+    check_cell_budget(n, k, ConstructionError)
     g = inverse_along(build_ptq(k), 1)
     npairs = k // 3
 

@@ -14,6 +14,25 @@ class StructuralError(ValueError):
     """Malformed table data: wrong length, out-of-range symbol, bad axis."""
 
 
+# The most cells a builder or omega_product allocates: 4^11, and 5^9 with
+# room to spare.  check_cell_budget refuses larger tables up front.
+BUILD_CELL_BUDGET = 1 << 22
+
+
+def check_cell_budget(n, k, error):
+    """Raise error (a ValueError class, so the CLI exits 1) when a table
+    of arity n and order k holds more than BUILD_CELL_BUDGET cells.
+
+    Runs before anything is allocated.  For k >= 2, k^n >= 2^n, so an
+    arity past the budget's bit length is refused without forming k^n.
+    """
+    if k > 1 and (n > BUILD_CELL_BUDGET.bit_length()
+                  or k ** n > BUILD_CELL_BUDGET):
+        raise error(
+            "a table of arity %d and order %d holds %d^%d cells, over the "
+            "%d-cell build budget" % (n, k, k, n, BUILD_CELL_BUDGET))
+
+
 # Flipped on by the test suite so every composition operation checks its
 # output.  Release paths leave it off; composition is then O(k**n) with no
 # validation pass.
@@ -412,8 +431,9 @@ def omega_product(g, om):
         raise StructuralError("second argument must be an OmegaMap")
     if om.outer_order != g.order or om.arity != g.arity:
         raise StructuralError("omega map does not match the outer table")
-    om.check()
     n, r, s = g.arity, om.outer_order, om.inner_order
+    check_cell_budget(n, r * s, StructuralError)
+    om.check()
     kk = r * s
     vals = []
     for z in itertools.product(range(kk), repeat=n):

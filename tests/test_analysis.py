@@ -1,6 +1,8 @@
 """Reducibility decisions, shells, reconstruction, switching components."""
 
 import itertools
+import json
+import re
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nquasigroups import analysis as A
+from nquasigroups import cli
 from nquasigroups import constructions as C
 from nquasigroups import core
 
@@ -232,14 +235,30 @@ class TestReconstruct:
 
     def test_retracts_prune_before_assembly(self, monkeypatch):
         assembled = []
+        covered = []  # splits skipped because a found candidate covers them
         assemble = A.reconstruct_with_split
+        reducible = A.is_reducible_wrt
+
+        def checked(q, split, **kw):
+            # a 5-ary test of a split not yet assembled is a coverage test
+            verdict = reducible(q, split, **kw)
+            if q.arity == 5 and verdict and split not in assembled:
+                covered.append(split)
+            return verdict
+
+        t, split = randgen.random_reducible(5, 4, 1)
+        reductions = A.find_reductions(t)
+        assert A.Split(frozenset(split)) in reductions
         monkeypatch.setattr(A, "reconstruct_with_split",
                             lambda sh, split: assembled.append(split)
                             or assemble(sh, split))
-        t, split = randgen.random_reducible(5, 4, 1)
+        monkeypatch.setattr(A, "is_reducible_wrt", checked)
         assert [c.values for c in A.reconstruct(
             A.extract_shell(t, (0,) * 5))] == [t.values]
-        assert A.Split(frozenset(split)) in assembled
+        # every split t reduces over survives the retract pruning and is
+        # either assembled or skipped as covered by a found candidate
+        for sp in reductions:
+            assert sp in assembled or sp in covered
         assert len(assembled) < 25
         assembled.clear()
         with pytest.raises(A.ReconstructionError):
@@ -257,13 +276,20 @@ class TestReconstruct:
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
             A.reconstruct_with_split(sh, A.Split(frozenset({1, 2})))
 
-    def test_scale_5_7_nonzero_basepoint(self):
+    def test_scale_5_7_nonzero_basepoint(self, monkeypatch):
         # about 2 s with pruning; assembling all 119 splits took 25-50 s
+        assembled = []
+        assemble = A.reconstruct_with_split
+        monkeypatch.setattr(A, "reconstruct_with_split",
+                            lambda sh, split: assembled.append(split)
+                            or assemble(sh, split))
         t, _ = randgen.random_reducible(7, 5, 3)
         sh = A.extract_shell(t, (2, 0, 4, 1, 3, 0, 2))
         t0 = time.perf_counter()
         assert [c.values for c in A.reconstruct(sh)] == [t.values]
         assert time.perf_counter() - t0 < 15.0
+        # 5 splits survive the retracts; the first candidate covers the rest
+        assert len(assembled) == 1
 
 
 def reference_is_reducible_wrt(q, split, return_witness=False):
@@ -363,6 +389,74 @@ def reconstruct_or_empty(sh):
         return A.reconstruct(sh)
     except A.ReconstructionError:
         return []
+
+
+class TestShellAgreement:
+    """reconstruct_with_split compares the assembled table with the shell
+    hyperplane by hyperplane; only a disagreement (or a partial or padded
+    shell) scans the entries, naming the first disagreeing cell as the
+    cell-by-cell reference does."""
+
+    def setup_method(self):
+        t, split = randgen.random_reducible(4, 4, 3)
+        self.t = t
+        self.split = A.Split(frozenset(split))
+        self.sh = A.extract_shell(t, (1, 2, 0, 3))
+
+    def outcomes(self, entries):
+        def reference(sh, split):
+            try:
+                return reference_reconstruct_with_split(sh, split)
+            except KeyError as e:
+                raise A.ReconstructionError(
+                    "shell is missing required entry %s" % e)
+
+        sh = A.Shell(4, 4, self.sh.basepoint, entries)
+        return [assembly_outcome(fn, sh, split)
+                for fn in (A.reconstruct_with_split, reference)
+                for split in (self.split, A.Split(frozenset((1, 4))))]
+
+    def test_agreeing_assembly_scans_nothing(self, monkeypatch):
+        calls = []
+        index = core.QTable.index
+        monkeypatch.setattr(core.QTable, "index",
+                            lambda q, c: calls.append(c) or index(q, c))
+        assert A.reconstruct_with_split(self.sh, self.split) == self.t
+        assert calls == []
+
+    def test_each_altered_entry(self):
+        for cell in self.sh.entries:
+            entries = dict(self.sh.entries)
+            entries[cell] = (entries[cell] + 1) % 4
+            got = self.outcomes(entries)
+            assert got[:2] == got[2:]
+
+    def test_first_disagreement_in_entries_order(self):
+        cells = list(self.sh.entries)
+        named = set()
+        for i in range(0, len(cells), 5):
+            # two altered cells, entries listed in two orders
+            pair = cells[i], cells[-1 - i]
+            for order in (cells, cells[::-1]):
+                entries = {c: self.sh.entries[c] for c in order}
+                for c in pair:
+                    entries[c] = (entries[c] + 1) % 4
+                got = self.outcomes(entries)
+                assert got[:2] == got[2:]
+                named.add(got[0])
+        assert any("disagrees at" in str(o) for o in named)
+
+    def test_missing_and_extra_entries(self):
+        for cell in list(self.sh.entries)[::3]:
+            entries = dict(self.sh.entries)
+            del entries[cell]
+            got = self.outcomes(entries)
+            assert got[:2] == got[2:]
+        for value in range(4):
+            entries = dict(self.sh.entries)
+            entries[(3, 3, 3, 2)] = value  # touches no basepoint coordinate
+            got = self.outcomes(entries)
+            assert got[:2] == got[2:]
 
 
 class TestAgainstReference:
@@ -619,3 +713,194 @@ class TestSwitchComponent:
         other = z_add(5)
         with pytest.raises(A.AnalysisError):
             A.switch_component(other, comp)
+
+
+def cell_find_components(q, a, b):
+    """find_components as it was before parts kept flat indices: the same
+    whole-axis union-find, then one Cell per ab-cell; the oracle."""
+    n, k = q.arity, q.order
+    try:
+        latin = core.validate(q).ok
+    except core.StructuralError:
+        latin = False
+    if not latin:
+        raise A.AnalysisError("table is not Latin; components are undefined")
+    vals = q.values
+    raw = bytes(vals)
+    hits_a = raw.translate(bytes(a) + b"\x01" + bytes(255 - a))
+    hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
+    lines = k ** (n - 1)
+    (bases, slices), = core._axis_chunks(n, k, n - 1)
+    last_a = A._hit_positions(vals, k, hits_a, a, bases, slices)
+    last_b = A._hit_positions(vals, k, hits_b, b, bases, slices)
+    parent = list(range(lines))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for ax in range(n - 1):
+        stride = k ** (n - 1 - ax)
+        for bases, slices in core._axis_chunks(n, k, ax):
+            pos_a = A._hit_positions(vals, k, hits_a, a, bases, slices)
+            pos_b = A._hit_positions(vals, k, hits_b, b, bases, slices)
+            for base, i, j in zip(bases, pos_a, pos_b):
+                x = find((base + i * stride) // k)
+                y = find((base + j * stride) // k)
+                parent[max(x, y)] = min(x, y)
+    groups = {}
+    for i, (j, l) in enumerate(zip(last_a, last_b)):
+        groups.setdefault(find(i), []).extend((i * k + j, i * k + l))
+    return [A.Component(frozenset(core.Cell(q.coords(i)) for i in cells),
+                        frozenset((a, b)))
+            for cells in groups.values()]
+
+
+def cell_switch_component(q, comp):
+    """switch_component as it was before: every Cell mapped back through
+    q.index; the oracle."""
+    a, b = sorted(comp.pair)
+    if not comp.cells:
+        raise A.AnalysisError("empty component")
+    vals = list(q.values)
+    for cell in comp.cells:
+        idx = q.index(cell.coords)
+        v = vals[idx]
+        if v != a and v != b:
+            raise A.AnalysisError(
+                "not a component of this table: cell %r holds %d, not in {%d,%d}"
+                % (cell.coords, v, a, b))
+        vals[idx] = a + b - v
+    t = core.QTable(q.arity, q.order, tuple(vals))
+    if not core.validate(t).ok:
+        raise A.AnalysisError("not a component: the flip breaks the Latin property")
+    return t
+
+
+def cell_listing(comps):
+    """The nqg components listing of Cell-based parts, as printed before."""
+    return json.dumps([{"pair": sorted(c.pair), "size": len(c.cells),
+                        "cells": [list(cell.coords) for cell
+                                  in sorted(c.cells, key=lambda c: c.coords)]}
+                       for c in comps], separators=(",", ":")) + "\n"
+
+
+def switch_outcome(fn, q, comp):
+    try:
+        return "table", fn(q, comp).values
+    except Exception as e:  # the oracle may fail in ways the library must too
+        return type(e).__name__, str(e)
+
+
+class TestIndexedComponents:
+    """Parts of find_components keep sorted flat indices; Cells are built
+    only when .cells is read."""
+
+    def test_find_components_builds_no_cell(self, monkeypatch):
+        made = []
+
+        def counting_cell(coords):
+            made.append(coords)
+            return core.Cell(coords)
+
+        monkeypatch.setattr(A, "Cell", counting_cell)
+        t = C.build_closed(7, 5, 2)
+        comps = A.find_components(t, 0, 1)
+        assert sum(map(len, comps)) == 2 * 5 ** 6
+        assert made == []
+        switched = A.switch_component(t, comps[-1])
+        assert made == [] and core.validate(switched).ok
+        # reading .cells is what builds them, once
+        cells = comps[0].cells
+        assert len(made) == len(comps[0]) == len(cells)
+        assert comps[0].cells is cells
+
+    def test_hand_built_equals_indexed(self):
+        q = C.fixture("Q52")
+        comps = A.find_components(q, 0, 1)
+        assert comps[0].indices.tolist() == [0, 1, 5, 6]
+        assert comps[0].shape == (2, 5)
+        hand = A.component_from_tuples([(1, 1), (0, 0), (1, 0), (0, 1)], 1, 0)
+        assert hand == comps[0] and comps[0] == hand
+        assert hash(hand) == hash(comps[0])
+        assert hand != comps[1] and hand.indices is None
+        assert comps[0].coords() == hand.coords() == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+        with pytest.raises(AttributeError):
+            comps[0].pair = frozenset((0, 2))
+
+    @pytest.mark.parametrize("t", latin_tables(),
+                             ids=lambda t: "%d^%d" % (t.order, t.arity))
+    def test_cli_output_matches_cell_oracle(self, t, tmp_path, capsys):
+        path = str(tmp_path / "t.json")
+        with open(path, "w") as fh:
+            fh.write(core.to_json(t))
+        for a, b in itertools.permutations(range(t.order), 2):
+            comps = A.find_components(t, a, b)
+            old = cell_find_components(t, a, b)
+            assert comps == old
+            argv = ["components", path, "--pair", "%d,%d" % (a, b)]
+            assert cli.run(argv) == 0
+            assert capsys.readouterr().out == cell_listing(old)
+            for i, (comp, want) in enumerate(zip(comps, old)):
+                switched = cell_switch_component(t, want)
+                assert A.switch_component(t, comp) == switched
+                assert cli.run(argv + ["--switch", str(i)]) == 0
+                out = capsys.readouterr().out
+                assert json.loads(out) == core.to_json_obj(switched)
+                if i == 0:
+                    assert cli.run(argv + ["--switch", str(i), "--pretty"]) == 0
+                    assert capsys.readouterr().out == cli._pretty(switched)
+
+    @pytest.mark.parametrize("t", latin_tables(),
+                             ids=lambda t: "%d^%d" % (t.order, t.arity))
+    def test_switch_errors_match_cell_oracle(self, t):
+        n, k = t.arity, t.order
+        # every symbol moved on: most ab-cells now hold a third symbol
+        shifted = core.QTable(n, k, tuple((v + 1) % k for v in t.values))
+        wider = z_add(k + 1, n)
+        for a, b in itertools.permutations(range(k), 2):
+            for comp, old in zip(A.find_components(t, a, b),
+                                 cell_find_components(t, a, b)):
+                # a proper part of a minimal component: its flip breaks Latin
+                part = A.Component.from_indices(comp.indices[1:], n, k,
+                                                comp.pair)
+                old_part = A.Component(frozenset(old.sorted_cells()[1:]),
+                                       old.pair)
+                assert part == old_part
+                got = switch_outcome(A.switch_component, t, part)
+                assert got == switch_outcome(cell_switch_component, t, old_part)
+                assert got == ("AnalysisError", "not a component: the flip "
+                               "breaks the Latin property")
+                for q in (shifted, wider):
+                    got = switch_outcome(A.switch_component, q, comp)
+                    assert got == switch_outcome(cell_switch_component, q, comp)
+                    # the oracle's own parts name the first bad cell of
+                    # their frozenset, whose order may differ
+                    want = switch_outcome(cell_switch_component, q, old)
+                    mask = re.compile(r"cell \(.*?\) holds \d+")
+                    assert got[0] == want[0]
+                    assert mask.sub("", str(got[1])) == mask.sub("", str(want[1]))
+
+    @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10 ** 6),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_switching_any_part_validates(self, n, k, seed, data):
+        if n == 1:
+            t = core.QTable(1, k, tuple(data.draw(st.permutations(range(k)))))
+        elif n == 2:
+            t = randgen.random_binary(k, seed)
+        else:
+            t = randgen.random_reducible(n, k, seed)[0]
+        a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
+                                  max_size=2, unique=True))
+        comps = A.find_components(t, a, b)
+        comp = comps[data.draw(st.integers(0, len(comps) - 1))]
+        switched = A.switch_component(t, comp)
+        assert core.validate(switched).ok
+        changed = [i for i, (u, v) in enumerate(zip(t.values, switched.values))
+                   if u != v]
+        assert changed == comp.indices.tolist()
+        assert all({t.values[i], switched.values[i]} == {a, b}
+                   for i in changed)

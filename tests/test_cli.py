@@ -261,6 +261,17 @@ class TestReconstructCli:
         assert code == 1 and err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--closed", "14", "10", "2"], ["--family-k", "30", "7"],
+        ["--irreducible", "12", "9"]])
+    def test_construct_over_build_budget_exit_1(self, capsys, argv):
+        # 10^14, 7^30 and 9^12 cells: refused before any allocation
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == "" and "build budget" in err
+        assert "Traceback" not in err
+
     def test_over_work_budget_exit_1(self, capsys, monkeypatch):
         # 2^40 splits of a one-cell table: refused before any split
         shell = {"arity": 40, "order": 1, "basepoint": [0] * 40,

@@ -308,6 +308,30 @@ class TestBuildFamilyK:
                 C.build_family_k(2, k)
 
 
+class TestBuildBudget:
+    """Every builder checks the table size against core.BUILD_CELL_BUDGET
+    before it allocates anything."""
+
+    @pytest.mark.parametrize("build,args", [
+        (C.build_qkr, (3001, 2)),
+        (C.build_closed, (14, 10, 2)),
+        (C.build_closed, (2, 3000, 2)),
+        (C.irreducible_base, (12, 9)),
+        (C.build_irreducible, (12, 9)),
+        (C.build_ptq, (2051,)),
+        (C.build_family5, (10,)),
+        (C.build_family_k, (30, 7)),
+        (C.complete_rectangle, (C.PartialRectangle(3000, ()),)),
+    ])
+    def test_refused_before_allocating(self, build, args):
+        with pytest.raises(C.ConstructionError, match="build budget"):
+            build(*args)
+
+    def test_largest_in_budget_cases_still_build(self):
+        assert core.is_valid(C.build_closed(9, 4, 2))
+        assert C.build_family5(9).claimed_log2 == 27
+
+
 class TestShellCounterexample:
     def test_loop_shape(self):
         q, f, loop = C.build_shell_counterexample()

@@ -382,6 +382,30 @@ class TestOmegaProduct:
         with pytest.raises(core.StructuralError):
             core.omega_product(x, om)
 
+    def test_over_build_budget_refused_first(self):
+        # (2 * 10^6)^2 cells: refused before the map is even checked
+        x = core.from_rows(XOR2)
+        om = core.OmegaMap(2, 10 ** 6, 2, {})
+        with pytest.raises(core.StructuralError, match="build budget"):
+            core.omega_product(x, om)
+
+
+class TestCellBudget:
+    def test_boundary(self):
+        budget = core.BUILD_CELL_BUDGET
+        assert budget == 1 << 22
+        core.check_cell_budget(22, 2, ValueError)
+        core.check_cell_budget(11, 4, ValueError)
+        core.check_cell_budget(10 ** 9, 1, ValueError)
+        core.check_cell_budget(1, budget, ValueError)
+        for n, k in [(23, 2), (12, 4), (1, budget + 1), (2, 2049)]:
+            with pytest.raises(ValueError, match="over the 4194304-cell"):
+                core.check_cell_budget(n, k, ValueError)
+
+    def test_huge_arity_never_forms_the_power(self):
+        with pytest.raises(core.StructuralError, match="build budget"):
+            core.check_cell_budget(10 ** 18, 10 ** 6, core.StructuralError)
+
 
 class TestSerialization:
     def test_json_roundtrip_fixture(self):
