@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from nquasigroups import analysis, cli, core
 from nquasigroups import constructions as C
 
+from capped import run_capped
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -133,6 +135,25 @@ class TestConstruct:
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--qkr", "6", "2")
         assert code == 1 and "build_closed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--closed", "14", "10", "2"], ["--family-k", "30", "7"],
+        ["--irreducible", "12", "9"]])
+    def test_construct_over_build_budget_exit_1(self, argv):
+        # 10^14, 7^30 and 9^12 cells: refused before any allocation
+        done = run_capped(
+            "import sys, time\n"
+            "from nquasigroups import cli\n"
+            "t0 = time.perf_counter()\n"
+            "code = cli.run(['construct'] + sys.argv[1:])\n"
+            "print('exit', code, time.perf_counter() - t0, file=sys.stderr)\n",
+            *argv)
+        assert done.returncode == 0 and done.stdout == ""
+        *err, last = done.stderr.splitlines()
+        word, code, seconds = last.split()
+        assert word == "exit" and code == "1" and float(seconds) < 1.0
+        assert len(err) == 1 and "build budget" in err[0]
+        assert "Traceback" not in done.stderr
 
     def test_pretty_on_family_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--family5", "2",
@@ -260,17 +281,6 @@ class TestReconstructCli:
         code, _, err = run_cli(capsys, "reconstruct", "-")
         assert code == 1 and err
 
-
-    @pytest.mark.parametrize("argv", [
-        ["--closed", "14", "10", "2"], ["--family-k", "30", "7"],
-        ["--irreducible", "12", "9"]])
-    def test_construct_over_build_budget_exit_1(self, capsys, argv):
-        # 10^14, 7^30 and 9^12 cells: refused before any allocation
-        t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, "construct", *argv)
-        assert time.perf_counter() - t0 < 1.0
-        assert code == 1 and out == "" and "build budget" in err
-        assert "Traceback" not in err
 
     def test_over_work_budget_exit_1(self, capsys, monkeypatch):
         # 2^40 splits of a one-cell table: refused before any split

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from nquasigroups import analysis, core
 from nquasigroups import constructions as C
 
+from capped import run_capped
+
 
 class TestBuildQkr:
     def test_piecewise_spots(self):
@@ -312,20 +314,28 @@ class TestBuildBudget:
     """Every builder checks the table size against core.BUILD_CELL_BUDGET
     before it allocates anything."""
 
-    @pytest.mark.parametrize("build,args", [
-        (C.build_qkr, (3001, 2)),
-        (C.build_closed, (14, 10, 2)),
-        (C.build_closed, (2, 3000, 2)),
-        (C.irreducible_base, (12, 9)),
-        (C.build_irreducible, (12, 9)),
-        (C.build_ptq, (2051,)),
-        (C.build_family5, (10,)),
-        (C.build_family_k, (30, 7)),
-        (C.complete_rectangle, (C.PartialRectangle(3000, ()),)),
-    ])
-    def test_refused_before_allocating(self, build, args):
-        with pytest.raises(C.ConstructionError, match="build budget"):
-            build(*args)
+    def test_refused_before_allocating(self):
+        calls = ["build_qkr(3001, 2)", "build_closed(14, 10, 2)",
+                 "build_closed(2, 3000, 2)", "irreducible_base(12, 9)",
+                 "build_irreducible(12, 9)", "build_ptq(2051)",
+                 "build_family5(10)", "build_family_k(30, 7)",
+                 "complete_rectangle(C.PartialRectangle(3000, ()))"]
+        done = run_capped(
+            "import sys\n"
+            "from nquasigroups import constructions as C\n"
+            "for call in sys.argv[1:]:\n"
+            "    try:\n"
+            "        eval('C.' + call)\n"
+            "        print('built', call)\n"
+            "    except C.ConstructionError as e:\n"
+            "        print('refused', call, e)\n",
+            *calls)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == len(calls)
+        for call, line in zip(calls, lines):
+            assert line.startswith("refused " + call)
+            assert "build budget" in line
 
     def test_largest_in_budget_cases_still_build(self):
         assert core.is_valid(C.build_closed(9, 4, 2))
