@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Run the benchmark on all workloads and record its result as BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py --pr N [--seed S] [--seconds T] [--trace 0|1]
+    python3 scripts/bench_record.py --pr N
 
-Runs `python3 perfbench/run.py --workload all` from the root of the source
-tree and writes the final metrics line (the last line of its output, one
-JSON object), together with the commit, whether the working tree differed
-from it, the seed and the run settings, to BENCH_<pr>.json at the root.
-The benchmark's own summary lines are echoed to standard error.
+Runs BENCHMARK.json's command with `--workload all`, its run_seconds,
+seed 1 and trace 0, from the root of the source tree, and writes the
+final metrics line (the last line of its output, one JSON object),
+together with the commit, whether the working tree differed from it and
+the argv that was run, to BENCH_<pr>.json at the root.  The benchmark's
+own summary lines are echoed to standard error.
 """
 
 import argparse
@@ -17,8 +18,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# BENCHMARK.json's run_seconds
-DEFAULT_SECONDS = 35
+SEED = 1
+TRACE = 0
 
 
 def git(*args):
@@ -31,14 +32,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True,
                     help="number in the output file name BENCH_<pr>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=DEFAULT_SECONDS)
-    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = ap.parse_args(argv)
 
-    command = [sys.executable, "perfbench/run.py", "--workload", "all",
-               "--seed", str(args.seed), "--seconds", str(args.seconds),
-               "--trace", str(args.trace)]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    command = bench["command"] + [
+        "--workload", "all", "--seed", str(SEED),
+        "--seconds", str(bench["run_seconds"]), "--trace", str(TRACE)]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     sys.stderr.write(done.stdout)
     sys.stderr.write(done.stderr)
@@ -53,10 +52,10 @@ def main(argv=None):
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src", "tests",
                           "perfbench")),
-        "command": ["python3"] + command[1:],
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "trace": args.trace,
+        "command": command,
+        "seed": SEED,
+        "seconds": bench["run_seconds"],
+        "trace": TRACE,
         "result": result,
     }
     out = ROOT / ("BENCH_%d.json" % args.pr)

@@ -130,7 +130,7 @@ class Component:
         return _coord_tuples(self.indices, *self.shape)
 
     def sorted_cells(self):
-        return sorted(self.cells, key=lambda c: c.coords)
+        return [Cell(x) for x in self.coords()]
 
     def __len__(self):
         if self._data is None:
@@ -289,21 +289,17 @@ def _shell_read(sh, free):
         *[free.get(i, (base[i - 1],)) for i in range(1, len(base) + 1)])]
 
 
-def _agrees_with_shell(sh, t):
-    """True when the shell lists exactly the cells touching its basepoint
-    and t holds the shell's value on each.  Those cells are the n
-    hyperplanes x_i = basepoint_i, so t's retracts through the basepoint
-    (gathered through flat offsets) must equal the shell's; False also
-    covers a partial or padded shell, which the caller scans."""
-    n, k = t.arity, t.order
+def _shell_planes(sh):
+    """The shell's retracts through its basepoint (_shell_retracts) when
+    it lists exactly the cells touching the basepoint, else None: a
+    partial or padded shell, whose entries are checked one by one."""
+    n, k = sh.arity, sh.order
     if len(sh.entries) != k ** n - (k - 1) ** n:
-        return False
+        return None
     try:
-        planes = _shell_retracts(sh)
+        return _shell_retracts(sh)
     except ReconstructionError:
-        return False
-    return all(retract(t, {i: o}).values == plane.values
-               for i, (o, plane) in enumerate(zip(sh.basepoint, planes), 1))
+        return None
 
 
 def reconstruct_with_split(sh, split, probe=None):
@@ -318,6 +314,11 @@ def reconstruct_with_split(sh, split, probe=None):
     hyperplane, and only a disagreement scans the entries to name the
     first disagreeing cell.
     """
+    return _assemble(sh, split, probe, _shell_planes(sh))
+
+
+def _assemble(sh, split, probe, planes):
+    """reconstruct_with_split, given the shell's _shell_planes."""
     n, k = sh.arity, sh.order
     S = _checked_axes(split, n)
     _check_basepoint(sh)
@@ -357,7 +358,12 @@ def reconstruct_with_split(sh, split, probe=None):
     if not validate(t).ok:
         raise ReconstructionError(
             "split inconsistent with shell: assembled table is not Latin")
-    if not _agrees_with_shell(sh, t):
+    # the cells touching the basepoint are the n hyperplanes x_i = o_i, so
+    # t agrees with a full shell when its retracts through the basepoint
+    # (gathered through flat offsets) equal the shell's
+    if planes is None or not all(
+            retract(t, {i: o}).values == plane.values
+            for i, (o, plane) in enumerate(zip(sh.basepoint, planes), 1)):
         for cell, v in ent.items():
             if t.values[t.index(cell)] != v:
                 raise ReconstructionError(
@@ -420,7 +426,8 @@ def reconstruct(sh):
             "reconstruction at arity %d, order %d tries 2^%d - %d splits of "
             "%d^%d cells each, over the %d-cell budget"
             % (n, k, n, n + 2, k, n, RECONSTRUCT_BUDGET))
-    retracts = _shell_retracts(sh)
+    planes = _shell_planes(sh)
+    retracts = planes if planes is not None else _shell_retracts(sh)
     verdicts = {}  # (i, split of retract i) -> is_reducible_wrt
 
     def survives(S):
@@ -446,7 +453,7 @@ def reconstruct(sh):
             if any(is_reducible_wrt(c, split) for c in candidates):
                 continue
             try:
-                t = reconstruct_with_split(sh, split)
+                t = _assemble(sh, split, None, planes)
             except ReconstructionError:
                 continue
             if not is_reducible_wrt(t, split):

@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass
 
 from .constructions import build_family5, build_family_k
-from .core import (OmegaMap, QTable, _lines_through, from_function,
-                   omega_product, validate)
+from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _lines_through,
+                   from_function, omega_product, validate)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 DEFAULT_TIME_LIMIT = 600.0
@@ -64,7 +64,18 @@ def _visit_order(n, k, visit):
     raise ValueError("visit must be 'index' or 'transposed'")
 
 
+def _check_ceiling(budget):
+    # a family is built as a whole table, which the builders cap at
+    # BUILD_CELL_BUDGET cells; one ceiling holds for every census path
+    if budget > BUILD_CELL_BUDGET:
+        raise BudgetError(
+            "budget %d is over the %d-cell build budget "
+            "(core.BUILD_CELL_BUDGET), the most cells any table is built with"
+            % (budget, BUILD_CELL_BUDGET))
+
+
 def _check_budget(n, k, budget):
+    _check_ceiling(budget)
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     total = k ** n
@@ -253,22 +264,13 @@ def _certify_components(fam):
         raise CertificationError(
             "family claims log2 = %d but carries %d components"
             % (fam.claimed_log2, s))
+    cellsets = [frozenset(c.coords for c in comp.cells) for comp in comps]
+    for i in range(s):
+        for j in range(i + 1, s):
+            if cellsets[i] & cellsets[j]:
+                raise CertificationError(
+                    "components %d and %d share cells" % (i, j))
     base = fam.base
-    # components of a table of the base's shape carry sorted flat indices;
-    # others are mapped through their coordinates
-    if all(comp.shape == (base.arity, base.order) for comp in comps):
-        cellsets = [comp.indices for comp in comps]
-    else:
-        cellsets = [sorted(base.index(c.coords) for c in comp.cells)
-                    for comp in comps]
-    if len(set(itertools.chain.from_iterable(cellsets))) != sum(
-            map(len, cellsets)):
-        sets = [frozenset(c) for c in cellsets]
-        for i in range(s):
-            for j in range(i + 1, s):
-                if sets[i] & sets[j]:
-                    raise CertificationError(
-                        "components %d and %d share cells" % (i, j))
     rep = validate(base)
     if not rep.ok:
         bad = rep.violations[0]
@@ -288,7 +290,7 @@ def _certify_components(fam):
                 "component %d does not switch: it needs two symbols and "
                 "at least one cell" % i)
         a, b = pair
-        idxs = cellsets[i]
+        idxs = sorted(base.index(c) for c in cellsets[i])
         for idx in idxs:
             if vals[idx] != a and vals[idx] != b:
                 raise CertificationError(
@@ -432,10 +434,12 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     exact='auto' enumerates only the desk-scale cases with known-bounded
     runtimes: (2,4), (2,5), (3,4), and any k <= 3 while n * k**n fits the
     budget, since the search holds n line masks per cell; past that the
-    count is None.  'on' forces the attempt, 'off' skips it.
+    count is None.  'on' forces the attempt, 'off' skips it.  A budget
+    over core.BUILD_CELL_BUDGET is refused with BudgetError.
     """
     if exact not in ("auto", "on", "off"):
         raise ValueError("exact must be 'auto', 'on', or 'off'")
+    _check_ceiling(budget)
     t0 = time.monotonic()
     exact_count = None
     attempt = exact == "on" or (

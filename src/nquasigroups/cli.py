@@ -275,7 +275,10 @@ def _build_parser():
     sp = sub.add_parser("census", help="exact counts, bounds, family checks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=census_mod.DEFAULT_CELL_BUDGET)
+    sp.add_argument("--budget", type=int, default=census_mod.DEFAULT_CELL_BUDGET,
+                    help="most cells the exact search or the family build "
+                    "may touch (default %%(default)s, at most %d, "
+                    "core.BUILD_CELL_BUDGET)" % core.BUILD_CELL_BUDGET)
     sp.add_argument("--exact", choices=["auto", "on", "off"], default="auto")
     sp.add_argument("--time-limit", type=float,
                     default=census_mod.DEFAULT_TIME_LIMIT)

@@ -236,7 +236,7 @@ class TestReconstruct:
     def test_retracts_prune_before_assembly(self, monkeypatch):
         assembled = []
         covered = []  # splits skipped because a found candidate covers them
-        assemble = A.reconstruct_with_split
+        assemble = A._assemble
         reducible = A.is_reducible_wrt
 
         def checked(q, split, **kw):
@@ -249,9 +249,9 @@ class TestReconstruct:
         t, split = randgen.random_reducible(5, 4, 1)
         reductions = A.find_reductions(t)
         assert A.Split(frozenset(split)) in reductions
-        monkeypatch.setattr(A, "reconstruct_with_split",
-                            lambda sh, split: assembled.append(split)
-                            or assemble(sh, split))
+        monkeypatch.setattr(A, "_assemble",
+                            lambda sh, split, *a: assembled.append(split)
+                            or assemble(sh, split, *a))
         monkeypatch.setattr(A, "is_reducible_wrt", checked)
         assert [c.values for c in A.reconstruct(
             A.extract_shell(t, (0,) * 5))] == [t.values]
@@ -279,10 +279,10 @@ class TestReconstruct:
     def test_scale_5_7_nonzero_basepoint(self, monkeypatch):
         # about 2 s with pruning; assembling all 119 splits took 25-50 s
         assembled = []
-        assemble = A.reconstruct_with_split
-        monkeypatch.setattr(A, "reconstruct_with_split",
-                            lambda sh, split: assembled.append(split)
-                            or assemble(sh, split))
+        assemble = A._assemble
+        monkeypatch.setattr(A, "_assemble",
+                            lambda sh, split, *a: assembled.append(split)
+                            or assemble(sh, split, *a))
         t, _ = randgen.random_reducible(7, 5, 3)
         sh = A.extract_shell(t, (2, 0, 4, 1, 3, 0, 2))
         t0 = time.perf_counter()

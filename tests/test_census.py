@@ -197,6 +197,17 @@ class TestEnumerateCount:
         with pytest.raises(census.BudgetError):
             census.enumerate_count(6, 13)
 
+    def test_budget_over_build_budget_refused(self):
+        over = core.BUILD_CELL_BUDGET + 1
+        for call in (lambda: census.enumerate_count(2, 3, budget=over),
+                     lambda: next(census.enumerate_tables(2, 3, budget=over)),
+                     lambda: census.verify_family(3, 5, budget=over),
+                     lambda: census.run_census(2, 3, budget=over,
+                                               exact="off")):
+            with pytest.raises(census.BudgetError,
+                               match="core.BUILD_CELL_BUDGET"):
+                call()
+
     def test_time_limit(self):
         with pytest.raises(census.BudgetError):
             census.enumerate_count(2, 6, time_limit=0.05)

@@ -405,6 +405,26 @@ class TestCensusCli:
                                "--exact", "on")
         assert code == 1 and err
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "10", "--k", "5"], ["--n", "3", "--k", "5"],
+        ["--n", "3", "--k", "3", "--exact", "off"]])
+    def test_budget_over_build_budget_exit_1(self, capsys, argv):
+        # build_family5(10) holds 5^10 cells, under a budget of 10^7 but
+        # over core.BUILD_CELL_BUDGET: --budget is capped by that constant
+        # on every census path, not passed on to a builder that refuses
+        code, out, err = run_cli(capsys, "census", *argv, "--budget",
+                                 str(core.BUILD_CELL_BUDGET + 1))
+        assert code == 1 and out == ""
+        assert err == ("error: budget %d is over the %d-cell build budget "
+                       "(core.BUILD_CELL_BUDGET), the most cells any table "
+                       "is built with\n" % (core.BUILD_CELL_BUDGET + 1,
+                                            core.BUILD_CELL_BUDGET))
+
+    def test_budget_at_build_budget_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--n", "3", "--k", "5",
+                               "--budget", str(core.BUILD_CELL_BUDGET))
+        assert code == 0 and json.loads(out)["family_log2"] == 3
+
 
 def test_table_commands_load_neither_numpy_nor_array(tmp_path):
     # the kernels run on builtins: a child loading either would pay its
