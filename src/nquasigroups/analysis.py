@@ -244,8 +244,8 @@ def find_subquasigroups(q):
     for size in range(1, k):
         for omega in itertools.combinations(range(k), size):
             inside = set(omega)
-            if all(vals[q.index(x)] in inside
-                   for x in itertools.product(omega, repeat=n)):
+            if all(vals[o] in inside
+                   for o in _offsets(n, k, range(1, n + 1), omega)):
                 out.append(omega)
     return out
 
@@ -263,10 +263,9 @@ def extract_shell(q, basepoint):
         if not isinstance(o, int) or not 0 <= o < k:
             raise AnalysisError("basepoint symbol %r out of range" % (o,))
     entries = {}
-    vals = q.values
-    for idx, x in enumerate(q.cells()):
+    for x, v in zip(q.cells(), q.values):
         if any(c == o for c, o in zip(x, base)):
-            entries[x] = vals[idx]
+            entries[x] = v
     return Shell(n, k, base, entries)
 
 
@@ -599,7 +598,8 @@ def switch_component(q, comp):
     is Latin, so a set that is not actually a switching set of q is refused.
     A component of a table of q's shape flips by its flat indices; only a
     cell outside the pair sends it to the Cell scan, which names the first
-    such cell in the order of comp.cells.
+    such cell in the order of comp.cells, or the first that is not q.arity
+    coordinates in 0..q.order-1 (a hand-built part, or another shape's).
     """
     pair = sorted(comp.pair)
     if len(pair) != 2:
@@ -618,6 +618,10 @@ def switch_component(q, comp):
             return _flipped(q, vals)
     vals = list(q.values)
     for cell in comp.cells:
+        if not _symbols_in_range(list(cell.coords), q.arity, q.order):
+            raise AnalysisError(
+                "not a component of this table: cell %r is not %d "
+                "coordinates in 0..%d" % (cell.coords, q.arity, q.order - 1))
         idx = q.index(cell.coords)
         v = vals[idx]
         if v != a and v != b:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .constructions import build_family5, build_family_k
 from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _lines_through,
-                   from_function, omega_product, validate)
+                   _offsets, from_function, omega_product, validate)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 DEFAULT_TIME_LIMIT = 600.0
@@ -48,23 +48,15 @@ def report_to_json_obj(rep):
     }
 
 
-def _visit_order(n, k, visit):
-    total = k ** n
-    if visit == "index":
-        return list(range(total))
-    if visit == "transposed":
-        # lexicographic over reversed coordinate tuples
-        order = []
-        for x in itertools.product(range(k), repeat=n):
-            idx = 0
-            for c in reversed(x):
-                idx = idx * k + c
-            order.append(idx)
-        return order
-    raise ValueError("visit must be 'index' or 'transposed'")
+def _visit_axes(n, visit):
+    """Axes whose _offsets list the cells in visitation order: 1..n, or
+    n..1 for transposed order (lexicographic over reversed coordinates)."""
+    if visit not in ("index", "transposed"):
+        raise ValueError("visit must be 'index' or 'transposed'")
+    return range(1, n + 1) if visit == "index" else range(n, 0, -1)
 
 
-def _check_ceiling(budget):
+def _check_ceiling(n, k, budget):
     # a family is built as a whole table, which the builders cap at
     # BUILD_CELL_BUDGET cells; one ceiling holds for every census path
     if budget > BUILD_CELL_BUDGET:
@@ -72,12 +64,12 @@ def _check_ceiling(budget):
             "budget %d is over the %d-cell build budget "
             "(core.BUILD_CELL_BUDGET), the most cells any table is built with"
             % (budget, BUILD_CELL_BUDGET))
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
 
 
 def _check_budget(n, k, budget):
-    _check_ceiling(budget)
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_ceiling(n, k, budget)
     total = k ** n
     if total > budget:
         raise BudgetError(
@@ -170,7 +162,8 @@ def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
     pinned = {j * stride: j for _, stride in _lines_through(n, k, 0)
               for j in range(k)}
     multiplier = math.factorial(k) * math.factorial(k - 1) ** (n - 1)
-    cells = [idx for idx in _visit_order(n, k, visit) if idx not in pinned]
+    cells = [idx for idx in _offsets(n, k, _visit_axes(n, visit))
+             if idx not in pinned]
     if not cells:
         return multiplier
     reduced = 0
@@ -183,7 +176,7 @@ def enumerate_tables(n, k, budget=DEFAULT_CELL_BUDGET,
                      time_limit=DEFAULT_TIME_LIMIT, visit="index"):
     """Yield every n-ary quasigroup of order k, in search order."""
     total = _check_budget(n, k, budget)
-    order = _visit_order(n, k, visit)
+    order = _offsets(n, k, _visit_axes(n, visit))
     vals = [0] * total
     for placed, m in _search(n, k, order, {}, time_limit):
         for idx, b in zip(order, placed):
@@ -439,7 +432,7 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     """
     if exact not in ("auto", "on", "off"):
         raise ValueError("exact must be 'auto', 'on', or 'off'")
-    _check_ceiling(budget)
+    _check_ceiling(n, k, budget)
     t0 = time.monotonic()
     exact_count = None
     attempt = exact == "on" or (

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from . import analysis
 from .core import (
     QTable,
+    _offsets,
     check_cell_budget,
     from_function,
     from_json_obj,
@@ -274,15 +275,15 @@ def switch_sub(q, omega, h):
             % (h.arity, h.order, n, len(om)))
     if not validate(h).ok:
         raise ConstructionError("replacement table is not a quasigroup")
-    pos = {s: i for i, s in enumerate(om)}
+    inside = set(om)
     vals = list(q.values)
-    for x in itertools.product(om, repeat=n):
-        idx = q.index(x)
-        if vals[idx] not in pos:
+    # om is sorted, so its cells in product order are h's in index order
+    for idx, v in zip(_offsets(n, k, range(1, n + 1), om), h.values):
+        if vals[idx] not in inside:
             raise ConstructionError(
                 "table is not closed on %s: value %d at %r"
-                % (list(om), vals[idx], x))
-        vals[idx] = om[h.values[h.index(tuple(pos[c] for c in x))]]
+                % (list(om), vals[idx], q.coords(idx)))
+        vals[idx] = om[v]
     return QTable(n, k, tuple(vals))
 
 
@@ -431,8 +432,7 @@ def build_family5(n):
     d_sets = (frozenset(_D0), frozenset(_D1))
     t01 = [frozenset((x0,) + c for x0 in (0, 1) for c in d) for d in d_sets]
     low_cells = frozenset(
-        x for x in itertools.product(range(5), repeat=3)
-        if q2.values[q2.index(x)] in (0, 1))
+        x for x, v in zip(q2.cells(), q2.values) if v in (0, 1))
     t_sets = (t01[0], t01[1], low_cells - t01[0] - t01[1])
 
     options = [d_sets if b == 2 else t_sets for b in blocks]

@@ -33,12 +33,6 @@ def check_cell_budget(n, k, error):
             "%d-cell build budget" % (n, k, k, n, BUILD_CELL_BUDGET))
 
 
-# Flipped on by the test suite so every composition operation checks its
-# output.  Release paths leave it off; composition is then O(k**n) with no
-# validation pass.
-DEBUG_VALIDATE = False
-
-
 @dataclass(frozen=True)
 class QTable:
     """Value hypercube of an n-ary operation on {0..k-1}.
@@ -114,7 +108,8 @@ class OmegaMap:
     arity: int
     assignment: dict
 
-    def check(self):
+    def blocks(self):
+        """The inner tables in index order of the outer cells, checked."""
         r, s, n = self.outer_order, self.inner_order, self.arity
         for y in itertools.product(range(r), repeat=n):
             t = self.assignment.get(y)
@@ -124,6 +119,7 @@ class OmegaMap:
                 raise StructuralError(
                     "omega block %r has shape (%d,%d), want (%d,%d)"
                     % (y, t.arity, t.order, n, s))
+            yield t
 
 
 @dataclass(frozen=True)
@@ -154,21 +150,10 @@ def _check_structure(t):
             raise StructuralError("symbol %r out of range 0..%d" % (v, k - 1))
 
 
-def _lines(n, k):
-    """Yield (axis, base_index, stride) for every axis line of a k**n cube."""
-    for ax in range(n):  # 0-based here; reported 1-based
-        stride = k ** (n - 1 - ax)
-        block = stride * k
-        for hi in range(k ** ax):
-            top = hi * block
-            for lo in range(stride):
-                yield ax, top + lo, stride
-
-
 def _lines_through(n, k, idx):
     """Yield (base_index, stride) of the n axis lines through a flat index.
 
-    Axis order as in _lines; the line along an axis holds the cells
+    Axes in order; the line along an axis holds the cells
     base_index + j * stride for j in 0..k-1.
     """
     block = k ** n
@@ -202,17 +187,18 @@ def _axis_chunks(n, k, ax):
                    [slice(lo + j * stride, size, block) for j in range(k)])
 
 
-def _offsets(n, k, axes):
+def _offsets(n, k, axes, symbols=None):
     """Flat offsets of all assignments to the given 1-based axes.
 
-    In itertools.product order over the axes as listed, the last varying
+    Each listed axis ranges over symbols (default 0..k-1), in
+    itertools.product order over the axes as listed, the last varying
     fastest; the cells of a k**n cube with every other axis at 0.
     """
+    steps = range(k) if symbols is None else symbols
     offs = [0]
     for a in axes:
         w = k ** (n - a)
-        steps = range(0, k * w, w)
-        offs = [o + c for o in offs for c in steps]
+        offs = [o + c * w for o in offs for c in steps]
     return offs
 
 
@@ -270,7 +256,7 @@ def validate(t):
     into each other, and one big-integer sum of k slices of the flat
     fields (_axis_chunks) checks many lines at once.  Only a failing
     table, or an order too large for 8-byte fields, is scanned line by
-    line to list its violations.
+    line, by axis and first cell, to list its violations.
     """
     _check_structure(t)
     k, n = t.order, t.arity
@@ -279,11 +265,13 @@ def validate(t):
         return ValidationReport(True)
     vals = t.values
     violations = []
-    for ax, base, stride in _lines(n, k):
-        mask = 0
-        for j in range(k):
-            mask |= 1 << vals[base + j * stride]
-        if mask != (1 << k) - 1:
+    for ax in range(n):
+        bad = []
+        for bases, slices in _axis_chunks(n, k, ax):
+            lines = zip(*[vals[sl] for sl in slices])
+            bad.extend(b for b, line in zip(bases, lines)
+                       if len(set(line)) != k)
+        for base in sorted(bad):
             fixed = list(t.coords(base))
             fixed[ax] = None
             violations.append(LineViolation(ax + 1, tuple(fixed)))
@@ -292,15 +280,6 @@ def validate(t):
 
 def is_valid(t):
     return validate(t).ok
-
-
-def _debug_check(t, opname):
-    if DEBUG_VALIDATE:
-        rep = validate(t)
-        if not rep.ok:
-            raise AssertionError(
-                "%s produced an invalid table: %r" % (opname, rep.violations[0]))
-    return t
 
 
 def evaluate(t, x):
@@ -349,7 +328,7 @@ def inverse_along(t, i):
         out[idx + (z - xi) * stride] = xi
     if any(v is None for v in out):
         raise StructuralError("table is not Latin along axis %d" % i)
-    return _debug_check(QTable(n, k, tuple(out)), "inverse_along")
+    return QTable(n, k, tuple(out))
 
 
 def retract(t, fixed):
@@ -365,7 +344,7 @@ def retract(t, fixed):
         raise StructuralError("retract must leave at least one axis free")
     base = sum(sym * k ** (n - ax) for ax, sym in fixed.items())
     vals = [t.values[base + o] for o in _offsets(n, k, free)]
-    return _debug_check(QTable(len(free), k, tuple(vals)), "retract")
+    return QTable(len(free), k, tuple(vals))
 
 
 def superpose(outer, position, inner):
@@ -390,8 +369,7 @@ def superpose(outer, position, inner):
         for v in inner_vals:
             base = (pre_base + v) * post
             vals.extend(outer_vals[base:base + post])
-    t = QTable(n_out + inner.arity - 1, k, tuple(vals))
-    return _debug_check(t, "superpose")
+    return QTable(n_out + inner.arity - 1, k, tuple(vals))
 
 
 def iterate(q, m):
@@ -406,19 +384,29 @@ def iterate(q, m):
     return t
 
 
+def _block_product(g, s, blocks):
+    """Order r*s table holding g(y) * s + block_y(x) at the cell y*s + x
+    (coordinatewise); blocks lists the order-s block_y for the cells y of
+    g in index order, and is drawn only once the budget is checked."""
+    n, kk = g.arity, g.order * s
+    check_cell_budget(n, kk, StructuralError)
+    axes = range(1, n + 1)
+    cells = _offsets(n, kk, axes, range(s))
+    vals = [0] * kk ** n
+    # strict: a table whose values do not fill its shape raises ValueError
+    for corner, top, block in zip(_offsets(n, kk, axes, range(0, kk, s)),
+                                  g.values, blocks, strict=True):
+        top *= s
+        for c, v in zip(cells, block.values, strict=True):
+            vals[corner + c] = top + v
+    return QTable(n, kk, tuple(vals))
+
+
 def direct_product(g, q):
     """Componentwise product; symbol pairs (a, b) encode as a*q.order + b."""
     if g.arity != q.arity:
         raise StructuralError("arity mismatch: %d vs %d" % (g.arity, q.arity))
-    n = g.arity
-    kg, kq = g.order, q.order
-    kk = kg * kq
-    vals = []
-    for x in itertools.product(range(kk), repeat=n):
-        a = tuple(c // kq for c in x)
-        b = tuple(c % kq for c in x)
-        vals.append(g.values[g.index(a)] * kq + q.values[q.index(b)])
-    return _debug_check(QTable(n, kk, tuple(vals)), "direct_product")
+    return _block_product(g, q.order, itertools.repeat(q, len(g.values)))
 
 
 def omega_product(g, om):
@@ -431,17 +419,7 @@ def omega_product(g, om):
         raise StructuralError("second argument must be an OmegaMap")
     if om.outer_order != g.order or om.arity != g.arity:
         raise StructuralError("omega map does not match the outer table")
-    n, r, s = g.arity, om.outer_order, om.inner_order
-    check_cell_budget(n, r * s, StructuralError)
-    om.check()
-    kk = r * s
-    vals = []
-    for z in itertools.product(range(kk), repeat=n):
-        y = tuple(c // s for c in z)
-        x = tuple(c % s for c in z)
-        inner = om.assignment[y]
-        vals.append(g.values[g.index(y)] * s + inner.values[inner.index(x)])
-    return _debug_check(QTable(n, kk, tuple(vals)), "omega_product")
+    return _block_product(g, om.inner_order, om.blocks())
 
 
 def restrict_to_symbols(t, omega):
@@ -453,11 +431,11 @@ def restrict_to_symbols(t, omega):
     pos = {sym: i for i, sym in enumerate(omega)}
     n = t.arity
     vals = []
-    for x in itertools.product(omega, repeat=n):
-        v = t.values[t.index(x)]
+    for off in _offsets(n, t.order, range(1, n + 1), omega):
+        v = t.values[off]
         if v not in pos:
-            raise StructuralError(
-                "table is not closed on %r: value %d at %r" % (omega, v, x))
+            raise StructuralError("table is not closed on %r: value %d at %r"
+                                  % (omega, v, t.coords(off)))
         vals.append(pos[v])
     return QTable(n, len(omega), tuple(vals))
 

@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import functools
 import sys
 import time
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nquasigroups import core
+from nquasigroups import analysis, census, constructions, core
 
 CRITERIA = {
     1: "embedded fixtures validate and match published spot values",
@@ -23,13 +24,36 @@ CRITERIA = {
 }
 
 
+# the table operators whose every output the tests validate
+OPERATORS = ("superpose", "retract", "inverse_along", "omega_product",
+             "direct_product")
+
+
+def _validated(op):
+    """op, then validate its table; AssertionError names the first
+    violated line.  The bare operator stays reachable as __wrapped__."""
+    @functools.wraps(op)
+    def checked(*args, **kwargs):
+        t = op(*args, **kwargs)
+        rep = core.validate(t)
+        if not rep.ok:
+            raise AssertionError("%s produced an invalid table: %r"
+                                 % (op.__name__, rep.violations[0]))
+        return t
+    return checked
+
+
+CHECKED = {name: _validated(getattr(core, name)) for name in OPERATORS}
+
+
 @pytest.fixture(autouse=True)
-def _debug_validation():
-    # every derived table revalidates inside the library during tests
-    saved = core.DEBUG_VALIDATE
-    core.DEBUG_VALIDATE = True
-    yield
-    core.DEBUG_VALIDATE = saved
+def _validate_operators(monkeypatch):
+    # every module that calls an operator by name reaches the checked one,
+    # so every table an operator derives during a test is revalidated
+    for module in (core, constructions, analysis, census):
+        for name, checked in CHECKED.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked)
 
 
 @pytest.fixture(scope="session")

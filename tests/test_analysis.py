@@ -14,7 +14,9 @@ from nquasigroups import cli
 from nquasigroups import constructions as C
 from nquasigroups import core
 
+import oracles
 import randgen
+from oracles import reference_lines
 
 
 def z_add(k, n=2):
@@ -118,6 +120,20 @@ class TestFindSubquasigroups:
         q = C.build_closed(2, 8, 4)
         for om in A.find_subquasigroups(q):
             assert core.is_valid(core.restrict_to_symbols(q, om))
+
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 10 ** 6),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, n, k, seed, closed):
+        if closed and n >= 2 and k >= 4:
+            q = C.build_closed(n, k, 2 + seed % (k // 2 - 1))
+        elif n >= 2:
+            q = randgen.random_reducible(n, k, seed)[0] if n >= 3 \
+                else randgen.random_binary(k, seed)
+        else:
+            q = core.QTable(1, k, tuple((v + seed) % k for v in range(k)))
+        assert A.find_subquasigroups(q) \
+            == oracles.reference_find_subquasigroups(q)
 
 
 class TestExtractShell:
@@ -524,7 +540,7 @@ def reference_find_components(q, a, b):
             parent[i], i = root, parent[i]
         return root
 
-    for ax, bidx, stride in core._lines(n, k):
+    for ax, bidx, stride in reference_lines(n, k):
         ca = cb = None
         for j in range(k):
             idx = bidx + j * stride
@@ -713,6 +729,30 @@ class TestSwitchComponent:
         other = z_add(5)
         with pytest.raises(A.AnalysisError):
             A.switch_component(other, comp)
+
+    def test_part_of_a_larger_table_names_its_cell(self):
+        # the second 01-part of Q52 reaches row and column 4, which Q42
+        # does not have
+        comp = A.find_components(C.fixture("Q52"), 0, 1)[1]
+        with pytest.raises(A.AnalysisError) as err:
+            A.switch_component(C.fixture("Q42"), comp)
+        m = re.fullmatch(r"not a component of this table: cell \((\d), (\d)\) "
+                         r"is not 2 coordinates in 0\.\.3", str(err.value))
+        assert m and "4" in m.groups()
+
+    @pytest.mark.parametrize("cells", [
+        [(0, 0, 0), (0, 1, 0)], [(0,), (1,)], [(0, -1), (0, 0)],
+        [(0, True), (1, 1)]])
+    def test_foreign_cells_refused(self, cells):
+        # never mapped through q.index onto some other cell
+        q = C.fixture("Q52")
+        bad = [c for c in cells
+               if len(c) != 2 or any(type(x) is not int or x < 0 for x in c)]
+        with pytest.raises(A.AnalysisError) as err:
+            A.switch_component(q, A.component_from_tuples(cells, 0, 1))
+        assert str(err.value) in ["not a component of this table: cell %r is "
+                                  "not 2 coordinates in 0..4" % (c,)
+                                  for c in bad]
 
 
 def cell_find_components(q, a, b):

@@ -13,6 +13,7 @@ from nquasigroups import analysis, core
 from nquasigroups import constructions as C
 
 import randgen
+from oracles import reference_visit_order
 
 
 def materialized_certificate(fam):
@@ -68,7 +69,7 @@ def raw_count(n, k, visit="index"):
     total = k ** n
     if k == 1:
         return 1
-    order = census._visit_order(n, k, visit)
+    order = reference_visit_order(n, k, visit)
     cell_lines = [_raw_cell_lines(n, k, idx) for idx in order]
     full = (1 << k) - 1
     masks = [0] * (n * k ** (n - 1))
@@ -112,7 +113,7 @@ def raw_tables(n, k, visit="index"):
     if k == 1:
         yield core.QTable(n, 1, (0,) * total)
         return
-    order = census._visit_order(n, k, visit)
+    order = reference_visit_order(n, k, visit)
     cell_lines = [_raw_cell_lines(n, k, idx) for idx in order]
     full = (1 << k) - 1
     masks = [0] * (n * k ** (n - 1))
@@ -167,6 +168,20 @@ class TestEnumerateCount:
 
     def test_order_four_squares(self):
         assert census.enumerate_count(2, 4) == 576
+
+    @pytest.mark.parametrize("visit", VISITS)
+    def test_visit_order_matches_reference(self, visit):
+        for n in range(1, 6):
+            for k in range(1, 5):
+                assert census._offsets(n, k, census._visit_axes(n, visit)) \
+                    == reference_visit_order(n, k, visit)
+
+    def test_unknown_visit_refused(self):
+        for call in (lambda: census.enumerate_count(2, 3, visit="diagonal"),
+                     lambda: next(census.enumerate_tables(2, 3, visit="x"))):
+            with pytest.raises(ValueError, match="visit must be 'index' or "
+                               "'transposed'"):
+                call()
 
     def test_visit_orders_agree(self):
         a = census.enumerate_count(2, 4)

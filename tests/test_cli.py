@@ -385,6 +385,101 @@ class TestArbitraryJson:
             assert code in (0, 1, 2)
 
 
+FUZZ_INT = st.integers(-2, 6).map(str)
+FUZZ_LIST = st.lists(st.integers(-2, 6), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+FUZZ_PAIR = st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
+    lambda xs: "%d,%d" % xs)
+FUZZ_SOURCE = st.sampled_from(("FILE", "-"))  # FILE: the drawn input file
+FUZZ_NOISE = (FUZZ_INT | FUZZ_LIST | FUZZ_SOURCE | st.sampled_from((
+    "validate", "census", "bogus", "--pretty", "--split", "--n", "--switch",
+    "--help", "--bogus", "on", "Q52", "")))
+
+
+def seq(*parts):
+    """argv tokens from strategies of one token or of a token list."""
+    return st.tuples(*parts).map(
+        lambda ps: [t for p in ps for t in (p if isinstance(p, list) else [p])])
+
+
+def opt(*parts):
+    return st.just([]) | seq(*parts)
+
+
+def flag(name, *values):
+    return seq(st.just(name), *values)
+
+
+# mostly well-formed command lines, so that draws reach the commands
+FUZZ_ARGV = st.one_of(
+    seq(st.just("validate"), FUZZ_SOURCE),
+    seq(st.just("eval"), FUZZ_SOURCE, st.lists(FUZZ_INT, max_size=4)),
+    seq(st.just("construct"), st.one_of(
+        flag("--qkr", FUZZ_INT, FUZZ_INT),
+        flag("--fixture", st.sampled_from(("Q42", "Q52", "Q62", "Q72", "Q2"))),
+        flag("--closed", FUZZ_INT, FUZZ_INT, FUZZ_INT),
+        flag("--irreducible", FUZZ_INT, FUZZ_INT), flag("--ptq", FUZZ_INT),
+        flag("--family5", FUZZ_INT), flag("--family-k", FUZZ_INT, FUZZ_INT),
+        flag("--counterexample")), opt(flag("--pretty"))),
+    seq(st.just("analyze"), FUZZ_SOURCE, st.one_of(
+        flag("--reductions"), flag("--subquasigroups"),
+        flag("--split", FUZZ_LIST),
+        flag("--shell", opt(flag("--basepoint", FUZZ_LIST))))),
+    seq(st.just("components"), FUZZ_SOURCE, flag("--pair", FUZZ_PAIR | FUZZ_LIST),
+        opt(flag("--switch", FUZZ_INT)), opt(flag("--pretty"))),
+    seq(st.just("reconstruct"), FUZZ_SOURCE, opt(flag("--split", FUZZ_LIST)),
+        opt(flag("--probe", FUZZ_INT)), opt(flag("--pretty"))),
+    seq(st.just("census"), flag("--n", FUZZ_INT), flag("--k", FUZZ_INT),
+        opt(flag("--exact", st.sampled_from(("auto", "on", "off", "x")))),
+        opt(flag("--budget", FUZZ_INT)), opt(flag("--seed", FUZZ_INT))),
+    st.lists(FUZZ_NOISE, max_size=5))
+
+
+def _fuzz_inputs():
+    """Well-formed inputs for the fuzz property to start from: tables in
+    both formats and a shell."""
+    closed = C.build_closed(3, 4, 2)
+    shell = analysis.extract_shell(closed, (0, 1, 0))
+    return [core.to_json(closed).encode(), core.to_json(C.fixture("Q52")).encode(),
+            core.to_text(C.fixture("Q42")).encode(), b"0 1\n0 1\n",
+            json.dumps(analysis.shell_to_json_obj(shell)).encode()]
+
+
+class TestCliFuzz:
+    @given(FUZZ_ARGV, st.just([]) | st.just([])
+           | st.lists(FUZZ_NOISE, min_size=1, max_size=2),
+           st.sampled_from(_fuzz_inputs()) | st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_run_returns_an_exit_code(self, tmp_path_factory, tokens, noise,
+                                      data):
+        # run exits 0, 1 or 2 on any argv and any input bytes, file or stdin
+        path = tmp_path_factory.mktemp("fuzz") / "in"
+        path.write_bytes(data)
+        argv = [str(path) if t == "FILE" else t for t in tokens + noise]
+        if "census" in argv:
+            # keeps draws like --n 3 --k 5 --exact on short
+            argv += ["--time-limit", "1"]
+        saved = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(argv)
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "-1", "--k", "0"], ["--n", "-2", "--k", "0", "--exact", "off"],
+        ["--n", "2", "--k", "-1", "--exact", "off"]])
+    def test_census_nonpositive_shape_exit_1(self, capsys, argv):
+        # (-1, 0) once ended in ZeroDivisionError, and --exact off reported
+        # a census of a shape that has none
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert (code, out, err) == (1, "", "error: need n >= 1 and k >= 1\n")
+
+
 class TestCensusCli:
     def test_exact_small(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--n", "3", "--k", "3")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from nquasigroups import analysis, core
 from nquasigroups import constructions as C
 
+import oracles
 from capped import run_capped
+from oracles import table_outcome
 
 
 class TestBuildQkr:
@@ -175,6 +177,30 @@ class TestSwitchSub:
         with pytest.raises((C.ConstructionError, core.StructuralError)):
             C.switch_sub(q, (0, 1), bad)
 
+    @given(st.integers(1, 4), st.integers(2, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, n, k, data):
+        if n >= 2 and k >= 4 and data.draw(st.booleans()):
+            r = data.draw(st.integers(2, k // 2))
+            q = C.build_closed(n, k, r)
+            omega = data.draw(st.sampled_from([range(r), range(k - r, k)]))
+        else:
+            q = core.from_function(n, k, lambda *x: sum(x) % k)
+            omega = data.draw(st.lists(st.integers(-1, k), min_size=1,
+                                       max_size=k))
+        m = len(set(omega))
+        h = core.from_function(n, m, lambda *x: (sum(x) + 1) % m)
+        assert table_outcome(C.switch_sub, q, omega, h) \
+            == table_outcome(oracles.reference_switch_sub, q, omega, h)
+
+    def test_not_closed_names_the_cell(self):
+        q = C.fixture("Q52")
+        h = core.from_rows([[0, 1], [1, 0]])
+        got = table_outcome(C.switch_sub, q, (1, 2), h)
+        assert got == table_outcome(oracles.reference_switch_sub, q, (1, 2), h)
+        assert got == ("ConstructionError",
+                       "table is not closed on [1, 2]: value 0 at (1, 1)")
+
 
 class TestBuildIrreducible:
     GRID = [(3, 4), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (3, 8), (3, 9), (4, 8)]
@@ -252,6 +278,14 @@ class TestBuildFamily5:
     def test_n3_component_sizes(self):
         fam = C.build_family5(3)
         assert sorted(len(c.cells) for c in fam.components) == [8, 12, 30]
+
+    def test_n3_components_cover_the_low_cells(self):
+        # the three sets of a 3-ary block partition the cells of the
+        # squared fixture valued 0 or 1
+        fam = C.build_family5(3)
+        cells = [c.coords for comp in fam.components for c in comp.cells]
+        assert len(cells) == len(set(cells))
+        assert set(cells) == oracles.reference_low_cells(fam.base)
 
     def test_component_counts_by_residue(self):
         # 3^m, 4*3^(m-1), 2*3^m as n runs over 3m, 3m+1, 3m+2

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nquasigroups import core
-from nquasigroups.constructions import fixture
+from nquasigroups.constructions import build_closed, fixture
 
+import oracles
 import randgen
 from capped import run_capped
+from oracles import reference_lines, table_outcome
 
 
 def z_add(k, n=2):
@@ -96,7 +98,7 @@ def reference_validate(t):
     k, n = t.order, t.arity
     vals = t.values
     violations = []
-    for ax, base, stride in core._lines(n, k):
+    for ax, base, stride in reference_lines(n, k):
         mask = 0
         for j in range(k):
             mask |= 1 << vals[base + j * stride]
@@ -124,6 +126,11 @@ def isotope_of_sum(n, k, rng):
         rng.shuffle(perms[-1])
     return core.from_function(
         n, k, lambda *x: res[sum(p[c] for p, c in zip(perms, x)) % k])
+
+
+def random_values(n, k, rng):
+    """A table of uniformly drawn symbols: on most lines not Latin."""
+    return core.QTable(n, k, tuple(rng.randrange(k) for _ in range(k ** n)))
 
 
 # values a perturbed cell may take besides an in-range symbol
@@ -181,16 +188,31 @@ class TestValidateAgainstReference:
         with pytest.raises(core.StructuralError, match="symbol 9 out of range"):
             core.validate(t)
 
-    def test_debug_validate_reports_first_violation(self, monkeypatch):
+    def test_debug_validate_reports_first_violation(self):
+        # the test suite checks every operator's output (conftest.py);
+        # __wrapped__ is the bare operator
         outer = core.QTable(2, 3, (0, 1, 2, 1, 2, 0, 0, 1, 2))
         inner = z_add(3)
-        monkeypatch.setattr(core, "DEBUG_VALIDATE", False)
-        t = core.superpose(outer, 1, inner)
+        t = core.superpose.__wrapped__(outer, 1, inner)
         first = reference_validate(t).violations[0]
-        monkeypatch.setattr(core, "DEBUG_VALIDATE", True)
         with pytest.raises(AssertionError) as err:
             core.superpose(outer, 1, inner)
         assert str(err.value) == "superpose produced an invalid table: %r" % (first,)
+
+    @given(st.integers(1, 5), st.integers(2, 5),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_random_values_list_every_violation(self, n, k, rng):
+        # violations on every axis, so each axis's chunks are scanned
+        t = random_values(n, min(k, 3) if n == 5 else k, rng)
+        assert core.validate(t) == reference_validate(t)
+
+    @pytest.mark.parametrize("n,k", [(1, 61), (2, 60), (2, 64)])
+    def test_orders_past_one_hot_fields(self, n, k):
+        # no one-hot width: every table is scanned line by line
+        rng = random.Random(k)
+        for t in (isotope_of_sum(n, k, rng), random_values(n, k, rng)):
+            assert core.validate(t) == reference_validate(t)
 
 
 class TestEvaluate:
@@ -391,6 +413,112 @@ class TestOmegaProduct:
             core.omega_product(x, om)
 
 
+def bare(op):
+    """The operator without the test suite's output check (conftest.py)."""
+    return getattr(op, "__wrapped__", op)
+
+
+class TestBlockProductAgainstReference:
+    """direct_product and omega_product against their per-cell versions."""
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_direct_product(self, n, kg, kq, latin, rng):
+        make = isotope_of_sum if latin else random_values
+        g, q = make(n, kg, rng), make(n, kq, rng)
+        op = core.direct_product if latin else bare(core.direct_product)
+        assert table_outcome(op, g, q) \
+            == table_outcome(oracles.reference_direct_product, g, q)
+
+    def test_direct_product_arity_mismatch(self):
+        g, q = z_add(3), z_add(3, 3)
+        got = table_outcome(core.direct_product, g, q)
+        assert got == table_outcome(oracles.reference_direct_product, g, q)
+        assert got == ("StructuralError", "arity mismatch: 2 vs 3")
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from(["whole", "missing", "misshapen"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_omega_product(self, n, r, s, defect, rng):
+        g = isotope_of_sum(n, r, rng)
+        blocks = list(itertools.product(range(r), repeat=n))
+        assign = {y: isotope_of_sum(n, s, rng) for y in blocks}
+        if defect != "whole":
+            y = rng.choice(blocks)
+            if defect == "missing":
+                del assign[y]
+            else:
+                assign[y] = isotope_of_sum(n, s + 1, rng)
+        om = core.OmegaMap(r, s, n, assign)
+        got = table_outcome(core.omega_product, g, om)
+        assert got == table_outcome(oracles.reference_omega_product, g, om)
+        assert (got[0] == "ok") == (defect == "whole")
+
+    def test_omega_product_argument_errors(self):
+        x = core.from_rows(XOR2)
+        for om in (None, core.OmegaMap(3, 2, 2, {}), core.OmegaMap(2, 2, 3, {})):
+            got = table_outcome(core.omega_product, x, om)
+            assert got == table_outcome(oracles.reference_omega_product, x, om)
+            assert got[0] == "StructuralError"
+
+    def test_tables_that_do_not_fill_their_shape_refused(self):
+        # never padded or cut to the product's shape
+        x = core.from_rows(XOR2)
+        short, long = core.QTable(2, 2, (0, 1, 1)), core.QTable(2, 2, (0,) * 5)
+        for g, q in ((x, short), (x, long), (short, x), (long, x)):
+            with pytest.raises(ValueError, match="zip"):
+                core.direct_product(g, q)
+        om = core.OmegaMap(2, 2, 2, {y: x for y in itertools.product(
+            (0, 1), repeat=2)})
+        om.assignment[(1, 0)] = long
+        with pytest.raises(ValueError, match="zip"):
+            core.omega_product(x, om)
+
+    def test_direct_product_over_build_budget_refused(self):
+        # 2^11 x 3^11 would hold 6^11 cells: refused before allocating, in
+        # a capped child in case the guard ever goes
+        done = run_capped(
+            "import time\n"
+            "from nquasigroups import core\n"
+            "g = core.from_function(11, 2, lambda *x: sum(x) % 2)\n"
+            "q = core.from_function(11, 3, lambda *x: sum(x) % 3)\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    core.direct_product(g, q)\n"
+            "except core.StructuralError as e:\n"
+            "    print(time.perf_counter() - t0, e)\n")
+        assert done.returncode == 0, done.stderr
+        seconds, message = done.stdout.split(" ", 1)
+        assert float(seconds) < 1
+        assert message == ("a table of arity 11 and order 6 holds 6^11 "
+                           "cells, over the 4194304-cell build budget\n")
+
+
+class TestRestrictToSymbols:
+    @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, n, k, closed, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        if closed and n >= 2 and k >= 4:
+            t = build_closed(n, k, data.draw(st.integers(2, k // 2)))
+        else:
+            t = isotope_of_sum(n, k, rng)
+        omega = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                   max_size=k))
+        assert table_outcome(core.restrict_to_symbols, t, omega) \
+            == table_outcome(oracles.reference_restrict_to_symbols, t, omega)
+
+    def test_not_closed_names_the_cell(self):
+        t = fixture("Q52")
+        got = table_outcome(core.restrict_to_symbols, t, (1, 2))
+        assert got == table_outcome(oracles.reference_restrict_to_symbols,
+                                    t, (1, 2))
+        assert got == ("StructuralError",
+                       "table is not closed on (1, 2): value 0 at (1, 1)")
+
+
 class TestCellBudget:
     def test_boundary(self):
         budget = core.BUILD_CELL_BUDGET
@@ -470,7 +598,7 @@ class TestLinesThrough:
     @settings(max_examples=60, deadline=None)
     def test_matches_full_line_scan(self, n, k, data):
         idx = data.draw(st.integers(0, k ** n - 1))
-        want = [(base, stride) for _, base, stride in core._lines(n, k)
+        want = [(base, stride) for _, base, stride in reference_lines(n, k)
                 if any(base + j * stride == idx for j in range(k))]
         assert list(core._lines_through(n, k, idx)) == want
 
