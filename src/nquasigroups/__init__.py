@@ -1,141 +1,44 @@
-"""Finite n-ary quasigroups: dense tables, constructions, switching, counting."""
+"""Finite n-ary quasigroups: dense tables, constructions, switching, counting.
 
-from .core import (
-    Cell,
-    OmegaMap,
-    QTable,
-    StructuralError,
-    ValidationReport,
-    direct_product,
-    evaluate,
-    from_function,
-    from_json,
-    from_json_obj,
-    from_rows,
-    from_text,
-    inverse_along,
-    is_valid,
-    iterate,
-    omega_product,
-    restrict_to_symbols,
-    retract,
-    superpose,
-    to_json,
-    to_json_obj,
-    to_text,
-    validate,
-)
-from .analysis import (
-    AnalysisError,
-    Component,
-    ReconstructionError,
-    Shell,
-    Split,
-    extract_shell,
-    find_components,
-    find_reductions,
-    find_subquasigroups,
-    is_reducible_wrt,
-    reconstruct,
-    reconstruct_with_split,
-    shell_from_json_obj,
-    shell_to_json_obj,
-    switch_component,
-)
-from .constructions import (
-    CompletionError,
-    ConstructionError,
-    CountingFamily,
-    FixtureId,
-    PartialRectangle,
-    build_closed,
-    build_family5,
-    build_family_k,
-    build_irreducible,
-    build_ptq,
-    build_qkr,
-    build_shell_counterexample,
-    complete_rectangle,
-    fixture,
-    irreducible_base,
-    switch_sub,
-)
-from .census import (
-    BudgetError,
-    CensusReport,
-    CertificationError,
-    bound_exponents,
-    run_census,
-    enumerate_count,
-    enumerate_tables,
-    report_to_json_obj,
-    verify_family,
-)
+The public names below load their module on first use (PEP 562), so
+importing the package, or running one nqg subcommand, compiles only the
+modules that are used.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "BudgetError",
-    "Cell",
-    "CensusReport",
-    "CertificationError",
-    "CompletionError",
-    "Component",
-    "ConstructionError",
-    "CountingFamily",
-    "FixtureId",
-    "OmegaMap",
-    "PartialRectangle",
-    "QTable",
-    "ReconstructionError",
-    "Shell",
-    "Split",
-    "StructuralError",
-    "ValidationReport",
-    "bound_exponents",
-    "build_closed",
-    "build_family5",
-    "build_family_k",
-    "build_irreducible",
-    "build_ptq",
-    "build_qkr",
-    "build_shell_counterexample",
-    "run_census",
-    "complete_rectangle",
-    "direct_product",
-    "enumerate_count",
-    "enumerate_tables",
-    "evaluate",
-    "extract_shell",
-    "find_components",
-    "find_reductions",
-    "find_subquasigroups",
-    "fixture",
-    "from_function",
-    "from_json",
-    "from_json_obj",
-    "from_rows",
-    "from_text",
-    "inverse_along",
-    "irreducible_base",
-    "is_reducible_wrt",
-    "is_valid",
-    "iterate",
-    "omega_product",
-    "reconstruct",
-    "reconstruct_with_split",
-    "report_to_json_obj",
-    "restrict_to_symbols",
-    "retract",
-    "shell_from_json_obj",
-    "shell_to_json_obj",
-    "superpose",
-    "switch_component",
-    "switch_sub",
-    "to_json",
-    "to_json_obj",
-    "to_text",
-    "validate",
-    "verify_family",
-]
+_EXPORTS = {
+    "core": """Cell OmegaMap QTable StructuralError ValidationReport
+        direct_product evaluate from_function from_json from_json_obj
+        from_rows from_text inverse_along is_valid iterate omega_product
+        restrict_to_symbols retract superpose to_json to_json_obj to_text
+        validate""",
+    "analysis": """AnalysisError Component ReconstructionError Shell Split
+        extract_shell find_components find_reductions find_subquasigroups
+        is_reducible_wrt reconstruct reconstruct_with_split
+        shell_from_json_obj shell_to_json_obj switch_component""",
+    "constructions": """CompletionError ConstructionError CountingFamily
+        FixtureId PartialRectangle build_closed build_family5 build_family_k
+        build_irreducible build_ptq build_qkr build_shell_counterexample
+        complete_rectangle fixture irreducible_base switch_sub""",
+    "census": """BudgetError CensusReport CertificationError bound_exponents
+        run_census enumerate_count enumerate_tables report_to_json_obj
+        verify_family""",
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

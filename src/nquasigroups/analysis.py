@@ -6,10 +6,9 @@ immutable inputs.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (Cell, QTable, StructuralError, _axis_chunks, _offsets,
-                   retract, validate)
+                   _Record, retract, validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -25,8 +24,7 @@ class ReconstructionError(AnalysisError):
     """Shell cannot be assembled into a table under the requested split."""
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(_Record):
     """A candidate decomposition: the set of axes grouped under the inner map.
 
     A table q of arity n is reducible with respect to inside=S when
@@ -34,11 +32,12 @@ class Split:
     quasigroups h, g.  Requires 2 <= |S| <= n-1.
     """
 
-    inside: frozenset
+    __slots__ = ("inside",)
 
-    def __post_init__(self):
-        if not isinstance(self.inside, frozenset):
-            object.__setattr__(self, "inside", frozenset(self.inside))
+    def __init__(self, inside):
+        if not isinstance(inside, frozenset):
+            inside = frozenset(inside)
+        _Record.__init__(self, inside)
 
     @property
     def axes(self):
@@ -48,18 +47,17 @@ class Split:
         return sum(1 << (i - 1) for i in self.inside)
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(_Record):
     """Values of a table on all cells touching a basepoint.
 
     entries maps a coordinate tuple to its symbol, totally over the cells
     having x_i = basepoint_i in at least one position i.
     """
 
-    arity: int
-    order: int
-    basepoint: tuple
-    entries: dict
+    __slots__ = ("arity", "order", "basepoint", "entries")
+
+    def __init__(self, arity, order, basepoint, entries):
+        _Record.__init__(self, arity, order, basepoint, entries)
 
 
 def _coord_tuples(indices, n, k):

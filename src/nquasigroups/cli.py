@@ -5,6 +5,14 @@ census.  Tables travel as JSON (any arity) or as the k-line text form
 (binary only); '-' reads standard input.  Results go to standard output as
 compact JSON, or as aligned digit grids with --pretty.  Exit codes:
 0 success, 1 domain error, 2 usage error.
+
+Each handler imports the modules it runs, and building the parser imports
+none, so a launch compiles only what its subcommand needs: validate and
+eval load core; analyze, components and reconstruct add analysis;
+construct adds analysis and constructions; census loads core and census,
+plus analysis and constructions for the component families (order 5 and
+odd orders prime to 3).  The parser's literals below copy library
+constants; tests pin them to their sources.
 """
 
 import argparse
@@ -12,8 +20,10 @@ import itertools
 import json
 import sys
 
-from . import analysis, constructions, core
-from . import census as census_mod
+_FIXTURES = ("Q42", "Q52", "Q62", "Q72")   # constructions.FixtureId values
+_CELL_BUDGET = 2_000_000                   # census.DEFAULT_CELL_BUDGET
+_TIME_LIMIT = 600.0                        # census.DEFAULT_TIME_LIMIT
+_BUILD_CELL_BUDGET = 1 << 22               # core.BUILD_CELL_BUDGET
 
 
 class _UsageError(Exception):
@@ -42,6 +52,8 @@ def _read_input(path):
 
 
 def _read_table(path):
+    from . import core
+
     data = _read_input(path)
     if data.lstrip().startswith("{"):
         return core.from_json(data)
@@ -49,6 +61,8 @@ def _read_table(path):
 
 
 def _read_shell(path):
+    from . import analysis
+
     data = _read_input(path)
     try:
         obj = json.loads(data)
@@ -88,7 +102,9 @@ def _emit_table(t, pretty):
     if pretty:
         sys.stdout.write(_pretty(t))
     else:
-        _emit(core.to_json_obj(t))
+        from .core import to_json_obj
+
+        _emit(to_json_obj(t))
 
 
 def _component_obj(c):
@@ -101,14 +117,18 @@ def _component_obj(c):
 
 
 def _family_obj(fam):
+    from .core import to_json_obj
+
     return {
-        "base": core.to_json_obj(fam.base),
+        "base": to_json_obj(fam.base),
         "claimed_log2": fam.claimed_log2,
         "components": [_component_obj(c) for c in fam.components],
     }
 
 
 def _cmd_validate(args):
+    from . import core
+
     rep = core.validate(_read_table(args.table))
     if rep.ok:
         _emit({"ok": True})
@@ -119,12 +139,16 @@ def _cmd_validate(args):
 
 
 def _cmd_eval(args):
+    from . import core
+
     t = _read_table(args.table)
     _emit({"value": core.evaluate(t, tuple(args.coords))})
     return 0
 
 
 def _cmd_construct(args):
+    from . import constructions, core
+
     table = None
     obj = None
     if args.qkr:
@@ -155,6 +179,8 @@ def _cmd_construct(args):
 
 
 def _cmd_analyze(args):
+    from . import analysis
+
     t = _read_table(args.table)
     if args.reductions:
         _emit([list(s.axes) for s in analysis.find_reductions(t)])
@@ -173,6 +199,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_components(args):
+    from . import analysis
+
     t = _read_table(args.table)
     a, b = args.pair
     comps = analysis.find_components(t, a, b)
@@ -188,6 +216,8 @@ def _cmd_components(args):
 
 
 def _cmd_reconstruct(args):
+    from . import analysis, core
+
     sh = _read_shell(args.shell)
     if args.split:
         t = analysis.reconstruct_with_split(
@@ -212,10 +242,12 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_census(args):
-    rep = census_mod.run_census(args.n, args.k, budget=args.budget,
+    from . import census
+
+    rep = census.run_census(args.n, args.k, budget=args.budget,
                             exact=args.exact, time_limit=args.time_limit,
                             seed=args.seed)
-    _emit(census_mod.report_to_json_obj(rep))
+    _emit(census.report_to_json_obj(rep))
     return 0
 
 
@@ -237,7 +269,7 @@ def _build_parser():
     sp = sub.add_parser("construct", help="run one of the builders")
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--qkr", nargs=2, type=int, metavar=("K", "R"))
-    g.add_argument("--fixture", choices=[f.value for f in constructions.FixtureId])
+    g.add_argument("--fixture", choices=_FIXTURES)
     g.add_argument("--closed", nargs=3, type=int, metavar=("N", "K", "R"))
     g.add_argument("--irreducible", nargs=2, type=int, metavar=("N", "K"))
     g.add_argument("--ptq", type=int, metavar="K")
@@ -275,17 +307,24 @@ def _build_parser():
     sp = sub.add_parser("census", help="exact counts, bounds, family checks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=census_mod.DEFAULT_CELL_BUDGET,
+    sp.add_argument("--budget", type=int, default=_CELL_BUDGET,
                     help="most cells the exact search or the family build "
                     "may touch (default %%(default)s, at most %d, "
-                    "core.BUILD_CELL_BUDGET)" % core.BUILD_CELL_BUDGET)
+                    "core.BUILD_CELL_BUDGET)" % _BUILD_CELL_BUDGET)
     sp.add_argument("--exact", choices=["auto", "on", "off"], default="auto")
-    sp.add_argument("--time-limit", type=float,
-                    default=census_mod.DEFAULT_TIME_LIMIT)
+    sp.add_argument("--time-limit", type=float, default=_TIME_LIMIT)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_census)
 
     return p
+
+
+def _domain_errors():
+    """Exceptions reported with exit code 1.  Called only once an
+    exception reaches run, so census loads only on that path."""
+    from .census import BudgetError, CertificationError
+
+    return ValueError, BudgetError, CertificationError, OSError
 
 
 def run(argv):
@@ -298,8 +337,7 @@ def run(argv):
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
-    except (ValueError, census_mod.BudgetError,
-            census_mod.CertificationError, OSError) as e:
+    except _domain_errors() as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

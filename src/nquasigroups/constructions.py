@@ -5,11 +5,11 @@ irreducible tables, and the switching-component counting families.
 import enum
 import itertools
 import json
-from dataclasses import dataclass
 
 from . import analysis
 from .core import (
     QTable,
+    _Record,
     _offsets,
     check_cell_budget,
     from_function,
@@ -133,18 +133,16 @@ def build_qkr(k, r):
     return t
 
 
-@dataclass(frozen=True)
-class PartialRectangle:
+class PartialRectangle(_Record):
     """First rows of an order-k square, entries in {0..k-1} or None.
 
     No symbol may repeat within a row or within a column's filled cells.
     """
 
-    order: int
-    rows: tuple
+    __slots__ = ("order", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+    def __init__(self, order, rows):
+        _Record.__init__(self, order, tuple(tuple(r) for r in rows))
 
 
 def _check_partial(p):
@@ -377,17 +375,17 @@ def build_ptq(k):
     return table
 
 
-@dataclass(frozen=True)
-class CountingFamily:
+class CountingFamily(_Record):
     """A base table plus pairwise disjoint switching sets.
 
     Flipping the sets independently yields 2**claimed_log2 distinct
     quasigroups.
     """
 
-    base: QTable
-    components: tuple
-    claimed_log2: int
+    __slots__ = ("base", "components", "claimed_log2")
+
+    def __init__(self, base, components, claimed_log2):
+        _Record.__init__(self, base, components, claimed_log2)
 
 
 # Cells of the two 01-switching sets of the order-5 fixture.

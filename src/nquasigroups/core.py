@@ -7,7 +7,6 @@ Symbols are always 0..k-1.
 
 import itertools
 import json
-from dataclasses import dataclass
 
 
 class StructuralError(ValueError):
@@ -33,8 +32,47 @@ def check_cell_budget(n, k, error):
             "%d-cell build budget" % (n, k, k, n, BUILD_CELL_BUDGET))
 
 
-@dataclass(frozen=True)
-class QTable:
+class _Record:
+    """Immutable record whose fields are its class's __slots__, in order.
+
+    Equality (same class and fields), hash, repr and the AttributeError on
+    assignment are those of a frozen dataclass; the dataclasses module
+    itself is not loaded, to keep nqg's start-up short.  A subclass's
+    __init__ validates and passes every field to _Record.__init__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class QTable(_Record):
     """Value hypercube of an n-ary operation on {0..k-1}.
 
     Immutable after construction.  Construction only normalizes; the Latin
@@ -42,17 +80,18 @@ class QTable:
     broken tables can exist as values to be reported on.
     """
 
-    arity: int
-    order: int
-    values: tuple
+    __slots__ = ("arity", "order", "values")
 
-    def __post_init__(self):
-        if not isinstance(self.arity, int) or self.arity < 1:
+    def __init__(self, arity, order, values):
+        if not isinstance(arity, int) or arity < 1:
             raise StructuralError("arity must be an integer >= 1")
-        if not isinstance(self.order, int) or self.order < 1:
+        if not isinstance(order, int) or order < 1:
             raise StructuralError("order must be an integer >= 1")
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
+        # set directly, as in Cell: tables are built by the thousand
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "values", values if isinstance(values, tuple)
+                           else tuple(values))
 
     def index(self, coords):
         """Flat index of a coordinate tuple; coordinate 1 most significant."""
@@ -80,33 +119,37 @@ class QTable:
         return [list(self.values[i * k:(i + 1) * k]) for i in range(k)]
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(_Record):
     """A coordinate tuple into some table.
 
-    Slotted: find_components makes one per a/b cell, and a per-instance
-    dict would cost about 40 bytes each.
+    Slotted: a component makes one per cell, and a per-instance dict
+    would cost about 40 bytes each.  Its constructor and _fields skip the
+    generic _Record loops, which would double the cost of building and
+    hashing them.
     """
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords):
+        if not isinstance(coords, tuple):
+            coords = tuple(coords)
+        object.__setattr__(self, "coords", coords)
+
+    def _fields(self):
+        return (self.coords,)
 
 
-@dataclass(frozen=True)
-class OmegaMap:
+class OmegaMap(_Record):
     """Assignment of one inner table of order s to every outer cell.
 
     assignment maps each tuple in {0..r-1}**n to a QTable of arity n and
     order s.  Used by omega_product to build tables of order r*s.
     """
 
-    outer_order: int
-    inner_order: int
-    arity: int
-    assignment: dict
+    __slots__ = ("outer_order", "inner_order", "arity", "assignment")
+
+    def __init__(self, outer_order, inner_order, arity, assignment):
+        _Record.__init__(self, outer_order, inner_order, arity, assignment)
 
     def blocks(self):
         """The inner tables in index order of the outer cells, checked."""
@@ -122,16 +165,19 @@ class OmegaMap:
             yield t
 
 
-@dataclass(frozen=True)
-class LineViolation:
-    axis: int      # 1-based
-    fixed: tuple   # length n, None at the free axis
+class LineViolation(_Record):
+    __slots__ = ("axis",    # 1-based
+                 "fixed")   # length n, None at the free axis
+
+    def __init__(self, axis, fixed):
+        _Record.__init__(self, axis, fixed)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple = ()
+class ValidationReport(_Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok, violations=()):
+        _Record.__init__(self, ok, violations)
 
 
 def _check_structure(t):
@@ -425,9 +471,13 @@ def omega_product(g, om):
 def restrict_to_symbols(t, omega):
     """Restriction of t to a symbol subset, relabeled to 0..len(omega)-1.
 
-    Raises StructuralError if t maps omega**n outside omega (not closed).
+    Raises StructuralError if omega is not a nonempty subset of
+    0..order-1, or if t maps omega**n outside omega (not closed).
     """
     omega = tuple(sorted(set(omega)))
+    if not omega or not 0 <= omega[0] <= omega[-1] < t.order:
+        raise StructuralError("omega must be a nonempty subset of 0..%d"
+                              % (t.order - 1))
     pos = {sym: i for i, sym in enumerate(omega)}
     n = t.arity
     vals = []

@@ -1,5 +1,6 @@
 """Exact enumeration, lower-bound exponents, family certification."""
 
+import itertools
 import math
 import time
 from array import array
@@ -352,6 +353,61 @@ class TestCertifyComponents:
                                     census._touched_lines(t, flipped))
         full = core.validate(core.QTable(n, k, tuple(vals))).ok
         assert local == full
+
+    @given(st.integers(2, 3), st.integers(3, 5), st.integers(0, 10 ** 5),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_switched_tables_validate_once_single_flips_pass(
+            self, n, k, seed, data):
+        # the Gray-code walk checks no line: every switched table of a
+        # family that passes the single-flip checks must validate in full.
+        # The family5 base and Z_4 addition have several parts per pair.
+        kind = data.draw(st.sampled_from(["random", "family5", "sum4"]))
+        if kind == "family5":
+            t = C.build_family5(n).base
+        elif kind == "sum4":
+            t = core.from_function(n, 4, lambda *x: sum(x) % 4)
+        elif n == 2:
+            t = randgen.random_binary(k, seed)
+        else:
+            t = randgen.random_reducible(3, k, seed)[0]
+        k = t.order
+        comps, used = [], set()
+        pairs = data.draw(st.permutations(
+            list(itertools.combinations(range(k), 2))))
+        for a, b in pairs[:data.draw(st.integers(2, 6))]:
+            if data.draw(st.integers(0, 5)) < 5:
+                # the unused switching components, each left out or put in
+                # one of two sets: a flip of either passes
+                groups = [set(), set()]
+                for part in analysis.find_components(t, a, b):
+                    cells = set(part.coords())
+                    group = data.draw(st.integers(0, 2))
+                    if group and not cells & used:
+                        groups[group - 1] |= cells
+            else:
+                # any unused {a, b} cells: a flip of them seldom passes
+                ab = [x for x in t.cells()
+                      if t.values[t.index(x)] in (a, b) and x not in used]
+                groups = [set(data.draw(st.lists(st.sampled_from(ab))))
+                          if ab else set()]
+            for cells in groups:
+                if cells:
+                    used |= cells
+                    comps.append(analysis.component_from_tuples(cells, a, b))
+        fam = C.CountingFamily(t, tuple(comps), len(comps))
+        try:
+            census._certify_components(fam)
+        except census.CertificationError:
+            return
+        for pattern in range(2 ** len(comps)):
+            vals = list(t.values)
+            for i, comp in enumerate(comps):
+                if pattern >> i & 1:
+                    total = sum(comp.pair)
+                    for x in comp.coords():
+                        vals[t.index(x)] = total - vals[t.index(x)]
+            assert core.validate(core.QTable(n, k, tuple(vals))).ok
 
     def test_non_latin_base_rejected(self):
         q = C.fixture("Q52")

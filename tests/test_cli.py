@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, cli, core
+from nquasigroups import analysis, census, cli, core
 from nquasigroups import constructions as C
 
 from capped import run_capped
@@ -542,6 +542,60 @@ def test_table_commands_load_neither_numpy_nor_array(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 0] []\n"
+
+
+# Each run in a fresh interpreter without site (-S), so that only the
+# command itself decides what is in sys.modules: the loaded package
+# modules, and whether dataclasses is among them.
+LOADS_SCRIPT = (
+    "import contextlib, io, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from nquasigroups import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.run(sys.argv[2:])\n"
+    "print(code, *sorted(m.split('.')[-1] for m in sys.modules\n"
+    "                    if m.startswith('nquasigroups.')\n"
+    "                    or m == 'dataclasses'))\n")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--help"], "cli"),
+    (["validate", "TABLE"], "cli core"),
+    (["census", "--n", "3", "--k", "4"], "census cli core"),
+    (["census", "--n", "2", "--k", "5"],
+     "analysis census cli constructions core"),
+])
+def test_commands_load_only_their_modules(tmp_path, argv, loaded):
+    table = tmp_path / "t.json"
+    table.write_text(core.to_json(C.fixture("Q52")))
+    argv = [str(table) if a == "TABLE" else a for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", LOADS_SCRIPT,
+         str(Path(__file__).parent.parent / "src"), *argv],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 %s\n" % loaded
+
+
+def test_parser_literals_match_their_sources():
+    # the parser is built without importing the library, so it holds
+    # copies of these constants
+    assert cli._FIXTURES == tuple(f.value for f in C.FixtureId)
+    assert cli._CELL_BUDGET == census.DEFAULT_CELL_BUDGET
+    assert cli._TIME_LIMIT == census.DEFAULT_TIME_LIMIT
+    assert cli._BUILD_CELL_BUDGET == core.BUILD_CELL_BUDGET
+
+
+@pytest.mark.parametrize("error", [
+    census.BudgetError("over"), census.CertificationError("bad"),
+    core.StructuralError("broken"), OSError("gone")])
+def test_domain_errors_exit_1(capsys, monkeypatch, error):
+    # run names the census errors only once an exception reaches it
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_census", fail)
+    assert run_cli(capsys, "census", "--n", "3", "--k", "4") \
+        == (1, "", "error: %s\n" % error)
 
 
 class TestUsage:

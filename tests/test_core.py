@@ -514,6 +514,14 @@ class TestRestrictToSymbols:
         assert got == ("StructuralError",
                        "table is not closed on (1, 2): value 0 at (1, 1)")
 
+    @pytest.mark.parametrize("omega", [(0, 5), (-1, 0), (7,), ()])
+    def test_symbols_outside_the_order_refused(self, omega):
+        # (0, 5) read the cell (1, 0) through flat index 5, and -1 wrapped
+        # to the last cell
+        with pytest.raises(core.StructuralError) as e:
+            core.restrict_to_symbols(fixture("Q52"), omega)
+        assert str(e.value) == "omega must be a nonempty subset of 0..4"
+
 
 class TestCellBudget:
     def test_boundary(self):
