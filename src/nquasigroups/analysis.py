@@ -168,27 +168,32 @@ def _checked_axes(split, n):
     return S
 
 
-def _class_signature(values):
-    """Level-set partition of a value sequence, labeled by first appearance."""
-    labels = {}
-    sig = []
-    for v in values:
-        if v not in labels:
-            labels[v] = len(labels)
-        sig.append(labels[v])
-    return tuple(sig)
-
-
 def is_reducible_wrt(q, split, return_witness=False):
     """Test whether q decomposes as h(g(inside axes), remaining axes).
 
     The criterion: the level-set partition of the map (S-tuple -> value)
-    must be identical for every fixing of the complement axes.  That
-    partition (the fibers of the inner map) is the witness, labeled by
-    first appearance.  Each fixing of the complement gathers one row of
-    values through flat offsets; a row has the first row's partition
-    exactly when the pairs (first-row value, row value) are a bijection,
-    i.e. there are as many distinct pairs as distinct values on each side.
+    must be identical for every fixing of the complement axes C, i.e. on
+    every row.  That partition (the fibers of the inner map) is the
+    witness, labeled by first appearance on the row C = 0.  Any table is
+    decided, Latin or not, in two steps of the reducibility module, on
+    one typed_values copy of its values:
+
+    (a) A necessary condition, _boxes_agree: on the k x k boxes of
+        S-tuples that vary (S[0], S[-1]) and (S[-2], S[-1]), the other
+        S axes at 0, each row reached from C = 0 by changing one C axis
+        has the box's partition on the row C = 0.  A reduction's
+        partition is common to all rows, and so is its restriction to a
+        box: no reducible split fails (a), and most others fail it
+        within a row or two.
+    (b) The exact check, _s_major_witness, only on splits that pass (a).
+        In the S-major copy each S-tuple owns the column of its values
+        over the C-tuples.  Let the representative of a class be its
+        first S-tuple on the row C = 0.  q is reducible exactly when
+        (1) every column equals its representative's, and (2) the
+        representatives' columns differ at every C position.  (1) keeps
+        every class together on every row and (2) keeps classes apart,
+        so every row has the partition of the row C = 0; conversely a
+        reduction's classes are that partition, so (1) and (2) hold.
 
     The criterion passes to retracts, which reconstruct uses to prune.
     Fixing an axis outside S only drops rows, so the retract is reducible
@@ -197,35 +202,34 @@ def is_reducible_wrt(q, split, return_witness=False):
     common partition restricted to them is common again: the retract is
     reducible over S minus i (when |S| >= 3).
     """
-    n, k = q.arity, q.order
-    S = _checked_axes(split, n)
-    C = [i for i in range(1, n + 1) if i not in S]
-    s_offsets = _offsets(n, k, S)
-    vals = q.values
-    rows = ([vals[c + s] for s in s_offsets] for c in _offsets(n, k, C))
-    first = next(rows)
-    classes = len(set(first))
-    for row in rows:
-        if not len(set(zip(first, row))) == classes == len(set(row)):
-            return (False, None) if return_witness else False
-    return (True, _class_signature(first)) if return_witness else True
+    # imported here: commands that test no reducibility skip compiling it
+    from .reducibility import reduction_witness, typed_values
+
+    S = _checked_axes(split, q.arity)
+    witness = reduction_witness(typed_values(q), q.arity, q.order, S)
+    if return_witness:
+        return witness is not None, witness
+    return witness is not None
 
 
 def find_reductions(q):
     """All splits under which q is reducible, sorted by axis bitmask.
 
     Empty result means q is permutably irreducible.  Exhausts all
-    2^n - n - 2 admissible axis subsets.
+    2^n - n - 2 admissible axis subsets, on one typed_values copy of
+    q.values.
     """
+    from .reducibility import reduction_witness, typed_values
+
     n = q.arity
     if n < 3:
         raise AnalysisError("reducibility is defined for arity >= 3")
+    vals = typed_values(q)
     found = []
     for size in range(2, n):
         for S in itertools.combinations(range(1, n + 1), size):
-            sp = Split(frozenset(S))
-            if is_reducible_wrt(q, sp):
-                found.append(sp)
+            if reduction_witness(vals, n, q.order, S) is not None:
+                found.append(Split(frozenset(S)))
     found.sort(key=Split.bitmask)
     return found
 

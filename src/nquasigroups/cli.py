@@ -8,11 +8,12 @@ compact JSON, or as aligned digit grids with --pretty.  Exit codes:
 
 Each handler imports the modules it runs, and building the parser imports
 none, so a launch compiles only what its subcommand needs: validate and
-eval load core; analyze, components and reconstruct add analysis;
-construct adds analysis and constructions; census loads core and census,
-plus analysis and constructions for the component families (order 5 and
-odd orders prime to 3).  The parser's literals below copy library
-constants; tests pin them to their sources.
+eval load core; analyze, components and reconstruct add analysis, and
+the reducibility kernel when they test a split (analyze --reductions and
+--split, reconstruct); construct adds analysis and constructions; census
+loads core and census, plus analysis and constructions for the component
+families (order 5 and odd orders prime to 3).  The parser's literals
+below copy library constants; tests pin them to their sources.
 """
 
 import argparse

@@ -13,6 +13,7 @@ from nquasigroups import analysis as A
 from nquasigroups import cli
 from nquasigroups import constructions as C
 from nquasigroups import core
+from nquasigroups import reducibility as R
 
 import oracles
 import randgen
@@ -308,6 +309,17 @@ class TestReconstruct:
         assert len(assembled) == 1
 
 
+def class_signature(values):
+    """Level-set partition of a value sequence, labeled by first appearance."""
+    labels = {}
+    sig = []
+    for v in values:
+        if v not in labels:
+            labels[v] = len(labels)
+        sig.append(labels[v])
+    return tuple(sig)
+
+
 def reference_is_reducible_wrt(q, split, return_witness=False):
     """Tuple-by-tuple reducibility test: one class signature per fixing of
     the complement, offsets summed per tuple."""
@@ -320,7 +332,7 @@ def reference_is_reducible_wrt(q, split, return_witness=False):
     ref = None
     for ctup in itertools.product(range(k), repeat=len(C)):
         c_off = sum(c * w[a] for a, c in zip(C, ctup))
-        sig = A._class_signature(q.values[c_off + s] for s in s_offsets)
+        sig = class_signature(q.values[c_off + s] for s in s_offsets)
         if ref is None:
             ref = sig
         elif sig != ref:
@@ -475,17 +487,20 @@ class TestShellAgreement:
             assert got[:2] == got[2:]
 
 
-class TestAgainstReference:
-    """The offset-table reducibility test, the offset assembly and the
-    retract-pruned reconstruct against the slow paths they replace."""
+def check_reductions(t):
+    """Every verdict and witness of is_reducible_wrt, and find_reductions,
+    equal the reference's."""
+    for split in all_splits(t.arity):
+        assert (A.is_reducible_wrt(t, split, return_witness=True)
+                == reference_is_reducible_wrt(t, split, return_witness=True))
+    assert A.find_reductions(t) == [
+        s for s in sorted(all_splits(t.arity), key=A.Split.bitmask)
+        if reference_is_reducible_wrt(t, s)]
 
-    def check_table(self, t):
-        for split in all_splits(t.arity):
-            assert (A.is_reducible_wrt(t, split, return_witness=True)
-                    == reference_is_reducible_wrt(t, split, return_witness=True))
-        assert A.find_reductions(t) == [
-            s for s in sorted(all_splits(t.arity), key=A.Split.bitmask)
-            if reference_is_reducible_wrt(t, s)]
+
+class TestAgainstReference:
+    """The reducibility test, the offset assembly and the retract-pruned
+    reconstruct against the slow paths they replace."""
 
     def check_shell(self, sh):
         for split in all_splits(sh.arity):
@@ -502,27 +517,163 @@ class TestAgainstReference:
         rng = random.Random(100 * n + k)
         for seed in range(2):
             t, _ = randgen.random_reducible(n, k, 10 * n + k + seed)
-            self.check_table(t)
+            check_reductions(t)
             bp = tuple(rng.randrange(k) for _ in range(n))
             assert t.values in self.check_shell(A.extract_shell(t, bp))
 
     def test_shell_counterexample(self):
         q, f, _ = C.build_shell_counterexample()
         for t in (q, f):
-            self.check_table(t)
+            check_reductions(t)
         got = self.check_shell(A.extract_shell(q, (0, 0, 0)))
         assert q.values in got and f.values in got
 
     @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (5, 4), (4, 5)])
     def test_irreducible(self, n, k):
         t = C.build_irreducible(n, k)
-        self.check_table(t)
+        check_reductions(t)
         got = self.check_shell(A.extract_shell(t, (0,) * n))
         # at arity 3 a reducible table can share the irreducible one's shell
         assert n == 3 or got == []
         # at other basepoints one may share it at any arity: build_irreducible
         # (4, 4) at (3, 3, 3, 3) is one case, so only agreement is asserted
         self.check_shell(A.extract_shell(t, (k - 1,) * n))
+
+
+def drawn_table(n, k, kind, rng):
+    """A table of arity n and order k with values in 0..k-1, Latin or
+    not: uniform values on a drawn palette, or h(g(x_S), x_C) with
+    arbitrary g and h, where h(., c) is one bijection of classes to
+    symbols per C-tuple when kind is "injective" (so S is a reduction)
+    and any map otherwise (S a reduction only by chance)."""
+    palette = rng.sample(range(k), rng.randint(1, k))
+    if kind == "uniform":
+        return core.QTable(n, k, [rng.choice(palette) for _ in range(k ** n)])
+    size = rng.randint(2, n - 1)
+    S = sorted(rng.sample(range(1, n + 1), size))
+    rest = [i for i in range(1, n + 1) if i not in S]
+    m = len(palette)
+    g = {s: rng.randrange(m)
+         for s in itertools.product(range(k), repeat=size)}
+    h = {}
+    for c in itertools.product(range(k), repeat=n - size):
+        h[c] = (rng.sample(palette, m) if kind == "injective"
+                else [rng.choice(palette) for _ in range(m)])
+    return core.QTable(n, k, [
+        h[tuple(x[i - 1] for i in rest)][g[tuple(x[i - 1] for i in S)]]
+        for x in itertools.product(range(k), repeat=n)])
+
+
+class TestReductionKernel:
+    """is_reducible_wrt's two steps, the box prefilter and the exact check
+    on the S-major copy, against the tuple-by-tuple reference on any
+    table."""
+
+    @given(st.integers(3, 5), st.integers(1, 6),
+           st.sampled_from(["uniform", "composed", "injective"]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_any_table_matches_reference(self, n, k, kind, seed):
+        if n == 5 and k > 4:
+            n = 4  # keep a drawn table under 1,300 cells
+        import random
+        check_reductions(drawn_table(n, k, kind, random.Random(seed)))
+
+    def test_values_outside_the_order(self):
+        # relabeled when they do not fit a byte; kept when they do, where
+        # 0 and 128 differ in the top bit of the XOR's zero-field test only
+        t, _ = randgen.random_reducible(4, 3, 5)
+        for f in (lambda v: 1000 + v, lambda v: -v, str,
+                  lambda v: 300 * (v % 2), (0, 128, 1).__getitem__):
+            check_reductions(core.QTable(4, 3, [f(v) for v in t.values]))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_classes_merging_off_the_prefilter_rows(self, k):
+        # q = h(x1 + x2, x3, x4) with h injective in its first argument
+        # except where x3 and x4 are both nonzero, which no row of the
+        # prefilter reaches: every column follows its class, but two
+        # classes meet, so (1, 2) is no reduction
+        t = core.from_function(4, k, lambda x1, x2, x3, x4: (
+            max((x1 + x2) % k, 1) if x3 and x4 else (x1 + x2 + x3) % k))
+        v = R.typed_values(t)
+        assert R._boxes_agree(v, 4, k, (1, 2), [3, 4])
+        assert not A.is_reducible_wrt(t, (1, 2))
+        check_reductions(t)
+
+    def test_wrong_value_count_refused(self):
+        with pytest.raises(A.AnalysisError, match="not order\\^arity"):
+            A.is_reducible_wrt(core.QTable(3, 3, range(26)), (1, 2))
+
+    def test_one_changed_cell_breaks_a_long_split(self):
+        # S = (2..6) of a 5^6 table has 3,125 S-tuples, compared in
+        # slices of 1,024; a cell changed at x1 = 1 off the prefilter's
+        # boxes breaks the reduction, on either side of a slice boundary
+        t = C.build_closed(6, 5, 2)
+        S = (2, 3, 4, 5, 6)
+        assert A.is_reducible_wrt(t, S)
+        for s in (1023, 1024, 2047, 3124):
+            vals = list(t.values)
+            vals[5 ** 5 + s] = (vals[5 ** 5 + s] + 1) % 5
+            bad = core.QTable(6, 5, vals)
+            assert R._boxes_agree(R.typed_values(bad), 6, 5, S, [1])
+            assert A.is_reducible_wrt(bad, S, return_witness=True) \
+                == reference_is_reducible_wrt(bad, S, return_witness=True) \
+                == (False, None)
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 4)])
+    def test_switched_reducible_tables(self, monkeypatch, n, k):
+        # one a<->b flip of a reducible table leaves some splits that pass
+        # the box prefilter, and the exact check must reject them
+        boxes = R._boxes_agree
+        passed = []
+        monkeypatch.setattr(R, "_boxes_agree", lambda *args: (
+            boxes(*args) and not passed.append(args[3])))
+        t = C.build_closed(n, k, 2)
+        rejected = 0
+        for comp in A.find_components(t, 0, 1)[:4]:
+            switched = A.switch_component(t, comp)
+            passed.clear()
+            found = {s.axes for s in A.find_reductions(switched)}
+            rejected += len(set(passed) - found)
+            check_reductions(switched)
+        assert rejected
+
+    @pytest.mark.parametrize("code", ["H", "I"])
+    def test_wide_typecodes(self, code):
+        # orders past 256 take these copies; a small table's copy in them
+        # must give what its bytes give
+        from array import array
+        for t in (randgen.random_reducible(4, 4, 3)[0],
+                  C.build_irreducible(4, 4), z_add(3, 4)):
+            n, k = t.arity, t.order
+            for split in all_splits(n):
+                want = reference_is_reducible_wrt(t, split, return_witness=True)
+                got = R.reduction_witness(array(code, t.values), n, k,
+                                           split.axes)
+                assert (got is not None, got) == want
+
+    def test_rejected_splits_never_reach_the_exact_check(self, monkeypatch):
+        exact = R._s_major_witness
+        checked = []
+        monkeypatch.setattr(R, "_s_major_witness", lambda vals, n, k, S: (
+            checked.append(list(S)) or exact(vals, n, k, S)))
+        # build_closed(8, 5, 2) reduces over exactly the six tails of its
+        # axes, the list the benchmark checks
+        tails = [list(range(lo, 9)) for lo in range(7, 1, -1)]
+        assert [list(s.axes) for s in A.find_reductions(
+            C.build_closed(8, 5, 2))] == tails
+        assert sorted(checked) == sorted(tails)
+        checked.clear()
+        assert A.find_reductions(C.build_irreducible(6, 5)) == []
+        assert checked == []
+        # h(g(x1, x3), x2, x4) with h irreducible: the box (1, 3) of the
+        # split (1, 2, 3) agrees on every row, its box (2, 3) does not
+        h = C.build_irreducible(3, 4)
+        g = randgen.random_binary(4, 2)
+        t = core.from_function(4, 4, lambda x1, x2, x3, x4: core.evaluate(
+            h, (core.evaluate(g, (x1, x3)), x2, x4)))
+        assert [s.axes for s in A.find_reductions(t)] == [(1, 3)]
+        assert checked == [[1, 3]]
 
 
 def reference_find_components(q, a, b):

@@ -50,6 +50,78 @@ def materialized_certificate(fam):
     return s, cert
 
 
+def snapshot_certificate(fam):
+    """The component certifier as it was before distinctness was proved:
+    the same checks, then a byte snapshot of every table met on the
+    Gray-code walk, refusing any repeat.  The oracle of
+    census._certify_components, outcome for outcome."""
+    comps = fam.components
+    s = len(comps)
+    if fam.claimed_log2 != s:
+        raise census.CertificationError(
+            "family claims log2 = %d but carries %d components"
+            % (fam.claimed_log2, s))
+    cellsets = [frozenset(c.coords for c in comp.cells) for comp in comps]
+    for i in range(s):
+        for j in range(i + 1, s):
+            if cellsets[i] & cellsets[j]:
+                raise census.CertificationError(
+                    "components %d and %d share cells" % (i, j))
+    base = fam.base
+    rep = core.validate(base)
+    if not rep.ok:
+        bad = rep.violations[0]
+        raise census.CertificationError(
+            "base table is not Latin: axis %d line %r" % (bad.axis, bad.fixed))
+    k = base.order
+    vals = array("B" if k <= 256 else "H", base.values)
+    flips = []
+    for i, comp in enumerate(comps):
+        pair = sorted(comp.pair)
+        if len(pair) != 2 or not comp.cells:
+            raise census.CertificationError(
+                "component %d does not switch: it needs two symbols and "
+                "at least one cell" % i)
+        a, b = pair
+        idxs = sorted(base.index(c) for c in cellsets[i])
+        for idx in idxs:
+            if vals[idx] != a and vals[idx] != b:
+                raise census.CertificationError(
+                    "component %d does not switch: cell %r holds %d, not in "
+                    "{%d,%d}" % (i, base.coords(idx), vals[idx], a, b))
+        flips.append((idxs, a + b))
+        census._flip(vals, idxs, a + b)
+        ok = census._lines_latin(vals, k, census._touched_lines(base, idxs))
+        census._flip(vals, idxs, a + b)
+        if not ok:
+            raise census.CertificationError(
+                "component %d does not switch: the flip breaks the Latin "
+                "property" % i)
+    cert = {"path": "components", "component_count": s,
+            "pairwise_disjoint": True, "flips_valid": True,
+            "materialized": 0, "distinct": None}
+    if 2 ** s <= census.MATERIALIZE_CAP:
+        seen = {vals.tobytes()}
+        for step in range(1, 2 ** s):
+            census._flip(vals, *flips[(step & -step).bit_length() - 1])
+            snap = vals.tobytes()
+            if snap in seen:
+                raise census.CertificationError(
+                    "switch pattern %d duplicates an earlier table"
+                    % (step ^ (step >> 1)))
+            seen.add(snap)
+        cert["materialized"] = 2 ** s
+        cert["distinct"] = True
+    return s, cert
+
+
+def certify_outcome(certify, fam):
+    try:
+        return certify(fam)
+    except census.CertificationError as e:
+        return str(e)
+
+
 def family(n, k):
     return C.build_family5(n) if k == 5 else C.build_family_k(n, k)
 
@@ -334,6 +406,7 @@ class TestCertifyComponents:
     def test_matches_materialized_reference(self, n, k):
         fam = family(n, k)
         assert census._certify_components(fam) == materialized_certificate(fam)
+        assert census._certify_components(fam) == snapshot_certificate(fam)
 
     @given(st.integers(2, 3), st.integers(2, 5), st.integers(0, 10 ** 5),
            st.data())
@@ -396,9 +469,10 @@ class TestCertifyComponents:
                     used |= cells
                     comps.append(analysis.component_from_tuples(cells, a, b))
         fam = C.CountingFamily(t, tuple(comps), len(comps))
-        try:
-            census._certify_components(fam)
-        except census.CertificationError:
+        # no family the checks pass has two equal switched tables
+        outcome = certify_outcome(census._certify_components, fam)
+        assert outcome == certify_outcome(snapshot_certificate, fam)
+        if isinstance(outcome, str):
             return
         for pattern in range(2 ** len(comps)):
             vals = list(t.values)

@@ -564,11 +564,17 @@ LOADS_SCRIPT = (
     (["census", "--n", "3", "--k", "4"], "census cli core"),
     (["census", "--n", "2", "--k", "5"],
      "analysis census cli constructions core"),
+    (["components", "TABLE", "--pair", "0,1"], "analysis cli core"),
+    (["analyze", "TABLE3", "--reductions"],
+     "analysis cli core reducibility"),
 ])
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
     table.write_text(core.to_json(C.fixture("Q52")))
-    argv = [str(table) if a == "TABLE" else a for a in argv]
+    table3 = tmp_path / "t3.json"
+    table3.write_text(core.to_json(C.build_closed(3, 4, 2)))
+    paths = {"TABLE": str(table), "TABLE3": str(table3)}
+    argv = [paths.get(a, a) for a in argv]
     done = subprocess.run(
         [sys.executable, "-S", "-c", LOADS_SCRIPT,
          str(Path(__file__).parent.parent / "src"), *argv],
