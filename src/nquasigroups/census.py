@@ -237,6 +237,7 @@ def _certify_components(fam):
     single flips, and (when 2^s fits the cap) all 2^s switched tables
     distinct and Latin.
 
+    Components are parts of the base's shape, disjoint on flat indices.
     The base is validated once in full.  A flip changes only its own cells,
     so it is checked on the axis lines through them: the other lines are
     the base's and already Latin.  Once the single flips pass, every
@@ -257,13 +258,18 @@ def _certify_components(fam):
         raise CertificationError(
             "family claims log2 = %d but carries %d components"
             % (fam.claimed_log2, s))
-    cellsets = [frozenset(c.coords for c in comp.cells) for comp in comps]
+    base = fam.base
+    for i, comp in enumerate(comps):
+        if comp.shape != (base.arity, base.order):
+            raise CertificationError(
+                "component %d is a part of shape %r, the base has shape %r"
+                % (i, comp.shape, (base.arity, base.order)))
+    idxsets = [set(comp.indices) for comp in comps]
     for i in range(s):
         for j in range(i + 1, s):
-            if cellsets[i] & cellsets[j]:
+            if not idxsets[i].isdisjoint(idxsets[j]):
                 raise CertificationError(
                     "components %d and %d share cells" % (i, j))
-    base = fam.base
     rep = validate(base)
     if not rep.ok:
         bad = rep.violations[0]
@@ -277,13 +283,8 @@ def _certify_components(fam):
     vals = array("B" if k <= 256 else "H", base.values)
     flips = []
     for i, comp in enumerate(comps):
-        pair = sorted(comp.pair)
-        if len(pair) != 2 or not comp.cells:
-            raise CertificationError(
-                "component %d does not switch: it needs two symbols and "
-                "at least one cell" % i)
-        a, b = pair
-        idxs = sorted(base.index(c) for c in cellsets[i])
+        a, b = sorted(comp.pair)
+        idxs = comp.indices
         for idx in idxs:
             if vals[idx] != a and vals[idx] != b:
                 raise CertificationError(
@@ -387,9 +388,9 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     Component families are certified exactly but line-locally: the base is
     validated once and each single flip only on the lines through the
     cells it changes; disjoint switching sets then make every one of the
-    2^s patterns Latin.  While 2^s <= MATERIALIZE_CAP the patterns are
-    walked in Gray-code order and checked distinct on byte snapshots of
-    their tables.
+    2^s patterns Latin and distinct (see _certify_components).  While
+    2^s <= MATERIALIZE_CAP the patterns are walked in Gray-code order
+    with no further check.
     """
     t0 = time.monotonic()
     bounds = bound_exponents(n, k)

@@ -427,19 +427,22 @@ def build_family5(n):
         for pos in range(len(blocks), 0, -1):
             base = superpose(base, pos, tables[blocks[pos - 1]])
 
-    d_sets = (frozenset(_D0), frozenset(_D1))
-    t01 = [frozenset((x0,) + c for x0 in (0, 1) for c in d) for d in d_sets]
-    low_cells = frozenset(
-        x for x, v in zip(q2.cells(), q2.values) if v in (0, 1))
-    t_sets = (t01[0], t01[1], low_cells - t01[0] - t01[1])
+    # sorted flat indices in each block's 5^b cube; a concatenated cell
+    # sits at idx_prefix * 5^b + idx_block, so products stay sorted
+    d_sets = [sorted(5 * x + y for x, y in d) for d in (_D0, _D1)]
+    t01 = [[25 * x0 + i for x0 in (0, 1) for i in d] for d in d_sets]
+    taken = set(t01[0] + t01[1])
+    low = [i for i, v in enumerate(q2.values) if v < 2 and i not in taken]
+    t_sets = (t01[0], t01[1], low)
 
     options = [d_sets if b == 2 else t_sets for b in blocks]
     comps = []
     for combo in itertools.product(*options):
-        cells = [()]
-        for part in combo:
-            cells = [acc + c for acc in cells for c in sorted(part)]
-        comps.append(analysis.component_from_tuples(cells, 0, 1))
+        idxs = [0]
+        for b, part in zip(blocks, combo):
+            idxs = [acc * 5 ** b + i for acc in idxs for i in part]
+        comps.append(analysis.Component.from_indices(
+            analysis._uint32(idxs), n, 5, frozenset((0, 1))))
     return CountingFamily(base, tuple(comps), len(comps))
 
 
@@ -458,37 +461,37 @@ def build_family_k(n, k):
     g = inverse_along(build_ptq(k), 1)
     npairs = k // 3
 
-    level = []  # (pair index j, cells as frozenset of coordinate tuples)
+    level = []  # (pair index j, sorted flat indices in a k^2 table)
     for j in range(npairs):
-        found = analysis.find_components(g, 2 * j, 2 * j + 1)
-        squares = set()
-        for i in range(k // 2 - 1):
-            rows = ((2 * i + 3 * j) % k, (2 * i + 3 * j + 1) % k)
-            squares.add(frozenset(
-                (x, y) for x in rows for y in (2 * i, 2 * i + 1)))
-        found_sets = [frozenset(c.coords for c in comp.cells) for comp in found]
-        if len(found_sets) != k // 2:
+        found = [comp.indices.tolist()
+                 for comp in analysis.find_components(g, 2 * j, 2 * j + 1)]
+        if len(found) != k // 2:
             raise ConstructionError(
                 "expected %d components for pair {%d,%d}, found %d"
-                % (k // 2, 2 * j, 2 * j + 1, len(found_sets)))
-        for sq in squares:
-            if sq not in found_sets:
+                % (k // 2, 2 * j, 2 * j + 1, len(found)))
+        for i in range(k // 2 - 1):
+            rows = ((2 * i + 3 * j) % k, (2 * i + 3 * j + 1) % k)
+            if sorted(k * x + y for x in rows
+                      for y in (2 * i, 2 * i + 1)) not in found:
                 raise ConstructionError(
                     "analytic square block is not a component at k=%d" % k)
-        level.extend((j, cells) for cells in found_sets)
+        level.extend((j, idxs) for idxs in found)
 
-    for _ in range(n - 2):
+    # prefixing row p to a cell of a k^m table puts it at p * k^m + idx
+    for m in range(2, n):
         lifted = []
         for j1 in range(npairs):
-            for j2, cells in level:
-                prefix = ((2 * j2 + 3 * j1) % k, (2 * j2 + 3 * j1 + 1) % k)
+            for j2, idxs in level:
+                prefix = sorted(((2 * j2 + 3 * j1) % k,
+                                 (2 * j2 + 3 * j1 + 1) % k))
                 lifted.append(
-                    (j1, frozenset((p,) + c for p in prefix for c in cells)))
+                    (j1, [p * k ** m + i for p in prefix for i in idxs]))
         level = lifted
 
     comps = tuple(
-        analysis.component_from_tuples(cells, 2 * j, 2 * j + 1)
-        for j, cells in level)
+        analysis.Component.from_indices(analysis._uint32(idxs), n, k,
+                                        frozenset((2 * j, 2 * j + 1)))
+        for j, idxs in level)
     want = (k // 2) * npairs ** (n - 1)
     if len(comps) != want:
         raise ConstructionError("component count %d, want %d" % (len(comps), want))

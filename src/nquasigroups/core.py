@@ -87,7 +87,7 @@ class QTable(_Record):
             raise StructuralError("arity must be an integer >= 1")
         if not isinstance(order, int) or order < 1:
             raise StructuralError("order must be an integer >= 1")
-        # set directly, as in Cell: tables are built by the thousand
+        # set directly: tables are built by the thousand
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "values", values if isinstance(values, tuple)
@@ -120,23 +120,13 @@ class QTable(_Record):
 
 
 class Cell(_Record):
-    """A coordinate tuple into some table.
-
-    Slotted: a component makes one per cell, and a per-instance dict
-    would cost about 40 bytes each.  Its constructor and _fields skip the
-    generic _Record loops, which would double the cost of building and
-    hashing them.
-    """
+    """A coordinate tuple into some table."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        if not isinstance(coords, tuple):
-            coords = tuple(coords)
-        object.__setattr__(self, "coords", coords)
-
-    def _fields(self):
-        return (self.coords,)
+        _Record.__init__(self, coords if isinstance(coords, tuple)
+                         else tuple(coords))
 
 
 class OmegaMap(_Record):
@@ -514,7 +504,7 @@ def from_json_obj(obj):
         raise StructuralError("arity and order must be integers")
     if not isinstance(values, list):
         raise StructuralError("values must be a list")
-    if not all(type(v) is int for v in values):
+    if not set(map(type, values)) <= {int}:
         raise StructuralError("values must be integers")
     t = QTable(arity, order, tuple(values))
     count = len(values)

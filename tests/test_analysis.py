@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import re
 import time
 
 import pytest
@@ -166,6 +165,81 @@ class TestExtractShell:
         assert back.entries == sh.entries
 
 
+SHELL_BASE = (0, 1, 0)
+SHELL_ENTRIES = A.extract_shell(C.build_closed(3, 4, 2), SHELL_BASE).entries
+LAST = max(SHELL_ENTRIES)  # (3, 3, 0)
+
+
+def edited(drop=None, add=()):
+    """SHELL_ENTRIES without the cell drop, then updated with add."""
+    entries = {c: v for c, v in SHELL_ENTRIES.items() if c != drop}
+    entries.update(add)
+    return entries
+
+
+def shell_case(id, error, arity=3, order=4, basepoint=SHELL_BASE,
+               entries=SHELL_ENTRIES):
+    return pytest.param((arity, order, basepoint, entries), error, id=id)
+
+
+BASEPOINT_ERROR = "basepoint must list 3 integers in 0..3"
+VALUE_ERROR = "shell values must be integers in 0..3"
+
+
+class TestShellRecord:
+    """Shell checks its own invariant when it is built."""
+
+    @pytest.mark.parametrize("args,error", [
+        shell_case("short-basepoint", BASEPOINT_ERROR, basepoint=(0, 1)),
+        shell_case("basepoint-out-of-range", BASEPOINT_ERROR,
+                   basepoint=(0, 4, 0)),
+        shell_case("bool-basepoint", BASEPOINT_ERROR, basepoint=(0, True, 0)),
+        shell_case("float-basepoint", BASEPOINT_ERROR, basepoint=(0, 1.0, 0)),
+        shell_case("str-basepoint", BASEPOINT_ERROR, basepoint="010"),
+        shell_case("zero-arity", "shell arity and order must be integers "
+                   ">= 1", arity=0),
+        shell_case("bool-order", "shell arity and order must be integers "
+                   ">= 1", order=True),
+        shell_case("missing-entry", "shell of arity 3, order 4 has 36 "
+                   "entries, not k^n - (k-1)^n", entries=edited(drop=LAST)),
+        shell_case("extra-entry", "shell of arity 3, order 4 has 38 entries, "
+                   "not k^n - (k-1)^n", entries=edited(add={(3, 3, 3): 0})),
+        shell_case("off-basepoint-entry", "shell misses cell (3, 3, 0), "
+                   "which touches the basepoint",
+                   entries=edited(drop=LAST, add={(3, 3, 3): 0})),
+        shell_case("longer-cell", "shell misses cell (3, 3, 0), which "
+                   "touches the basepoint",
+                   entries=edited(drop=LAST, add={(3, 3, 0, 0): 0})),
+        shell_case("value-out-of-range", VALUE_ERROR,
+                   entries=edited(add={LAST: 4})),
+        shell_case("negative-value", VALUE_ERROR,
+                   entries=edited(add={LAST: -1})),
+        shell_case("bool-value", VALUE_ERROR,
+                   entries=edited(add={LAST: True})),
+    ])
+    def test_refused(self, args, error):
+        with pytest.raises(A.AnalysisError) as err:
+            A.Shell(*args)
+        assert str(err.value) == error
+
+    def test_list_basepoint_stored_as_tuple(self):
+        assert (A.Shell(3, 4, list(SHELL_BASE), SHELL_ENTRIES)
+                == A.Shell(3, 4, SHELL_BASE, SHELL_ENTRIES))
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_json_roundtrip_property(self, n, k, data):
+        # any table with values in range, Latin or not, at any basepoint
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=k ** n,
+                                  max_size=k ** n))
+        base = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                        max_size=n)))
+        sh = A.extract_shell(core.QTable(n, k, tuple(vals)), base)
+        assert len(sh.entries) == k ** n - (k - 1) ** n
+        obj = json.loads(json.dumps(A.shell_to_json_obj(sh)))
+        assert A.shell_from_json_obj(obj) == sh
+
+
 class TestReconstructWithSplit:
     def test_fixture_roundtrip_n3(self):
         q = C.fixture("Q52")
@@ -240,15 +314,16 @@ class TestReconstruct:
             assert [c.values for c in A.reconstruct(sh)] == [t.values]
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_partial_shell_raises_reconstruction_error(self, n):
+    def test_partial_shell_refused(self, n):
+        # every Shell is complete: one missing an entry is refused when it
+        # is built, so reconstruct never meets it
         t, _ = randgen.random_reducible(n, 4, 5)
         sh = A.extract_shell(t, (1,) * n)
         for cell in sorted(sh.entries)[::7]:
             entries = dict(sh.entries)
             del entries[cell]
-            partial = A.Shell(n, 4, sh.basepoint, entries)
-            with pytest.raises(A.ReconstructionError, match="missing"):
-                A.reconstruct(partial)
+            with pytest.raises(A.AnalysisError, match=r"entries, not k\^n"):
+                A.Shell(n, 4, sh.basepoint, entries)
 
     def test_retracts_prune_before_assembly(self, monkeypatch):
         assembled = []
@@ -287,11 +362,11 @@ class TestReconstruct:
     def test_malformed_basepoint_rejected(self, basepoint):
         t = C.build_closed(4, 4, 2)
         entries = A.extract_shell(t, (0, 0, 0, 0)).entries
-        sh = A.Shell(4, 4, basepoint, entries)
+        # refused when the shell is built, whether by hand or from a table
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
-            A.reconstruct(sh)
+            A.Shell(4, 4, basepoint, entries)
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
-            A.reconstruct_with_split(sh, A.Split(frozenset({1, 2})))
+            A.extract_shell(t, basepoint)
 
     def test_scale_5_7_nonzero_basepoint(self, monkeypatch):
         # about 2 s with pruning; assembling all 119 splits took 25-50 s
@@ -421,9 +496,9 @@ def reconstruct_or_empty(sh):
 
 class TestShellAgreement:
     """reconstruct_with_split compares the assembled table with the shell
-    hyperplane by hyperplane; only a disagreement (or a partial or padded
-    shell) scans the entries, naming the first disagreeing cell as the
-    cell-by-cell reference does."""
+    hyperplane by hyperplane; only a disagreement scans the entries,
+    naming the first disagreeing cell as the cell-by-cell reference
+    does.  A partial or padded shell is refused when it is built."""
 
     def setup_method(self):
         t, split = randgen.random_reducible(4, 4, 3)
@@ -432,16 +507,10 @@ class TestShellAgreement:
         self.sh = A.extract_shell(t, (1, 2, 0, 3))
 
     def outcomes(self, entries):
-        def reference(sh, split):
-            try:
-                return reference_reconstruct_with_split(sh, split)
-            except KeyError as e:
-                raise A.ReconstructionError(
-                    "shell is missing required entry %s" % e)
-
         sh = A.Shell(4, 4, self.sh.basepoint, entries)
         return [assembly_outcome(fn, sh, split)
-                for fn in (A.reconstruct_with_split, reference)
+                for fn in (A.reconstruct_with_split,
+                           reference_reconstruct_with_split)
                 for split in (self.split, A.Split(frozenset((1, 4))))]
 
     def test_agreeing_assembly_scans_nothing(self, monkeypatch):
@@ -475,16 +544,22 @@ class TestShellAgreement:
         assert any("disagrees at" in str(o) for o in named)
 
     def test_missing_and_extra_entries(self):
+        # 4^4 - 3^4 = 175 cells touch the basepoint; (3, 3, 3, 2) does not
         for cell in list(self.sh.entries)[::3]:
             entries = dict(self.sh.entries)
             del entries[cell]
-            got = self.outcomes(entries)
-            assert got[:2] == got[2:]
+            with pytest.raises(A.AnalysisError, match="has 174 entries"):
+                A.Shell(4, 4, self.sh.basepoint, entries)
+            entries[(3, 3, 3, 2)] = 0
+            with pytest.raises(A.AnalysisError) as err:
+                A.Shell(4, 4, self.sh.basepoint, entries)
+            assert str(err.value) == ("shell misses cell %r, which touches "
+                                      "the basepoint" % (cell,))
         for value in range(4):
             entries = dict(self.sh.entries)
-            entries[(3, 3, 3, 2)] = value  # touches no basepoint coordinate
-            got = self.outcomes(entries)
-            assert got[:2] == got[2:]
+            entries[(3, 3, 3, 2)] = value
+            with pytest.raises(A.AnalysisError, match="has 176 entries"):
+                A.Shell(4, 4, self.sh.basepoint, entries)
 
 
 def check_reductions(t):
@@ -710,7 +785,7 @@ def reference_find_components(q, a, b):
     for idx in parent:
         groups.setdefault(find(idx), []).append(idx)
     return [A.Component(frozenset(core.Cell(q.coords(i)) for i in groups[r]),
-                        frozenset((a, b)))
+                        (a, b), k)
             for r in sorted(groups, key=lambda r: min(groups[r]))]
 
 
@@ -871,7 +946,7 @@ class TestSwitchComponent:
 
     def test_not_a_component_rejected(self):
         q = C.fixture("Q52")
-        fake = A.component_from_tuples([(0, 0), (0, 1)], 0, 1)
+        fake = A.Component([(0, 0), (0, 1)], (0, 1), 5)
         with pytest.raises(A.AnalysisError):
             A.switch_component(q, fake)
 
@@ -881,29 +956,93 @@ class TestSwitchComponent:
         with pytest.raises(A.AnalysisError):
             A.switch_component(other, comp)
 
-    def test_part_of_a_larger_table_names_its_cell(self):
-        # the second 01-part of Q52 reaches row and column 4, which Q42
-        # does not have
+    def test_part_of_another_shape_refused(self):
+        # a part of Q52 is never flipped by its indices on a smaller, a
+        # wider or a higher table; the refusal names both shapes
         comp = A.find_components(C.fixture("Q52"), 0, 1)[1]
-        with pytest.raises(A.AnalysisError) as err:
-            A.switch_component(C.fixture("Q42"), comp)
-        m = re.fullmatch(r"not a component of this table: cell \((\d), (\d)\) "
-                         r"is not 2 coordinates in 0\.\.3", str(err.value))
-        assert m and "4" in m.groups()
+        for q in (C.fixture("Q42"), z_add(6), z_add(5, 3)):
+            with pytest.raises(A.AnalysisError) as err:
+                A.switch_component(q, comp)
+            assert str(err.value) == (
+                "not a component of this table: a part of shape (2, 5), the "
+                "table has shape %r" % ((q.arity, q.order),))
 
     @pytest.mark.parametrize("cells", [
         [(0, 0, 0), (0, 1, 0)], [(0,), (1,)], [(0, -1), (0, 0)],
         [(0, True), (1, 1)]])
     def test_foreign_cells_refused(self, cells):
-        # never mapped through q.index onto some other cell
+        # never mapped through q.index onto some other cell: Component
+        # refuses a coordinate outside 0..4, switch_component a part of a
+        # table of another arity
         q = C.fixture("Q52")
-        bad = [c for c in cells
-               if len(c) != 2 or any(type(x) is not int or x < 0 for x in c)]
         with pytest.raises(A.AnalysisError) as err:
-            A.switch_component(q, A.component_from_tuples(cells, 0, 1))
-        assert str(err.value) in ["not a component of this table: cell %r is "
-                                  "not 2 coordinates in 0..4" % (c,)
-                                  for c in bad]
+            A.switch_component(q, A.Component(cells, (0, 1), 5))
+        bad = [c for c in cells if any(type(x) is not int or x < 0 for x in c)]
+        if bad:
+            assert str(err.value) == ("component cell %r is not 2 coordinates "
+                                      "in 0..4" % (bad[0],))
+        else:
+            assert str(err.value) == (
+                "not a component of this table: a part of shape (%d, 5), the "
+                "table has shape (2, 5)" % len(cells[0]))
+
+
+class TestComponentRecord:
+    """Component checks its own cells and pair when it is built."""
+
+    @pytest.mark.parametrize("cells,pair,error", [
+        ([], (0, 1), "empty component"),
+        ([(0, 0)], (1, 1), "component pair (1, 1) is not two distinct "
+                           "symbols in 0..4"),
+        ([(0, 0)], (0, 5), "component pair (0, 5) is not two distinct "
+                           "symbols in 0..4"),
+        ([(0, 0)], (0, 1, 2), "component pair (0, 1, 2) is not two distinct "
+                              "symbols in 0..4"),
+        ([(0, 0)], (0, True), "component pair (0, True) is not two distinct "
+                              "symbols in 0..4"),
+        ([(0, 0), (1,)], (0, 1), "component cell (1,) is not 2 coordinates "
+                                 "in 0..4"),
+        ([(0, 0), (0, 0, 0)], (0, 1), "component cell (0, 0, 0) is not 2 "
+                                      "coordinates in 0..4"),
+        ([(0, 0), (0, -1)], (0, 1), "component cell (0, -1) is not 2 "
+                                    "coordinates in 0..4"),
+        ([(0, 0), (5, 0)], (0, 1), "component cell (5, 0) is not 2 "
+                                   "coordinates in 0..4"),
+        ([(0, 0), (True, 0)], (0, 1), "component cell (True, 0) is not 2 "
+                                      "coordinates in 0..4"),
+        ([(0, 0), (0, 1.0)], (0, 1), "component cell (0, 1.0) is not 2 "
+                                     "coordinates in 0..4"),
+        ([(0,) * 14], (0, 1), "cells of 14 coordinates in 0..4 overflow "
+                              "4-byte indices"),
+    ], ids=["empty", "one-symbol-pair", "pair-out-of-range", "three-symbols",
+            "bool-symbol", "short-cell", "long-cell", "negative-coordinate",
+            "coordinate-out-of-range", "bool-coordinate", "float-coordinate",
+            "index-overflow"])
+    def test_refused(self, cells, pair, error):
+        with pytest.raises(A.AnalysisError) as err:
+            A.Component(cells, pair, 5)
+        assert str(err.value) == error
+
+    def test_cells_or_tuples_sorted_and_deduplicated(self):
+        comp = A.Component([(1, 0), core.Cell((0, 1)), (1, 0)], [1, 0], 3)
+        assert comp.indices.tolist() == [1, 3]
+        assert comp.shape == (2, 3) and comp.pair == frozenset((0, 1))
+
+    @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10 ** 6),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilt_from_coords_property(self, n, k, seed, data):
+        if n == 1:
+            t = core.QTable(1, k, tuple(data.draw(st.permutations(range(k)))))
+        elif n == 2:
+            t = randgen.random_binary(k, seed)
+        else:
+            t = randgen.random_reducible(n, k, seed)[0]
+        a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
+                                  max_size=2, unique=True))
+        for comp in A.find_components(t, a, b):
+            assert A.Component(comp.coords(), comp.pair, k) == comp
+            assert A.Component(comp.cells, (b, a), k) == comp
 
 
 def cell_find_components(q, a, b):
@@ -944,18 +1083,16 @@ def cell_find_components(q, a, b):
     for i, (j, l) in enumerate(zip(last_a, last_b)):
         groups.setdefault(find(i), []).extend((i * k + j, i * k + l))
     return [A.Component(frozenset(core.Cell(q.coords(i)) for i in cells),
-                        frozenset((a, b)))
+                        (a, b), k)
             for cells in groups.values()]
 
 
 def cell_switch_component(q, comp):
-    """switch_component as it was before: every Cell mapped back through
-    q.index; the oracle."""
+    """switch_component as it was before: every Cell, in coordinate order,
+    mapped back through q.index; the oracle."""
     a, b = sorted(comp.pair)
-    if not comp.cells:
-        raise A.AnalysisError("empty component")
     vals = list(q.values)
-    for cell in comp.cells:
+    for cell in sorted(comp.cells, key=lambda c: c.coords):
         idx = q.index(cell.coords)
         v = vals[idx]
         if v != a and v != b:
@@ -1012,12 +1149,16 @@ class TestIndexedComponents:
         comps = A.find_components(q, 0, 1)
         assert comps[0].indices.tolist() == [0, 1, 5, 6]
         assert comps[0].shape == (2, 5)
-        hand = A.component_from_tuples([(1, 1), (0, 0), (1, 0), (0, 1)], 1, 0)
+        hand = A.Component([(1, 1), (0, 0), (1, 0), (0, 1)], (1, 0), 5)
         assert hand == comps[0] and comps[0] == hand
         assert hash(hand) == hash(comps[0])
-        assert hand != comps[1] and hand.indices is None
+        assert hand != comps[1] and hand.indices.tolist() == [0, 1, 5, 6]
+        assert A.Component(comps[0].cells, frozenset((0, 1)), 5) == hand
+        # the same cells of a table of another order are another part
+        assert A.Component(hand.coords(), (0, 1), 6) != hand
         assert comps[0].coords() == hand.coords() == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert eval(repr(hand), {"Component": A.Component}) == hand
         with pytest.raises(AttributeError):
             comps[0].pair = frozenset((0, 2))
 
@@ -1057,22 +1198,19 @@ class TestIndexedComponents:
                 # a proper part of a minimal component: its flip breaks Latin
                 part = A.Component.from_indices(comp.indices[1:], n, k,
                                                 comp.pair)
-                old_part = A.Component(frozenset(old.sorted_cells()[1:]),
-                                       old.pair)
+                old_part = A.Component(old.coords()[1:], old.pair, k)
                 assert part == old_part
                 got = switch_outcome(A.switch_component, t, part)
                 assert got == switch_outcome(cell_switch_component, t, old_part)
                 assert got == ("AnalysisError", "not a component: the flip "
                                "breaks the Latin property")
-                for q in (shifted, wider):
-                    got = switch_outcome(A.switch_component, q, comp)
-                    assert got == switch_outcome(cell_switch_component, q, comp)
-                    # the oracle's own parts name the first bad cell of
-                    # their frozenset, whose order may differ
-                    want = switch_outcome(cell_switch_component, q, old)
-                    mask = re.compile(r"cell \(.*?\) holds \d+")
-                    assert got[0] == want[0]
-                    assert mask.sub("", str(got[1])) == mask.sub("", str(want[1]))
+                got = switch_outcome(A.switch_component, shifted, comp)
+                assert got == switch_outcome(cell_switch_component, shifted, old)
+                # a part of another shape is refused, never flipped on the
+                # same coordinates of the wider table
+                assert switch_outcome(A.switch_component, wider, comp) == (
+                    "AnalysisError", "not a component of this table: a part "
+                    "of shape %r, the table has shape %r" % ((n, k), (n, k + 1)))
 
     @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10 ** 6),
            st.data())

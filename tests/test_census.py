@@ -467,7 +467,7 @@ class TestCertifyComponents:
             for cells in groups:
                 if cells:
                     used |= cells
-                    comps.append(analysis.component_from_tuples(cells, a, b))
+                    comps.append(analysis.Component(cells, (a, b), k))
         fam = C.CountingFamily(t, tuple(comps), len(comps))
         # no family the checks pass has two equal switched tables
         outcome = certify_outcome(census._certify_components, fam)
@@ -498,18 +498,26 @@ class TestCertifyComponents:
     def test_proper_subset_of_component_rejected(self):
         q = C.fixture("Q52")
         comp = max(analysis.find_components(q, 0, 1), key=len)
-        part = analysis.Component(frozenset(comp.sorted_cells()[1:]),
-                                  comp.pair)
+        part = analysis.Component(comp.coords()[1:], comp.pair, 5)
         fam = C.CountingFamily(base=q, components=(part,), claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*Latin"):
             census._certify_components(fam)
 
+    def test_part_of_another_shape_rejected(self):
+        comp = analysis.find_components(C.fixture("Q42"), 0, 1)[0]
+        fam = C.CountingFamily(base=C.fixture("Q52"), components=(comp,),
+                               claimed_log2=1)
+        with pytest.raises(census.CertificationError) as err:
+            census._certify_components(fam)
+        assert str(err.value) == ("component 0 is a part of shape (2, 4), the "
+                                  "base has shape (2, 5)")
+
     def test_cell_outside_pair_rejected(self):
         q = C.fixture("Q52")
         comp = analysis.find_components(q, 0, 1)[0]
         stray = next(x for x in q.cells() if q.values[q.index(x)] == 2)
-        bad = analysis.Component(comp.cells | {core.Cell(stray)}, comp.pair)
+        bad = analysis.Component(comp.cells | {core.Cell(stray)}, comp.pair, 5)
         fam = C.CountingFamily(base=q, components=(bad,), claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*not in"):

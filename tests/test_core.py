@@ -569,11 +569,22 @@ class TestSerialization:
         with pytest.raises(core.StructuralError):
             core.to_text(t)
 
-    @given(st.integers(1, 3), st.integers(1, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_json_roundtrip_any_arity(self, n, k):
-        t = core.from_function(n, k, lambda *x: sum(x) % k)
-        assert core.from_json(core.to_json(t)).values == t.values
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_json_roundtrip_any_arity(self, n, k, data):
+        # any values in range, Latin or not
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=k ** n,
+                                  max_size=k ** n))
+        t = core.QTable(n, k, tuple(vals))
+        assert core.from_json(core.to_json(t)) == t
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_text_roundtrip_property(self, k, data):
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=k * k,
+                                  max_size=k * k))
+        t = core.QTable(2, k, tuple(vals))
+        assert core.from_text(core.to_text(t)) == t
 
     def test_malformed_json(self):
         with pytest.raises(core.StructuralError):
@@ -591,6 +602,9 @@ class TestSerialization:
         {"arity": 2, "order": 2, "values": [0, 1, 1]},
         {"arity": 10 ** 12, "order": 2, "values": [0, 1, 1, 0]},
         {"arity": 0, "order": 2, "values": [0]},
+        # one bad value at the very end of a 5^4 list
+        {"arity": 4, "order": 5, "values": [0] * 624 + [True]},
+        {"arity": 4, "order": 5, "values": [0] * 624 + [1.0]},
     ])
     def test_strict_json_fields(self, obj):
         with pytest.raises(core.StructuralError):

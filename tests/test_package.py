@@ -72,7 +72,8 @@ RECORDS = [
     (analysis.Split(frozenset({1, 2})), (frozenset({1, 2}),),
      analysis.Split(frozenset({2, 3}))),
     (analysis.Shell(2, 2, (0, 0), SHELL_ENTRIES),
-     (2, 2, (0, 0), SHELL_ENTRIES), analysis.Shell(2, 2, (1, 1), {})),
+     (2, 2, (0, 0), SHELL_ENTRIES),
+     analysis.Shell(2, 2, (1, 1), {(0, 1): 1, (1, 0): 1, (1, 1): 0})),
     (core.ValidationReport(True), (True, ()), core.ValidationReport(False)),
     (core.ValidationReport(False, (core.LineViolation(1, (None, 0)),)),
      (False, (core.LineViolation(1, (None, 0)),)),
