@@ -56,6 +56,7 @@ class Shell(_Record):
     arity integers in 0..order-1, or a value outside 0..order-1.  The
     n hyperplanes x_i = basepoint_i hold exactly the cells touching it,
     so with k^n - (k-1)^n entries, all of them found, there is no other.
+    The shell keeps its own copy of entries, which must not be mutated.
     """
 
     __slots__ = ("arity", "order", "basepoint", "entries")
@@ -71,6 +72,7 @@ class Shell(_Record):
         # the cells touching the basepoint number k^n - (k-1)^n >= k^(n-1),
         # at least 2^(n-1) for k >= 2: test bit lengths so k^n is never
         # formed for a huge arity
+        entries = dict(entries)
         count = len(entries)
         if ((k > 1 and n - 1 >= count.bit_length())
                 or k ** n - (k - 1) ** n != count):
@@ -114,14 +116,6 @@ def _coord_tuples(indices, n, k):
     return [high[i // m] + low[i % m] for i in indices]
 
 
-def _uint32(idxs):
-    """A list of flat indices as a native uint32 buffer."""
-    buf = memoryview(bytearray(4 * len(idxs))).cast("I")
-    for j, i in enumerate(idxs):
-        buf[j] = i
-    return buf
-
-
 class Component:
     """A switching set: cells valued in {a,b} whose a<->b flip stays Latin.
 
@@ -133,21 +127,16 @@ class Component:
     pair, order) takes coordinate tuples or Cells and refuses an empty
     part, a pair that is not two distinct symbols in 0..order-1, and a
     cell unlike the first in length or with a coordinate that is not an
-    int in 0..order-1 (AnalysisError); from_indices takes the library's
-    own indices.  .cells, a frozenset of Cell, is built on first read.
+    int in 0..order-1 (AnalysisError); from_indices takes the indices, a
+    uint32 buffer or a list, and refuses the same pairs and empty parts.
+    .cells, a frozenset of Cell, is built on first read.
     """
 
     __slots__ = ("pair", "shape", "_data", "_cells")
 
     def __init__(self, cells, pair, order):
-        symbols = frozenset(pair)
-        if len(symbols) != 2 or not _ints_below(symbols, order):
-            raise AnalysisError("component pair %r is not two distinct symbols "
-                                "in 0..%d" % (pair, order - 1))
         cells = [c.coords if isinstance(c, Cell) else tuple(c) for c in cells]
-        if not cells:
-            raise AnalysisError("empty component")
-        n = len(cells[0])
+        n = len(cells[0]) if cells else 0
         if order ** n > 1 << 32:
             raise AnalysisError("cells of %d coordinates in 0..%d overflow "
                                 "4-byte indices" % (n, order - 1))
@@ -158,16 +147,26 @@ class Component:
                     % (x, n, order - 1))
         w = [order ** p for p in range(n - 1, -1, -1)]
         idxs = {sum(c * v for c, v in zip(x, w)) for x in cells}
-        self._set(_uint32(sorted(idxs)), n, order, symbols)
+        self._set(sorted(idxs), n, order, pair)
 
     @classmethod
     def from_indices(cls, indices, arity, order, pair):
-        """Component of a table of the given shape from the sorted flat
-        indices of its cells (any uint32 buffer)."""
+        """Component from the sorted, distinct flat indices of its cells."""
         return cls.__new__(cls)._set(indices, arity, order, pair)
 
     def _set(self, indices, arity, order, pair):
-        object.__setattr__(self, "pair", pair)
+        symbols = frozenset(pair)
+        if len(symbols) != 2 or not _ints_below(symbols, order):
+            raise AnalysisError("component pair %r is not two distinct symbols "
+                                "in 0..%d" % (pair, order - 1))
+        if not len(indices):
+            raise AnalysisError("empty component")
+        if getattr(indices, "format", None) != "I":
+            buf = memoryview(bytearray(4 * len(indices))).cast("I")
+            for j, i in enumerate(indices):
+                buf[j] = i
+            indices = buf
+        object.__setattr__(self, "pair", symbols)
         object.__setattr__(self, "shape", (arity, order))
         object.__setattr__(self, "_data", bytes(indices))
         object.__setattr__(self, "_cells", None)
@@ -314,9 +313,9 @@ def extract_shell(q, basepoint):
     """
     n, k = q.arity, q.order
     base = tuple(basepoint)
-    # the cells that miss the basepoint on every axis
+    # the cells that miss the basepoint on each of the n axes
     away = set(itertools.product(*[[c for c in range(k) if c != o]
-                                   for o in base]))
+                                   for o in base[:n]]))
     entries = {x: v for x, v in zip(q.cells(), q.values) if x not in away}
     return Shell(n, k, base, entries)
 
@@ -598,8 +597,8 @@ def find_components(q, a, b):
         else:
             cells[p] = x + l
             cells[p + 1] = x + j
-    pair = frozenset((a, b))
-    return [Component.from_indices(cells[s:e], n, k, pair) for s, e in spans]
+    return [Component.from_indices(cells[s:e], n, k, (a, b))
+            for s, e in spans]
 
 
 def switch_component(q, comp):

@@ -237,7 +237,7 @@ def _certify_components(fam):
     single flips, and (when 2^s fits the cap) all 2^s switched tables
     distinct and Latin.
 
-    Components are parts of the base's shape, disjoint on flat indices.
+    Components are parts of the base's shape, of distinct cells, disjoint.
     The base is validated once in full.  A flip changes only its own cells,
     so it is checked on the axis lines through them: the other lines are
     the base's and already Latin.  Once the single flips pass, every
@@ -259,12 +259,15 @@ def _certify_components(fam):
             "family claims log2 = %d but carries %d components"
             % (fam.claimed_log2, s))
     base = fam.base
-    for i, comp in enumerate(comps):
+    idxsets = [set(comp.indices) for comp in comps]
+    for i, (comp, idxs) in enumerate(zip(comps, idxsets)):
         if comp.shape != (base.arity, base.order):
             raise CertificationError(
                 "component %d is a part of shape %r, the base has shape %r"
                 % (i, comp.shape, (base.arity, base.order)))
-    idxsets = [set(comp.indices) for comp in comps]
+        if len(idxs) != len(comp) or max(idxs) >= len(base.values):
+            raise CertificationError(
+                "component %d lists a cell twice or outside the base" % i)
     for i in range(s):
         for j in range(i + 1, s):
             if not idxsets[i].isdisjoint(idxsets[j]):

@@ -441,8 +441,7 @@ def build_family5(n):
         idxs = [0]
         for b, part in zip(blocks, combo):
             idxs = [acc * 5 ** b + i for acc in idxs for i in part]
-        comps.append(analysis.Component.from_indices(
-            analysis._uint32(idxs), n, 5, frozenset((0, 1))))
+        comps.append(analysis.Component.from_indices(idxs, n, 5, (0, 1)))
     return CountingFamily(base, tuple(comps), len(comps))
 
 
@@ -489,8 +488,7 @@ def build_family_k(n, k):
         level = lifted
 
     comps = tuple(
-        analysis.Component.from_indices(analysis._uint32(idxs), n, k,
-                                        frozenset((2 * j, 2 * j + 1)))
+        analysis.Component.from_indices(idxs, n, k, (2 * j, 2 * j + 1))
         for j, idxs in level)
     want = (k // 2) * npairs ** (n - 1)
     if len(comps) != want:

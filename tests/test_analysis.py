@@ -222,6 +222,15 @@ class TestShellRecord:
             A.Shell(*args)
         assert str(err.value) == error
 
+    def test_keeps_its_own_entries(self):
+        # the caller may edit its dict after construction; the shell
+        # keeps its own copy
+        entries = dict(SHELL_ENTRIES)
+        sh = A.Shell(3, 4, SHELL_BASE, entries)
+        del entries[LAST]
+        assert sh.entries == SHELL_ENTRIES and sh.entries is not entries
+        assert A.reconstruct(sh)
+
     def test_list_basepoint_stored_as_tuple(self):
         assert (A.Shell(3, 4, list(SHELL_BASE), SHELL_ENTRIES)
                 == A.Shell(3, 4, SHELL_BASE, SHELL_ENTRIES))
@@ -1022,6 +1031,25 @@ class TestComponentRecord:
         with pytest.raises(A.AnalysisError) as err:
             A.Component(cells, pair, 5)
         assert str(err.value) == error
+
+    @pytest.mark.parametrize("indices,pair,error", [
+        ([1], (1, 1), "component pair (1, 1) is not two distinct symbols "
+                      "in 0..4"),
+        ([1], (0, 5), "component pair (0, 5) is not two distinct symbols "
+                      "in 0..4"),
+        ([1], (0, True), "component pair (0, True) is not two distinct "
+                         "symbols in 0..4"),
+    ], ids=["one-symbol-pair", "pair-out-of-range", "bool-symbol"])
+    def test_from_indices_refused(self, indices, pair, error):
+        with pytest.raises(A.AnalysisError) as err:
+            A.Component.from_indices(indices, 2, 5, pair)
+        assert str(err.value) == error
+
+    def test_from_indices_list_or_buffer(self):
+        want = A.Component([(0, 1), (1, 0)], (0, 1), 3)
+        for idxs in ([1, 3], want.indices, range(1, 4, 2)):
+            comp = A.Component.from_indices(idxs, 2, 3, [1, 0])
+            assert comp == want and comp.pair == frozenset((0, 1))
 
     def test_cells_or_tuples_sorted_and_deduplicated(self):
         comp = A.Component([(1, 0), core.Cell((0, 1)), (1, 0)], [1, 0], 3)

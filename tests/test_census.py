@@ -513,6 +513,28 @@ class TestCertifyComponents:
         assert str(err.value) == ("component 0 is a part of shape (2, 4), the "
                                   "base has shape (2, 5)")
 
+    def test_empty_part_refused(self):
+        # an empty part would flip nothing, so 2^s patterns would not be
+        # distinct: it is refused before any family can carry it
+        for buf in (b"", memoryview(b"").cast("I"), []):
+            with pytest.raises(analysis.AnalysisError) as err:
+                analysis.Component.from_indices(buf, 2, 5, (0, 1))
+            assert str(err.value) == "empty component"
+
+    @pytest.mark.parametrize("extra", ["first", 25], ids=[
+        "cell-listed-twice", "past-the-last-cell"])
+    def test_part_listing_a_cell_twice_or_outside_rejected(self, extra):
+        q = C.fixture("Q52")
+        comp = analysis.find_components(q, 0, 1)[0]
+        idxs = comp.indices.tolist()
+        idxs.append(idxs[0] if extra == "first" else extra)
+        bad = analysis.Component.from_indices(sorted(idxs), 2, 5, comp.pair)
+        fam = C.CountingFamily(base=q, components=(bad,), claimed_log2=1)
+        with pytest.raises(census.CertificationError) as err:
+            census._certify_components(fam)
+        assert str(err.value) == ("component 0 lists a cell twice or outside "
+                                  "the base")
+
     def test_cell_outside_pair_rejected(self):
         q = C.fixture("Q52")
         comp = analysis.find_components(q, 0, 1)[0]

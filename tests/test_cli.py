@@ -197,6 +197,18 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "-", "--shell")
         assert code == 2 and "basepoint" in err
 
+    def test_overlong_basepoint_refused_at_once(self, capsys, monkeypatch):
+        # 20 coordinates on a 5^3 table: refused, never expanded to the
+        # 4^20 cells that miss such a basepoint
+        t = core.from_function(3, 5, lambda *x: sum(x) % 5)
+        feed_stdin(monkeypatch, core.to_json(t))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "-", "--shell",
+                                 "--basepoint", ",".join(["0"] * 20))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: basepoint must list 3 integers in 0..4\n"
+
 
 class TestComponents:
     def test_listing(self, capsys, monkeypatch):
