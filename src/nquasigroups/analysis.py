@@ -6,9 +6,9 @@ immutable inputs.
 """
 
 import itertools
+import operator
 
-from .core import (Cell, QTable, StructuralError, _axis_chunks, _offsets,
-                   _Record, retract, validate)
+from .core import Cell, QTable, _axis_chunks, _offsets, _Record, retract, validate
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -53,10 +53,12 @@ class Shell(_Record):
     entries maps each cell having x_i = basepoint_i for some i, and no
     other, to its symbol.  AnalysisError refuses anything else, and an
     arity or order that is not an integer >= 1, a basepoint that is not
-    arity integers in 0..order-1, or a value outside 0..order-1.  The
-    n hyperplanes x_i = basepoint_i hold exactly the cells touching it,
-    so with k^n - (k-1)^n entries, all of them found, there is no other.
-    The shell keeps its own copy of entries, which must not be mutated.
+    arity integers in 0..order-1, a value outside 0..order-1, or a cell
+    key that is not a tuple of arity ints (a float or bool coordinate
+    equal to an int included).  The n hyperplanes x_i = basepoint_i hold
+    exactly the cells touching it, so with k^n - (k-1)^n entries, all of
+    them found, there is no other.  The shell keeps its own copy of
+    entries, which must not be mutated.
     """
 
     __slots__ = ("arity", "order", "basepoint", "entries")
@@ -92,6 +94,11 @@ class Shell(_Record):
                 raise AnalysisError(
                     "shell misses cell %r, which touches the basepoint"
                     % (missing,))
+        # every key equals a cell found above: only its types can differ
+        if not set(map(type, itertools.chain.from_iterable(entries))) <= {int}:
+            bad = next(x for x in entries if not _ints_below(x, k))
+            raise AnalysisError(
+                "shell cell %r is not a tuple of %d integers" % (bad, n))
         _Record.__init__(self, n, k, basepoint, entries)
 
 
@@ -128,7 +135,8 @@ class Component:
     part, a pair that is not two distinct symbols in 0..order-1, and a
     cell unlike the first in length or with a coordinate that is not an
     int in 0..order-1 (AnalysisError); from_indices takes the indices, a
-    uint32 buffer or a list, and refuses the same pairs and empty parts.
+    uint32 buffer or a list, and refuses the same pairs and empty parts,
+    and indices unsorted, repeated or past order^arity.
     .cells, a frozenset of Cell, is built on first read.
     """
 
@@ -152,7 +160,15 @@ class Component:
     @classmethod
     def from_indices(cls, indices, arity, order, pair):
         """Component from the sorted, distinct flat indices of its cells."""
-        return cls.__new__(cls)._set(indices, arity, order, pair)
+        comp = cls.__new__(cls)._set(indices, arity, order, pair)
+        ix = comp.indices
+        # order^32 >= 2^32 passes every uint32 when order >= 2
+        if not (all(map(operator.lt, ix, ix[1:]))
+                and ix[-1] < order ** min(arity, 32)):
+            raise AnalysisError(
+                "component indices must be sorted, distinct and below %d^%d"
+                % (order, arity))
+        return comp
 
     def _set(self, indices, arity, order, pair):
         symbols = frozenset(pair)
@@ -163,8 +179,12 @@ class Component:
             raise AnalysisError("empty component")
         if getattr(indices, "format", None) != "I":
             buf = memoryview(bytearray(4 * len(indices))).cast("I")
-            for j, i in enumerate(indices):
-                buf[j] = i
+            try:
+                for j, i in enumerate(indices):
+                    buf[j] = i
+            except (TypeError, ValueError):
+                raise AnalysisError("component index %r is not an integer "
+                                    "in 0..2^32-1" % (i,))
             indices = buf
         object.__setattr__(self, "pair", symbols)
         object.__setattr__(self, "shape", (arity, order))
@@ -229,7 +249,7 @@ def is_reducible_wrt(q, split, return_witness=False):
     every row.  That partition (the fibers of the inner map) is the
     witness, labeled by first appearance on the row C = 0.  Any table is
     decided, Latin or not, in two steps of the reducibility module, on
-    one typed_values copy of its values:
+    the bytes of its values:
 
     (a) A necessary condition, _boxes_agree: on the k x k boxes of
         S-tuples that vary (S[0], S[-1]) and (S[-2], S[-1]), the other
@@ -256,10 +276,10 @@ def is_reducible_wrt(q, split, return_witness=False):
     reducible over S minus i (when |S| >= 3).
     """
     # imported here: commands that test no reducibility skip compiling it
-    from .reducibility import reduction_witness, typed_values
+    from .reducibility import reduction_witness
 
     S = _checked_axes(split, q.arity)
-    witness = reduction_witness(typed_values(q), q.arity, q.order, S)
+    witness = reduction_witness(q.values.obj, q.arity, q.order, S)
     if return_witness:
         return witness is not None, witness
     return witness is not None
@@ -269,15 +289,14 @@ def find_reductions(q):
     """All splits under which q is reducible, sorted by axis bitmask.
 
     Empty result means q is permutably irreducible.  Exhausts all
-    2^n - n - 2 admissible axis subsets, on one typed_values copy of
-    q.values.
+    2^n - n - 2 admissible axis subsets.
     """
-    from .reducibility import reduction_witness, typed_values
+    from .reducibility import reduction_witness
 
     n = q.arity
     if n < 3:
         raise AnalysisError("reducibility is defined for arity >= 3")
-    vals = typed_values(q)
+    vals = q.values.obj
     found = []
     for size in range(2, n):
         for S in itertools.combinations(range(1, n + 1), size):
@@ -341,17 +360,18 @@ def reconstruct_with_split(sh, split, probe=None):
     hyperplane, and only a disagreement scans the entries to name the
     first disagreeing cell.
     """
-    return _assemble(sh, split, probe, _shell_retracts(sh))
-
-
-def _assemble(sh, split, probe, planes):
-    """reconstruct_with_split, given the shell's _shell_retracts."""
-    n, k = sh.arity, sh.order
-    S = _checked_axes(split, n)
+    S = _checked_axes(split, sh.arity)
     if probe is None:
         probe = S[0]
     if probe not in S:
         raise AnalysisError("probe axis %r is not in the split" % (probe,))
+    return _assemble(sh, S, probe, _shell_retracts(sh))
+
+
+def _assemble(sh, S, probe, planes):
+    """reconstruct_with_split over the checked axes S, given the shell's
+    _shell_retracts."""
+    n, k = sh.arity, sh.order
     sset = set(S)
     C = [i for i in range(1, n + 1) if i not in sset]
     every = range(k)
@@ -371,12 +391,12 @@ def _assemble(sh, split, probe, planes):
         dinv[v] = x
 
     # the cell with S-part s and C-part c sits at s_off[s] + c_off[c]
-    vals = [None] * k ** n
+    vals = bytearray(k ** n)
     c_offs = _offsets(n, k, C)
     for s_off, g in zip(_offsets(n, k, S), g0):
         for c_off, v in zip(c_offs, h0[dinv[g]]):
             vals[s_off + c_off] = v
-    t = QTable(n, k, tuple(vals))
+    t = QTable(n, k, vals)
 
     if not validate(t).ok:
         raise ReconstructionError(
@@ -401,7 +421,7 @@ def _shell_retracts(sh):
     order.
     """
     n, k, ent = sh.arity, sh.order, sh.entries
-    return [QTable(n - 1, k, tuple(map(ent.__getitem__,
+    return [QTable(n - 1, k, bytes(map(ent.__getitem__,
                                        _hyperplane(sh.basepoint, k, i))))
             for i in range(1, n + 1)]
 
@@ -466,7 +486,7 @@ def reconstruct(sh):
             if any(is_reducible_wrt(c, split) for c in candidates):
                 continue
             try:
-                t = _assemble(sh, split, None, retracts)
+                t = _assemble(sh, S, S[0], retracts)
             except ReconstructionError:
                 continue
             if not is_reducible_wrt(t, split):
@@ -479,12 +499,11 @@ def reconstruct(sh):
     return candidates
 
 
-def _hit_positions(vals, k, hits, sym, bases, slices):
-    """Position j of sym on each line of an _axis_chunks chunk, in bases
-    order.  On Latin lines the 0/1 hit flags hold one 1 per line, so the
-    j-weighted sum of the k slices puts j in that line's byte."""
-    if k > 256:
-        return [line.index(sym) for line in zip(*[vals[sl] for sl in slices])]
+def _hit_positions(hits, bases, slices):
+    """Position j of a symbol on each line of an _axis_chunks chunk, in
+    bases order, from its 0/1 hit flags.  On Latin lines the flags hold
+    one 1 per line, so the j-weighted sum of the k slices puts j in that
+    line's byte."""
     pos = sum(j * int.from_bytes(hits[sl], "little")
               for j, sl in enumerate(slices) if j)
     return pos.to_bytes(len(bases), "little")
@@ -517,25 +536,17 @@ def find_components(q, a, b):
     if a == b or not _ints_below((a, b), k):
         raise AnalysisError("component pair %r is not two distinct symbols "
                             "in 0..%d" % ((a, b), k - 1))
-    try:
-        latin = validate(q).ok
-    except StructuralError:
-        latin = False
-    if not latin:
+    if not validate(q).ok:
         raise AnalysisError("table is not Latin; components are undefined")
 
-    vals = q.values
-    if k <= 256:
-        raw = bytes(vals)
-        hits_a = raw.translate(bytes(a) + b"\x01" + bytes(255 - a))
-        hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
-    else:
-        hits_a = hits_b = None
+    raw = q.values.obj
+    hits_a = raw.translate(bytes(a) + b"\x01" + bytes(255 - a))
+    hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
     lines = k ** (n - 1)
     # the last axis: one chunk, its lines in order
     (bases, slices), = _axis_chunks(n, k, n - 1)
-    last_a = _hit_positions(vals, k, hits_a, a, bases, slices)
-    last_b = _hit_positions(vals, k, hits_b, b, bases, slices)
+    last_a = _hit_positions(hits_a, bases, slices)
+    last_b = _hit_positions(hits_b, bases, slices)
 
     parent = memoryview(bytearray(4 * lines)).cast("I")
     for i in range(lines):
@@ -543,8 +554,8 @@ def find_components(q, a, b):
     for ax in range(n - 1):
         stride = k ** (n - 1 - ax)
         for bases, slices in _axis_chunks(n, k, ax):
-            pos_a = _hit_positions(vals, k, hits_a, a, bases, slices)
-            pos_b = _hit_positions(vals, k, hits_b, b, bases, slices)
+            pos_a = _hit_positions(hits_a, bases, slices)
+            pos_b = _hit_positions(hits_b, bases, slices)
             for base, i, j in zip(bases, pos_a, pos_b):
                 x = (base + i * stride) // k
                 while True:
@@ -614,7 +625,7 @@ def switch_component(q, comp):
             "not a component of this table: a part of shape %r, the table "
             "has shape %r" % (comp.shape, (q.arity, q.order)))
     a, b = sorted(comp.pair)
-    vals = list(q.values)
+    vals = bytearray(q.values)
     for idx in comp.indices:
         v = vals[idx]
         if v != a and v != b:
@@ -622,7 +633,7 @@ def switch_component(q, comp):
                 "not a component of this table: cell %r holds %d, not in {%d,%d}"
                 % (q.coords(idx), v, a, b))
         vals[idx] = a + b - v
-    t = QTable(q.arity, q.order, tuple(vals))
+    t = QTable(q.arity, q.order, vals)
     if not validate(t).ok:
         raise AnalysisError("not a component: the flip breaks the Latin property")
     return t

@@ -174,15 +174,17 @@ def enumerate_tables(n, k, budget=DEFAULT_CELL_BUDGET,
     """Yield every n-ary quasigroup of order k, in search order."""
     total = _check_budget(n, k, budget)
     order = _offsets(n, k, _visit_axes(n, visit))
-    vals = [0] * total
+    *head, last = order
+    vals = bytearray(total)
     for placed, m in _search(n, k, order, {}, time_limit):
-        for idx, b in zip(order, placed):
+        # placed holds the earlier cells' bits; m those of the last cell
+        for idx, b in zip(head, placed):
             vals[idx] = b.bit_length() - 1
         while m:
             b = m & (-m)
             m ^= b
-            vals[order[-1]] = b.bit_length() - 1
-            yield QTable(n, k, tuple(vals))
+            vals[last] = b.bit_length() - 1
+            yield QTable(n, k, vals)
 
 
 def bound_exponents(n, k):
@@ -237,7 +239,8 @@ def _certify_components(fam):
     single flips, and (when 2^s fits the cap) all 2^s switched tables
     distinct and Latin.
 
-    Components are parts of the base's shape, of distinct cells, disjoint.
+    Components are parts of the base's shape, disjoint; from_indices
+    already refuses repeated cells and cells outside the shape.
     The base is validated once in full.  A flip changes only its own cells,
     so it is checked on the axis lines through them: the other lines are
     the base's and already Latin.  Once the single flips pass, every
@@ -260,14 +263,11 @@ def _certify_components(fam):
             % (fam.claimed_log2, s))
     base = fam.base
     idxsets = [set(comp.indices) for comp in comps]
-    for i, (comp, idxs) in enumerate(zip(comps, idxsets)):
+    for i, comp in enumerate(comps):
         if comp.shape != (base.arity, base.order):
             raise CertificationError(
                 "component %d is a part of shape %r, the base has shape %r"
                 % (i, comp.shape, (base.arity, base.order)))
-        if len(idxs) != len(comp) or max(idxs) >= len(base.values):
-            raise CertificationError(
-                "component %d lists a cell twice or outside the base" % i)
     for i in range(s):
         for j in range(i + 1, s):
             if not idxsets[i].isdisjoint(idxsets[j]):
@@ -278,12 +278,8 @@ def _certify_components(fam):
         bad = rep.violations[0]
         raise CertificationError(
             "base table is not Latin: axis %d line %r" % (bad.axis, bad.fixed))
-    # imported here: array is a shared library, and loading it would cost
-    # every other nqg command memory and start-up time
-    from array import array
-
     k = base.order
-    vals = array("B" if k <= 256 else "H", base.values)
+    vals = bytearray(base.values)
     flips = []
     for i, comp in enumerate(comps):
         a, b = sorted(comp.pair)
@@ -314,7 +310,7 @@ def _certify_components(fam):
             _flip(vals, *flips[(step & -step).bit_length() - 1])
         if flips:
             _flip(vals, *flips[-1])
-        assert tuple(vals) == base.values
+        assert vals == base.values
         cert["materialized"] = 2 ** s
         cert["distinct"] = True
     return s, cert

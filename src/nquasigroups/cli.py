@@ -103,9 +103,9 @@ def _emit_table(t, pretty):
     if pretty:
         sys.stdout.write(_pretty(t))
     else:
-        from .core import to_json_obj
+        from .core import to_json
 
-        _emit(to_json_obj(t))
+        sys.stdout.write(to_json(t, (",", ":")) + "\n")
 
 
 def _component_obj(c):

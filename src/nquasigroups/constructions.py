@@ -274,7 +274,7 @@ def switch_sub(q, omega, h):
     if not validate(h).ok:
         raise ConstructionError("replacement table is not a quasigroup")
     inside = set(om)
-    vals = list(q.values)
+    vals = bytearray(q.values)
     # om is sorted, so its cells in product order are h's in index order
     for idx, v in zip(_offsets(n, k, range(1, n + 1), om), h.values):
         if vals[idx] not in inside:
@@ -282,7 +282,7 @@ def switch_sub(q, omega, h):
                 "table is not closed on %s: value %d at %r"
                 % (list(om), vals[idx], q.coords(idx)))
         vals[idx] = om[v]
-    return QTable(n, k, tuple(vals))
+    return QTable(n, k, vals)
 
 
 def _parity_shift(n, shift):

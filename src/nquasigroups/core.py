@@ -7,6 +7,7 @@ Symbols are always 0..k-1.
 
 import itertools
 import json
+import re
 
 
 class StructuralError(ValueError):
@@ -30,6 +31,10 @@ def check_cell_budget(n, k, error):
         raise error(
             "a table of arity %d and order %d holds %d^%d cells, over the "
             "%d-cell build budget" % (n, k, k, n, BUILD_CELL_BUDGET))
+
+
+# The most symbols a table holds: one byte per cell.
+MAX_ORDER = 256
 
 
 class _Record:
@@ -60,7 +65,7 @@ class _Record:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+            "%s=%r" % field for field in zip(self.__slots__, self._fields())))
 
     def __reduce__(self):
         return type(self), self._fields()
@@ -73,11 +78,15 @@ class _Record:
 
 
 class QTable(_Record):
-    """Value hypercube of an n-ary operation on {0..k-1}.
+    """Value hypercube of an n-ary operation on {0..k-1}, k <= MAX_ORDER.
 
-    Immutable after construction.  Construction only normalizes; the Latin
-    property and even symbol ranges are checked by validate(), so that
-    broken tables can exist as values to be reported on.
+    Immutable, and checked at construction: StructuralError refuses an
+    arity or order that is not an integer >= 1, an order past MAX_ORDER,
+    a value count other than k^n, and a symbol that is not an int in
+    0..k-1 (a bool included).  The Latin property is left to validate(),
+    so that tables breaking it can exist as values to be reported on.
+    values is a read-only memoryview (format B) of values.obj, a bytes;
+    ==, hash and repr read it as a tuple of ints.
     """
 
     __slots__ = ("arity", "order", "values")
@@ -87,11 +96,48 @@ class QTable(_Record):
             raise StructuralError("arity must be an integer >= 1")
         if not isinstance(order, int) or order < 1:
             raise StructuralError("order must be an integer >= 1")
+        if order > MAX_ORDER:
+            raise StructuralError("order %d is over %d, the most symbols a "
+                                  "table holds" % (order, MAX_ORDER))
+        if isinstance(values, (bytes, bytearray)):
+            data = bytes(values)
+        else:
+            values = values if isinstance(values, (tuple, list)) else list(values)
+            data = None
+        count = len(values)
+        # order**arity > count whenever order >= 2 and 2**arity > count; the
+        # test keeps a huge arity from ever reaching the power
+        if (order > 1 and arity >= count.bit_length()) or order ** arity != count:
+            raise StructuralError(
+                "%d values do not fill a table of order %d and arity %d"
+                % (count, order, arity))
+        if (data is None and set(map(type, values)) <= {int}
+                and 0 <= min(values) and max(values) < order):
+            data = bytes(values)
+        # C-level passes first; the scan only names the first bad symbol
+        if data is None or data.translate(None, bytes(range(order))):
+            bad = next(v for v in values
+                       if type(v) is not int or not 0 <= v < order)
+            raise StructuralError("symbol %r out of range 0..%d"
+                                  % (bad, order - 1))
         # set directly: tables are built by the thousand
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "values", values if isinstance(values, tuple)
-                           else tuple(values))
+        object.__setattr__(self, "values", memoryview(data))
+
+    def _fields(self):
+        return self.arity, self.order, tuple(self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity == other.arity and self.order == other.order
+                and self.values.obj == other.values.obj)
+
+    __hash__ = _Record.__hash__
+
+    def __reduce__(self):
+        return QTable, (self.arity, self.order, self.values.obj)
 
     def index(self, coords):
         """Flat index of a coordinate tuple; coordinate 1 most significant."""
@@ -116,7 +162,7 @@ class QTable(_Record):
         if self.arity != 2:
             raise StructuralError("rows() is defined for binary tables")
         k = self.order
-        return [list(self.values[i * k:(i + 1) * k]) for i in range(k)]
+        return [self.values[i * k:(i + 1) * k].tolist() for i in range(k)]
 
 
 class Cell(_Record):
@@ -168,22 +214,6 @@ class ValidationReport(_Record):
 
     def __init__(self, ok, violations=()):
         _Record.__init__(self, ok, violations)
-
-
-def _check_structure(t):
-    k, n = t.order, t.arity
-    vals = t.values
-    if len(vals) != k ** n:
-        raise StructuralError(
-            "values length %d, want %d" % (len(vals), k ** n))
-    # C-level passes first; the per-value loop only names the first bad one
-    if all(issubclass(tp, int) for tp in set(map(type, vals))):
-        distinct = set(vals)
-        if 0 <= min(distinct) and max(distinct) < k:
-            return
-    for v in vals:
-        if not isinstance(v, int) or not 0 <= v < k:
-            raise StructuralError("symbol %r out of range 0..%d" % (v, k - 1))
 
 
 def _lines_through(n, k, idx):
@@ -251,7 +281,7 @@ def _one_hot_latin(t, w):
     """Latin verdict from whole-axis sums of w-byte one-hot fields (see
     validate)."""
     k, n = t.order, t.arity
-    raw = bytes(t.values)
+    raw = t.values.obj
     buf = bytearray(w * len(raw))
     for i in range(w):
         # byte i of 1 << v, as a translation table over v
@@ -280,8 +310,8 @@ def validate(t):
 
     Returns a ValidationReport listing all violated lines (first entry is
     the first offending axis in scan order).  Structural problems, wrong
-    length or out-of-range symbols, raise StructuralError instead: they are
-    not Latin violations.
+    length or out-of-range symbols, are refused by the QTable constructor
+    instead: they are not Latin violations.
 
     The verdict comes from one-hot sums over whole axes.  Cell value v
     becomes the field 1 << v, w bytes wide.  A line is Latin exactly when
@@ -294,7 +324,6 @@ def validate(t):
     table, or an order too large for 8-byte fields, is scanned line by
     line, by axis and first cell, to list its violations.
     """
-    _check_structure(t)
     k, n = t.order, t.arity
     w = _one_hot_width(k)
     if w is not None and _one_hot_latin(t, w):
@@ -332,8 +361,8 @@ def evaluate(t, x):
 
 def from_function(arity, order, fn):
     """Materialize fn over all coordinate tuples into a QTable."""
-    vals = [fn(*x) for x in itertools.product(range(order), repeat=arity)]
-    return QTable(arity, order, tuple(vals))
+    return QTable(arity, order, [
+        fn(*x) for x in itertools.product(range(order), repeat=arity)])
 
 
 def from_rows(rows):
@@ -344,7 +373,7 @@ def from_rows(rows):
         if len(row) != k:
             raise StructuralError("rows of a binary table must have length %d" % k)
         flat.extend(row)
-    return QTable(2, k, tuple(flat))
+    return QTable(2, k, flat)
 
 
 def inverse_along(t, i):
@@ -362,9 +391,9 @@ def inverse_along(t, i):
     for idx, z in enumerate(t.values):
         xi = (idx // stride) % k
         out[idx + (z - xi) * stride] = xi
-    if any(v is None for v in out):
+    if None in out:
         raise StructuralError("table is not Latin along axis %d" % i)
-    return QTable(n, k, tuple(out))
+    return QTable(n, k, bytes(out))
 
 
 def retract(t, fixed):
@@ -379,8 +408,9 @@ def retract(t, fixed):
     if not free:
         raise StructuralError("retract must leave at least one axis free")
     base = sum(sym * k ** (n - ax) for ax, sym in fixed.items())
-    vals = [t.values[base + o] for o in _offsets(n, k, free)]
-    return QTable(len(free), k, tuple(vals))
+    vals = t.values
+    return QTable(len(free), k, bytes([vals[base + o]
+                                       for o in _offsets(n, k, free)]))
 
 
 def superpose(outer, position, inner):
@@ -396,16 +426,19 @@ def superpose(outer, position, inner):
         raise StructuralError(
             "position %r out of range 1..%d" % (position, outer.arity))
     k = outer.order
-    n_out = outer.arity
-    post = k ** (n_out - position)
-    vals = []
-    outer_vals, inner_vals = outer.values, inner.values
+    post = k ** (outer.arity - position)
+    src, inner_vals = outer.values.obj, inner.values.obj
+    size = len(inner_vals) * post
+    vals = bytearray(k ** (position - 1) * size)
+    # the result's cell (pre, x, j), x an inner cell, holds outer's cell
+    # (pre, inner(x), j): inner's values translated by the column of the
+    # outer block of pre that j selects
     for pre in range(k ** (position - 1)):
-        pre_base = pre * k
-        for v in inner_vals:
-            base = (pre_base + v) * post
-            vals.extend(outer_vals[base:base + post])
-    return QTable(n_out + inner.arity - 1, k, tuple(vals))
+        block = src[pre * k * post:(pre + 1) * k * post]
+        for j in range(post):
+            vals[pre * size + j:(pre + 1) * size:post] = inner_vals.translate(
+                block[j::post].ljust(256, b"\0"))
+    return QTable(outer.arity + inner.arity - 1, k, vals)
 
 
 def iterate(q, m):
@@ -428,14 +461,14 @@ def _block_product(g, s, blocks):
     check_cell_budget(n, kk, StructuralError)
     axes = range(1, n + 1)
     cells = _offsets(n, kk, axes, range(s))
+    # a list: an order past MAX_ORDER is left to the QTable constructor
     vals = [0] * kk ** n
-    # strict: a table whose values do not fill its shape raises ValueError
     for corner, top, block in zip(_offsets(n, kk, axes, range(0, kk, s)),
-                                  g.values, blocks, strict=True):
+                                  g.values, blocks):
         top *= s
-        for c, v in zip(cells, block.values, strict=True):
+        for c, v in zip(cells, block.values):
             vals[corner + c] = top + v
-    return QTable(n, kk, tuple(vals))
+    return QTable(n, kk, vals)
 
 
 def direct_product(g, q):
@@ -477,22 +510,22 @@ def restrict_to_symbols(t, omega):
             raise StructuralError("table is not closed on %r: value %d at %r"
                                   % (omega, v, t.coords(off)))
         vals.append(pos[v])
-    return QTable(n, len(omega), tuple(vals))
+    return QTable(n, len(omega), bytes(vals))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 def to_json_obj(t):
-    return {"arity": t.arity, "order": t.order, "values": list(t.values)}
+    return {"arity": t.arity, "order": t.order, "values": t.values.tolist()}
 
 
 def from_json_obj(obj):
     """Table from its JSON object.
 
     arity, order and every value must be JSON integers, not floats or
-    booleans, and there must be order**arity values; anything else raises
-    StructuralError.  Symbol ranges are left to validate().
+    booleans; anything else, and whatever the QTable constructor refuses,
+    raises StructuralError.
     """
     if not isinstance(obj, dict):
         raise StructuralError("table JSON must be an object")
@@ -506,22 +539,48 @@ def from_json_obj(obj):
         raise StructuralError("values must be a list")
     if not set(map(type, values)) <= {int}:
         raise StructuralError("values must be integers")
-    t = QTable(arity, order, tuple(values))
-    count = len(values)
-    # order**arity > count whenever order >= 2 and 2**arity > count; the
-    # test keeps a huge arity from ever reaching the power
-    if (order > 1 and arity >= count.bit_length()) or order ** arity != count:
-        raise StructuralError(
-            "%d values do not fill a table of order %d and arity %d"
-            % (count, order, arity))
-    return t
+    return QTable(arity, order, values)
 
 
-def to_json(t):
-    return json.dumps(to_json_obj(t))
+# symbol d as its digit, and back
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+# the compact form's head, up to the first value
+_COMPACT_HEAD = (r'[ \t\n\r]*\{"arity":(0|[1-9][0-9]*),'
+                 r'"order":(0|[1-9][0-9]*),"values":\[')
+
+
+def to_json(t, separators=(", ", ": ")):
+    """json.dumps(to_json_obj(t), separators=separators); single-digit
+    symbols are translated to digits, the item separator put between."""
+    if t.order > 10:
+        return json.dumps(to_json_obj(t), separators=separators)
+    item, key = separators
+    sep = item.encode()
+    digits = t.values.obj.translate(_TO_DIGITS)
+    return '{"arity"%s%d%s"order"%s%d%s"values"%s[%s]}' % (
+        key, t.arity, item, key, t.order, item, key,
+        digits.replace(b"", sep)[len(sep):-len(sep) or None].decode())
 
 
 def from_json(s):
+    """Table from its JSON text.
+
+    The compact form {"arity":N,"order":K,"values":[d,d,...]} of single
+    digits, with whitespace only around it, is read directly: digits at
+    the even positions of the list's body, commas at the odd ones.  Other
+    texts take json.loads and from_json_obj, with the same outcome.
+    """
+    head = re.match(_COMPACT_HEAD, s) if isinstance(s, str) else None
+    if head:
+        body = s[head.end():].rstrip(" \t\n\r")
+        if body.isascii() and body.endswith("]}") and len(body) % 2:
+            raw = body.encode()
+            digits = raw[:-2:2]
+            if not (digits.translate(None, b"0123456789")
+                    or raw[1:-2:2].translate(None, b",")):
+                return QTable(int(head[1]), int(head[2]),
+                              digits.translate(_FROM_DIGITS))
     try:
         obj = json.loads(s)
     except (json.JSONDecodeError, RecursionError) as e:

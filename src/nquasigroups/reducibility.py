@@ -8,44 +8,12 @@ A module of its own so that the commands that never test reducibility
 
 from operator import itemgetter
 
-from .analysis import AnalysisError
 from .core import _offsets
-
-
-def _typed(values, m):
-    """Integers in 0..m-1 as a bytearray, or an array of typecode H or I
-    past 256: sequences whose slices copy at C speed."""
-    if m <= 256:
-        return bytearray(values)
-    # imported here: array is a shared library, and loading it would cost
-    # every other command memory and start-up time
-    from array import array
-    return array("H" if m <= 1 << 16 else "I", values)
-
-
-def typed_values(q):
-    """q.values as a copy for reduction_witness: a bytearray up to order
-    256, an array of typecode H or I past it.
-
-    Values that do not fit the order's typecode (out of range, not
-    integers) are relabeled by first appearance; an injective relabeling
-    keeps every level-set partition, and so every verdict and witness.
-    """
-    n, k = q.arity, q.order
-    if len(q.values) != k ** n:
-        raise AnalysisError("table has %d values, not order^arity = %d^%d"
-                            % (len(q.values), k, n))
-    try:
-        return _typed(q.values, k)
-    except (TypeError, ValueError, OverflowError):
-        labels = {}
-        dense = [labels.setdefault(v, len(labels)) for v in q.values]
-        return _typed(dense, len(labels))
 
 
 def reduction_witness(vals, n, k, S):
     """The witness of is_reducible_wrt over the sorted axes S, or None;
-    vals is the table's typed_values copy, which no step changes."""
+    vals is the bytes of the table's values."""
     C = [i for i in range(1, n + 1) if i not in S]
     if not _boxes_agree(vals, n, k, S, C):
         return None
@@ -73,12 +41,12 @@ def _boxes_agree(vals, n, k, S, C):
 
 
 def _to_front(src, a, r, b):
-    """Row-major cube of shape (a, r, b) -> copy of shape (r, a, b).
+    """Row-major cube of shape (a, r, b) -> bytearray of shape (r, a, b).
 
     Each assignment moves one extended slice, folding the largest of the
     three dimensions, so a move takes a*r*b / max(a, r, b) slices.
     """
-    dst = src[:]  # every cell is overwritten
+    dst = bytearray(len(src))  # every cell is overwritten
     block = a * b
     if b >= a and b >= r:  # contiguous runs of b cells
         for j in range(r):
@@ -124,10 +92,9 @@ def _s_major_witness(vals, n, k, S):
 
     Check (1) joins the representatives' columns in S-tuple order and
     compares the result with the copy.  Check (2) XORs two columns read
-    as big integers and asks for a zero field of the typecode's width w
-    bytes: with LO the 1 of every field and HI the top bit of every
-    field, (x - LO) & ~x & HI is nonzero exactly when a field of x is
-    zero.  Without a zero field no field borrows, and f - 1 has the top
+    as big integers and asks for a zero byte: with LO the 1 of every
+    byte and HI the top bit of every byte, (x - LO) & ~x & HI is nonzero
+    exactly when a byte of x is zero.  Without a zero field no field borrows, and f - 1 has the top
     bit only when f has it too, which ~x then clears; the lowest zero
     field receives no borrow and turns to all ones, its top bit set in
     ~x as well.
@@ -135,23 +102,21 @@ def _s_major_witness(vals, n, k, S):
     m = _s_major(vals, n, k, S)
     cols = k ** (n - len(S))
     first = m[::cols]
-    raw = memoryview(m).cast("B")
-    size = len(raw) // len(m)
-    width = cols * size
+    raw = memoryview(m)
     # the distinct values of the row C = 0 in order of first appearance,
     # each mapped to the column of the first S-tuple holding it
     reps = dict.fromkeys(first)
     for v in reps:
         s = first.index(v)
-        reps[v] = raw[s * width:(s + 1) * width]
+        reps[v] = raw[s * cols:(s + 1) * cols]
     # bytes.join holds an 80-byte buffer record per piece, so the columns
     # are joined and compared 1024 S-tuples at a time
     for lo in range(0, len(first), 1024):
         part = b"".join(map(reps.__getitem__, first[lo:lo + 1024]))
-        if part != raw[lo * width:lo * width + len(part)]:
+        if part != raw[lo * cols:lo * cols + len(part)]:
             return None
-    lo = int.from_bytes(b"\1".ljust(size, b"\0") * cols, "little")
-    hi = lo << (8 * size - 1)
+    lo = int.from_bytes(b"\1" * cols, "little")
+    hi = lo << 7
     cols_as_ints = [int.from_bytes(c, "little") for c in reps.values()]
     for i, x in enumerate(cols_as_ints):
         for y in cols_as_ints[i + 1:]:

@@ -216,11 +216,29 @@ class TestShellRecord:
                    entries=edited(add={LAST: -1})),
         shell_case("bool-value", VALUE_ERROR,
                    entries=edited(add={LAST: True})),
+        # keys equal to a cell of the shell, but not a tuple of ints
+        shell_case("float-cell", "shell cell (3, 3.0, 0) is not a tuple of 3 "
+                   "integers", entries=edited(drop=LAST, add={(3, 3.0, 0): 1})),
+        shell_case("bool-cell", "shell cell (3, 3, False) is not a tuple of 3 "
+                   "integers", entries=edited(drop=LAST, add={(3, 3, False): 1})),
     ])
     def test_refused(self, args, error):
         with pytest.raises(A.AnalysisError) as err:
             A.Shell(*args)
         assert str(err.value) == error
+
+    def test_float_key_never_serialised(self):
+        # accepted before, it was written back as [0, 1.0, 1]
+        with pytest.raises(A.AnalysisError, match="not a tuple of 2 integers"):
+            A.Shell(2, 2, (0, 0), {(0, 0): 0, (0, 1.0): 1, (1, 0): 1})
+
+    def test_arity_1_split_checked_before_the_retracts(self):
+        # an arity-1 shell has no retracts of arity >= 1: the split error
+        # is the one reported
+        sh = A.Shell(1, 2, (0,), {(0,): 0})
+        with pytest.raises(A.AnalysisError) as err:
+            A.reconstruct_with_split(sh, (1, 2))
+        assert str(err.value) == "split axes must lie in 1..1"
 
     def test_keeps_its_own_entries(self):
         # the caller may edit its dict after construction; the shell
@@ -664,12 +682,22 @@ class TestReductionKernel:
         check_reductions(drawn_table(n, k, kind, random.Random(seed)))
 
     def test_values_outside_the_order(self):
-        # relabeled when they do not fit a byte; kept when they do, where
-        # 0 and 128 differ in the top bit of the XOR's zero-field test only
+        # no such table exists: the constructor refuses the first bad symbol
         t, _ = randgen.random_reducible(4, 3, 5)
         for f in (lambda v: 1000 + v, lambda v: -v, str,
                   lambda v: 300 * (v % 2), (0, 128, 1).__getitem__):
-            check_reductions(core.QTable(4, 3, [f(v) for v in t.values]))
+            vals = [f(v) for v in t.values]
+            bad = next(v for v in vals if v not in (0, 1, 2))
+            with pytest.raises(core.StructuralError) as err:
+                core.QTable(4, 3, vals)
+            assert str(err.value) == "symbol %r out of range 0..2" % (bad,)
+        # the kernel reads bytes, where 0 and 128 differ in the top bit of
+        # the XOR's zero-byte test only; an injective relabeling keeps
+        # every verdict and witness
+        raw = bytes(map((0, 128, 1).__getitem__, t.values))
+        for split in all_splits(4):
+            assert R.reduction_witness(raw, 4, 3, split.axes) \
+                == A.is_reducible_wrt(t, split, return_witness=True)[1]
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_classes_merging_off_the_prefilter_rows(self, k):
@@ -679,14 +707,16 @@ class TestReductionKernel:
         # classes meet, so (1, 2) is no reduction
         t = core.from_function(4, k, lambda x1, x2, x3, x4: (
             max((x1 + x2) % k, 1) if x3 and x4 else (x1 + x2 + x3) % k))
-        v = R.typed_values(t)
-        assert R._boxes_agree(v, 4, k, (1, 2), [3, 4])
+        assert R._boxes_agree(t.values.obj, 4, k, (1, 2), [3, 4])
         assert not A.is_reducible_wrt(t, (1, 2))
         check_reductions(t)
 
     def test_wrong_value_count_refused(self):
-        with pytest.raises(A.AnalysisError, match="not order\\^arity"):
-            A.is_reducible_wrt(core.QTable(3, 3, range(26)), (1, 2))
+        # no such table reaches the kernel: the constructor refuses it
+        with pytest.raises(core.StructuralError) as err:
+            core.QTable(3, 3, [v % 3 for v in range(26)])
+        assert str(err.value) == ("26 values do not fill a table of order 3 "
+                                  "and arity 3")
 
     def test_one_changed_cell_breaks_a_long_split(self):
         # S = (2..6) of a 5^6 table has 3,125 S-tuples, compared in
@@ -699,7 +729,7 @@ class TestReductionKernel:
             vals = list(t.values)
             vals[5 ** 5 + s] = (vals[5 ** 5 + s] + 1) % 5
             bad = core.QTable(6, 5, vals)
-            assert R._boxes_agree(R.typed_values(bad), 6, 5, S, [1])
+            assert R._boxes_agree(bad.values.obj, 6, 5, S, [1])
             assert A.is_reducible_wrt(bad, S, return_witness=True) \
                 == reference_is_reducible_wrt(bad, S, return_witness=True) \
                 == (False, None)
@@ -721,20 +751,6 @@ class TestReductionKernel:
             rejected += len(set(passed) - found)
             check_reductions(switched)
         assert rejected
-
-    @pytest.mark.parametrize("code", ["H", "I"])
-    def test_wide_typecodes(self, code):
-        # orders past 256 take these copies; a small table's copy in them
-        # must give what its bytes give
-        from array import array
-        for t in (randgen.random_reducible(4, 4, 3)[0],
-                  C.build_irreducible(4, 4), z_add(3, 4)):
-            n, k = t.arity, t.order
-            for split in all_splits(n):
-                want = reference_is_reducible_wrt(t, split, return_witness=True)
-                got = R.reduction_witness(array(code, t.values), n, k,
-                                           split.axes)
-                assert (got is not None, got) == want
 
     def test_rejected_splits_never_reach_the_exact_check(self, monkeypatch):
         exact = R._s_major_witness
@@ -826,11 +842,14 @@ class TestFindComponentsAgainstReference:
             assert A.find_components(t, a, b) == reference_find_components(t, a, b)
 
     def test_order_past_256(self):
-        # positions come from per-line slices when a byte cannot hold them
-        t = z_add(257)
-        for a, b in [(0, 1), (5, 200), (256, 3)]:
-            comps = A.find_components(t, a, b)
-            assert comps == reference_find_components(t, a, b)
+        # a byte holds every symbol and every position on a line: wider
+        # orders are refused when the table is built
+        assert A.find_components(z_add(256), 255, 3) \
+            == reference_find_components(z_add(256), 255, 3)
+        with pytest.raises(core.StructuralError) as err:
+            z_add(257)
+        assert str(err.value) == ("order 257 is over 256, the most symbols "
+                                  "a table holds")
 
     def test_non_latin_rejected(self):
         # every line holds a 0 and a 1, but row 0 holds two 0s; the old
@@ -839,12 +858,16 @@ class TestFindComponentsAgainstReference:
         assert reference_find_components(t, 0, 1)
         with pytest.raises(A.AnalysisError, match="not Latin"):
             A.find_components(t, 0, 1)
-        # a line missing the pair, an out-of-range symbol, a short table
-        for bad in [core.QTable(2, 2, (0, 1, 0, 1)),
-                    core.QTable(2, 2, (0, 1, 1, 5)),
-                    core.QTable(2, 2, (0, 1, 1))]:
-            with pytest.raises(A.AnalysisError, match="not Latin"):
-                A.find_components(bad, 0, 1)
+        # a line missing the pair
+        with pytest.raises(A.AnalysisError, match="not Latin"):
+            A.find_components(core.QTable(2, 2, (0, 1, 0, 1)), 0, 1)
+        # an out-of-range symbol and a short table are refused when built
+        for vals, error in [((0, 1, 1, 5), "symbol 5 out of range 0..1"),
+                            ((0, 1, 1), "3 values do not fill a table of "
+                                        "order 2 and arity 2")]:
+            with pytest.raises(core.StructuralError) as err:
+                core.QTable(2, 2, vals)
+            assert str(err.value) == error
 
 
 class TestFindComponents:
@@ -1045,6 +1068,35 @@ class TestComponentRecord:
             A.Component.from_indices(indices, 2, 5, pair)
         assert str(err.value) == error
 
+    @pytest.mark.parametrize("indices", [
+        [0, 1, 99], [3, 1], [1, 1], [24, 25], memoryview(
+            bytearray(b"\x02\0\0\0\x01\0\0\0")).cast("I")],
+        ids=["past-the-table", "unsorted", "repeated", "one-past",
+             "unsorted-buffer"])
+    def test_from_indices_bad_indices_refused(self, indices):
+        # a part listing cells past the table reached an IndexError in
+        # switch_component; now no such part exists
+        with pytest.raises(A.AnalysisError) as err:
+            A.Component.from_indices(indices, 2, 5, (0, 1))
+        assert str(err.value) == ("component indices must be sorted, "
+                                  "distinct and below 5^2")
+
+    @pytest.mark.parametrize("index", [-1, 1 << 32, 1.0, None])
+    def test_from_indices_not_uint32_refused(self, index):
+        with pytest.raises(A.AnalysisError) as err:
+            A.Component.from_indices([0, index], 2, 5, (0, 1))
+        assert str(err.value) == ("component index %r is not an integer in "
+                                  "0..2^32-1" % (index,))
+
+    def test_short_table_never_reaches_switch(self):
+        # a hand-built table of 24 cells reached an IndexError in
+        # switch_component; the constructor refuses it
+        q = C.fixture("Q52")
+        with pytest.raises(core.StructuralError) as err:
+            core.QTable(2, 5, q.values[:24])
+        assert str(err.value) == ("24 values do not fill a table of order 5 "
+                                  "and arity 2")
+
     def test_from_indices_list_or_buffer(self):
         want = A.Component([(0, 1), (1, 0)], (0, 1), 3)
         for idxs in ([1, 3], want.indices, range(1, 4, 2)):
@@ -1089,8 +1141,8 @@ def cell_find_components(q, a, b):
     hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
     lines = k ** (n - 1)
     (bases, slices), = core._axis_chunks(n, k, n - 1)
-    last_a = A._hit_positions(vals, k, hits_a, a, bases, slices)
-    last_b = A._hit_positions(vals, k, hits_b, b, bases, slices)
+    last_a = A._hit_positions(hits_a, bases, slices)
+    last_b = A._hit_positions(hits_b, bases, slices)
     parent = list(range(lines))
 
     def find(x):
@@ -1101,8 +1153,8 @@ def cell_find_components(q, a, b):
     for ax in range(n - 1):
         stride = k ** (n - 1 - ax)
         for bases, slices in core._axis_chunks(n, k, ax):
-            pos_a = A._hit_positions(vals, k, hits_a, a, bases, slices)
-            pos_b = A._hit_positions(vals, k, hits_b, b, bases, slices)
+            pos_a = A._hit_positions(hits_a, bases, slices)
+            pos_b = A._hit_positions(hits_b, bases, slices)
             for base, i, j in zip(bases, pos_a, pos_b):
                 x = find((base + i * stride) // k)
                 y = find((base + j * stride) // k)

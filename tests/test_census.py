@@ -524,16 +524,15 @@ class TestCertifyComponents:
     @pytest.mark.parametrize("extra", ["first", 25], ids=[
         "cell-listed-twice", "past-the-last-cell"])
     def test_part_listing_a_cell_twice_or_outside_rejected(self, extra):
+        # refused by from_indices, before any family can carry the part
         q = C.fixture("Q52")
         comp = analysis.find_components(q, 0, 1)[0]
         idxs = comp.indices.tolist()
         idxs.append(idxs[0] if extra == "first" else extra)
-        bad = analysis.Component.from_indices(sorted(idxs), 2, 5, comp.pair)
-        fam = C.CountingFamily(base=q, components=(bad,), claimed_log2=1)
-        with pytest.raises(census.CertificationError) as err:
-            census._certify_components(fam)
-        assert str(err.value) == ("component 0 lists a cell twice or outside "
-                                  "the base")
+        with pytest.raises(analysis.AnalysisError) as err:
+            analysis.Component.from_indices(sorted(idxs), 2, 5, comp.pair)
+        assert str(err.value) == ("component indices must be sorted, "
+                                  "distinct and below 5^2")
 
     def test_cell_outside_pair_rejected(self):
         q = C.fixture("Q52")

@@ -21,6 +21,17 @@ from capped import run_capped
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# runs cli.run on the child's argv and prints the exit code and stdout,
+# after run_capped's resource caps
+CAPPED_CLI = (
+    "import contextlib, io, sys\n"
+    "from nquasigroups import cli\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = cli.run(sys.argv[1:])\n"
+    "print(code, out.getvalue())\n")
+
+
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     out = capsys.readouterr()
@@ -197,17 +208,17 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "-", "--shell")
         assert code == 2 and "basepoint" in err
 
-    def test_overlong_basepoint_refused_at_once(self, capsys, monkeypatch):
+    def test_overlong_basepoint_refused_at_once(self, tmp_path):
         # 20 coordinates on a 5^3 table: refused, never expanded to the
-        # 4^20 cells that miss such a basepoint
+        # 4^20 cells that miss such a basepoint; run in a capped child in
+        # case the guard ever goes
         t = core.from_function(3, 5, lambda *x: sum(x) % 5)
-        feed_stdin(monkeypatch, core.to_json(t))
-        t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, "analyze", "-", "--shell",
-                                 "--basepoint", ",".join(["0"] * 20))
-        assert time.perf_counter() - t0 < 1.0
-        assert (code, out) == (1, "")
-        assert err == "error: basepoint must list 3 integers in 0..4\n"
+        path = tmp_path / "t.json"
+        path.write_text(core.to_json(t))
+        done = run_capped(CAPPED_CLI, "analyze", str(path), "--shell",
+                          "--basepoint", ",".join(["0"] * 20))
+        assert done.stdout == "1 \n", done.stderr
+        assert done.stderr == "error: basepoint must list 3 integers in 0..4\n"
 
 
 class TestComponents:
@@ -283,6 +294,14 @@ class TestReconstructCli:
         feed_stdin(monkeypatch, shell_out)
         code, out, _ = run_cli(capsys, "reconstruct", "-", "--split", "3,4")
         assert code == 0 and core.from_json(out).values == t.values
+
+    def test_split_checked_before_an_arity_1_shell(self, capsys, monkeypatch):
+        # the split error is reported, not the shell's missing retracts
+        feed_stdin(monkeypatch, '{"arity":1,"order":2,"basepoint":[0],'
+                                '"entries":[[0,0]]}')
+        code, out, err = run_cli(capsys, "reconstruct", "-", "--split", "1,2")
+        assert (code, out, err) == (1, "", "error: split axes must lie in "
+                                           "1..1\n")
 
     def test_irreducible_shell_exit_1(self, capsys, monkeypatch):
         t = C.build_irreducible(4, 4)
@@ -400,6 +419,11 @@ class TestArbitraryJson:
 FUZZ_INT = st.integers(-2, 6).map(str)
 FUZZ_LIST = st.lists(st.integers(-2, 6), min_size=1, max_size=4).map(
     lambda xs: ",".join(map(str, xs)))
+# basepoints and splits up to 8 coordinates, past every drawn input's
+# arity; a regressed guard would expand at most 4^8 cells, and longer
+# lists are run only in a capped child (test_huge_lists_refused)
+FUZZ_AXES = st.lists(st.integers(-2, 6), min_size=1, max_size=8).map(
+    lambda xs: ",".join(map(str, xs)))
 FUZZ_PAIR = st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
     lambda xs: "%d,%d" % xs)
 FUZZ_SOURCE = st.sampled_from(("FILE", "-"))  # FILE: the drawn input file
@@ -435,11 +459,11 @@ FUZZ_ARGV = st.one_of(
         flag("--counterexample")), opt(flag("--pretty"))),
     seq(st.just("analyze"), FUZZ_SOURCE, st.one_of(
         flag("--reductions"), flag("--subquasigroups"),
-        flag("--split", FUZZ_LIST),
-        flag("--shell", opt(flag("--basepoint", FUZZ_LIST))))),
+        flag("--split", FUZZ_AXES),
+        flag("--shell", opt(flag("--basepoint", FUZZ_AXES))))),
     seq(st.just("components"), FUZZ_SOURCE, flag("--pair", FUZZ_PAIR | FUZZ_LIST),
         opt(flag("--switch", FUZZ_INT)), opt(flag("--pretty"))),
-    seq(st.just("reconstruct"), FUZZ_SOURCE, opt(flag("--split", FUZZ_LIST)),
+    seq(st.just("reconstruct"), FUZZ_SOURCE, opt(flag("--split", FUZZ_AXES)),
         opt(flag("--probe", FUZZ_INT)), opt(flag("--pretty"))),
     seq(st.just("census"), flag("--n", FUZZ_INT), flag("--k", FUZZ_INT),
         opt(flag("--exact", st.sampled_from(("auto", "on", "off", "x")))),
@@ -490,6 +514,42 @@ class TestCliFuzz:
         # a census of a shape that has none
         code, out, err = run_cli(capsys, "census", *argv)
         assert (code, out, err) == (1, "", "error: need n >= 1 and k >= 1\n")
+
+    def test_huge_lists_refused(self, tmp_path):
+        # basepoints and splits far past the arity, which the property
+        # above does not draw: each refused at once, in one capped child
+        t = C.build_closed(3, 4, 2)
+        table, shell = tmp_path / "t.json", tmp_path / "s.json"
+        table.write_text(core.to_json(t))
+        shell.write_text(json.dumps(analysis.shell_to_json_obj(
+            analysis.extract_shell(t, (0, 1, 0)))))
+        code = (
+            "import contextlib, io, sys, time\n"
+            "from nquasigroups import cli\n"
+            "table, shell = sys.argv[1:]\n"
+            "for m in (9, 16, 20, 40, 1000):\n"
+            "    axes = ','.join(map(str, range(1, m + 1)))\n"
+            "    for argv in (['analyze', table, '--shell', '--basepoint',\n"
+            "                  ','.join(['1'] * m)],\n"
+            "                 ['analyze', table, '--split', axes],\n"
+            "                 ['reconstruct', shell, '--split', axes]):\n"
+            "        out, err = io.StringIO(), io.StringIO()\n"
+            "        t0 = time.perf_counter()\n"
+            "        with contextlib.redirect_stdout(out), \\\n"
+            "                contextlib.redirect_stderr(err):\n"
+            "            c = cli.run(argv)\n"
+            "        print(m, argv[2], c, repr(out.getvalue()),\n"
+            "              time.perf_counter() - t0 < 1.0, err.getvalue().strip())\n")
+        done = run_capped(code, str(table), str(shell))
+        lines = done.stdout.splitlines()
+        assert len(lines) == 15, done.stderr
+        for m, line in zip([9] * 3 + [16] * 3 + [20] * 3 + [40] * 3
+                           + [1000] * 3, lines):
+            flag = line.split()[1]
+            error = ("error: basepoint must list 3 integers in 0..3"
+                     if flag == "--shell" else
+                     "error: split axes must lie in 1..3")
+            assert line == "%d %s 1 '' True %s" % (m, flag, error)
 
 
 class TestCensusCli:

@@ -81,20 +81,21 @@ class TestValidate:
         assert core.is_valid(randgen.random_binary(k, seed))
 
 
-def reference_check_structure(t):
-    """The per-value structure check validate ran before its C-level passes."""
-    k, n = t.order, t.arity
-    if len(t.values) != k ** n:
+def reference_table(n, k, vals):
+    """The table of vals after a per-value structure check, the one the
+    QTable constructor makes at C level: the oracle."""
+    if len(vals) != k ** n:
         raise core.StructuralError(
-            "values length %d, want %d" % (len(t.values), k ** n))
-    for v in t.values:
-        if not isinstance(v, int) or not 0 <= v < k:
+            "%d values do not fill a table of order %d and arity %d"
+            % (len(vals), k, n))
+    for v in vals:
+        if type(v) is not int or not 0 <= v < k:
             raise core.StructuralError("symbol %r out of range 0..%d" % (v, k - 1))
+    return core.QTable(n, k, vals)
 
 
 def reference_validate(t):
     """The per-line scan validate ran before its one-hot sums: the oracle."""
-    reference_check_structure(t)
     k, n = t.order, t.arity
     vals = t.values
     violations = []
@@ -109,9 +110,9 @@ def reference_validate(t):
     return core.ValidationReport(not violations, tuple(violations))
 
 
-def outcome(fn, t):
+def outcome(fn, *args):
     try:
-        return fn(t)
+        return fn(*args)
     except core.StructuralError as e:
         return ("StructuralError", str(e))
 
@@ -150,8 +151,10 @@ class TestValidateAgainstReference:
             vals[i] = data.draw(st.one_of(
                 st.integers(0, k - 1), st.integers(0, k - 1),
                 st.sampled_from(ODD_VALUES + [k, k + 5])))
-        t = core.QTable(n, k, tuple(vals))
-        assert outcome(core.validate, t) == outcome(reference_validate, t)
+        # the constructor refuses what the per-value check refuses, with
+        # the same message; validate reports on whatever it accepts
+        assert outcome(lambda: core.validate(core.QTable(n, k, tuple(vals)))) \
+            == outcome(lambda: reference_validate(reference_table(n, k, vals)))
 
     @pytest.mark.parametrize("k", [6, 7, 13, 14, 28, 29, 58, 59, 60, 64])
     def test_field_width_boundaries(self, k):
@@ -181,12 +184,10 @@ class TestValidateAgainstReference:
         assert [v.axis for v in rep.violations] == [1, 1, 2, 2]
 
     def test_first_bad_symbol_named(self):
-        t = core.QTable(2, 3, (0, 1, 2, 1, 2.0, 7, 2, 0, 1))
         with pytest.raises(core.StructuralError, match=r"symbol 2\.0 out of range"):
-            core.validate(t)
-        t = core.QTable(2, 3, (0, 1, 2, 1, 9, -1, 2, 0, 1))
+            core.QTable(2, 3, (0, 1, 2, 1, 2.0, 7, 2, 0, 1))
         with pytest.raises(core.StructuralError, match="symbol 9 out of range"):
-            core.validate(t)
+            core.QTable(2, 3, (0, 1, 2, 1, 9, -1, 2, 0, 1))
 
     def test_debug_validate_reports_first_violation(self):
         # the test suite checks every operator's output (conftest.py);
@@ -319,6 +320,22 @@ class TestSuperpose:
         t = core.superpose(randgen.random_binary(k, s1), pos,
                            randgen.random_binary(k, s2))
         assert t.arity == 3 and core.is_valid(t)
+
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_cell_by_cell(self, n_out, m, k, data):
+        # any values, Latin or not: __wrapped__ skips the suite's check
+        rng = data.draw(st.randoms(use_true_random=False))
+        outer, inner = random_values(n_out, k, rng), random_values(m, k, rng)
+        pos = data.draw(st.integers(1, n_out))
+        t = core.superpose.__wrapped__(outer, pos, inner)
+        want = [core.evaluate(outer, x[:pos - 1]
+                              + (core.evaluate(inner, x[pos - 1:pos - 1 + m]),)
+                              + x[pos - 1 + m:])
+                for x in itertools.product(range(k), repeat=n_out + m - 1)]
+        assert (t.arity, t.order, list(t.values)) == (n_out + m - 1, k, want)
 
 
 class TestIterate:
@@ -460,17 +477,21 @@ class TestBlockProductAgainstReference:
             assert got[0] == "StructuralError"
 
     def test_tables_that_do_not_fill_their_shape_refused(self):
-        # never padded or cut to the product's shape
+        # such a table never reaches a product: its constructor refuses it
+        for vals in ((0, 1, 1), (0,) * 5):
+            with pytest.raises(core.StructuralError) as err:
+                core.QTable(2, 2, vals)
+            assert str(err.value) == ("%d values do not fill a table of "
+                                      "order 2 and arity 2" % len(vals))
+
+    def test_product_past_order_256_refused(self):
         x = core.from_rows(XOR2)
-        short, long = core.QTable(2, 2, (0, 1, 1)), core.QTable(2, 2, (0,) * 5)
-        for g, q in ((x, short), (x, long), (short, x), (long, x)):
-            with pytest.raises(ValueError, match="zip"):
-                core.direct_product(g, q)
-        om = core.OmegaMap(2, 2, 2, {y: x for y in itertools.product(
-            (0, 1), repeat=2)})
-        om.assignment[(1, 0)] = long
-        with pytest.raises(ValueError, match="zip"):
-            core.omega_product(x, om)
+        q = core.from_function(1, 129, lambda v: v)
+        with pytest.raises(core.StructuralError) as err:
+            core.direct_product(core.from_function(1, 2, lambda v: v), q)
+        assert str(err.value) == ("order 258 is over 256, the most symbols "
+                                  "a table holds")
+        assert core.direct_product(x, x).order == 4
 
     def test_direct_product_over_build_budget_refused(self):
         # 2^11 x 3^11 would hold 6^11 cells: refused before allocating, in
@@ -609,6 +630,119 @@ class TestSerialization:
     def test_strict_json_fields(self, obj):
         with pytest.raises(core.StructuralError):
             core.from_json_obj(obj)
+
+
+def loads_reference(text):
+    """from_json before its compact path: json.loads, then from_json_obj."""
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise core.StructuralError("bad table JSON: %s" % e)
+    return core.from_json_obj(obj)
+
+
+def read_outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def small_table(data, kmax=12):
+    """A drawn table of order <= kmax and at most 150 cells, Latin or not."""
+    k = data.draw(st.integers(1, kmax))
+    n = data.draw(st.integers(1, max(1, {1: 7, 2: 7, 3: 4, 4: 3}.get(k, 2))))
+    return core.QTable(n, k, data.draw(st.lists(
+        st.integers(0, k - 1), min_size=k ** n, max_size=k ** n)))
+
+
+def mutated_text(t, data):
+    """The compact JSON of t, mutated by one drawn edit."""
+    items = [str(v) for v in t.values]
+    keys = [("arity", str(t.arity)), ("order", str(t.order)),
+            ("values", "[%s]")]
+    kind = data.draw(st.sampled_from((
+        "none", "inner-space", "outer-space", "symbol", "header", "reorder",
+        "duplicate", "trailing", "trailing-comma", "no-bracket")))
+    if kind == "symbol":
+        i = data.draw(st.integers(0, len(items) - 1))
+        items[i] = data.draw(st.sampled_from(
+            ("05", "-1", "10", "1.0", "true", "9", "0", "", "\u0663",
+             "\ud800")))
+    elif kind == "header":
+        i = data.draw(st.integers(0, 1))
+        keys[i] = (keys[i][0], data.draw(st.sampled_from(
+            ("0" + keys[i][1], "-" + keys[i][1], keys[i][1] + ".0", "true",
+             "1e1", '"%s"' % keys[i][1], "1" * 30))))
+    elif kind == "trailing-comma":
+        items.append("")
+    elif kind == "reorder":
+        keys = data.draw(st.permutations(keys))
+    elif kind == "duplicate":
+        keys.append(data.draw(st.sampled_from(keys)))
+    text = "{%s}" % ",".join('"%s":%s' % kv for kv in keys)
+    text = text.replace("[%s]", "[%s]" % ",".join(items))
+    if kind == "inner-space":
+        i = data.draw(st.integers(1, len(text) - 1))
+        text = text[:i] + data.draw(st.sampled_from(" \n\t\r")) + text[i:]
+    elif kind == "outer-space":
+        # JSON whitespace, then characters that str.strip() would drop
+        text = data.draw(st.sampled_from(("", " \n", "\x0c", "\xa0"))) \
+            + text + data.draw(st.sampled_from(
+                ("", "\t\r\n", "\x0b", "\u2028", "\xa0 ")))
+    elif kind == "trailing":
+        text += data.draw(st.sampled_from(("x", " 0", "]}", ",", "{}")))
+    elif kind == "no-bracket":
+        text = text.replace("]", "", 1)
+    return text
+
+
+class TestCompactJson:
+    """from_json's compact path and the digit writer against json."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_read_matches_json_loads(self, data):
+        text = mutated_text(small_table(data), data)
+        assert read_outcome(core.from_json, text) \
+            == read_outcome(loads_reference, text)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_writers_match_json_dumps(self, data):
+        # orders 1..12: both sides of the single-digit cutoff at 10
+        import contextlib
+        import io
+
+        from nquasigroups import cli
+
+        t = small_table(data)
+        obj = core.to_json_obj(t)
+        assert core.to_json(t) == json.dumps(obj)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_table(t, False)
+        assert out.getvalue() == json.dumps(obj, separators=(",", ":")) + "\n"
+        assert core.from_json(out.getvalue()) == t
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"arity":2,"order":2,"values":[0,1,1]}',
+         "3 values do not fill a table of order 2 and arity 2"),
+        ('{"arity":2,"order":2,"values":[0,1,1,5]}',
+         "symbol 5 out of range 0..1"),
+        ('{"arity":1,"order":300,"values":[0]}',
+         "order 300 is over 256, the most symbols a table holds"),
+        ('{"arity":0,"order":2,"values":[0]}',
+         "arity must be an integer >= 1"),
+        ('{"arity":99999999999999,"order":2,"values":[0]}',
+         "1 values do not fill a table of order 2 and arity 99999999999999"),
+    ])
+    def test_compact_refusals(self, text, error):
+        # the compact path gives the constructor's errors, as json does
+        for read in (core.from_json, loads_reference):
+            with pytest.raises(core.StructuralError) as err:
+                read(text)
+            assert str(err.value) == error
 
 
 class TestLinesThrough:

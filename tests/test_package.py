@@ -138,7 +138,7 @@ class TestRecords:
 
 class TestRecordConstructors:
     def test_normalization(self):
-        assert core.QTable(2, 2, [0, 1, 1, 0]).values == (0, 1, 1, 0)
+        assert tuple(core.QTable(2, 2, [0, 1, 1, 0]).values) == (0, 1, 1, 0)
         assert core.Cell([0, 1]).coords == (0, 1)
         assert analysis.Split({1, 2}).inside == frozenset({1, 2})
         assert C.PartialRectangle(2, [[0, 1]]).rows == ((0, 1),)
