@@ -81,20 +81,20 @@ class QTable(_Record):
     """Value hypercube of an n-ary operation on {0..k-1}, k <= MAX_ORDER.
 
     Immutable, and checked at construction: StructuralError refuses an
-    arity or order that is not an integer >= 1, an order past MAX_ORDER,
-    a value count other than k^n, and a symbol that is not an int in
-    0..k-1 (a bool included).  The Latin property is left to validate(),
-    so that tables breaking it can exist as values to be reported on.
-    values is a read-only memoryview (format B) of values.obj, a bytes;
-    ==, hash and repr read it as a tuple of ints.
+    arity or order that is not an int >= 1, an order past MAX_ORDER, a
+    value count other than k^n, and a symbol that is not an int in
+    0..k-1; bools are refused throughout.  The Latin property is left to
+    validate(), so that tables breaking it can exist as values to be
+    reported on.  values is a read-only memoryview (format B) of
+    values.obj, a bytes; ==, hash and repr read it as a tuple of ints.
     """
 
     __slots__ = ("arity", "order", "values")
 
     def __init__(self, arity, order, values):
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:
             raise StructuralError("arity must be an integer >= 1")
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise StructuralError("order must be an integer >= 1")
         if order > MAX_ORDER:
             raise StructuralError("order %d is over %d, the most symbols a "

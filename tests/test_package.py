@@ -146,7 +146,10 @@ class TestRecordConstructors:
     @pytest.mark.parametrize("args,message", [
         ((0, 2, ()), "arity must be an integer >= 1"),
         ((2, 0, ()), "order must be an integer >= 1"),
-        ((2.0, 2, ()), "arity must be an integer >= 1")])
+        ((2.0, 2, ()), "arity must be an integer >= 1"),
+        # a bool would be written back as JSON true, not as a number
+        ((True, 2, (0, 1)), "arity must be an integer >= 1"),
+        ((1, True, (0,)), "order must be an integer >= 1")])
     def test_qtable_validation(self, args, message):
         with pytest.raises(core.StructuralError) as e:
             core.QTable(*args)
