@@ -361,8 +361,8 @@ def evaluate(t, x):
 
 def from_function(arity, order, fn):
     """Materialize fn over all coordinate tuples into a QTable."""
-    return QTable(arity, order, [
-        fn(*x) for x in itertools.product(range(order), repeat=arity)])
+    vals = [fn(*x) for x in itertools.product(range(order), repeat=arity)]
+    return QTable(arity, order, vals)
 
 
 def from_rows(rows):
