@@ -10,7 +10,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": """Cell OmegaMap QTable StructuralError ValidationReport
+    "core": """OmegaMap QTable StructuralError ValidationReport
         direct_product evaluate from_function from_json from_json_obj
         from_rows from_text inverse_along is_valid iterate omega_product
         restrict_to_symbols retract superpose to_json to_json_obj to_text

@@ -8,7 +8,8 @@ immutable inputs.
 import itertools
 import operator
 
-from .core import Cell, QTable, _axis_chunks, _offsets, _Record, retract, validate
+from .core import (QTable, _axis_chunks, _ints_below, _offsets, _Record,
+                   check_cell_budget, retract, validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -102,11 +103,6 @@ class Shell(_Record):
         _Record.__init__(self, n, k, basepoint, entries)
 
 
-def _ints_below(xs, k):
-    """True when every x is an int, not a bool, in 0..k-1."""
-    return all(type(x) is int and 0 <= x < k for x in xs)
-
-
 def _hyperplane(base, k, i):
     """The cells with x_i = base_i, in itertools.product order."""
     return itertools.product(
@@ -123,54 +119,28 @@ def _coord_tuples(indices, n, k):
     return [high[i // m] + low[i % m] for i in indices]
 
 
-class Component:
+class Component(_Record):
     """A switching set: cells valued in {a,b} whose a<->b flip stays Latin.
 
     Components returned by find_components are additionally inclusion-minimal;
     constructed families may carry larger (non-minimal) switching sets.
 
-    A part of a table of shape (arity, order) keeps its pair {a, b} and
-    the sorted flat row-major indices of its cells.  Component(cells,
-    pair, order) takes coordinate tuples or Cells and refuses an empty
-    part, a pair that is not two distinct symbols in 0..order-1, and a
-    cell unlike the first in length or with a coordinate that is not an
-    int in 0..order-1 (AnalysisError); from_indices takes the indices, a
-    uint32 buffer or a list, and refuses the same pairs and empty parts,
-    and indices unsorted, repeated or past order^arity.
-    .cells, a frozenset of Cell, is built on first read.
+    Component(indices, arity, order, pair) is a part of a table of shape
+    (arity, order), kept as its pair {a, b} and the sorted flat row-major
+    indices of its cells, given as a uint32 buffer or a sequence of ints.
+    AnalysisError refuses an arity or order that is not an int >= 1, a
+    pair that is not two distinct symbols in 0..order-1, an empty part,
+    an index that is not an int in 0..2^32-1, and indices unsorted,
+    repeated or past order^arity.
     """
 
-    __slots__ = ("pair", "shape", "_data", "_cells")
+    __slots__ = ("pair", "shape", "_data")
 
-    def __init__(self, cells, pair, order):
-        cells = [c.coords if isinstance(c, Cell) else tuple(c) for c in cells]
-        n = len(cells[0]) if cells else 0
-        if order ** n > 1 << 32:
-            raise AnalysisError("cells of %d coordinates in 0..%d overflow "
-                                "4-byte indices" % (n, order - 1))
-        for x in cells:
-            if len(x) != n or not _ints_below(x, order):
-                raise AnalysisError(
-                    "component cell %r is not %d coordinates in 0..%d"
-                    % (x, n, order - 1))
-        w = [order ** p for p in range(n - 1, -1, -1)]
-        idxs = {sum(c * v for c, v in zip(x, w)) for x in cells}
-        self._set(sorted(idxs), n, order, pair)
-
-    @classmethod
-    def from_indices(cls, indices, arity, order, pair):
-        """Component from the sorted, distinct flat indices of its cells."""
-        comp = cls.__new__(cls)._set(indices, arity, order, pair)
-        ix = comp.indices
-        # order^32 >= 2^32 passes every uint32 when order >= 2
-        if not (all(map(operator.lt, ix, ix[1:]))
-                and ix[-1] < order ** min(arity, 32)):
-            raise AnalysisError(
-                "component indices must be sorted, distinct and below %d^%d"
-                % (order, arity))
-        return comp
-
-    def _set(self, indices, arity, order, pair):
+    def __init__(self, indices, arity, order, pair):
+        if not (type(arity) is int and type(order) is int
+                and arity >= 1 and order >= 1):
+            raise AnalysisError("component arity and order must be "
+                                "integers >= 1")
         symbols = frozenset(pair)
         if len(symbols) != 2 or not _ints_below(symbols, order):
             raise AnalysisError("component pair %r is not two distinct symbols "
@@ -178,35 +148,26 @@ class Component:
         if not len(indices):
             raise AnalysisError("empty component")
         if getattr(indices, "format", None) != "I":
-            buf = memoryview(bytearray(4 * len(indices))).cast("I")
-            try:
-                for j, i in enumerate(indices):
-                    buf[j] = i
-            except (TypeError, ValueError):
+            if not _ints_below(indices, 1 << 32):
+                bad = next(i for i in indices if not _ints_below((i,), 1 << 32))
                 raise AnalysisError("component index %r is not an integer "
-                                    "in 0..2^32-1" % (i,))
+                                    "in 0..2^32-1" % (bad,))
+            buf = memoryview(bytearray(4 * len(indices))).cast("I")
+            for j, i in enumerate(indices):
+                buf[j] = i
             indices = buf
-        object.__setattr__(self, "pair", symbols)
-        object.__setattr__(self, "shape", (arity, order))
-        object.__setattr__(self, "_data", bytes(indices))
-        object.__setattr__(self, "_cells", None)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Component is immutable")
+        # order^32 >= 2^32 passes every uint32 when order >= 2
+        if not (all(map(operator.lt, indices, indices[1:]))
+                and indices[-1] < order ** min(arity, 32)):
+            raise AnalysisError(
+                "component indices must be sorted, distinct and below %d^%d"
+                % (order, arity))
+        _Record.__init__(self, symbols, (arity, order), bytes(indices))
 
     @property
     def indices(self):
         """Sorted flat indices of the cells."""
         return memoryview(self._data).cast("I")
-
-    @property
-    def cells(self):
-        """The cells as a frozenset of Cell, built on first read."""
-        if self._cells is None:
-            object.__setattr__(self, "_cells", frozenset(
-                Cell(x) for x in self.coords()))
-        return self._cells
 
     def coords(self):
         """Coordinate tuples of the cells in row-major (coordinate) order."""
@@ -215,25 +176,20 @@ class Component:
     def __len__(self):
         return len(self._data) // 4
 
-    def __eq__(self, other):
-        if not isinstance(other, Component):
-            return NotImplemented
-        return (self.pair == other.pair and self.shape == other.shape
-                and self._data == other._data)
-
-    def __hash__(self):
-        return hash((self.pair, self.shape, self._data))
+    def __reduce__(self):
+        return Component, (self.indices.tolist(), *self.shape,
+                           sorted(self.pair))
 
     def __repr__(self):
-        return "Component(%r, %r, %d)" % (
-            self.coords(), sorted(self.pair), self.shape[1])
+        return "Component(%r, %d, %d, %r)" % (
+            self.indices.tolist(), *self.shape, sorted(self.pair))
 
 
 def _checked_axes(split, n):
     if not isinstance(split, Split):
         split = Split(frozenset(split))
     S = split.axes
-    if any(not isinstance(a, int) or not 1 <= a <= n for a in S):
+    if not _ints_below(S, n + 1, 1):
         raise AnalysisError("split axes must lie in 1..%d" % n)
     if not 2 <= len(S) <= n - 1:
         raise AnalysisError(
@@ -358,12 +314,14 @@ def reconstruct_with_split(sh, split, probe=None):
     The result must validate and agree with the shell, else the split is
     inconsistent with the shell; agreement is checked hyperplane by
     hyperplane, and only a disagreement scans the entries to name the
-    first disagreeing cell.
+    first disagreeing cell.  A table of more than BUILD_CELL_BUDGET cells
+    is refused before the shell is read.
     """
+    check_cell_budget(sh.arity, sh.order, AnalysisError)
     S = _checked_axes(split, sh.arity)
     if probe is None:
         probe = S[0]
-    if probe not in S:
+    if not (_ints_below((probe,), sh.arity + 1, 1) and probe in S):
         raise AnalysisError("probe axis %r is not in the split" % (probe,))
     return _assemble(sh, S, probe, _shell_retracts(sh))
 
@@ -447,7 +405,8 @@ def reconstruct(sh):
     g0, h0 and d read from its own shell, so assembling S would rebuild
     that candidate.
     Shells whose 2^n - n - 2 splits times k^n cells exceed
-    RECONSTRUCT_BUDGET are refused before any split.
+    RECONSTRUCT_BUDGET, or whose k^n cells exceed BUILD_CELL_BUDGET, are
+    refused before any split.
     """
     n, k = sh.arity, sh.order
     if n < 3:
@@ -460,6 +419,7 @@ def reconstruct(sh):
             "reconstruction at arity %d, order %d tries 2^%d - %d splits of "
             "%d^%d cells each, over the %d-cell budget"
             % (n, k, n, n + 2, k, n, RECONSTRUCT_BUDGET))
+    check_cell_budget(n, k, AnalysisError)
     retracts = _shell_retracts(sh)
     verdicts = {}  # (i, split of retract i) -> is_reducible_wrt
 
@@ -529,8 +489,7 @@ def find_components(q, a, b):
     part: parts met in a scan by line come in the order of their smallest
     lines, and so of their smallest cells.  A counting pass sizes each
     part, and a second scan by line writes every part's flat cell indices,
-    already sorted, into one uint32 buffer; each Component keeps its slice
-    and builds no Cell until .cells is read.
+    already sorted, into one uint32 buffer; each Component keeps its slice.
     """
     n, k = q.arity, q.order
     if a == b or not _ints_below((a, b), k):
@@ -608,8 +567,7 @@ def find_components(q, a, b):
         else:
             cells[p] = x + l
             cells[p + 1] = x + j
-    return [Component.from_indices(cells[s:e], n, k, (a, b))
-            for s, e in spans]
+    return [Component(cells[s:e], n, k, (a, b)) for s, e in spans]
 
 
 def switch_component(q, comp):

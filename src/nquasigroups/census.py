@@ -239,8 +239,8 @@ def _certify_components(fam):
     single flips, and (when 2^s fits the cap) all 2^s switched tables
     distinct and Latin.
 
-    Components are parts of the base's shape, disjoint; from_indices
-    already refuses repeated cells and cells outside the shape.
+    Components are parts of the base's shape, disjoint; their
+    constructor already refuses repeated cells and cells outside the shape.
     The base is validated once in full.  A flip changes only its own cells,
     so it is checked on the axis lines through them: the other lines are
     the base's and already Latin.  Once the single flips pass, every

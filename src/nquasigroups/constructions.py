@@ -10,6 +10,7 @@ from . import analysis
 from .core import (
     QTable,
     _Record,
+    _ints_below,
     _offsets,
     check_cell_budget,
     from_function,
@@ -264,7 +265,7 @@ def switch_sub(q, omega, h):
     """
     om = tuple(sorted(set(omega)))
     n, k = q.arity, q.order
-    if not om or any(not 0 <= s < k for s in om):
+    if not om or not _ints_below(om, k):
         raise ConstructionError("omega must be a nonempty subset of 0..%d"
                                 % (k - 1))
     if h.arity != n or h.order != len(om):
@@ -441,7 +442,7 @@ def build_family5(n):
         idxs = [0]
         for b, part in zip(blocks, combo):
             idxs = [acc * 5 ** b + i for acc in idxs for i in part]
-        comps.append(analysis.Component.from_indices(idxs, n, 5, (0, 1)))
+        comps.append(analysis.Component(idxs, n, 5, (0, 1)))
     return CountingFamily(base, tuple(comps), len(comps))
 
 
@@ -488,7 +489,7 @@ def build_family_k(n, k):
         level = lifted
 
     comps = tuple(
-        analysis.Component.from_indices(idxs, n, k, (2 * j, 2 * j + 1))
+        analysis.Component(idxs, n, k, (2 * j, 2 * j + 1))
         for j, idxs in level)
     want = (k // 2) * npairs ** (n - 1)
     if len(comps) != want:

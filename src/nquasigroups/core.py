@@ -37,6 +37,11 @@ def check_cell_budget(n, k, error):
 MAX_ORDER = 256
 
 
+def _ints_below(xs, k, low=0):
+    """True when every x is an int, not a bool, in low..k-1."""
+    return all(type(x) is int and low <= x < k for x in xs)
+
+
 class _Record:
     """Immutable record whose fields are its class's __slots__, in order.
 
@@ -163,16 +168,6 @@ class QTable(_Record):
             raise StructuralError("rows() is defined for binary tables")
         k = self.order
         return [self.values[i * k:(i + 1) * k].tolist() for i in range(k)]
-
-
-class Cell(_Record):
-    """A coordinate tuple into some table."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        _Record.__init__(self, coords if isinstance(coords, tuple)
-                         else tuple(coords))
 
 
 class OmegaMap(_Record):
@@ -347,15 +342,15 @@ def is_valid(t):
     return validate(t).ok
 
 
-def evaluate(t, x):
-    """Value of t at cell x (a Cell or a plain coordinate tuple)."""
-    coords = x.coords if isinstance(x, Cell) else tuple(x)
+def evaluate(t, coords):
+    """Value of t at a cell, given as a tuple of coordinates."""
+    coords = tuple(coords)
     if len(coords) != t.arity:
         raise StructuralError(
             "cell has %d coordinates, table arity is %d" % (len(coords), t.arity))
-    for c in coords:
-        if not isinstance(c, int) or not 0 <= c < t.order:
-            raise StructuralError("coordinate %r out of range 0..%d" % (c, t.order - 1))
+    if not _ints_below(coords, t.order):
+        bad = next(c for c in coords if not _ints_below((c,), t.order))
+        raise StructuralError("coordinate %r out of range 0..%d" % (bad, t.order - 1))
     return t.values[t.index(coords)]
 
 
@@ -383,7 +378,7 @@ def inverse_along(t, i):
     Requires t to be Latin along axis i; raises StructuralError otherwise.
     """
     n, k = t.arity, t.order
-    if not 1 <= i <= n:
+    if not _ints_below((i,), n + 1, 1):
         raise StructuralError("axis %r out of range 1..%d" % (i, n))
     ax = i - 1
     stride = k ** (n - 1 - ax)
@@ -400,9 +395,9 @@ def retract(t, fixed):
     """Fix some arguments to constants; fixed maps 1-based axis to symbol."""
     n, k = t.arity, t.order
     for ax, sym in fixed.items():
-        if not 1 <= ax <= n:
+        if not _ints_below((ax,), n + 1, 1):
             raise StructuralError("axis %r out of range 1..%d" % (ax, n))
-        if not 0 <= sym < k:
+        if not _ints_below((sym,), k):
             raise StructuralError("symbol %r out of range 0..%d" % (sym, k - 1))
     free = [ax for ax in range(1, n + 1) if ax not in fixed]
     if not free:
@@ -422,7 +417,7 @@ def superpose(outer, position, inner):
     if outer.order != inner.order:
         raise StructuralError(
             "order mismatch: %d vs %d" % (outer.order, inner.order))
-    if not 1 <= position <= outer.arity:
+    if not _ints_below((position,), outer.arity + 1, 1):
         raise StructuralError(
             "position %r out of range 1..%d" % (position, outer.arity))
     k = outer.order
@@ -445,8 +440,8 @@ def iterate(q, m):
     """Right-nested m-fold self-superposition of a binary table, arity m+1."""
     if q.arity != 2:
         raise StructuralError("iterate needs a binary table")
-    if m < 1:
-        raise StructuralError("iterate needs m >= 1")
+    if type(m) is not int or m < 1:
+        raise StructuralError("iterate needs an integer m >= 1")
     t = q
     for _ in range(m - 1):
         t = superpose(q, 2, t)
@@ -498,7 +493,7 @@ def restrict_to_symbols(t, omega):
     0..order-1, or if t maps omega**n outside omega (not closed).
     """
     omega = tuple(sorted(set(omega)))
-    if not omega or not 0 <= omega[0] <= omega[-1] < t.order:
+    if not omega or not _ints_below(omega, t.order):
         raise StructuralError("omega must be a nonempty subset of 0..%d"
                               % (t.order - 1))
     pos = {sym: i for i, sym in enumerate(omega)}

@@ -27,7 +27,7 @@ def test_criterion_1_fixture_integrity():
         assert core.is_valid(t)
         assert core.is_valid(core.restrict_to_symbols(t, (0, 1)))
     comps = analysis.find_components(C.fixture("Q52"), 0, 1)
-    got = [sorted(c.coords for c in comp.cells) for comp in comps]
+    got = [comp.coords() for comp in comps]
     assert got == [D0, D1]
     assert time.perf_counter() - t0 < 1.0
 
@@ -154,7 +154,7 @@ def test_criterion_9_component_theory():
         comps = analysis.find_components(t, a, b)
         covered = set()
         for comp in comps:
-            cells = {c.coords for c in comp.cells}
+            cells = set(comp.coords())
             assert not (cells & covered)
             covered |= cells
             assert core.is_valid(analysis.switch_component(t, comp))
@@ -177,7 +177,7 @@ def test_criterion_9_component_theory():
                 r = row_by_col_a[col_b[r]]
                 length += 1
             sizes.append(2 * length)
-        assert sorted(sizes) == sorted(len(c.cells) for c in comps)
+        assert sorted(sizes) == sorted(len(c) for c in comps)
 
     count = 0
     seed = 0

@@ -1,7 +1,9 @@
 """Reducibility decisions, shells, reconstruction, switching components."""
 
+import copy
 import itertools
 import json
+import pickle
 import time
 
 import pytest
@@ -303,6 +305,32 @@ class TestReconstructWithSplit:
         sh = A.extract_shell(t, (4, 1, 0, 2))
         r = A.reconstruct_with_split(sh, A.Split(frozenset(split)))
         assert r.values == t.values
+
+    def test_over_build_budget_refused_first(self, monkeypatch):
+        # 78,247 entries of the cyclic order-162 ternary table, which holds
+        # 162^3 = 4,251,528 cells: refused before the shell is read
+        k = 162
+        cells = [(0, y, z) for y in range(k) for z in range(k)]
+        cells += [(x, 0, z) for x in range(1, k) for z in range(k)]
+        cells += [(x, y, 0) for x in range(1, k) for y in range(1, k)]
+        sh = A.Shell(3, k, (0, 0, 0), {x: sum(x) % k for x in cells})
+        assert len(sh.entries) == k ** 3 - (k - 1) ** 3 == 78247
+
+        def unread(*args):
+            raise AssertionError("the shell was read")
+
+        monkeypatch.setattr(A, "_shell_read", unread)
+        monkeypatch.setattr(A, "_shell_retracts", unread)
+        for split, probe in [((1, 2), None), ((2, 3), 3), ((1, 3), True)]:
+            with pytest.raises(A.AnalysisError) as err:
+                A.reconstruct_with_split(sh, split, probe)
+            assert str(err.value) == (
+                "a table of arity 3 and order 162 holds 162^3 cells, over "
+                "the 4194304-cell build budget")
+        # 3 splits of 162^3 cells fit reconstruct's own budget, and the
+        # cell budget refuses each assembly
+        with pytest.raises(A.AnalysisError, match="4194304-cell build budget"):
+            A.reconstruct(sh)
 
 
 class TestReconstruct:
@@ -809,8 +837,7 @@ def reference_find_components(q, a, b):
     groups = {}
     for idx in parent:
         groups.setdefault(find(idx), []).append(idx)
-    return [A.Component(frozenset(core.Cell(q.coords(i)) for i in groups[r]),
-                        (a, b), k)
+    return [A.Component(sorted(groups[r]), n, k, (a, b))
             for r in sorted(groups, key=lambda r: min(groups[r]))]
 
 
@@ -873,19 +900,19 @@ class TestFindComponentsAgainstReference:
 class TestFindComponents:
     def test_q52_named_components(self):
         comps = A.find_components(C.fixture("Q52"), 0, 1)
-        got = [sorted(c.coords for c in comp.cells) for comp in comps]
+        got = [comp.coords() for comp in comps]
         assert got == [
             [(0, 0), (0, 1), (1, 0), (1, 1)],
             [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2), (4, 4)]]
 
     def test_xor_single_component(self):
         comps = A.find_components(core.from_rows([[0, 1], [1, 0]]), 0, 1)
-        assert [len(c.cells) for c in comps] == [4]
+        assert [len(c) for c in comps] == [4]
 
     def test_inverted_ptq7_pattern(self):
         g = core.inverse_along(C.build_ptq(7), 1)
         comps = A.find_components(g, 0, 1)
-        assert sorted(len(c.cells) for c in comps) == [4, 4, 6]
+        assert sorted(len(c) for c in comps) == [4, 4, 6]
 
     def test_same_symbol_rejected(self):
         with pytest.raises(A.AnalysisError):
@@ -899,7 +926,7 @@ class TestFindComponents:
             comps = A.find_components(t, a, b)
             covered = set()
             for comp in comps:
-                cells = {c.coords for c in comp.cells}
+                cells = set(comp.coords())
                 assert not (cells & covered)
                 covered |= cells
                 assert core.is_valid(A.switch_component(t, comp))
@@ -931,7 +958,7 @@ class TestFindComponents:
                     r = perm[r]
                     length += 1
                 sizes.append(2 * length)
-            got = sorted(len(c.cells) for c in A.find_components(t, a, b))
+            got = sorted(len(c) for c in A.find_components(t, a, b))
             assert got == sorted(sizes)
 
     def test_minimality_small_components(self):
@@ -940,7 +967,7 @@ class TestFindComponents:
             t = randgen.random_binary(5, seed + 40)
             comps = A.find_components(t, 0, 1)
             for comp in comps:
-                cells = sorted(c.coords for c in comp.cells)
+                cells = comp.coords()
                 if len(cells) > 8:
                     continue
                 for r in range(1, len(cells)):
@@ -978,7 +1005,7 @@ class TestSwitchComponent:
 
     def test_not_a_component_rejected(self):
         q = C.fixture("Q52")
-        fake = A.Component([(0, 0), (0, 1)], (0, 1), 5)
+        fake = A.Component([0, 1], 2, 5, (0, 1))
         with pytest.raises(A.AnalysisError):
             A.switch_component(q, fake)
 
@@ -1000,59 +1027,54 @@ class TestSwitchComponent:
                 "table has shape %r" % ((q.arity, q.order),))
 
     @pytest.mark.parametrize("cells", [
-        [(0, 0, 0), (0, 1, 0)], [(0,), (1,)], [(0, -1), (0, 0)],
-        [(0, True), (1, 1)]])
+        ([0, 5], 3), ([0, 1], 1), ([-1, 0], 2), ([True, 6], 2)])
     def test_foreign_cells_refused(self, cells):
-        # never mapped through q.index onto some other cell: Component
-        # refuses a coordinate outside 0..4, switch_component a part of a
-        # table of another arity
+        # never mapped onto some other cell of q: Component refuses an
+        # index that is not an int, switch_component a part of a table of
+        # another arity
+        indices, arity = cells
         q = C.fixture("Q52")
         with pytest.raises(A.AnalysisError) as err:
-            A.switch_component(q, A.Component(cells, (0, 1), 5))
-        bad = [c for c in cells if any(type(x) is not int or x < 0 for x in c)]
-        if bad:
-            assert str(err.value) == ("component cell %r is not 2 coordinates "
-                                      "in 0..4" % (bad[0],))
+            A.switch_component(q, A.Component(indices, arity, 5, (0, 1)))
+        if arity == 2:
+            assert str(err.value) == ("component index %r is not an integer "
+                                      "in 0..2^32-1" % (indices[0],))
         else:
             assert str(err.value) == (
                 "not a component of this table: a part of shape (%d, 5), the "
-                "table has shape (2, 5)" % len(cells[0]))
+                "table has shape (2, 5)" % arity)
 
 
 class TestComponentRecord:
-    """Component checks its own cells and pair when it is built."""
+    """Component checks its indices, shape and pair when it is built."""
 
-    @pytest.mark.parametrize("cells,pair,error", [
+    @pytest.mark.parametrize("indices,pair,error", [
         ([], (0, 1), "empty component"),
-        ([(0, 0)], (1, 1), "component pair (1, 1) is not two distinct "
-                           "symbols in 0..4"),
-        ([(0, 0)], (0, 5), "component pair (0, 5) is not two distinct "
-                           "symbols in 0..4"),
-        ([(0, 0)], (0, 1, 2), "component pair (0, 1, 2) is not two distinct "
-                              "symbols in 0..4"),
-        ([(0, 0)], (0, True), "component pair (0, True) is not two distinct "
-                              "symbols in 0..4"),
-        ([(0, 0), (1,)], (0, 1), "component cell (1,) is not 2 coordinates "
-                                 "in 0..4"),
-        ([(0, 0), (0, 0, 0)], (0, 1), "component cell (0, 0, 0) is not 2 "
-                                      "coordinates in 0..4"),
-        ([(0, 0), (0, -1)], (0, 1), "component cell (0, -1) is not 2 "
-                                    "coordinates in 0..4"),
-        ([(0, 0), (5, 0)], (0, 1), "component cell (5, 0) is not 2 "
-                                   "coordinates in 0..4"),
-        ([(0, 0), (True, 0)], (0, 1), "component cell (True, 0) is not 2 "
-                                      "coordinates in 0..4"),
-        ([(0, 0), (0, 1.0)], (0, 1), "component cell (0, 1.0) is not 2 "
-                                     "coordinates in 0..4"),
-        ([(0,) * 14], (0, 1), "cells of 14 coordinates in 0..4 overflow "
-                              "4-byte indices"),
+        ([0], (1, 1), "component pair (1, 1) is not two distinct "
+                      "symbols in 0..4"),
+        ([0], (0, 5), "component pair (0, 5) is not two distinct "
+                      "symbols in 0..4"),
+        ([0], (0, 1, 2), "component pair (0, 1, 2) is not two distinct "
+                         "symbols in 0..4"),
+        ([0], (0, True), "component pair (0, True) is not two distinct "
+                         "symbols in 0..4"),
+        ([0, -1], (0, 1), "component index -1 is not an integer in "
+                          "0..2^32-1"),
+        ([0, 25], (0, 1), "component indices must be sorted, distinct and "
+                          "below 5^2"),
+        ([0, True], (0, 1), "component index True is not an integer in "
+                            "0..2^32-1"),
+        ([0, 1.0], (0, 1), "component index 1.0 is not an integer in "
+                           "0..2^32-1"),
+        ([0, 1 << 32], (0, 1), "component index 4294967296 is not an "
+                               "integer in 0..2^32-1"),
     ], ids=["empty", "one-symbol-pair", "pair-out-of-range", "three-symbols",
-            "bool-symbol", "short-cell", "long-cell", "negative-coordinate",
-            "coordinate-out-of-range", "bool-coordinate", "float-coordinate",
-            "index-overflow"])
-    def test_refused(self, cells, pair, error):
+            "bool-symbol", "negative-coordinate", "coordinate-out-of-range",
+            "bool-coordinate", "float-coordinate", "index-overflow"])
+    def test_refused(self, indices, pair, error):
+        # the coordinate cases pass the index of the cell they named
         with pytest.raises(A.AnalysisError) as err:
-            A.Component(cells, pair, 5)
+            A.Component(indices, 2, 5, pair)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("indices,pair,error", [
@@ -1065,7 +1087,7 @@ class TestComponentRecord:
     ], ids=["one-symbol-pair", "pair-out-of-range", "bool-symbol"])
     def test_from_indices_refused(self, indices, pair, error):
         with pytest.raises(A.AnalysisError) as err:
-            A.Component.from_indices(indices, 2, 5, pair)
+            A.Component(indices, 2, 5, pair)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("indices", [
@@ -1077,16 +1099,26 @@ class TestComponentRecord:
         # a part listing cells past the table reached an IndexError in
         # switch_component; now no such part exists
         with pytest.raises(A.AnalysisError) as err:
-            A.Component.from_indices(indices, 2, 5, (0, 1))
+            A.Component(indices, 2, 5, (0, 1))
         assert str(err.value) == ("component indices must be sorted, "
                                   "distinct and below 5^2")
 
     @pytest.mark.parametrize("index", [-1, 1 << 32, 1.0, None])
     def test_from_indices_not_uint32_refused(self, index):
         with pytest.raises(A.AnalysisError) as err:
-            A.Component.from_indices([0, index], 2, 5, (0, 1))
+            A.Component([0, index], 2, 5, (0, 1))
         assert str(err.value) == ("component index %r is not an integer in "
                                   "0..2^32-1" % (index,))
+
+    @pytest.mark.parametrize("arity,order", [
+        (0, 5), (2, 0), (True, 5), (2, 5.0), ("2", 5)],
+        ids=["zero-arity", "zero-order", "bool-arity", "float-order",
+             "str-arity"])
+    def test_bad_shape_refused(self, arity, order):
+        with pytest.raises(A.AnalysisError) as err:
+            A.Component([0], arity, order, (0, 1))
+        assert str(err.value) == ("component arity and order must be "
+                                  "integers >= 1")
 
     def test_short_table_never_reaches_switch(self):
         # a hand-built table of 24 cells reached an IndexError in
@@ -1098,15 +1130,37 @@ class TestComponentRecord:
                                   "and arity 2")
 
     def test_from_indices_list_or_buffer(self):
-        want = A.Component([(0, 1), (1, 0)], (0, 1), 3)
-        for idxs in ([1, 3], want.indices, range(1, 4, 2)):
-            comp = A.Component.from_indices(idxs, 2, 3, [1, 0])
+        want = A.Component([1, 3], 2, 3, (0, 1))
+        assert want.coords() == [(0, 1), (1, 0)]
+        for idxs in ([1, 3], (1, 3), want.indices, range(1, 4, 2)):
+            comp = A.Component(idxs, 2, 3, [1, 0])
             assert comp == want and comp.pair == frozenset((0, 1))
+            assert comp.shape == (2, 3) and comp.indices.tolist() == [1, 3]
 
-    def test_cells_or_tuples_sorted_and_deduplicated(self):
-        comp = A.Component([(1, 0), core.Cell((0, 1)), (1, 0)], [1, 0], 3)
-        assert comp.indices.tolist() == [1, 3]
-        assert comp.shape == (2, 3) and comp.pair == frozenset((0, 1))
+    def test_copy_and_pickle(self):
+        comps = A.find_components(C.build_closed(4, 5, 2), 0, 1)
+        comps.append(A.Component([1, 3], 2, 3, (1, 0)))
+        for comp in comps:
+            for twin in (copy.copy(comp), copy.deepcopy(comp),
+                         pickle.loads(pickle.dumps(comp))):
+                assert twin == comp and not twin != comp
+                assert hash(twin) == hash(comp)
+                assert twin.indices.tolist() == comp.indices.tolist()
+                assert twin.shape == comp.shape and twin.pair == comp.pair
+        assert len({comp: i for i, comp in enumerate(comps + comps)}) \
+            == len(comps)
+
+    def test_record_fields(self):
+        comp = A.Component([1, 3], 2, 3, (1, 0))
+        assert not hasattr(comp, "__dict__")
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            comp.pair = frozenset((0, 2))
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            del comp.shape
+        assert comp != A.Component([1, 3], 2, 3, (0, 2))
+        assert comp != A.Component([1, 3], 2, 4, (0, 1))
+        assert comp != A.Component([1, 4], 2, 3, (0, 1))
+        assert comp != (comp.pair, comp.shape, comp._data)
 
     @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10 ** 6),
            st.data())
@@ -1121,13 +1175,16 @@ class TestComponentRecord:
         a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
                                   max_size=2, unique=True))
         for comp in A.find_components(t, a, b):
-            assert A.Component(comp.coords(), comp.pair, k) == comp
-            assert A.Component(comp.cells, (b, a), k) == comp
+            cells = comp.coords()
+            assert cells == sorted(cells) and len(cells) == len(comp)
+            rebuilt = A.Component(sorted(t.index(x) for x in cells), n, k,
+                                  (b, a))
+            assert rebuilt == comp and hash(rebuilt) == hash(comp)
 
 
 def cell_find_components(q, a, b):
     """find_components as it was before parts kept flat indices: the same
-    whole-axis union-find, then one Cell per ab-cell; the oracle."""
+    whole-axis union-find, then each part's cells sorted; the oracle."""
     n, k = q.arity, q.order
     try:
         latin = core.validate(q).ok
@@ -1162,23 +1219,22 @@ def cell_find_components(q, a, b):
     groups = {}
     for i, (j, l) in enumerate(zip(last_a, last_b)):
         groups.setdefault(find(i), []).extend((i * k + j, i * k + l))
-    return [A.Component(frozenset(core.Cell(q.coords(i)) for i in cells),
-                        (a, b), k)
+    return [A.Component(sorted(cells), n, k, (a, b))
             for cells in groups.values()]
 
 
 def cell_switch_component(q, comp):
-    """switch_component as it was before: every Cell, in coordinate order,
+    """switch_component as it was before: every cell, in coordinate order,
     mapped back through q.index; the oracle."""
     a, b = sorted(comp.pair)
     vals = list(q.values)
-    for cell in sorted(comp.cells, key=lambda c: c.coords):
-        idx = q.index(cell.coords)
+    for cell in comp.coords():
+        idx = q.index(cell)
         v = vals[idx]
         if v != a and v != b:
             raise A.AnalysisError(
                 "not a component of this table: cell %r holds %d, not in {%d,%d}"
-                % (cell.coords, v, a, b))
+                % (cell, v, a, b))
         vals[idx] = a + b - v
     t = core.QTable(q.arity, q.order, tuple(vals))
     if not core.validate(t).ok:
@@ -1186,11 +1242,11 @@ def cell_switch_component(q, comp):
     return t
 
 
-def cell_listing(comps):
-    """The nqg components listing of Cell-based parts, as printed before."""
-    return json.dumps([{"pair": sorted(c.pair), "size": len(c.cells),
-                        "cells": [list(cell.coords) for cell
-                                  in sorted(c.cells, key=lambda c: c.coords)]}
+def cell_listing(q, comps):
+    """The nqg components listing, each cell's coordinates read back from
+    its index by q.coords."""
+    return json.dumps([{"pair": sorted(c.pair), "size": len(c.indices),
+                        "cells": [list(q.coords(i)) for i in c.indices]}
                        for c in comps], separators=(",", ":")) + "\n"
 
 
@@ -1202,42 +1258,24 @@ def switch_outcome(fn, q, comp):
 
 
 class TestIndexedComponents:
-    """Parts of find_components keep sorted flat indices; Cells are built
-    only when .cells is read."""
-
-    def test_find_components_builds_no_cell(self, monkeypatch):
-        made = []
-
-        def counting_cell(coords):
-            made.append(coords)
-            return core.Cell(coords)
-
-        monkeypatch.setattr(A, "Cell", counting_cell)
-        t = C.build_closed(7, 5, 2)
-        comps = A.find_components(t, 0, 1)
-        assert sum(map(len, comps)) == 2 * 5 ** 6
-        assert made == []
-        switched = A.switch_component(t, comps[-1])
-        assert made == [] and core.validate(switched).ok
-        # reading .cells is what builds them, once
-        cells = comps[0].cells
-        assert len(made) == len(comps[0]) == len(cells)
-        assert comps[0].cells is cells
+    """Parts of find_components keep sorted flat indices."""
 
     def test_hand_built_equals_indexed(self):
         q = C.fixture("Q52")
         comps = A.find_components(q, 0, 1)
         assert comps[0].indices.tolist() == [0, 1, 5, 6]
         assert comps[0].shape == (2, 5)
-        hand = A.Component([(1, 1), (0, 0), (1, 0), (0, 1)], (1, 0), 5)
+        cells = [(1, 1), (0, 0), (1, 0), (0, 1)]
+        hand = A.Component(sorted(q.index(x) for x in cells), 2, 5, (1, 0))
         assert hand == comps[0] and comps[0] == hand
         assert hash(hand) == hash(comps[0])
         assert hand != comps[1] and hand.indices.tolist() == [0, 1, 5, 6]
-        assert A.Component(comps[0].cells, frozenset((0, 1)), 5) == hand
+        assert A.Component(comps[0].indices, 2, 5, frozenset((0, 1))) == hand
         # the same cells of a table of another order are another part
-        assert A.Component(hand.coords(), (0, 1), 6) != hand
+        assert A.Component(hand.indices, 2, 6, (0, 1)) != hand
         assert comps[0].coords() == hand.coords() == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert repr(hand) == "Component([0, 1, 5, 6], 2, 5, [0, 1])"
         assert eval(repr(hand), {"Component": A.Component}) == hand
         with pytest.raises(AttributeError):
             comps[0].pair = frozenset((0, 2))
@@ -1254,7 +1292,7 @@ class TestIndexedComponents:
             assert comps == old
             argv = ["components", path, "--pair", "%d,%d" % (a, b)]
             assert cli.run(argv) == 0
-            assert capsys.readouterr().out == cell_listing(old)
+            assert capsys.readouterr().out == cell_listing(t, old)
             for i, (comp, want) in enumerate(zip(comps, old)):
                 switched = cell_switch_component(t, want)
                 assert A.switch_component(t, comp) == switched
@@ -1276,9 +1314,10 @@ class TestIndexedComponents:
             for comp, old in zip(A.find_components(t, a, b),
                                  cell_find_components(t, a, b)):
                 # a proper part of a minimal component: its flip breaks Latin
-                part = A.Component.from_indices(comp.indices[1:], n, k,
-                                                comp.pair)
-                old_part = A.Component(old.coords()[1:], old.pair, k)
+                part = A.Component(comp.indices[1:], n, k, comp.pair)
+                old_part = A.Component(
+                    sorted(t.index(x) for x in old.coords()[1:]), n, k,
+                    old.pair)
                 assert part == old_part
                 got = switch_outcome(A.switch_component, t, part)
                 assert got == switch_outcome(cell_switch_component, t, old_part)

@@ -33,7 +33,7 @@ def materialized_certificate(fam):
         flips = []
         for comp in comps:
             a, b = sorted(comp.pair)
-            flips.append([(base.index(c.coords), a + b) for c in comp.cells])
+            flips.append([(base.index(c), a + b) for c in comp.coords()])
         seen = set()
         for mask in range(2 ** s):
             vals = list(base.values)
@@ -61,7 +61,7 @@ def snapshot_certificate(fam):
         raise census.CertificationError(
             "family claims log2 = %d but carries %d components"
             % (fam.claimed_log2, s))
-    cellsets = [frozenset(c.coords for c in comp.cells) for comp in comps]
+    cellsets = [frozenset(comp.coords()) for comp in comps]
     for i in range(s):
         for j in range(i + 1, s):
             if cellsets[i] & cellsets[j]:
@@ -78,7 +78,7 @@ def snapshot_certificate(fam):
     flips = []
     for i, comp in enumerate(comps):
         pair = sorted(comp.pair)
-        if len(pair) != 2 or not comp.cells:
+        if len(pair) != 2 or not len(comp):
             raise census.CertificationError(
                 "component %d does not switch: it needs two symbols and "
                 "at least one cell" % i)
@@ -467,7 +467,8 @@ class TestCertifyComponents:
             for cells in groups:
                 if cells:
                     used |= cells
-                    comps.append(analysis.Component(cells, (a, b), k))
+                    comps.append(analysis.Component(
+                        sorted(t.index(x) for x in cells), t.arity, k, (a, b)))
         fam = C.CountingFamily(t, tuple(comps), len(comps))
         # no family the checks pass has two equal switched tables
         outcome = certify_outcome(census._certify_components, fam)
@@ -498,7 +499,7 @@ class TestCertifyComponents:
     def test_proper_subset_of_component_rejected(self):
         q = C.fixture("Q52")
         comp = max(analysis.find_components(q, 0, 1), key=len)
-        part = analysis.Component(comp.coords()[1:], comp.pair, 5)
+        part = analysis.Component(comp.indices[1:], 2, 5, comp.pair)
         fam = C.CountingFamily(base=q, components=(part,), claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*Latin"):
@@ -518,19 +519,19 @@ class TestCertifyComponents:
         # distinct: it is refused before any family can carry it
         for buf in (b"", memoryview(b"").cast("I"), []):
             with pytest.raises(analysis.AnalysisError) as err:
-                analysis.Component.from_indices(buf, 2, 5, (0, 1))
+                analysis.Component(buf, 2, 5, (0, 1))
             assert str(err.value) == "empty component"
 
     @pytest.mark.parametrize("extra", ["first", 25], ids=[
         "cell-listed-twice", "past-the-last-cell"])
     def test_part_listing_a_cell_twice_or_outside_rejected(self, extra):
-        # refused by from_indices, before any family can carry the part
+        # refused by the constructor, before any family can carry the part
         q = C.fixture("Q52")
         comp = analysis.find_components(q, 0, 1)[0]
         idxs = comp.indices.tolist()
         idxs.append(idxs[0] if extra == "first" else extra)
         with pytest.raises(analysis.AnalysisError) as err:
-            analysis.Component.from_indices(sorted(idxs), 2, 5, comp.pair)
+            analysis.Component(sorted(idxs), 2, 5, comp.pair)
         assert str(err.value) == ("component indices must be sorted, "
                                   "distinct and below 5^2")
 
@@ -538,7 +539,8 @@ class TestCertifyComponents:
         q = C.fixture("Q52")
         comp = analysis.find_components(q, 0, 1)[0]
         stray = next(x for x in q.cells() if q.values[q.index(x)] == 2)
-        bad = analysis.Component(comp.cells | {core.Cell(stray)}, comp.pair, 5)
+        bad = analysis.Component(sorted({*comp.indices, q.index(stray)}), 2,
+                                 5, comp.pair)
         fam = C.CountingFamily(base=q, components=(bad,), claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*not in"):

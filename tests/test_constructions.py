@@ -270,20 +270,20 @@ class TestBuildFamily5:
     def test_n2_is_the_fixture_components(self):
         fam = C.build_family5(2)
         assert fam.base.values == C.fixture("Q52").values
-        sizes = sorted(len(c.cells) for c in fam.components)
+        sizes = sorted(len(c) for c in fam.components)
         assert sizes == [4, 6]
-        cells0 = {c.coords for c in fam.components[0].cells}
+        cells0 = set(fam.components[0].coords())
         assert cells0 == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_n3_component_sizes(self):
         fam = C.build_family5(3)
-        assert sorted(len(c.cells) for c in fam.components) == [8, 12, 30]
+        assert sorted(len(c) for c in fam.components) == [8, 12, 30]
 
     def test_n3_components_cover_the_low_cells(self):
         # the three sets of a 3-ary block partition the cells of the
         # squared fixture valued 0 or 1
         fam = C.build_family5(3)
-        cells = [c.coords for comp in fam.components for c in comp.cells]
+        cells = [x for comp in fam.components for x in comp.coords()]
         assert len(cells) == len(set(cells))
         assert set(cells) == oracles.reference_low_cells(fam.base)
 
@@ -299,7 +299,7 @@ class TestBuildFamily5:
         fam = C.build_family5(4)
         seen = set()
         for comp in fam.components:
-            cells = {c.coords for c in comp.cells}
+            cells = set(comp.coords())
             assert not (cells & seen)
             seen |= cells
             assert core.is_valid(analysis.switch_component(fam.base, comp))
@@ -323,17 +323,17 @@ class TestBuildFamilyK:
         by_pair = {}
         for comp in fam.components:
             by_pair.setdefault(tuple(sorted(comp.pair)), []).append(
-                frozenset(c.coords for c in comp.cells))
+                frozenset(comp.coords()))
         for (a, b), listed in by_pair.items():
             found = analysis.find_components(fam.base, a, b)
             assert sorted(map(sorted, listed)) == sorted(
-                sorted(c.coords for c in comp.cells) for comp in found)
+                comp.coords() for comp in found)
 
     def test_components_disjoint_and_flippable(self):
         fam = C.build_family_k(3, 7)
         seen = set()
         for comp in fam.components:
-            cells = {c.coords for c in comp.cells}
+            cells = set(comp.coords())
             assert not (cells & seen)
             seen |= cells
             assert core.is_valid(analysis.switch_component(fam.base, comp))

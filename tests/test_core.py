@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import core
-from nquasigroups.constructions import build_closed, fixture
+from nquasigroups import analysis, core
+from nquasigroups.constructions import (ConstructionError, build_closed,
+                                        fixture, switch_sub)
 
 import oracles
 import randgen
@@ -228,13 +229,19 @@ class TestEvaluate:
 
     def test_cell_argument(self):
         q = fixture("Q52")
-        assert core.evaluate(q, core.Cell((2, 3))) == 1
+        # a cell as QTable.coords gives it
+        assert core.evaluate(q, q.coords(13)) == 1
 
     def test_out_of_range(self):
         with pytest.raises(core.StructuralError):
             core.evaluate(fixture("Q42"), (4, 0))
         with pytest.raises(core.StructuralError):
             core.evaluate(fixture("Q42"), (0, 0, 0))
+        # a bool or a float equal to a coordinate is not one
+        for cell, bad in [((True, 0), True), ((0, 1.0), 1.0), ((0, -1), -1)]:
+            with pytest.raises(core.StructuralError) as err:
+                core.evaluate(fixture("Q52"), cell)
+            assert str(err.value) == "coordinate %r out of range 0..4" % (bad,)
 
 
 class TestInverseAlong:
@@ -279,6 +286,21 @@ class TestRetract:
     def test_all_axes_fixed_rejected(self):
         with pytest.raises(core.StructuralError):
             core.retract(fixture("Q42"), {1: 0, 2: 0})
+
+    @pytest.mark.parametrize("fixed,error", [
+        ({1: 1.5}, "symbol 1.5 out of range 0..4"),
+        ({1: True}, "symbol True out of range 0..4"),
+        ({2: 5}, "symbol 5 out of range 0..4"),
+        ({True: 1}, "axis True out of range 1..3"),
+        ({1.0: 1}, "axis 1.0 out of range 1..3"),
+        ({4: 1}, "axis 4 out of range 1..3")],
+        ids=["float-symbol", "bool-symbol", "symbol-past-order",
+             "bool-axis", "float-axis", "axis-past-arity"])
+    def test_bad_axis_or_symbol_refused(self, fixed, error):
+        # a float symbol ended in a TypeError, a bool axis fixed axis 1
+        with pytest.raises(core.StructuralError) as err:
+            core.retract(z_add(5, 3), fixed)
+        assert str(err.value) == error
 
     @given(st.integers(2, 5), st.integers(0, 10 ** 6), st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
@@ -768,3 +790,46 @@ class TestOffsets:
                 cell[a - 1] = c
             want.append(t.index(cell))
         assert core._offsets(n, k, axes) == want
+
+
+T3 = z_add(5, 3)
+SHELL3 = analysis.extract_shell(T3, (0, 0, 0))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: core.inverse_along(T3, 1.0), core.StructuralError,
+     "axis 1.0 out of range 1..3"),
+    (lambda: core.inverse_along(T3, True), core.StructuralError,
+     "axis True out of range 1..3"),
+    (lambda: core.superpose(fixture("Q52"), 1.0, fixture("Q52")),
+     core.StructuralError, "position 1.0 out of range 1..2"),
+    (lambda: core.superpose(fixture("Q52"), True, fixture("Q52")),
+     core.StructuralError, "position True out of range 1..2"),
+    (lambda: core.iterate(fixture("Q52"), 2.0), core.StructuralError,
+     "iterate needs an integer m >= 1"),
+    (lambda: core.iterate(fixture("Q52"), True), core.StructuralError,
+     "iterate needs an integer m >= 1"),
+    (lambda: core.restrict_to_symbols(T3, (0, 1.5)), core.StructuralError,
+     "omega must be a nonempty subset of 0..4"),
+    (lambda: core.restrict_to_symbols(T3, (0, True)), core.StructuralError,
+     "omega must be a nonempty subset of 0..4"),
+    (lambda: switch_sub(T3, (0, 1.5), z_add(2, 3)), ConstructionError,
+     "omega must be a nonempty subset of 0..4"),
+    (lambda: analysis.is_reducible_wrt(T3, {True, 2}),
+     analysis.AnalysisError, "split axes must lie in 1..3"),
+    (lambda: analysis.is_reducible_wrt(T3, {1.0, 2}),
+     analysis.AnalysisError, "split axes must lie in 1..3"),
+    (lambda: analysis.reconstruct_with_split(SHELL3, {1, 2}, probe=True),
+     analysis.AnalysisError, "probe axis True is not in the split"),
+    (lambda: analysis.reconstruct_with_split(SHELL3, {1, 2}, probe=1.0),
+     analysis.AnalysisError, "probe axis 1.0 is not in the split"),
+], ids=["inverse-float-axis", "inverse-bool-axis", "superpose-float",
+        "superpose-bool", "iterate-float", "iterate-bool",
+        "restrict-float-symbol", "restrict-bool-symbol",
+        "switch-sub-float-symbol", "split-bool-axis", "split-float-axis",
+        "probe-bool", "probe-float"])
+def test_argument_refused_with_module_error(call, error, message):
+    # each ended in a TypeError or took the bool or float as an int
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

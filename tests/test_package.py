@@ -13,7 +13,7 @@ from nquasigroups import analysis, census, core
 from nquasigroups import constructions as C
 
 PUBLIC = (
-    "AnalysisError BudgetError Cell CensusReport CertificationError "
+    "AnalysisError BudgetError CensusReport CertificationError "
     "CompletionError Component ConstructionError CountingFamily FixtureId "
     "OmegaMap PartialRectangle QTable ReconstructionError Shell Split "
     "StructuralError ValidationReport bound_exponents build_closed "
@@ -65,7 +65,6 @@ SHELL_ENTRIES = {(0, 0): 0, (0, 1): 1, (1, 0): 1}
 # (record, its fields in order, a record differing in one field)
 RECORDS = [
     (Q, (2, 2, (0, 1, 1, 0)), core.QTable(2, 2, (1, 0, 0, 1))),
-    (core.Cell((0, 1)), ((0, 1),), core.Cell((1, 0))),
     (core.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (0, 1))}),
      (1, 2, 1, {(0,): core.QTable(1, 2, (0, 1))}),
      core.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (1, 0))})),
@@ -139,7 +138,6 @@ class TestRecords:
 class TestRecordConstructors:
     def test_normalization(self):
         assert tuple(core.QTable(2, 2, [0, 1, 1, 0]).values) == (0, 1, 1, 0)
-        assert core.Cell([0, 1]).coords == (0, 1)
         assert analysis.Split({1, 2}).inside == frozenset({1, 2})
         assert C.PartialRectangle(2, [[0, 1]]).rows == ((0, 1),)
 
@@ -163,5 +161,5 @@ class TestRecordConstructors:
                                                     None)
 
     def test_no_instance_dict(self):
-        assert not hasattr(core.Cell((0,)), "__dict__")
+        assert not hasattr(analysis.Split({1, 2}), "__dict__")
         assert not hasattr(Q, "__dict__")
