@@ -188,9 +188,9 @@ class Component(_Record):
 def _checked_axes(split, n):
     if not isinstance(split, Split):
         split = Split(frozenset(split))
-    S = split.axes
-    if not _ints_below(S, n + 1, 1):
+    if not _ints_below(split.inside, n + 1, 1):
         raise AnalysisError("split axes must lie in 1..%d" % n)
+    S = split.axes
     if not 2 <= len(S) <= n - 1:
         raise AnalysisError(
             "split must group between 2 and %d axes, got %d" % (n - 1, len(S)))
@@ -459,12 +459,14 @@ def reconstruct(sh):
     return candidates
 
 
-def _hit_positions(hits, bases, slices):
-    """Position j of a symbol on each line of an _axis_chunks chunk, in
-    bases order, from its 0/1 hit flags.  On Latin lines the flags hold
+def _hit_positions(raw, symbol, bases, slices):
+    """Position j of symbol on each line of an _axis_chunks chunk, in bases
+    order.  Each slice of raw is translated to 0/1 flags "cell holds
+    symbol", so no whole-table copy is made; on Latin lines the flags hold
     one 1 per line, so the j-weighted sum of the k slices puts j in that
     line's byte."""
-    pos = sum(j * int.from_bytes(hits[sl], "little")
+    flags = bytes(symbol) + b"\x01" + bytes(255 - symbol)
+    pos = sum(j * int.from_bytes(raw[sl].translate(flags), "little")
               for j, sl in enumerate(slices) if j)
     return pos.to_bytes(len(bases), "little")
 
@@ -487,9 +489,11 @@ def find_components(q, a, b):
     joined by that line's edge, so the union-find runs over those lines,
     line number = cell index // k, and a root is the smallest line of its
     part: parts met in a scan by line come in the order of their smallest
-    lines, and so of their smallest cells.  A counting pass sizes each
-    part, and a second scan by line writes every part's flat cell indices,
-    already sorted, into one uint32 buffer; each Component keeps its slice.
+    lines, and so of their smallest cells.  The parents are a list of
+    ints, read without unpacking, and each find halves its path.  A
+    counting pass sizes each part, and a second scan by line writes every
+    part's flat cell indices, already sorted, into one uint32 buffer; each
+    Component keeps its slice.
     """
     n, k = q.arity, q.order
     if a == b or not _ints_below((a, b), k):
@@ -499,39 +503,22 @@ def find_components(q, a, b):
         raise AnalysisError("table is not Latin; components are undefined")
 
     raw = q.values.obj
-    hits_a = raw.translate(bytes(a) + b"\x01" + bytes(255 - a))
-    hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
     lines = k ** (n - 1)
-    # the last axis: one chunk, its lines in order
-    (bases, slices), = _axis_chunks(n, k, n - 1)
-    last_a = _hit_positions(hits_a, bases, slices)
-    last_b = _hit_positions(hits_b, bases, slices)
-
-    parent = memoryview(bytearray(4 * lines)).cast("I")
-    for i in range(lines):
-        parent[i] = i
+    parent = list(range(lines))
     for ax in range(n - 1):
         stride = k ** (n - 1 - ax)
         for bases, slices in _axis_chunks(n, k, ax):
-            pos_a = _hit_positions(hits_a, bases, slices)
-            pos_b = _hit_positions(hits_b, bases, slices)
+            pos_a = _hit_positions(raw, a, bases, slices)
+            pos_b = _hit_positions(raw, b, bases, slices)
             for base, i, j in zip(bases, pos_a, pos_b):
+                # path halving: parent[x] (old x) and then x take x's
+                # grandparent, until x is a root
                 x = (base + i * stride) // k
-                while True:
-                    r = parent[x]
-                    if r == x:
-                        break
-                    g = parent[r]
-                    parent[x] = g
-                    x = g
+                while x != (r := parent[x]):
+                    parent[x] = x = parent[r]
                 y = (base + j * stride) // k
-                while True:
-                    r = parent[y]
-                    if r == y:
-                        break
-                    g = parent[r]
-                    parent[y] = g
-                    y = g
+                while y != (r := parent[y]):
+                    parent[y] = y = parent[r]
                 if x < y:
                     parent[y] = x
                 elif y < x:
@@ -555,12 +542,14 @@ def find_components(q, a, b):
         spans.append((start, end))
         fill[r] = start
         start = end
+    # the last axis: one chunk, its lines in order
+    (bases, slices), = _axis_chunks(n, k, n - 1)
     cells = memoryview(bytearray(4 * start)).cast("I")
-    for i, (j, l) in enumerate(zip(last_a, last_b)):
-        r = parent[i]
+    for x, r, j, l in zip(range(0, k * lines, k), parent,
+                          _hit_positions(raw, a, bases, slices),
+                          _hit_positions(raw, b, bases, slices)):
         p = fill[r]
         fill[r] = p + 2
-        x = i * k
         if j < l:
             cells[p] = x + j
             cells[p + 1] = x + l

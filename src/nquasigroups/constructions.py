@@ -263,11 +263,12 @@ def switch_sub(q, omega, h):
     q must map omega^n into omega; h is an order-|omega| table whose symbols
     0..|omega|-1 stand for the sorted elements of omega.
     """
-    om = tuple(sorted(set(omega)))
+    om = set(omega)
     n, k = q.arity, q.order
     if not om or not _ints_below(om, k):
         raise ConstructionError("omega must be a nonempty subset of 0..%d"
                                 % (k - 1))
+    om = tuple(sorted(om))
     if h.arity != n or h.order != len(om):
         raise ConstructionError(
             "replacement table has shape (%d,%d), want (%d,%d)"

@@ -412,7 +412,8 @@ def superpose(outer, position, inner):
     """Plug inner into argument slot `position` (1-based) of outer.
 
     The slot expands in place, so the result's axes are outer's axes with
-    axis `position` replaced by all of inner's axes.
+    axis `position` replaced by all of inner's axes.  A result of more
+    than BUILD_CELL_BUDGET cells is refused before anything is allocated.
     """
     if outer.order != inner.order:
         raise StructuralError(
@@ -420,6 +421,8 @@ def superpose(outer, position, inner):
     if not _ints_below((position,), outer.arity + 1, 1):
         raise StructuralError(
             "position %r out of range 1..%d" % (position, outer.arity))
+    check_cell_budget(outer.arity + inner.arity - 1, outer.order,
+                      StructuralError)
     k = outer.order
     post = k ** (outer.arity - position)
     src, inner_vals = outer.values.obj, inner.values.obj
@@ -437,11 +440,16 @@ def superpose(outer, position, inner):
 
 
 def iterate(q, m):
-    """Right-nested m-fold self-superposition of a binary table, arity m+1."""
+    """Right-nested m-fold self-superposition of a binary table, arity m+1.
+
+    A result of more than BUILD_CELL_BUDGET cells is refused before the
+    first superposition.
+    """
     if q.arity != 2:
         raise StructuralError("iterate needs a binary table")
     if type(m) is not int or m < 1:
         raise StructuralError("iterate needs an integer m >= 1")
+    check_cell_budget(m + 1, q.order, StructuralError)
     t = q
     for _ in range(m - 1):
         t = superpose(q, 2, t)
@@ -492,10 +500,11 @@ def restrict_to_symbols(t, omega):
     Raises StructuralError if omega is not a nonempty subset of
     0..order-1, or if t maps omega**n outside omega (not closed).
     """
-    omega = tuple(sorted(set(omega)))
+    omega = set(omega)
     if not omega or not _ints_below(omega, t.order):
         raise StructuralError("omega must be a nonempty subset of 0..%d"
                               % (t.order - 1))
+    omega = tuple(sorted(omega))
     pos = {sym: i for i, sym in enumerate(omega)}
     n = t.arity
     vals = []

@@ -897,6 +897,60 @@ class TestFindComponentsAgainstReference:
             assert str(err.value) == error
 
 
+def bfs_find_components(q, a, b):
+    """The parts of the ab-cells as coordinate tuples, by breadth-first
+    search: from each ab-cell not yet reached, in coordinate order, walk
+    the k cells of every axis line through each reached cell with
+    evaluate and step to the line's cell holding the other symbol.  Reads
+    no axis chunk, hit position or flat line number, so it shares no
+    helper with find_components: the oracle.  Parts start at their
+    smallest cell, so they come in find_components' order."""
+    n, k = q.arity, q.order
+    seen = set()
+    parts = []
+    for start in itertools.product(range(k), repeat=n):
+        if start in seen or core.evaluate(q, start) not in (a, b):
+            continue
+        seen.add(start)
+        part = [start]
+        for x in part:  # part grows while it is walked: a BFS queue
+            other = a + b - core.evaluate(q, x)
+            for ax in range(n):
+                for c in range(k):
+                    y = x[:ax] + (c,) + x[ax + 1:]
+                    if y not in seen and core.evaluate(q, y) == other:
+                        seen.add(y)
+                        part.append(y)
+        parts.append(sorted(part))
+    return parts
+
+
+def klein_iterate(n):
+    """The Klein four-group's table iterated to arity n: many small parts."""
+    return core.iterate(core.from_function(2, 4, lambda x, y: x ^ y), n - 1)
+
+
+class TestFindComponentsAgainstBfs:
+    @pytest.mark.parametrize("t", [
+        core.QTable(1, 5, (3, 0, 4, 1, 2)), z_add(2, 1),
+        core.iterate(z_add(2), 9), klein_iterate(4), klein_iterate(5),
+        *(randgen.random_reducible(n, k, 7 * n + k)[0]
+          for n, k in [(3, 3), (3, 5), (4, 4), (5, 3), (4, 5)])],
+        ids=["1-5-perm", "1-2-sum", "z2-iterate-10", "klein-iterate-4",
+             "klein-iterate-5", "reducible-3-3", "reducible-3-5",
+             "reducible-4-4", "reducible-5-3", "reducible-4-5"])
+    def test_every_pair(self, t):
+        for a, b in itertools.permutations(range(t.order), 2):
+            comps = A.find_components(t, a, b)
+            assert [c.coords() for c in comps] == bfs_find_components(t, a, b)
+            assert all(c.pair == {a, b} for c in comps)
+
+    def test_part_counts(self):
+        # the oracle itself: one part on the Z_2 iterate, many on Klein
+        assert len(bfs_find_components(core.iterate(z_add(2), 9), 0, 1)) == 1
+        assert len(bfs_find_components(klein_iterate(5), 0, 1)) == 16
+
+
 class TestFindComponents:
     def test_q52_named_components(self):
         comps = A.find_components(C.fixture("Q52"), 0, 1)
@@ -1194,12 +1248,10 @@ def cell_find_components(q, a, b):
         raise A.AnalysisError("table is not Latin; components are undefined")
     vals = q.values
     raw = bytes(vals)
-    hits_a = raw.translate(bytes(a) + b"\x01" + bytes(255 - a))
-    hits_b = raw.translate(bytes(b) + b"\x01" + bytes(255 - b))
     lines = k ** (n - 1)
     (bases, slices), = core._axis_chunks(n, k, n - 1)
-    last_a = A._hit_positions(hits_a, bases, slices)
-    last_b = A._hit_positions(hits_b, bases, slices)
+    last_a = A._hit_positions(raw, a, bases, slices)
+    last_b = A._hit_positions(raw, b, bases, slices)
     parent = list(range(lines))
 
     def find(x):
@@ -1210,8 +1262,8 @@ def cell_find_components(q, a, b):
     for ax in range(n - 1):
         stride = k ** (n - 1 - ax)
         for bases, slices in core._axis_chunks(n, k, ax):
-            pos_a = A._hit_positions(hits_a, bases, slices)
-            pos_b = A._hit_positions(hits_b, bases, slices)
+            pos_a = A._hit_positions(raw, a, bases, slices)
+            pos_b = A._hit_positions(raw, b, bases, slices)
             for base, i, j in zip(bases, pos_a, pos_b):
                 x = find((base + i * stride) // k)
                 y = find((base + j * stride) // k)

@@ -261,6 +261,17 @@ class TestComponents:
         assert (code, out) == (1, "")
         assert err == "error: table is not Latin; components are undefined\n"
 
+    def test_closed8_k5_listing_golden_sha256(self, capsys, monkeypatch):
+        # the whole 2.8 MB listing of build_closed(8, 5, 2), pinned byte for
+        # byte by the digest of `nqg components --pair 0,1`
+        import hashlib
+
+        feed_stdin(monkeypatch, core.to_json(C.build_closed(8, 5, 2)))
+        code, out, _ = run_cli(capsys, "components", "-", "--pair", "0,1")
+        golden = (GOLDEN / "closed8_k5_components_01.sha256").read_text()
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden.strip()
+
 
 class TestReconstructCli:
     def test_shell_roundtrip_n4(self, capsys, monkeypatch, tmp_path):

@@ -335,6 +335,14 @@ class TestSuperpose:
         with pytest.raises(core.StructuralError):
             core.superpose(fixture("Q42"), 1, fixture("Q52"))
 
+    def test_over_budget_refused(self):
+        # 256^3 cells, four times core.BUILD_CELL_BUDGET
+        with pytest.raises(core.StructuralError) as err:
+            core.superpose(z_add(256), 1, z_add(256))
+        assert str(err.value) == ("a table of arity 3 and order 256 holds "
+                                  "256^3 cells, over the 4194304-cell build "
+                                  "budget")
+
     @given(st.integers(2, 5), st.integers(0, 10 ** 5), st.integers(0, 10 ** 5),
            st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
@@ -381,6 +389,21 @@ class TestIterate:
     def test_m_below_one(self):
         with pytest.raises(core.StructuralError):
             core.iterate(z_add(5), 0)
+
+    def test_over_budget_refused_before_building(self):
+        # 2^23 cells, twice core.BUILD_CELL_BUDGET; an arity of a million
+        # is refused as fast, without forming 2^1000001
+        for m in (22, 10 ** 6):
+            with pytest.raises(core.StructuralError) as err:
+                core.iterate(z_add(2), m)
+            assert str(err.value) == (
+                "a table of arity %d and order 2 holds 2^%d cells, over the "
+                "4194304-cell build budget" % (m + 1, m + 1))
+
+    def test_exactly_the_budget_still_built(self):
+        t = core.iterate(z_add(2), 21)
+        assert len(t.values) == core.BUILD_CELL_BUDGET == 2 ** 22
+        assert core.evaluate(t, (1,) * 22) == 0
 
 
 class TestDirectProduct:
@@ -813,11 +836,17 @@ SHELL3 = analysis.extract_shell(T3, (0, 0, 0))
      "omega must be a nonempty subset of 0..4"),
     (lambda: core.restrict_to_symbols(T3, (0, True)), core.StructuralError,
      "omega must be a nonempty subset of 0..4"),
+    (lambda: core.restrict_to_symbols(T3, (0, "a")), core.StructuralError,
+     "omega must be a nonempty subset of 0..4"),
     (lambda: switch_sub(T3, (0, 1.5), z_add(2, 3)), ConstructionError,
+     "omega must be a nonempty subset of 0..4"),
+    (lambda: switch_sub(T3, (0, "a"), z_add(2, 3)), ConstructionError,
      "omega must be a nonempty subset of 0..4"),
     (lambda: analysis.is_reducible_wrt(T3, {True, 2}),
      analysis.AnalysisError, "split axes must lie in 1..3"),
     (lambda: analysis.is_reducible_wrt(T3, {1.0, 2}),
+     analysis.AnalysisError, "split axes must lie in 1..3"),
+    (lambda: analysis.is_reducible_wrt(T3, {"a", 2}),
      analysis.AnalysisError, "split axes must lie in 1..3"),
     (lambda: analysis.reconstruct_with_split(SHELL3, {1, 2}, probe=True),
      analysis.AnalysisError, "probe axis True is not in the split"),
@@ -825,9 +854,9 @@ SHELL3 = analysis.extract_shell(T3, (0, 0, 0))
      analysis.AnalysisError, "probe axis 1.0 is not in the split"),
 ], ids=["inverse-float-axis", "inverse-bool-axis", "superpose-float",
         "superpose-bool", "iterate-float", "iterate-bool",
-        "restrict-float-symbol", "restrict-bool-symbol",
-        "switch-sub-float-symbol", "split-bool-axis", "split-float-axis",
-        "probe-bool", "probe-float"])
+        "restrict-float-symbol", "restrict-bool-symbol", "restrict-str-symbol",
+        "switch-sub-float-symbol", "switch-sub-str-symbol", "split-bool-axis",
+        "split-float-axis", "split-str-axis", "probe-bool", "probe-float"])
 def test_argument_refused_with_module_error(call, error, message):
     # each ended in a TypeError or took the bool or float as an int
     with pytest.raises(error) as err:
