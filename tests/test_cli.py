@@ -1,6 +1,7 @@
 """Command-line behavior: formats, pipelines, exit codes, goldens."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -264,8 +265,6 @@ class TestComponents:
     def test_closed8_k5_listing_golden_sha256(self, capsys, monkeypatch):
         # the whole 2.8 MB listing of build_closed(8, 5, 2), pinned byte for
         # byte by the digest of `nqg components --pair 0,1`
-        import hashlib
-
         feed_stdin(monkeypatch, core.to_json(C.build_closed(8, 5, 2)))
         code, out, _ = run_cli(capsys, "components", "-", "--pair", "0,1")
         golden = (GOLDEN / "closed8_k5_components_01.sha256").read_text()
