@@ -137,6 +137,13 @@ class TestConstruct:
         assert set(obj) == {"q", "f", "loop"}
         assert core.is_valid(core.from_json_obj(obj["loop"]))
 
+    def test_counterexample_golden_sha256(self, capsys):
+        # the loop, q and f of `nqg construct --counterexample`, byte for byte
+        code, out, _ = run_cli(capsys, "construct", "--counterexample")
+        golden = (GOLDEN / "counterexample_k5.sha256").read_text()
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden.strip()
+
     def test_family_object(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--family5", "3")
         obj = json.loads(out)
