@@ -7,6 +7,7 @@ immutable inputs.
 
 import itertools
 import operator
+import sys
 
 from .core import (QTable, _axis_chunks, _ints_below, _offsets, _Record,
                    check_cell_budget, retract, validate)
@@ -490,10 +491,10 @@ def find_components(q, a, b):
     line number = cell index // k, and a root is the smallest line of its
     part: parts met in a scan by line come in the order of their smallest
     lines, and so of their smallest cells.  The parents are a list of
-    ints, read without unpacking, and each find halves its path.  A
-    counting pass sizes each part, and a second scan by line writes every
-    part's flat cell indices, already sorted, into one uint32 buffer; each
-    Component keeps its slice.
+    ints, read without unpacking, and each find halves its path.  One
+    last scan by line flattens the parents and appends each line's two
+    cells, the smaller first, to its root's uint32 buffer, so every
+    part's flat cell indices come out sorted, parts in order of roots.
     """
     n, k = q.arity, q.order
     if a == b or not _ints_below((a, b), k):
@@ -524,39 +525,25 @@ def find_components(q, a, b):
                 elif y < x:
                     parent[x] = y
 
-    # parent[i] <= i throughout, so one step from an already flattened
-    # parent finds the root; a root is met before the rest of its part
-    fill = memoryview(bytearray(4 * lines)).cast("I")
-    roots = []
-    for i in range(lines):
+    # the last axis: one chunk, its lines in order.  parent[i] <= i
+    # throughout, so one step from an already flattened parent finds the
+    # root, and a root opens its part before the rest of its lines
+    (bases, slices), = _axis_chunks(n, k, n - 1)
+    parts = {}
+    for i, j, l in zip(range(lines), _hit_positions(raw, a, bases, slices),
+                       _hit_positions(raw, b, bases, slices)):
         r = parent[i] = parent[parent[i]]
         if r == i:
-            roots.append(i)
-        fill[r] += 2
-    # every part's cells, two per line, in one buffer; fill[r] becomes the
-    # next free slot of root r's span
-    spans = []
-    start = 0
-    for r in roots:
-        end = start + fill[r]
-        spans.append((start, end))
-        fill[r] = start
-        start = end
-    # the last axis: one chunk, its lines in order
-    (bases, slices), = _axis_chunks(n, k, n - 1)
-    cells = memoryview(bytearray(4 * start)).cast("I")
-    for x, r, j, l in zip(range(0, k * lines, k), parent,
-                          _hit_positions(raw, a, bases, slices),
-                          _hit_positions(raw, b, bases, slices)):
-        p = fill[r]
-        fill[r] = p + 2
-        if j < l:
-            cells[p] = x + j
-            cells[p + 1] = x + l
+            parts[i] = part = bytearray()
         else:
-            cells[p] = x + l
-            cells[p + 1] = x + j
-    return [Component(cells[s:e], n, k, (a, b)) for s, e in spans]
+            part = parts[r]
+        x = i * k
+        if l < j:
+            j, l = l, j
+        part += (x + j).to_bytes(4, sys.byteorder)
+        part += (x + l).to_bytes(4, sys.byteorder)
+    return [Component(memoryview(part).cast("I"), n, k, (a, b))
+            for part in parts.values()]
 
 
 def switch_component(q, comp):
