@@ -34,15 +34,7 @@ class CensusReport(_Record):
 
 
 def report_to_json_obj(rep):
-    return {
-        "arity": rep.arity,
-        "order": rep.order,
-        "exact_count": rep.exact_count,
-        "bound_exponents": rep.bound_exponents,
-        "family_log2": rep.family_log2,
-        "elapsed": rep.elapsed,
-        "certification": rep.certification,
-    }
+    return dict(zip(rep.__slots__, rep._fields()))
 
 
 def _visit_axes(n, visit):
@@ -140,6 +132,29 @@ def _search(n, k, cells, pinned, time_limit):
                 % (nodes, n, k))
 
 
+def _reduced(n, k, visit):
+    """(cells, pins): the axis lines through the origin are the identity."""
+    pinned = {j * stride: j for _, stride in _lines_through(n, k, 0)
+              for j in range(k)}
+    return ([idx for idx in _offsets(n, k, _visit_axes(n, visit))
+             if idx not in pinned], pinned)
+
+
+def _tables(n, k, cells, pinned, time_limit):
+    """Yield every table _search completes, in search order."""
+    *head, last = cells
+    vals = bytearray(pinned.get(idx, 0) for idx in range(k ** n))
+    for placed, m in _search(n, k, cells, pinned, time_limit):
+        # placed holds the earlier cells' bits; m those of the last cell
+        for idx, b in zip(head, placed):
+            vals[idx] = b.bit_length() - 1
+        while m:
+            b = m & (-m)
+            m ^= b
+            vals[last] = b.bit_length() - 1
+            yield QTable(n, k, vals)
+
+
 def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
                     time_limit=DEFAULT_TIME_LIMIT, visit="index"):
     """Exact number of n-ary quasigroups of order k, by backtracking.
@@ -156,11 +171,8 @@ def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
     visitation order.  Deterministic.
     """
     _check_budget(n, k, budget)
-    pinned = {j * stride: j for _, stride in _lines_through(n, k, 0)
-              for j in range(k)}
+    cells, pinned = _reduced(n, k, visit)
     multiplier = math.factorial(k) * math.factorial(k - 1) ** (n - 1)
-    cells = [idx for idx in _offsets(n, k, _visit_axes(n, visit))
-             if idx not in pinned]
     if not cells:
         return multiplier
     reduced = 0
@@ -172,19 +184,9 @@ def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
 def enumerate_tables(n, k, budget=DEFAULT_CELL_BUDGET,
                      time_limit=DEFAULT_TIME_LIMIT, visit="index"):
     """Yield every n-ary quasigroup of order k, in search order."""
-    total = _check_budget(n, k, budget)
-    order = _offsets(n, k, _visit_axes(n, visit))
-    *head, last = order
-    vals = bytearray(total)
-    for placed, m in _search(n, k, order, {}, time_limit):
-        # placed holds the earlier cells' bits; m those of the last cell
-        for idx, b in zip(head, placed):
-            vals[idx] = b.bit_length() - 1
-        while m:
-            b = m & (-m)
-            m ^= b
-            vals[last] = b.bit_length() - 1
-            yield QTable(n, k, vals)
+    _check_budget(n, k, budget)
+    yield from _tables(n, k, _offsets(n, k, _visit_axes(n, visit)), {},
+                       time_limit)
 
 
 def bound_exponents(n, k):

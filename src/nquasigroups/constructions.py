@@ -498,39 +498,6 @@ def build_family_k(n, k):
     return CountingFamily(iterate(g, n - 1), comps, len(comps))
 
 
-def _loops(k):
-    """All order-k loops (identity row/column 0) in lexicographic row order."""
-    rows = [list(range(k))]
-    col_used = [{i} for i in range(k)]
-
-    def fill(i, j, row):
-        if i == k:
-            yield [list(r) for r in rows]
-            return
-        if j == k:
-            rows.append(row)
-            yield from fill(i + 1, 0, None)
-            rows.pop()
-            return
-        if j == 0:
-            row = [i] + [None] * (k - 1)
-            col_used[0].add(i)
-            yield from fill(i, 1, row)
-            col_used[0].discard(i)
-            return
-        used = set(row[:j])
-        for v in range(k):
-            if v in used or v in col_used[j]:
-                continue
-            row[j] = v
-            col_used[j].add(v)
-            yield from fill(i, j + 1, row)
-            col_used[j].discard(v)
-            row[j] = None
-
-    yield from fill(1, 0, None)
-
-
 def build_shell_counterexample():
     """Two distinct ternary order-5 tables agreeing on the basepoint shell.
 
@@ -539,14 +506,12 @@ def build_shell_counterexample():
     Both agree wherever some argument is 0 because 0 is the identity of L,
     yet they differ as tables.
     """
-    k = 5
-    for rows in _loops(k):
-        assoc = all(
-            rows[rows[x][y]][z] == rows[x][rows[y][z]]
-            for x in range(k) for y in range(k) for z in range(k))
-        if assoc:
-            continue
-        loop = from_rows(rows)
+    # imported here: only this builder searches
+    from .census import _reduced, _tables
+
+    # the reduced binary tables are the loops with identity 0; q = f
+    # exactly when L is associative
+    for loop in _tables(2, 5, *_reduced(2, 5, "index"), None):
         q = superpose(loop, 1, loop)
         f = superpose(loop, 2, loop)
         if q.values != f.values:
