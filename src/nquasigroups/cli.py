@@ -4,7 +4,8 @@ Subcommands: validate, eval, construct, analyze, components, reconstruct,
 census.  Tables travel as JSON (any arity) or as the k-line text form
 (binary only); '-' reads standard input.  Results go to standard output as
 compact JSON, or as aligned digit grids with --pretty.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error, 2 usage error.  A reader that closes the
+output pipe early ends the command quietly, with exit code 0.
 
 Each handler imports the modules it runs, and building the parser imports
 none, so a launch compiles only what its subcommand needs: validate and
@@ -19,6 +20,7 @@ below copy library constants; tests pin them to their sources.
 import argparse
 import itertools
 import json
+import os
 import sys
 
 _FIXTURES = ("Q42", "Q52", "Q62", "Q72")   # constructions.FixtureId values
@@ -338,13 +340,22 @@ def run(argv):
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return 0
     except _domain_errors() as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to /dev/null, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -693,6 +693,28 @@ def test_domain_errors_exit_1(capsys, monkeypatch, error):
         == (1, "", "error: %s\n" % error)
 
 
+def test_closed_output_pipe_exits_0_quietly(tmp_path):
+    # a reader that stops after 10 bytes of the 2.8 MB 5^8 listing: the
+    # writer meets a broken pipe, which is not a domain error
+    table = tmp_path / "c8.json"
+    table.write_text(core.to_json(C.build_closed(8, 5, 2)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nquasigroups.cli", "components", str(table),
+         "--pair", "0,1"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(10) == b'[{"pair":['
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys, )[0] == 2
