@@ -349,12 +349,14 @@ def run(argv):
 
 def main():
     code = run(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: send what is still buffered to /dev/null, so
-        # that the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # sys.stdout is None when nqg starts with its output descriptor closed
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: send what is still buffered to /dev/null,
+            # so that the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -33,6 +33,14 @@ CAPPED_CLI = (
     "print(code, out.getvalue())\n")
 
 
+def child_env():
+    """The environment of a child interpreter that imports this tree's
+    package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent.parent / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     out = capsys.readouterr()
@@ -624,11 +632,9 @@ def test_table_commands_load_neither_numpy_nor_array(tmp_path):
         "                      '--switch', '0']),\n"
         "             cli.run(['census', '--n', '3', '--k', '4'])]\n"
         "print(codes, sorted(m for m in ('numpy', 'array') if m in sys.modules))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).parent.parent / "src")]
-        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script, str(table)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, str(table)],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 0] []\n"
 
@@ -698,12 +704,9 @@ def test_closed_output_pipe_exits_0_quietly(tmp_path):
     # writer meets a broken pipe, which is not a domain error
     table = tmp_path / "c8.json"
     table.write_text(core.to_json(C.build_closed(8, 5, 2)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).parent.parent / "src")]
-        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "nquasigroups.cli", "components", str(table),
-         "--pair", "0,1"], env=env, stdout=subprocess.PIPE,
+         "--pair", "0,1"], env=child_env(), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE)
     try:
         assert proc.stdout.read(10) == b'[{"pair":['
@@ -713,6 +716,17 @@ def test_closed_output_pipe_exits_0_quietly(tmp_path):
     finally:
         proc.kill()
         proc.wait()
+
+
+def test_closed_output_descriptor_exits_quietly(tmp_path):
+    # started with descriptor 1 closed, the child's sys.stdout is None
+    table = tmp_path / "t.json"
+    table.write_text(core.to_json(C.fixture("Q52")))
+    done = subprocess.run(
+        ["sh", "-c", '"$0" -m nquasigroups.cli validate "$1" >&-',
+         sys.executable, str(table)], env=child_env(), capture_output=True,
+        text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestUsage:
