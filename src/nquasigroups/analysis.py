@@ -305,13 +305,15 @@ def _shell_read(sh, free):
         *[free.get(i, (base[i - 1],)) for i in range(1, len(base) + 1)])]
 
 
-def reconstruct_with_split(sh, split, probe=None):
+def reconstruct_with_split(sh, split):
     """Assemble the full table from a shell, assuming reducibility over split.
 
-    With S the split, C its complement, p the probe axis (default min(S)),
-    and all omitted coordinates at the basepoint, the shell determines
-    g0 over the S-axes, h0 over (p, C-axes), and the unary d(x) = value at
-    x in the probe slot alone.  The table is h0(d^-1(g0(x_S)), x_C).
+    With S the split, C its complement, p = min(S), and all omitted
+    coordinates at the basepoint, the shell determines g0 over the S-axes,
+    h0 over (p, C-axes), and the unary d(x) = value at x in axis p alone.
+    The table is h0(d^-1(g0(x_S)), x_C).  Any other axis of S would give
+    the same table: a Latin table that agrees with the shell is reducible
+    over S, and the shell fixes it.
     The result must validate and agree with the shell, else the split is
     inconsistent with the shell; agreement is checked hyperplane by
     hyperplane, and only a disagreement scans the entries to name the
@@ -319,15 +321,10 @@ def reconstruct_with_split(sh, split, probe=None):
     is refused before the shell is read.
     """
     check_cell_budget(sh.arity, sh.order, AnalysisError)
-    S = _checked_axes(split, sh.arity)
-    if probe is None:
-        probe = S[0]
-    if not (_ints_below((probe,), sh.arity + 1, 1) and probe in S):
-        raise AnalysisError("probe axis %r is not in the split" % (probe,))
-    return _assemble(sh, S, probe, _shell_retracts(sh))
+    return _assemble(sh, _checked_axes(split, sh.arity), _shell_retracts(sh))
 
 
-def _assemble(sh, S, probe, planes):
+def _assemble(sh, S, planes):
     """reconstruct_with_split over the checked axes S, given the shell's
     _shell_retracts."""
     n, k = sh.arity, sh.order
@@ -336,6 +333,7 @@ def _assemble(sh, S, probe, planes):
     every = range(k)
 
     # every cell read touches the basepoint, so the shell holds it
+    probe = S[0]
     delta = _shell_read(sh, {probe: every})
     g0 = _shell_read(sh, dict.fromkeys(S, every))
     # one row over the C-tuples per probe value
@@ -447,7 +445,7 @@ def reconstruct(sh):
             if any(is_reducible_wrt(c, split) for c in candidates):
                 continue
             try:
-                t = _assemble(sh, S, S[0], retracts)
+                t = _assemble(sh, S, retracts)
             except ReconstructionError:
                 continue
             if not is_reducible_wrt(t, split):

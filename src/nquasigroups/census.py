@@ -7,8 +7,8 @@ import math
 import random
 import time
 
-from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _lines_through,
-                   _offsets, _Record, from_function, omega_product, validate)
+from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _offsets, _Record,
+                   from_function, omega_product, validate)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 DEFAULT_TIME_LIMIT = 600.0
@@ -78,11 +78,12 @@ def _search(n, k, cells, pinned, time_limit):
     table.  placed is the live search state, valid until the next step.
     """
     total = k ** n
+    strides = [k ** (n - 1 - ax) for ax in range(n)]
 
     def line_ids(idx):
         # a line is keyed by its axis and its first cell
-        return tuple(axis * total + base for axis, (base, _)
-                     in enumerate(_lines_through(n, k, idx)))
+        return tuple(ax * total + idx - idx // s % k * s
+                     for ax, s in enumerate(strides))
 
     cell_lines = [line_ids(idx) for idx in cells]
     masks = [0] * (n * total)
@@ -134,8 +135,7 @@ def _search(n, k, cells, pinned, time_limit):
 
 def _reduced(n, k, visit):
     """(cells, pins): the axis lines through the origin are the identity."""
-    pinned = {j * stride: j for _, stride in _lines_through(n, k, 0)
-              for j in range(k)}
+    pinned = {j * k ** (n - 1 - ax): j for ax in range(n) for j in range(k)}
     return ([idx for idx in _offsets(n, k, _visit_axes(n, visit))
              if idx not in pinned], pinned)
 
@@ -218,18 +218,6 @@ def bound_exponents(n, k):
     return out
 
 
-def _touched_lines(t, idxs):
-    """Slices (start, stop, step) of the distinct axis lines through cells."""
-    n, k = t.arity, t.order
-    lines = {ln for idx in idxs for ln in _lines_through(n, k, idx)}
-    return [(st, st + k * sd, sd) for st, sd in sorted(lines)]
-
-
-def _lines_latin(vals, k, lines):
-    """True when every given line of in-range symbols holds k distinct ones."""
-    return all(len(set(vals[st:stop:sd])) == k for st, stop, sd in lines)
-
-
 def _flip(vals, idxs, ab):
     """Swap the symbols of a pair summing to ab on the given cells, in place."""
     for idx in idxs:
@@ -243,19 +231,18 @@ def _certify_components(fam):
 
     Components are parts of the base's shape, disjoint; their
     constructor already refuses repeated cells and cells outside the shape.
-    The base is validated once in full.  A flip changes only its own cells,
-    so it is checked on the axis lines through them: the other lines are
-    the base's and already Latin.  Once the single flips pass, every
-    switched table is Latin with no further check: a switching set meets
-    each line in 0 or 2 cells, holding a and b, so its flip keeps every
-    line's symbols, and disjoint sets compose.  The 2^s switched tables
-    are distinct with no further check either: the components are
-    nonempty, pairwise disjoint and hold only their pair's two symbols,
-    so a flip changes every cell of its component, and two patterns that
-    differ on a component differ on every cell of it.  The patterns are
-    still walked in Gray-code order, step i flipping component ctz(i), so
-    that materialized counts tables actually formed; the closing flip of
-    the last component returns the working copy to the base.
+    The base is validated once in full, so each axis line holds one a and
+    one b and meets a component X of pair (a, b), whose cells hold a or b,
+    in 0, 1 or 2 cells; the flip keeps the line Latin unless it meets X once.
+    With c1 lines meeting X once and c2 twice, |X| = c1 + 2*c2 and X meets
+    c1 + c2 lines, so the flip is valid exactly when X meets |X|/2 distinct
+    lines along each axis; along stride sd the line of cell idx starts at
+    idx - (idx // sd % k) * sd.  Disjoint valid flips compose, so every
+    switched table is Latin, and distinct: the components are nonempty and
+    a flip changes every cell of its component.  While 2^s fits the cap
+    the patterns are still walked in Gray-code order, step i flipping
+    component ctz(i), so that materialized counts tables actually formed;
+    the closing flip of the last component returns the copy to the base.
     """
     comps = fam.components
     s = len(comps)
@@ -281,6 +268,7 @@ def _certify_components(fam):
         raise CertificationError(
             "base table is not Latin: axis %d line %r" % (bad.axis, bad.fixed))
     k = base.order
+    strides = [k ** e for e in range(base.arity)]
     vals = bytearray(base.values)
     flips = []
     for i, comp in enumerate(comps):
@@ -292,10 +280,8 @@ def _certify_components(fam):
                     "component %d does not switch: cell %r holds %d, not in "
                     "{%d,%d}" % (i, base.coords(idx), vals[idx], a, b))
         flips.append((idxs, a + b))
-        _flip(vals, idxs, a + b)
-        ok = _lines_latin(vals, k, _touched_lines(base, idxs))
-        _flip(vals, idxs, a + b)
-        if not ok:
+        if any(2 * len({idx - idx // sd % k * sd for idx in idxs}) != len(idxs)
+               for sd in strides):
             raise CertificationError(
                 "component %d does not switch: the flip breaks the Latin "
                 "property" % i)
@@ -386,12 +372,13 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     certified family_log2 must reach every applicable exponent from
     bound_exponents, else CertificationError.
 
-    Component families are certified exactly but line-locally: the base is
-    validated once and each single flip only on the lines through the
-    cells it changes; disjoint switching sets then make every one of the
-    2^s patterns Latin and distinct (see _certify_components).  While
-    2^s <= MATERIALIZE_CAP the patterns are walked in Gray-code order
-    with no further check.
+    Component families are certified exactly without forming a flip: the
+    base is validated once, and a component switches exactly when it
+    meets each axis line in 0 or 2 cells, that is when it meets half as
+    many lines along each axis as it has cells; disjoint switching sets
+    then make every one of the 2^s patterns Latin and distinct (see
+    _certify_components).  While 2^s <= MATERIALIZE_CAP the patterns are
+    walked in Gray-code order with no further check.
     """
     t0 = time.monotonic()
     bounds = bound_exponents(n, k)

@@ -103,11 +103,11 @@ def _pretty(t):
 
 def _emit_table(t, pretty):
     if pretty:
-        sys.stdout.write(_pretty(t))
+        print(_pretty(t), end="")
     else:
         from .core import to_json
 
-        sys.stdout.write(to_json(t, (",", ":")) + "\n")
+        print(to_json(t, (",", ":")))
 
 
 def _component_obj(c):
@@ -224,11 +224,9 @@ def _cmd_reconstruct(args):
     sh = _read_shell(args.shell)
     if args.split:
         t = analysis.reconstruct_with_split(
-            sh, analysis.Split(frozenset(args.split)), probe=args.probe)
+            sh, analysis.Split(frozenset(args.split)))
         _emit_table(t, args.pretty)
         return 0
-    if args.probe is not None:
-        raise _UsageError("--probe requires --split")
     tables = analysis.reconstruct(sh)
     if sh.arity == 3:
         if args.pretty:
@@ -303,7 +301,6 @@ def _build_parser():
     sp = sub.add_parser("reconstruct", help="rebuild a table from its shell")
     sp.add_argument("shell", help="shell file (JSON), or - for stdin")
     sp.add_argument("--split", type=_int_list, metavar="A,B,...")
-    sp.add_argument("--probe", type=int, metavar="AXIS")
     sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=_cmd_reconstruct)
 

@@ -211,19 +211,6 @@ class ValidationReport(_Record):
         _Record.__init__(self, ok, violations)
 
 
-def _lines_through(n, k, idx):
-    """Yield (base_index, stride) of the n axis lines through a flat index.
-
-    Axes in order; the line along an axis holds the cells
-    base_index + j * stride for j in 0..k-1.
-    """
-    block = k ** n
-    for _ in range(n):
-        stride = block // k
-        yield idx - idx % block + idx % stride, stride
-        block = stride
-
-
 def _axis_chunks(n, k, ax):
     """Cover the lines along 0-based axis ax with k aligned slices each.
 

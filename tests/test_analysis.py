@@ -292,14 +292,6 @@ class TestReconstructWithSplit:
             return
         assert t.values != q.values
 
-    def test_probe_choice_immaterial(self):
-        t, split = randgen.random_reducible(4, 4, 3)
-        sh = A.extract_shell(t, (0, 0, 0, 0))
-        S = A.Split(frozenset(split))
-        tables = {A.reconstruct_with_split(sh, S, probe=p).values
-                  for p in split}
-        assert tables == {t.values}
-
     def test_nonzero_basepoint(self):
         t, split = randgen.random_reducible(4, 5, 21)
         sh = A.extract_shell(t, (4, 1, 0, 2))
@@ -321,9 +313,9 @@ class TestReconstructWithSplit:
 
         monkeypatch.setattr(A, "_shell_read", unread)
         monkeypatch.setattr(A, "_shell_retracts", unread)
-        for split, probe in [((1, 2), None), ((2, 3), 3), ((1, 3), True)]:
+        for split in [(1, 2), (2, 3), (1, 3)]:
             with pytest.raises(A.AnalysisError) as err:
-                A.reconstruct_with_split(sh, split, probe)
+                A.reconstruct_with_split(sh, split)
             assert str(err.value) == (
                 "a table of arity 3 and order 162 holds 162^3 cells, over "
                 "the 4194304-cell build budget")

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from nquasigroups import constructions as C
 
 import randgen
 from oracles import reference_visit_order
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def materialized_certificate(fam):
@@ -52,8 +55,9 @@ def materialized_certificate(fam):
 
 def snapshot_certificate(fam):
     """The component certifier as it was before distinctness was proved:
-    the same checks, then a byte snapshot of every table met on the
-    Gray-code walk, refusing any repeat.  The oracle of
+    the same checks in the same order, each single flip checked by
+    validating the flipped copy in full, then a byte snapshot of every
+    table met on the Gray-code walk, refusing any repeat.  The oracle of
     census._certify_components, outcome for outcome."""
     comps = fam.components
     s = len(comps)
@@ -91,7 +95,7 @@ def snapshot_certificate(fam):
                     "{%d,%d}" % (i, base.coords(idx), vals[idx], a, b))
         flips.append((idxs, a + b))
         census._flip(vals, idxs, a + b)
-        ok = census._lines_latin(vals, k, census._touched_lines(base, idxs))
+        ok = core.validate(core.QTable(base.arity, k, vals.tobytes())).ok
         census._flip(vals, idxs, a + b)
         if not ok:
             raise census.CertificationError(
@@ -277,6 +281,16 @@ class TestEnumerateCount:
         # (4,4): Potapov & Krotov's count of 4-quasigroups of order 4
         assert census.enumerate_count(n, k, visit=visit) == count
 
+    def test_q35_golden(self):
+        # frozen from two full searches (index and transposed order), not
+        # re-run here: 40,246 reduced 3-quasigroups of order 5 times
+        # 5! * 4!^2 (McKay & Wanless, "A census of small Latin
+        # hypercubes", SIAM J. Discrete Math., 2008)
+        count = int((GOLDEN / "q35_count.txt").read_text())
+        reduced, rest = divmod(count, math.factorial(5) * math.factorial(4) ** 2)
+        assert (reduced, rest) == (40_246, 0)
+        assert census.verify_family(3, 5).family_log2 <= math.log2(count)
+
     def test_trivial_orders(self):
         assert census.enumerate_count(3, 1) == 1
         assert census.enumerate_count(1, 4) == 24  # permutations
@@ -423,6 +437,9 @@ class TestCertifyComponents:
            st.data())
     @settings(max_examples=60, deadline=None)
     def test_local_check_matches_full_validate(self, n, k, seed, data):
+        # the line count against a full validate of the flipped table, on
+        # unions of switching components, the same with one cell added or
+        # taken away (an odd part, which never switches), and random parts
         if n == 2:
             t = randgen.random_binary(k, seed)
         else:
@@ -430,13 +447,30 @@ class TestCertifyComponents:
         a, b = sorted(data.draw(st.sets(st.integers(0, k - 1),
                                         min_size=2, max_size=2)))
         ab_cells = [i for i, v in enumerate(t.values) if v in (a, b)]
-        flipped = data.draw(st.lists(st.sampled_from(ab_cells), unique=True))
-        vals = array("B", t.values)
-        census._flip(vals, flipped, a + b)
-        local = census._lines_latin(vals, k,
-                                    census._touched_lines(t, flipped))
-        full = core.validate(core.QTable(n, k, tuple(vals))).ok
-        assert local == full
+        kind = data.draw(st.sampled_from(["union", "odd", "random"]))
+        if kind == "random":
+            part = set(data.draw(st.lists(st.sampled_from(ab_cells),
+                                          min_size=1, unique=True)))
+        else:
+            parts = analysis.find_components(t, a, b)
+            picked = data.draw(st.lists(st.sampled_from(parts), min_size=1))
+            part = {idx for comp in picked for idx in comp.indices}
+            if kind == "odd":
+                # a component has at least four cells, so part stays nonempty
+                part ^= {data.draw(st.sampled_from(ab_cells))}
+        comp = analysis.Component(sorted(part), n, k, (a, b))
+        fam = C.CountingFamily(base=t, components=(comp,), claimed_log2=1)
+        vals = bytearray(t.values)
+        census._flip(vals, sorted(part), a + b)
+        full = core.validate(core.QTable(n, k, vals)).ok
+        got = certify_outcome(census._certify_components, fam)
+        if len(part) % 2:
+            assert not full
+        if full:
+            assert got == snapshot_certificate(fam)
+        else:
+            assert got == ("component 0 does not switch: the flip breaks "
+                           "the Latin property")
 
     @given(st.integers(2, 3), st.integers(3, 5), st.integers(0, 10 ** 5),
            st.data())

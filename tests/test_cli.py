@@ -489,7 +489,7 @@ FUZZ_ARGV = st.one_of(
     seq(st.just("components"), FUZZ_SOURCE, flag("--pair", FUZZ_PAIR | FUZZ_LIST),
         opt(flag("--switch", FUZZ_INT)), opt(flag("--pretty"))),
     seq(st.just("reconstruct"), FUZZ_SOURCE, opt(flag("--split", FUZZ_AXES)),
-        opt(flag("--probe", FUZZ_INT)), opt(flag("--pretty"))),
+        opt(flag("--pretty"))),
     seq(st.just("census"), flag("--n", FUZZ_INT), flag("--k", FUZZ_INT),
         opt(flag("--exact", st.sampled_from(("auto", "on", "off", "x")))),
         opt(flag("--budget", FUZZ_INT)), opt(flag("--seed", FUZZ_INT))),
@@ -726,6 +726,16 @@ def test_closed_output_descriptor_exits_quietly(tmp_path):
         ["sh", "-c", '"$0" -m nquasigroups.cli validate "$1" >&-',
          sys.executable, str(table)], env=child_env(), capture_output=True,
         text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("args", ["--closed 3 5 2", "--fixture Q52 --pretty"])
+def test_table_to_closed_output_descriptor_exits_quietly(args):
+    # a table is written through print, which skips a None sys.stdout
+    done = subprocess.run(
+        ["sh", "-c", '"$0" -m nquasigroups.cli construct %s >&-' % args,
+         sys.executable], env=child_env(), capture_output=True, text=True,
+        timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
 
 

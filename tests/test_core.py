@@ -790,16 +790,6 @@ class TestCompactJson:
             assert str(err.value) == error
 
 
-class TestLinesThrough:
-    @given(st.integers(1, 4), st.integers(1, 5), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_full_line_scan(self, n, k, data):
-        idx = data.draw(st.integers(0, k ** n - 1))
-        want = [(base, stride) for _, base, stride in reference_lines(n, k)
-                if any(base + j * stride == idx for j in range(k))]
-        assert list(core._lines_through(n, k, idx)) == want
-
-
 class TestOffsets:
     @given(st.integers(1, 5), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -816,7 +806,6 @@ class TestOffsets:
 
 
 T3 = z_add(5, 3)
-SHELL3 = analysis.extract_shell(T3, (0, 0, 0))
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -848,15 +837,11 @@ SHELL3 = analysis.extract_shell(T3, (0, 0, 0))
      analysis.AnalysisError, "split axes must lie in 1..3"),
     (lambda: analysis.is_reducible_wrt(T3, {"a", 2}),
      analysis.AnalysisError, "split axes must lie in 1..3"),
-    (lambda: analysis.reconstruct_with_split(SHELL3, {1, 2}, probe=True),
-     analysis.AnalysisError, "probe axis True is not in the split"),
-    (lambda: analysis.reconstruct_with_split(SHELL3, {1, 2}, probe=1.0),
-     analysis.AnalysisError, "probe axis 1.0 is not in the split"),
 ], ids=["inverse-float-axis", "inverse-bool-axis", "superpose-float",
         "superpose-bool", "iterate-float", "iterate-bool",
         "restrict-float-symbol", "restrict-bool-symbol", "restrict-str-symbol",
         "switch-sub-float-symbol", "switch-sub-str-symbol", "split-bool-axis",
-        "split-float-axis", "split-str-axis", "probe-bool", "probe-float"])
+        "split-float-axis", "split-str-axis"])
 def test_argument_refused_with_module_error(call, error, message):
     # each ended in a TypeError or took the bool or float as an int
     with pytest.raises(error) as err:
