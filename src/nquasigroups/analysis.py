@@ -9,8 +9,8 @@ import itertools
 import operator
 import sys
 
-from .core import (QTable, _axis_chunks, _ints_below, _offsets, _Record,
-                   check_cell_budget, retract, validate)
+from .core import (MAX_ORDER, QTable, _axis_chunks, _ints_below, _offsets,
+                   _Record, check_cell_budget, retract, validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -52,62 +52,60 @@ class Split(_Record):
 class Shell(_Record):
     """Values of a table on all cells touching a basepoint.
 
-    entries maps each cell having x_i = basepoint_i for some i, and no
-    other, to its symbol.  AnalysisError refuses anything else, and an
-    arity or order that is not an integer >= 1, a basepoint that is not
-    arity integers in 0..order-1, a value outside 0..order-1, or a cell
-    key that is not a tuple of arity ints (a float or bool coordinate
-    equal to an int included).  The n hyperplanes x_i = basepoint_i hold
-    exactly the cells touching it, so with k^n - (k-1)^n entries, all of
-    them found, there is no other.  The shell keeps its own copy of
-    entries, which must not be mutated.
+    values is k^n bytes, row-major like a QTable's: the given values on
+    the cells with x_i = basepoint_i for some i, 0 on every other cell.
+    AnalysisError refuses an arity or order that is not an int >= 1 or
+    past MAX_ORDER, a basepoint that is not arity ints in 0..order-1, and
+    values that are not k^n bytes, kept values in 0..order-1.
     """
 
-    __slots__ = ("arity", "order", "basepoint", "entries")
+    __slots__ = ("arity", "order", "basepoint", "values")
 
-    def __init__(self, arity, order, basepoint, entries):
+    def __init__(self, arity, order, basepoint, values):
         n, k = arity, order
-        if type(n) is not int or type(k) is not int or n < 1 or k < 1:
-            raise AnalysisError("shell arity and order must be integers >= 1")
-        if not (isinstance(basepoint, (tuple, list)) and len(basepoint) == n
-                and _ints_below(basepoint, k)):
-            raise AnalysisError(
-                "basepoint must list %d integers in 0..%d" % (n, k - 1))
-        # the cells touching the basepoint number k^n - (k-1)^n >= k^(n-1),
-        # at least 2^(n-1) for k >= 2: test bit lengths so k^n is never
-        # formed for a huge arity
-        entries = dict(entries)
-        count = len(entries)
-        if ((k > 1 and n - 1 >= count.bit_length())
-                or k ** n - (k - 1) ** n != count):
-            raise AnalysisError(
-                "shell of arity %d, order %d has %d entries, not k^n - (k-1)^n"
-                % (n, k, count))
-        vals = entries.values()
-        if not (set(map(type, vals)) <= {int} and 0 <= min(vals)
-                and max(vals) < k):
-            raise AnalysisError(
-                "shell values must be integers in 0..%d" % (k - 1))
-        basepoint = tuple(basepoint)
-        for i in range(1, n + 1):
-            if None in map(entries.get, _hyperplane(basepoint, k, i)):
-                missing = next(x for x in _hyperplane(basepoint, k, i)
-                               if x not in entries)
-                raise AnalysisError(
-                    "shell misses cell %r, which touches the basepoint"
-                    % (missing,))
-        # every key equals a cell found above: only its types can differ
-        if not set(map(type, itertools.chain.from_iterable(entries))) <= {int}:
-            bad = next(x for x in entries if not _ints_below(x, k))
-            raise AnalysisError(
-                "shell cell %r is not a tuple of %d integers" % (bad, n))
-        _Record.__init__(self, n, k, basepoint, entries)
+        basepoint = _checked_head(n, k, basepoint)
+        data = (bytes(values)
+                if isinstance(values, (bytes, bytearray, memoryview)) else b"")
+        # k^n > len(data) when k >= 2 and 2^n > len(data): a huge arity
+        # never reaches the power
+        if ((k > 1 and n >= len(data).bit_length()) or k ** n != len(data)
+                or (data := bytes(_on_shell(n, k, basepoint, data))).translate(
+                    None, bytes(range(k)))):
+            raise AnalysisError("shell values must be %d^%d bytes in 0..%d"
+                                % (k, n, k - 1))
+        _Record.__init__(self, n, k, basepoint, data)
 
 
-def _hyperplane(base, k, i):
-    """The cells with x_i = base_i, in itertools.product order."""
-    return itertools.product(
-        *[(o,) if j == i else range(k) for j, o in enumerate(base, 1)])
+def _checked_head(n, k, basepoint):
+    """The basepoint as a tuple, once n, k and it pass Shell's checks."""
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise AnalysisError("shell arity and order must be integers >= 1")
+    if k > MAX_ORDER:
+        raise AnalysisError("shell order %d is over %d, the most symbols a "
+                            "table holds" % (k, MAX_ORDER))
+    if not (isinstance(basepoint, (tuple, list)) and len(basepoint) == n
+            and _ints_below(basepoint, k)):
+        raise AnalysisError(
+            "basepoint must list %d integers in 0..%d" % (n, k - 1))
+    return tuple(basepoint)
+
+
+def _on_shell(n, k, base, src):
+    """The k^n bytes src on the cells touching base, 0 elsewhere.
+
+    With w = k^(n-i), hyperplane x_i = o is the cells o*w + t + j*k*w,
+    t < w: copied as w extended slices, or as runs of w when fewer.
+    """
+    out = bytearray(len(src))
+    for i, o in enumerate(base, 1):
+        w = k ** (n - i)
+        if w <= k ** (i - 1):
+            for t in range(o * w, o * w + w):
+                out[t::k * w] = src[t::k * w]
+        else:
+            for j in range(o * w, len(src), k * w):
+                out[j:j + w] = src[j:j + w]
+    return out
 
 
 def _coord_tuples(indices, n, k):
@@ -282,27 +280,18 @@ def find_subquasigroups(q):
 
 
 def extract_shell(q, basepoint):
-    """Restrict q to the cells having some coordinate at the basepoint.
-
-    The result has exactly k^n - (k-1)^n entries; the Shell constructor
-    refuses a bad basepoint and out-of-range values.
-    """
-    n, k = q.arity, q.order
-    base = tuple(basepoint)
-    # the cells that miss the basepoint on each of the n axes
-    away = set(itertools.product(*[[c for c in range(k) if c != o]
-                                   for o in base[:n]]))
-    entries = {x: v for x, v in zip(q.cells(), q.values) if x not in away}
-    return Shell(n, k, base, entries)
+    """Restrict q to the cells having some coordinate at the basepoint;
+    the Shell constructor refuses a bad basepoint."""
+    return Shell(q.arity, q.order, basepoint, q.values)
 
 
-def _shell_read(sh, free):
-    """Shell values over the cells whose 1-based axis i ranges over
-    free[i], every other axis at the basepoint, in itertools.product
-    order."""
-    base, ent = sh.basepoint, sh.entries
-    return [ent[x] for x in itertools.product(
-        *[free.get(i, (base[i - 1],)) for i in range(1, len(base) + 1)])]
+def _shell_read(sh, axes):
+    """Shell values over the 1-based axes in itertools.product order,
+    every other axis at the basepoint."""
+    n, k = sh.arity, sh.order
+    at = sum(o * k ** (n - i) for i, o in enumerate(sh.basepoint, 1)
+             if i not in axes)
+    return [sh.values[at + off] for off in _offsets(n, k, axes)]
 
 
 def reconstruct_with_split(sh, split):
@@ -314,73 +303,54 @@ def reconstruct_with_split(sh, split):
     The table is h0(d^-1(g0(x_S)), x_C).  Any other axis of S would give
     the same table: a Latin table that agrees with the shell is reducible
     over S, and the shell fixes it.
-    The result must validate and agree with the shell, else the split is
-    inconsistent with the shell; agreement is checked hyperplane by
-    hyperplane, and only a disagreement scans the entries to name the
-    first disagreeing cell.  A table of more than BUILD_CELL_BUDGET cells
-    is refused before the shell is read.
+    The result must validate and have this shell, else the split is
+    inconsistent with the shell, naming the first disagreeing cell in
+    index order.  A table of more than BUILD_CELL_BUDGET cells is
+    refused before the shell is read.
     """
     check_cell_budget(sh.arity, sh.order, AnalysisError)
-    return _assemble(sh, _checked_axes(split, sh.arity), _shell_retracts(sh))
+    return _assemble(sh, _checked_axes(split, sh.arity))
 
 
-def _assemble(sh, S, planes):
-    """reconstruct_with_split over the checked axes S, given the shell's
-    _shell_retracts."""
+def _assemble(sh, S):
+    """reconstruct_with_split over the checked axes S."""
     n, k = sh.arity, sh.order
-    sset = set(S)
-    C = [i for i in range(1, n + 1) if i not in sset]
-    every = range(k)
+    C = [i for i in range(1, n + 1) if i not in S]
 
     # every cell read touches the basepoint, so the shell holds it
     probe = S[0]
-    delta = _shell_read(sh, {probe: every})
-    g0 = _shell_read(sh, dict.fromkeys(S, every))
-    # one row over the C-tuples per probe value
-    h0 = [_shell_read(sh, {probe: (xp,), **dict.fromkeys(C, every)})
-          for xp in every]
+    delta = _shell_read(sh, [probe])
+    g0 = _shell_read(sh, S)
+    # one run over the C-tuples per probe value
+    h0 = _shell_read(sh, [probe, *C])
+    m = k ** len(C)
 
-    if sorted(delta) != list(every):
+    if sorted(delta) != list(range(k)):
         raise ReconstructionError(
             "split inconsistent with shell: probe retract is not a permutation")
-    dinv = [0] * k
-    for x, v in enumerate(delta):
-        dinv[v] = x
+    # the run of probe value x serves the S-parts with g0 = delta[x]
+    runs = [h0[x * m:x * m + m] for _, x in sorted(zip(delta, range(k)))]
 
     # the cell with S-part s and C-part c sits at s_off[s] + c_off[c]
     vals = bytearray(k ** n)
     c_offs = _offsets(n, k, C)
     for s_off, g in zip(_offsets(n, k, S), g0):
-        for c_off, v in zip(c_offs, h0[dinv[g]]):
+        for c_off, v in zip(c_offs, runs[g]):
             vals[s_off + c_off] = v
     t = QTable(n, k, vals)
 
     if not validate(t).ok:
         raise ReconstructionError(
             "split inconsistent with shell: assembled table is not Latin")
-    # the cells touching the basepoint are the n hyperplanes x_i = o_i, so
-    # t agrees with the shell when its retracts through the basepoint
-    # (gathered through flat offsets) equal the shell's
-    if not all(retract(t, {i: o}).values == plane.values
-               for i, (o, plane) in enumerate(zip(sh.basepoint, planes), 1)):
-        for cell, v in sh.entries.items():
-            if t.values[t.index(cell)] != v:
-                raise ReconstructionError(
-                    "split inconsistent with shell: assembled table disagrees "
-                    "at %r" % (cell,))
+    # both shells are zero off the cells touching the basepoint
+    own = Shell(n, k, sh.basepoint, t.values)
+    if own != sh:
+        i = next(i for i, (a, b) in enumerate(zip(own.values, sh.values))
+                 if a != b)
+        raise ReconstructionError(
+            "split inconsistent with shell: assembled table disagrees at %r"
+            % (t.coords(i),))
     return t
-
-
-def _shell_retracts(sh):
-    """The n retracts of the shell's table through its basepoint.
-
-    Retract i fixes axis i at basepoint_i; its axes are the others in
-    order.
-    """
-    n, k, ent = sh.arity, sh.order, sh.entries
-    return [QTable(n - 1, k, bytes(map(ent.__getitem__,
-                                       _hyperplane(sh.basepoint, k, i))))
-            for i in range(1, n + 1)]
 
 
 def reconstruct(sh):
@@ -419,7 +389,9 @@ def reconstruct(sh):
             "%d^%d cells each, over the %d-cell budget"
             % (n, k, n, n + 2, k, n, RECONSTRUCT_BUDGET))
     check_cell_budget(n, k, AnalysisError)
-    retracts = _shell_retracts(sh)
+    # retract i fixes axis i at basepoint_i; its axes are the others in order
+    table = QTable(n, k, sh.values)
+    retracts = [retract(table, {i: o}) for i, o in enumerate(sh.basepoint, 1)]
     verdicts = {}  # (i, split of retract i) -> is_reducible_wrt
 
     def survives(S):
@@ -445,7 +417,7 @@ def reconstruct(sh):
             if any(is_reducible_wrt(c, split) for c in candidates):
                 continue
             try:
-                t = _assemble(sh, S, retracts)
+                t = _assemble(sh, S)
             except ReconstructionError:
                 continue
             if not is_reducible_wrt(t, split):
@@ -575,22 +547,25 @@ def switch_component(q, comp):
 # shell file format
 
 def shell_to_json_obj(sh):
-    rows = sorted(sh.entries.items())
+    n, k = sh.arity, sh.order
+    mask = _on_shell(n, k, sh.basepoint, b"\x01" * k ** n)
+    cells = itertools.compress(itertools.product(range(k), repeat=n), mask)
     return {
-        "arity": sh.arity,
-        "order": sh.order,
+        "arity": n,
+        "order": k,
         "basepoint": list(sh.basepoint),
-        "entries": [list(cell) + [v] for cell, v in rows],
+        "entries": [[*x, v] for x, v in
+                    zip(cells, itertools.compress(sh.values, mask))],
     }
 
 
 def shell_from_json_obj(obj):
-    """Shell from its JSON object.
+    """Shell from its JSON object, else AnalysisError.
 
-    The object needs the fields arity, order, basepoint and entries, and
-    every entry is a list of JSON integers, the coordinates of a cell and
-    then its value, no cell listed twice; the Shell constructor checks
-    the rest.  Anything else raises AnalysisError.
+    The fields are arity, order, basepoint and entries, each entry a list
+    of JSON ints, a cell then its value, listing each cell touching the
+    basepoint once in any order.  The types, the head and the entry
+    count are checked before k^n, at most BUILD_CELL_BUDGET, is formed.
     """
     if not isinstance(obj, dict):
         raise AnalysisError("shell JSON must be an object")
@@ -601,14 +576,37 @@ def shell_from_json_obj(obj):
         raise AnalysisError("shell JSON misses field %s" % e)
     if not isinstance(rows, list):
         raise AnalysisError("shell entries must be a list")
-    entries = {}
     for row in rows:
         if not (type(row) is list and row and set(map(type, row)) <= {int}):
             raise AnalysisError(
                 "shell entry %r must list coordinates and a value, all "
                 "JSON integers" % (row,))
-        cell = tuple(row[:-1])
-        if cell in entries:
-            raise AnalysisError("shell lists cell %r twice" % (cell,))
-        entries[cell] = row[-1]
-    return Shell(n, k, base, entries)
+    base = _checked_head(n, k, base)
+    # k^n - (k-1)^n >= 2^(n-1) for k >= 2: test bit lengths so k^n is
+    # never formed for a huge arity
+    count = len(rows)
+    if ((k > 1 and n - 1 >= count.bit_length())
+            or k ** n - (k - 1) ** n != count):
+        raise AnalysisError(
+            "shell of arity %d, order %d has %d entries, not k^n - (k-1)^n"
+            % (n, k, count))
+    check_cell_budget(n, k, AnalysisError)
+    rows = sorted(rows)
+    vals = [row[-1] for row in rows]
+    if not (0 <= min(vals) and max(vals) < k):
+        raise AnalysisError("shell values must be integers in 0..%d" % (k - 1))
+    # sorted rows list the cells in index order: the first mismatch is a
+    # cell listed twice, one off the basepoint, or a missing one
+    mask = _on_shell(n, k, base, b"\x01" * k ** n)
+    cells = itertools.compress(itertools.product(range(k), repeat=n), mask)
+    for p, (row, cell) in enumerate(zip(rows, map(list, cells))):
+        if (got := row[:-1]) != cell:
+            if p and got == rows[p - 1][:-1]:
+                raise AnalysisError("shell lists cell %r twice"
+                                    % (tuple(got),))
+            raise AnalysisError(
+                "shell entry %r is not a cell touching the basepoint" % (row,)
+                if got < cell else "shell misses cell %r, which touches the "
+                "basepoint" % (tuple(cell),))
+    vals = iter(vals)
+    return Shell(n, k, base, bytes(next(vals) if m else 0 for m in mask))

@@ -7,8 +7,9 @@ import math
 import random
 import time
 
-from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _offsets, _Record,
-                   from_function, omega_product, validate)
+from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _offsets,
+                   _power_over, _Record, from_function, omega_product,
+                   validate)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 DEFAULT_TIME_LIMIT = 600.0
@@ -59,12 +60,10 @@ def _check_ceiling(n, k, budget):
 
 def _check_budget(n, k, budget):
     _check_ceiling(n, k, budget)
-    total = k ** n
-    if total > budget:
+    if _power_over(n, k, budget):
         raise BudgetError(
-            "table has %d cells, over the %d-cell budget; a search would "
-            "touch at least that many nodes" % (total, budget))
-    return total
+            "table has %d^%d cells, over the %d-cell budget; a search would "
+            "touch at least that many nodes" % (k, n, budget))
 
 
 def _search(n, k, cells, pinned, time_limit):
@@ -381,8 +380,8 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     walked in Gray-code order with no further check.
     """
     t0 = time.monotonic()
-    bounds = bound_exponents(n, k)
     _check_budget(n, k, budget)
+    bounds = bound_exponents(n, k)
     if k == 5 or (k % 2 == 1 and k % 3 != 0):
         # imported here: the block-product path needs only core
         from .constructions import build_family5, build_family_k
@@ -419,7 +418,7 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     t0 = time.monotonic()
     exact_count = None
     attempt = exact == "on" or (
-        exact == "auto" and n * k ** n <= budget
+        exact == "auto" and not _power_over(n, k, budget // n)
         and (k <= 3 or (n, k) in _EXACT_AUTO))
     if attempt:
         exact_count = enumerate_count(n, k, budget=budget,

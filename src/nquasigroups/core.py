@@ -19,15 +19,17 @@ class StructuralError(ValueError):
 BUILD_CELL_BUDGET = 1 << 22
 
 
+def _power_over(n, k, cells):
+    """k^n > cells, for ints n >= 0 and k >= 1.  For k >= 2, k^n >= 2^n,
+    so an arity past the bit length of cells decides without forming k^n."""
+    return (k > 1 and n > cells.bit_length()) or k ** n > cells
+
+
 def check_cell_budget(n, k, error):
     """Raise error (a ValueError class, so the CLI exits 1) when a table
-    of arity n and order k holds more than BUILD_CELL_BUDGET cells.
-
-    Runs before anything is allocated.  For k >= 2, k^n >= 2^n, so an
-    arity past the budget's bit length is refused without forming k^n.
-    """
-    if k > 1 and (n > BUILD_CELL_BUDGET.bit_length()
-                  or k ** n > BUILD_CELL_BUDGET):
+    of arity n and order k holds more than BUILD_CELL_BUDGET cells, before
+    anything is allocated (see _power_over)."""
+    if _power_over(n, k, BUILD_CELL_BUDGET):
         raise error(
             "a table of arity %d and order %d holds %d^%d cells, over the "
             "%d-cell build budget" % (n, k, k, n, BUILD_CELL_BUDGET))

@@ -3,12 +3,14 @@
 Each is the library code as it read before the offset gather (core._offsets
 with a symbol subset), kept as the slow path the differential tests compare
 the fast one against: coordinate tuples from itertools.product and one
-QTable.index per cell.
+QTable.index per cell.  The reference shell is the dict of coordinate
+tuples that Shell held before its zero-padded k^n byte form.
 """
 
 import itertools
 
 from nquasigroups import core
+from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
 
 
@@ -138,6 +140,104 @@ def reference_low_cells(q2):
     return frozenset(
         x for x in itertools.product(range(q2.order), repeat=q2.arity)
         if q2.values[q2.index(x)] in (0, 1))
+
+
+# A shell as the library kept it before its zero-padded byte form: the
+# tuple (arity, order, basepoint, entries), entries a dict from each cell
+# touching the basepoint, a coordinate tuple, to its value.
+
+def _reference_hyperplane(base, k, i):
+    """The cells with x_i = base_i, in itertools.product order."""
+    return itertools.product(
+        *[(o,) if j == i else range(k) for j, o in enumerate(base, 1)])
+
+
+def reference_shell(arity, order, basepoint, entries):
+    """The checks of the dict-based Shell constructor; the checked shell."""
+    n, k = arity, order
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise AnalysisError("shell arity and order must be integers >= 1")
+    if not (isinstance(basepoint, (tuple, list)) and len(basepoint) == n
+            and core._ints_below(basepoint, k)):
+        raise AnalysisError(
+            "basepoint must list %d integers in 0..%d" % (n, k - 1))
+    entries = dict(entries)
+    count = len(entries)
+    if ((k > 1 and n - 1 >= count.bit_length())
+            or k ** n - (k - 1) ** n != count):
+        raise AnalysisError(
+            "shell of arity %d, order %d has %d entries, not k^n - (k-1)^n"
+            % (n, k, count))
+    vals = entries.values()
+    if not (set(map(type, vals)) <= {int} and 0 <= min(vals)
+            and max(vals) < k):
+        raise AnalysisError(
+            "shell values must be integers in 0..%d" % (k - 1))
+    basepoint = tuple(basepoint)
+    for i in range(1, n + 1):
+        if None in map(entries.get, _reference_hyperplane(basepoint, k, i)):
+            missing = next(x for x in _reference_hyperplane(basepoint, k, i)
+                           if x not in entries)
+            raise AnalysisError(
+                "shell misses cell %r, which touches the basepoint"
+                % (missing,))
+    if not set(map(type, itertools.chain.from_iterable(entries))) <= {int}:
+        bad = next(x for x in entries if not core._ints_below(x, k))
+        raise AnalysisError(
+            "shell cell %r is not a tuple of %d integers" % (bad, n))
+    return n, k, basepoint, entries
+
+
+def reference_extract_shell(q, basepoint):
+    """The cells of q having some coordinate at the basepoint, each with
+    its value, in index order."""
+    n, k = q.arity, q.order
+    base = tuple(basepoint)
+    # the cells that miss the basepoint on each of the n axes
+    away = set(itertools.product(*[[c for c in range(k) if c != o]
+                                   for o in base[:n]]))
+    entries = {x: v for x, v in zip(q.cells(), q.values) if x not in away}
+    return reference_shell(n, k, base, entries)
+
+
+def reference_entries(sh):
+    """The entries dict of a library Shell: its cells touching the
+    basepoint, in index order, each with its value."""
+    return reference_extract_shell(
+        core.QTable(sh.arity, sh.order, sh.values), sh.basepoint)[3]
+
+
+def reference_shell_to_json_obj(shell):
+    n, k, basepoint, entries = shell
+    return {
+        "arity": n,
+        "order": k,
+        "basepoint": list(basepoint),
+        "entries": [list(cell) + [v] for cell, v in sorted(entries.items())],
+    }
+
+
+def reference_shell_from_json_obj(obj):
+    if not isinstance(obj, dict):
+        raise AnalysisError("shell JSON must be an object")
+    try:
+        n, k = obj["arity"], obj["order"]
+        base, rows = obj["basepoint"], obj["entries"]
+    except KeyError as e:
+        raise AnalysisError("shell JSON misses field %s" % e)
+    if not isinstance(rows, list):
+        raise AnalysisError("shell entries must be a list")
+    entries = {}
+    for row in rows:
+        if not (type(row) is list and row and set(map(type, row)) <= {int}):
+            raise AnalysisError(
+                "shell entry %r must list coordinates and a value, all "
+                "JSON integers" % (row,))
+        cell = tuple(row[:-1])
+        if cell in entries:
+            raise AnalysisError("shell lists cell %r twice" % (cell,))
+        entries[cell] = row[-1]
+    return reference_shell(n, k, base, entries)
 
 
 def table_outcome(fn, *args):

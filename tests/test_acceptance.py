@@ -87,7 +87,7 @@ def test_criterion_5_shell_reconstruction():
     assert len(vals) >= 2
     assert q3.values in vals and f3.values in vals
     for c in cands:
-        assert analysis.extract_shell(c, (0, 0, 0)).entries == sh3.entries
+        assert analysis.extract_shell(c, (0, 0, 0)) == sh3
     assert time.perf_counter() - t0 < 60.0
 
 

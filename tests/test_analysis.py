@@ -138,37 +138,52 @@ class TestFindSubquasigroups:
             == oracles.reference_find_subquasigroups(q)
 
 
+def entries(sh):
+    """The [cell..., value] rows of a shell's JSON form."""
+    return A.shell_to_json_obj(sh)["entries"]
+
+
 class TestExtractShell:
     def test_entry_count_2_5(self):
         sh = A.extract_shell(C.fixture("Q52"), (0, 0))
-        assert len(sh.entries) == 9
+        assert len(entries(sh)) == 9
 
     def test_entry_count_4_4_offcenter(self):
         t = C.build_closed(4, 4, 2)
         sh = A.extract_shell(t, (2, 2, 2, 2))
-        assert len(sh.entries) == 175
+        assert len(entries(sh)) == 175
 
     def test_xor_shell(self):
         sh = A.extract_shell(core.from_rows([[0, 1], [1, 0]]), (0, 0))
-        assert sh.entries == {(0, 0): 0, (0, 1): 1, (1, 0): 1}
+        assert entries(sh) == [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
+        assert sh.values == bytes((0, 1, 1, 0))
+
+    def test_off_shell_cells_are_zero(self):
+        # the cells that miss the basepoint on every axis hold 0
+        q = C.fixture("Q62")
+        sh = A.extract_shell(q, (3, 1))
+        for x in q.cells():
+            v = sh.values[q.index(x)]
+            assert v == (core.evaluate(q, x) if x[0] == 3 or x[1] == 1
+                         else 0)
 
     def test_entries_match_table(self):
         q = C.fixture("Q62")
         sh = A.extract_shell(q, (3, 1))
-        for cell, v in sh.entries.items():
+        for *cell, v in entries(sh):
             assert cell[0] == 3 or cell[1] == 1
             assert core.evaluate(q, cell) == v
 
     def test_json_roundtrip(self):
         t = C.build_closed(3, 4, 2)
         sh = A.extract_shell(t, (1, 2, 3))
-        back = A.shell_from_json_obj(A.shell_to_json_obj(sh))
-        assert back.arity == sh.arity and back.basepoint == sh.basepoint
-        assert back.entries == sh.entries
+        assert A.shell_from_json_obj(A.shell_to_json_obj(sh)) == sh
 
 
 SHELL_BASE = (0, 1, 0)
-SHELL_ENTRIES = A.extract_shell(C.build_closed(3, 4, 2), SHELL_BASE).entries
+SHELL_TABLE = C.build_closed(3, 4, 2)
+SHELL_VALUES = A.extract_shell(SHELL_TABLE, SHELL_BASE).values
+SHELL_ENTRIES = oracles.reference_extract_shell(SHELL_TABLE, SHELL_BASE)[3]
 LAST = max(SHELL_ENTRIES)  # (3, 3, 0)
 
 
@@ -179,81 +194,126 @@ def edited(drop=None, add=()):
     return entries
 
 
+def shell_obj(arity, order, basepoint, entries):
+    """The JSON object of a shell with these fields, entries a dict."""
+    if isinstance(basepoint, tuple):
+        basepoint = list(basepoint)
+    return {"arity": arity, "order": order, "basepoint": basepoint,
+            "entries": [list(cell) + [v] for cell, v in entries.items()]}
+
+
 def shell_case(id, error, arity=3, order=4, basepoint=SHELL_BASE,
                entries=SHELL_ENTRIES):
-    return pytest.param((arity, order, basepoint, entries), error, id=id)
+    return pytest.param(shell_obj(arity, order, basepoint, entries), error,
+                        id=id)
 
 
 BASEPOINT_ERROR = "basepoint must list 3 integers in 0..3"
 VALUE_ERROR = "shell values must be integers in 0..3"
+ROW_ERROR = ("shell entry %r must list coordinates and a value, all JSON "
+             "integers")
+
+
+REFUSED_SHELLS = [
+    shell_case("short-basepoint", BASEPOINT_ERROR, basepoint=(0, 1)),
+    shell_case("basepoint-out-of-range", BASEPOINT_ERROR,
+               basepoint=(0, 4, 0)),
+    shell_case("bool-basepoint", BASEPOINT_ERROR, basepoint=(0, True, 0)),
+    shell_case("float-basepoint", BASEPOINT_ERROR, basepoint=(0, 1.0, 0)),
+    shell_case("str-basepoint", BASEPOINT_ERROR, basepoint="010"),
+    shell_case("zero-arity", "shell arity and order must be integers "
+               ">= 1", arity=0),
+    shell_case("bool-order", "shell arity and order must be integers "
+               ">= 1", order=True),
+    shell_case("missing-entry", "shell of arity 3, order 4 has 36 "
+               "entries, not k^n - (k-1)^n", entries=edited(drop=LAST)),
+    shell_case("extra-entry", "shell of arity 3, order 4 has 38 entries, "
+               "not k^n - (k-1)^n", entries=edited(add={(3, 3, 3): 0})),
+    shell_case("off-basepoint-entry", "shell misses cell (3, 3, 0), "
+               "which touches the basepoint",
+               entries=edited(drop=LAST, add={(3, 3, 3): 0})),
+    shell_case("longer-cell", "shell misses cell (3, 3, 0), which "
+               "touches the basepoint",
+               entries=edited(drop=LAST, add={(3, 3, 0, 0): 0})),
+    shell_case("value-out-of-range", VALUE_ERROR,
+               entries=edited(add={LAST: 4})),
+    shell_case("negative-value", VALUE_ERROR,
+               entries=edited(add={LAST: -1})),
+    shell_case("bool-value", ROW_ERROR % ([3, 3, 0, True],),
+               entries=edited(add={LAST: True})),
+    # cells equal to a cell of the shell, but not all JSON integers
+    shell_case("float-cell", ROW_ERROR % ([3, 3.0, 0, 1],),
+               entries=edited(drop=LAST, add={(3, 3.0, 0): 1})),
+    shell_case("bool-cell", ROW_ERROR % ([3, 3, False, 1],),
+               entries=edited(drop=LAST, add={(3, 3, False): 1})),
+    shell_case("order-over-256", "shell order 300 is over 256, the most "
+               "symbols a table holds", arity=2, order=300,
+               basepoint=(0, 0), entries={(0, y): y for y in range(300)}
+               | {(x, 0): x for x in range(1, 300)}),
+]
 
 
 class TestShellRecord:
-    """Shell checks its own invariant when it is built."""
+    """A shell is checked when it is built or read: its record checks the
+    head and the values, its JSON reader the entries."""
 
-    @pytest.mark.parametrize("args,error", [
-        shell_case("short-basepoint", BASEPOINT_ERROR, basepoint=(0, 1)),
-        shell_case("basepoint-out-of-range", BASEPOINT_ERROR,
-                   basepoint=(0, 4, 0)),
-        shell_case("bool-basepoint", BASEPOINT_ERROR, basepoint=(0, True, 0)),
-        shell_case("float-basepoint", BASEPOINT_ERROR, basepoint=(0, 1.0, 0)),
-        shell_case("str-basepoint", BASEPOINT_ERROR, basepoint="010"),
-        shell_case("zero-arity", "shell arity and order must be integers "
-                   ">= 1", arity=0),
-        shell_case("bool-order", "shell arity and order must be integers "
-                   ">= 1", order=True),
-        shell_case("missing-entry", "shell of arity 3, order 4 has 36 "
-                   "entries, not k^n - (k-1)^n", entries=edited(drop=LAST)),
-        shell_case("extra-entry", "shell of arity 3, order 4 has 38 entries, "
-                   "not k^n - (k-1)^n", entries=edited(add={(3, 3, 3): 0})),
-        shell_case("off-basepoint-entry", "shell misses cell (3, 3, 0), "
-                   "which touches the basepoint",
-                   entries=edited(drop=LAST, add={(3, 3, 3): 0})),
-        shell_case("longer-cell", "shell misses cell (3, 3, 0), which "
-                   "touches the basepoint",
-                   entries=edited(drop=LAST, add={(3, 3, 0, 0): 0})),
-        shell_case("value-out-of-range", VALUE_ERROR,
-                   entries=edited(add={LAST: 4})),
-        shell_case("negative-value", VALUE_ERROR,
-                   entries=edited(add={LAST: -1})),
-        shell_case("bool-value", VALUE_ERROR,
-                   entries=edited(add={LAST: True})),
-        # keys equal to a cell of the shell, but not a tuple of ints
-        shell_case("float-cell", "shell cell (3, 3.0, 0) is not a tuple of 3 "
-                   "integers", entries=edited(drop=LAST, add={(3, 3.0, 0): 1})),
-        shell_case("bool-cell", "shell cell (3, 3, False) is not a tuple of 3 "
-                   "integers", entries=edited(drop=LAST, add={(3, 3, False): 1})),
-    ])
-    def test_refused(self, args, error):
+    @pytest.mark.parametrize("obj,error", REFUSED_SHELLS)
+    def test_refused(self, obj, error):
         with pytest.raises(A.AnalysisError) as err:
-            A.Shell(*args)
+            A.shell_from_json_obj(obj)
         assert str(err.value) == error
 
+    @pytest.mark.parametrize("values", [
+        SHELL_VALUES[:-1], SHELL_VALUES + b"\0", list(SHELL_VALUES),
+        SHELL_VALUES.replace(b"\3", b"\4"), None])
+    def test_bad_values_refused(self, values):
+        with pytest.raises(A.AnalysisError) as err:
+            A.Shell(3, 4, SHELL_BASE, values)
+        assert str(err.value) == "shell values must be 4^3 bytes in 0..3"
+
+    def test_values_off_the_shell_dropped(self):
+        # (3, 3, 3) misses the basepoint (0, 1, 0): its byte is not kept
+        vals = bytearray(SHELL_TABLE.values)
+        vals[SHELL_TABLE.index((3, 3, 3))] = 200
+        sh = A.Shell(3, 4, SHELL_BASE, vals)
+        assert sh.values == SHELL_VALUES and sh.values[63] == 0
+
     def test_float_key_never_serialised(self):
-        # accepted before, it was written back as [0, 1.0, 1]
-        with pytest.raises(A.AnalysisError, match="not a tuple of 2 integers"):
-            A.Shell(2, 2, (0, 0), {(0, 0): 0, (0, 1.0): 1, (1, 0): 1})
+        # a float coordinate equal to an int is refused when read, so no
+        # shell can write it back as [0, 1.0, 1]
+        obj = shell_obj(2, 2, (0, 0), {(0, 0): 0, (0, 1.0): 1, (1, 0): 1})
+        with pytest.raises(A.AnalysisError) as err:
+            A.shell_from_json_obj(obj)
+        assert str(err.value) == ROW_ERROR % ([0, 1.0, 1],)
 
     def test_arity_1_split_checked_before_the_retracts(self):
         # an arity-1 shell has no retracts of arity >= 1: the split error
         # is the one reported
-        sh = A.Shell(1, 2, (0,), {(0,): 0})
+        sh = A.Shell(1, 2, (0,), bytes(2))
         with pytest.raises(A.AnalysisError) as err:
             A.reconstruct_with_split(sh, (1, 2))
         assert str(err.value) == "split axes must lie in 1..1"
 
     def test_keeps_its_own_entries(self):
-        # the caller may edit its dict after construction; the shell
+        # the caller may edit its buffer after construction; the shell
         # keeps its own copy
-        entries = dict(SHELL_ENTRIES)
-        sh = A.Shell(3, 4, SHELL_BASE, entries)
-        del entries[LAST]
-        assert sh.entries == SHELL_ENTRIES and sh.entries is not entries
+        vals = bytearray(SHELL_VALUES)
+        sh = A.Shell(3, 4, SHELL_BASE, vals)
+        vals[0] ^= 1
+        assert sh.values == SHELL_VALUES and type(sh.values) is bytes
         assert A.reconstruct(sh)
 
     def test_list_basepoint_stored_as_tuple(self):
-        assert (A.Shell(3, 4, list(SHELL_BASE), SHELL_ENTRIES)
-                == A.Shell(3, 4, SHELL_BASE, SHELL_ENTRIES))
+        assert (A.Shell(3, 4, list(SHELL_BASE), SHELL_VALUES)
+                == A.Shell(3, 4, SHELL_BASE, SHELL_VALUES))
+
+    def test_head_refused_by_the_record(self):
+        with pytest.raises(A.AnalysisError, match=BASEPOINT_ERROR):
+            A.Shell(3, 4, (0, 1), SHELL_VALUES)
+        with pytest.raises(A.AnalysisError, match="integers >= 1"):
+            A.Shell(3.0, 4, SHELL_BASE, SHELL_VALUES)
+        with pytest.raises(A.AnalysisError, match="over 256"):
+            A.Shell(1, 257, (0,), bytes(257))
 
     @given(st.integers(1, 5), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -264,9 +324,81 @@ class TestShellRecord:
         base = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                         max_size=n)))
         sh = A.extract_shell(core.QTable(n, k, tuple(vals)), base)
-        assert len(sh.entries) == k ** n - (k - 1) ** n
         obj = json.loads(json.dumps(A.shell_to_json_obj(sh)))
+        assert len(obj["entries"]) == k ** n - (k - 1) ** n
         assert A.shell_from_json_obj(obj) == sh
+
+
+def read_outcome(read, to_json, obj):
+    """The JSON form of the shell read makes of obj, or the class of the
+    error it raises."""
+    try:
+        return to_json(read(obj))
+    except Exception as e:
+        return type(e)
+
+
+class TestShellAgainstReference:
+    """The byte shell against the dict of coordinate tuples it replaced
+    (tests/oracles.py): the same JSON, and the same verdict on edited
+    entries."""
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_json_equals_reference(self, n, k, data):
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=k ** n,
+                                  max_size=k ** n))
+        base = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                        max_size=n)))
+        q = core.QTable(n, k, vals)
+        assert (A.shell_to_json_obj(A.extract_shell(q, base))
+                == oracles.reference_shell_to_json_obj(
+                    oracles.reference_extract_shell(q, base)))
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_entries_read_as_the_reference_reads_them(self, n, k,
+                                                             data):
+        # rows dropped, duplicated (with any value), moved along an axis
+        # (on or off the basepoint) or given any value, then shuffled
+        rng = data.draw(st.randoms(use_true_random=False))
+        vals = [rng.randrange(k) for _ in range(k ** n)]
+        base = data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                  max_size=n))
+        rows = entries(A.extract_shell(core.QTable(n, k, vals), base))
+        value = st.integers(-1, k)
+        for edit in data.draw(st.lists(st.sampled_from(
+                ("drop", "duplicate", "move", "value")), max_size=3)):
+            if not rows:
+                break
+            i = data.draw(st.integers(0, len(rows) - 1))
+            if edit == "drop":
+                del rows[i]
+            elif edit == "duplicate":
+                rows.append(rows[i][:-1] + [data.draw(value)])
+            elif edit == "move":
+                row = list(rows[i])
+                row[data.draw(st.integers(0, n - 1))] = data.draw(
+                    st.integers(-1, k))
+                rows[i] = row
+            else:
+                rows[i] = rows[i][:-1] + [data.draw(value)]
+        rng.shuffle(rows)
+        obj = {"arity": n, "order": k, "basepoint": base, "entries": rows}
+        assert (read_outcome(A.shell_from_json_obj, A.shell_to_json_obj, obj)
+                == read_outcome(oracles.reference_shell_from_json_obj,
+                                oracles.reference_shell_to_json_obj, obj))
+
+    @pytest.mark.parametrize("obj,error", REFUSED_SHELLS)
+    def test_refused_as_the_reference_refuses(self, obj, error):
+        got = read_outcome(A.shell_from_json_obj, A.shell_to_json_obj, obj)
+        want = read_outcome(oracles.reference_shell_from_json_obj,
+                            oracles.reference_shell_to_json_obj, obj)
+        assert got is A.AnalysisError
+        # an order past 256 is now refused when read; the dict form took it
+        assert want == (got if obj["order"] <= 256
+                        else oracles.reference_shell_to_json_obj(
+                            oracles.reference_shell_from_json_obj(obj)))
 
 
 class TestReconstructWithSplit:
@@ -300,25 +432,32 @@ class TestReconstructWithSplit:
 
     def test_over_build_budget_refused_first(self, monkeypatch):
         # 78,247 entries of the cyclic order-162 ternary table, which holds
-        # 162^3 = 4,251,528 cells: refused before the shell is read
+        # 162^3 = 4,251,528 cells: the JSON shell is refused when it is
+        # read, before its cells are formed
         k = 162
+        budget_error = ("a table of arity 3 and order 162 holds 162^3 cells, "
+                        "over the 4194304-cell build budget")
         cells = [(0, y, z) for y in range(k) for z in range(k)]
         cells += [(x, 0, z) for x in range(1, k) for z in range(k)]
         cells += [(x, y, 0) for x in range(1, k) for y in range(1, k)]
-        sh = A.Shell(3, k, (0, 0, 0), {x: sum(x) % k for x in cells})
-        assert len(sh.entries) == k ** 3 - (k - 1) ** 3 == 78247
+        obj = shell_obj(3, k, (0, 0, 0), {x: sum(x) % k for x in cells})
+        assert len(obj["entries"]) == k ** 3 - (k - 1) ** 3 == 78247
+        with pytest.raises(A.AnalysisError) as err:
+            A.shell_from_json_obj(obj)
+        assert str(err.value) == budget_error
+
+        # a record built from the values is refused before it is read
+        sh = A.Shell(3, k, (0, 0, 0), bytes(k ** 3))
 
         def unread(*args):
             raise AssertionError("the shell was read")
 
         monkeypatch.setattr(A, "_shell_read", unread)
-        monkeypatch.setattr(A, "_shell_retracts", unread)
+        monkeypatch.setattr(A, "retract", unread)
         for split in [(1, 2), (2, 3), (1, 3)]:
             with pytest.raises(A.AnalysisError) as err:
                 A.reconstruct_with_split(sh, split)
-            assert str(err.value) == (
-                "a table of arity 3 and order 162 holds 162^3 cells, over "
-                "the 4194304-cell build budget")
+            assert str(err.value) == budget_error
         # 3 splits of 162^3 cells fit reconstruct's own budget, and the
         # cell budget refuses each assembly
         with pytest.raises(A.AnalysisError, match="4194304-cell build budget"):
@@ -362,15 +501,15 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_partial_shell_refused(self, n):
-        # every Shell is complete: one missing an entry is refused when it
-        # is built, so reconstruct never meets it
+        # every Shell is complete: JSON missing an entry is refused when
+        # it is read, so reconstruct never meets it
         t, _ = randgen.random_reducible(n, 4, 5)
-        sh = A.extract_shell(t, (1,) * n)
-        for cell in sorted(sh.entries)[::7]:
-            entries = dict(sh.entries)
-            del entries[cell]
+        rows = entries(A.extract_shell(t, (1,) * n))
+        for i in range(0, len(rows), 7):
+            obj = {"arity": n, "order": 4, "basepoint": [1] * n,
+                   "entries": rows[:i] + rows[i + 1:]}
             with pytest.raises(A.AnalysisError, match=r"entries, not k\^n"):
-                A.Shell(n, 4, sh.basepoint, entries)
+                A.shell_from_json_obj(obj)
 
     def test_retracts_prune_before_assembly(self, monkeypatch):
         assembled = []
@@ -408,10 +547,9 @@ class TestReconstruct:
         (0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 4), (0, -1, 0, 0), (0, 0.0, 0, 0)])
     def test_malformed_basepoint_rejected(self, basepoint):
         t = C.build_closed(4, 4, 2)
-        entries = A.extract_shell(t, (0, 0, 0, 0)).entries
         # refused when the shell is built, whether by hand or from a table
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
-            A.Shell(4, 4, basepoint, entries)
+            A.Shell(4, 4, basepoint, t.values)
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
             A.extract_shell(t, basepoint)
 
@@ -474,7 +612,7 @@ def reference_reconstruct_with_split(sh, split):
     S = A._checked_axes(split, n)
     probe = S[0]
     C_ = [i for i in range(1, n + 1) if i not in S]
-    base, ent = sh.basepoint, sh.entries
+    base, ent = sh.basepoint, oracles.reference_entries(sh)
 
     def shell_cell(assign):
         return tuple(assign.get(i, base[i - 1]) for i in range(1, n + 1))
@@ -542,19 +680,26 @@ def reconstruct_or_empty(sh):
 
 
 class TestShellAgreement:
-    """reconstruct_with_split compares the assembled table with the shell
-    hyperplane by hyperplane; only a disagreement scans the entries,
-    naming the first disagreeing cell as the cell-by-cell reference
-    does.  A partial or padded shell is refused when it is built."""
+    """reconstruct_with_split compares the assembled table's shell with
+    the given one; only a disagreement scans them, naming the first
+    disagreeing cell in index order as the cell-by-cell reference does.
+    A partial or padded JSON shell is refused when it is read."""
 
     def setup_method(self):
         t, split = randgen.random_reducible(4, 4, 3)
         self.t = t
         self.split = A.Split(frozenset(split))
         self.sh = A.extract_shell(t, (1, 2, 0, 3))
+        self.cells = list(oracles.reference_entries(self.sh))
 
-    def outcomes(self, entries):
-        sh = A.Shell(4, 4, self.sh.basepoint, entries)
+    def altered(self, *cells):
+        """The shell with the values of these cells moved up by 1 mod 4."""
+        vals = bytearray(self.sh.values)
+        for c in cells:
+            vals[self.t.index(c)] = (vals[self.t.index(c)] + 1) % 4
+        return A.Shell(4, 4, self.sh.basepoint, vals)
+
+    def outcomes(self, sh):
         return [assembly_outcome(fn, sh, split)
                 for fn in (A.reconstruct_with_split,
                            reference_reconstruct_with_split)
@@ -565,48 +710,52 @@ class TestShellAgreement:
         index = core.QTable.index
         monkeypatch.setattr(core.QTable, "index",
                             lambda q, c: calls.append(c) or index(q, c))
+        monkeypatch.setattr(core.QTable, "coords",
+                            lambda q, i: calls.append(i))
         assert A.reconstruct_with_split(self.sh, self.split) == self.t
         assert calls == []
 
     def test_each_altered_entry(self):
-        for cell in self.sh.entries:
-            entries = dict(self.sh.entries)
-            entries[cell] = (entries[cell] + 1) % 4
-            got = self.outcomes(entries)
+        for cell in self.cells:
+            got = self.outcomes(self.altered(cell))
             assert got[:2] == got[2:]
 
     def test_first_disagreement_in_entries_order(self):
-        cells = list(self.sh.entries)
+        # two altered cells: the cell named is the reference's, which
+        # scans its entries in index order
         named = set()
-        for i in range(0, len(cells), 5):
-            # two altered cells, entries listed in two orders
-            pair = cells[i], cells[-1 - i]
-            for order in (cells, cells[::-1]):
-                entries = {c: self.sh.entries[c] for c in order}
-                for c in pair:
-                    entries[c] = (entries[c] + 1) % 4
-                got = self.outcomes(entries)
-                assert got[:2] == got[2:]
-                named.add(got[0])
+        for i in range(0, len(self.cells), 5):
+            got = self.outcomes(self.altered(self.cells[-1 - i],
+                                             self.cells[i]))
+            assert got[:2] == got[2:]
+            named.add(got[0])
         assert any("disagrees at" in str(o) for o in named)
 
     def test_missing_and_extra_entries(self):
         # 4^4 - 3^4 = 175 cells touch the basepoint; (3, 3, 3, 2) does not
-        for cell in list(self.sh.entries)[::3]:
-            entries = dict(self.sh.entries)
-            del entries[cell]
+        rows = entries(self.sh)
+        extra = [3, 3, 3, 2, 0]
+        for i in range(0, len(rows), 3):
+            obj = {"arity": 4, "order": 4, "basepoint": [1, 2, 0, 3],
+                   "entries": rows[:i] + rows[i + 1:]}
             with pytest.raises(A.AnalysisError, match="has 174 entries"):
-                A.Shell(4, 4, self.sh.basepoint, entries)
-            entries[(3, 3, 3, 2)] = 0
+                A.shell_from_json_obj(obj)
+            obj["entries"].append(extra)
             with pytest.raises(A.AnalysisError) as err:
-                A.Shell(4, 4, self.sh.basepoint, entries)
-            assert str(err.value) == ("shell misses cell %r, which touches "
-                                      "the basepoint" % (cell,))
+                A.shell_from_json_obj(obj)
+            # sorted, the rows first differ from the cells at the missing
+            # cell, or at the extra row when it sorts first
+            cell = rows[i][:-1]
+            assert str(err.value) == (
+                "shell misses cell %r, which touches the basepoint"
+                % (tuple(cell),) if cell < extra else
+                "shell entry %r is not a cell touching the basepoint"
+                % (extra,))
         for value in range(4):
-            entries = dict(self.sh.entries)
-            entries[(3, 3, 3, 2)] = value
+            obj = {"arity": 4, "order": 4, "basepoint": [1, 2, 0, 3],
+                   "entries": rows + [[3, 3, 3, 2, value]]}
             with pytest.raises(A.AnalysisError, match="has 176 entries"):
-                A.Shell(4, 4, self.sh.basepoint, entries)
+                A.shell_from_json_obj(obj)
 
 
 def check_reductions(t):

@@ -299,6 +299,20 @@ class TestEnumerateCount:
         with pytest.raises(census.BudgetError):
             census.enumerate_count(6, 13)
 
+    def test_budget_checked_before_the_bounds(self, monkeypatch):
+        # bound_exponents(10^7, 5) alone takes most of a second
+        def bounds(n, k):
+            raise AssertionError("bounds computed first")
+
+        monkeypatch.setattr(census, "bound_exponents", bounds)
+        t0 = time.perf_counter()
+        for n in (100_000, 10_000_000):
+            with pytest.raises(census.BudgetError,
+                               match=r"table has 5\^%d cells" % n):
+                census.verify_family(n, 5)
+        assert census.run_census(10_000_000, 2).exact_count is None
+        assert time.perf_counter() - t0 < 1.0
+
     def test_budget_over_build_budget_refused(self):
         over = core.BUILD_CELL_BUDGET + 1
         for call in (lambda: census.enumerate_count(2, 3, budget=over),

@@ -236,6 +236,16 @@ class TestAnalyze:
         assert done.stdout == "1 \n", done.stderr
         assert done.stderr == "error: basepoint must list 3 integers in 0..4\n"
 
+    def test_closed6_k5_shell_golden_sha256(self, capsys, monkeypatch):
+        # the shell of build_closed(6, 5, 2) at an off-centre basepoint,
+        # byte for byte: 11,529 entries, 184,524 bytes
+        feed_stdin(monkeypatch, core.to_json(C.build_closed(6, 5, 2)))
+        code, out, _ = run_cli(capsys, "analyze", "-", "--shell",
+                               "--basepoint", "3,0,4,1,2,1")
+        golden = (GOLDEN / "closed6_k5_shell_304121.sha256").read_text()
+        assert code == 0 and len(out) == 184524
+        assert hashlib.sha256(out.encode()).hexdigest() == golden.strip()
+
 
 class TestComponents:
     def test_listing(self, capsys, monkeypatch):
@@ -348,6 +358,34 @@ class TestReconstructCli:
         assert time.perf_counter() - t0 < 1.0
         assert code == 1 and out == "" and "budget" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [[], ["--split", "1,2"]])
+    def test_order_over_256_refused_when_read(self, capsys, monkeypatch,
+                                               argv):
+        # 300^2 - 299^2 = 599 entries of the cyclic order-300 binary table
+        cells = [(0, y) for y in range(300)] + [(x, 0) for x in range(1, 300)]
+        feed_stdin(monkeypatch, json.dumps({
+            "arity": 2, "order": 300, "basepoint": [0, 0],
+            "entries": [[x, y, (x + y) % 300] for x, y in cells]}))
+        code, out, err = run_cli(capsys, "reconstruct", "-", *argv)
+        assert (code, out, err) == (1, "", "error: shell order 300 is over "
+                                           "256, the most symbols a table "
+                                           "holds\n")
+
+    def test_over_build_budget_refused_when_read(self, capsys, monkeypatch):
+        # 78,247 entries of the cyclic order-162 ternary table, whose
+        # 162^3 cells pass core.BUILD_CELL_BUDGET
+        k = 162
+        cells = [(0, y, z) for y in range(k) for z in range(k)]
+        cells += [(x, 0, z) for x in range(1, k) for z in range(k)]
+        cells += [(x, y, 0) for x in range(1, k) for y in range(1, k)]
+        feed_stdin(monkeypatch, json.dumps({
+            "arity": 3, "order": k, "basepoint": [0, 0, 0],
+            "entries": [[*x, sum(x) % k] for x in cells]}))
+        code, out, err = run_cli(capsys, "reconstruct", "-")
+        assert (code, out, err) == (1, "", "error: a table of arity 3 and "
+                                           "order 162 holds 162^3 cells, over "
+                                           "the 4194304-cell build budget\n")
 
 
 class TestStrictShellJson:
@@ -596,6 +634,23 @@ class TestCensusCli:
         code, _, err = run_cli(capsys, "census", "--n", "6", "--k", "13",
                                "--exact", "on")
         assert code == 1 and err
+
+    @pytest.mark.parametrize("n,exact", [
+        (100_000, "off"), (10_000_000, "off"), (10_000_000, "auto")])
+    def test_huge_arity_refused_at_once(self, n, exact):
+        # 5^n is never formed: at n = 100,000 its decimal form passes
+        # Python's digit limit (a ValueError, not the budget text), and at
+        # 10^7 computing it takes seconds
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "nquasigroups.cli", "census", "--n",
+             str(n), "--k", "5", "--exact", exact], env=child_env(),
+            capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - t0 < 1.0
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: table has 5^%d cells, over the 2000000-cell budget; a "
+            "search would touch at least that many nodes\n" % n)
 
     @pytest.mark.parametrize("argv", [
         ["--n", "10", "--k", "5"], ["--n", "3", "--k", "5"],

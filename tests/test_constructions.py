@@ -391,7 +391,7 @@ class TestShellCounterexample:
         q, f, loop = C.build_shell_counterexample()
         shq = analysis.extract_shell(q, (0, 0, 0))
         shf = analysis.extract_shell(f, (0, 0, 0))
-        assert shq.entries == shf.entries
+        assert shq == shf
 
     def test_groupings_of_loop(self):
         q, f, loop = C.build_shell_counterexample()

@@ -60,7 +60,8 @@ class TestLazyNames:
 
 
 Q = core.QTable(2, 2, (0, 1, 1, 0))
-SHELL_ENTRIES = {(0, 0): 0, (0, 1): 1, (1, 0): 1}
+# xor's shell at (0, 0); the cell (1, 1) misses the basepoint and holds 0
+SHELL_VALUES = bytes((0, 1, 1, 0))
 
 # (record, its fields in order, a record differing in one field)
 RECORDS = [
@@ -70,9 +71,9 @@ RECORDS = [
      core.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (1, 0))})),
     (analysis.Split(frozenset({1, 2})), (frozenset({1, 2}),),
      analysis.Split(frozenset({2, 3}))),
-    (analysis.Shell(2, 2, (0, 0), SHELL_ENTRIES),
-     (2, 2, (0, 0), SHELL_ENTRIES),
-     analysis.Shell(2, 2, (1, 1), {(0, 1): 1, (1, 0): 1, (1, 1): 0})),
+    (analysis.Shell(2, 2, (0, 0), SHELL_VALUES),
+     (2, 2, (0, 0), SHELL_VALUES),
+     analysis.Shell(2, 2, (1, 1), SHELL_VALUES)),
     (core.ValidationReport(True), (True, ()), core.ValidationReport(False)),
     (core.ValidationReport(False, (core.LineViolation(1, (None, 0)),)),
      (False, (core.LineViolation(1, (None, 0)),)),
