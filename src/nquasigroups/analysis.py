@@ -10,7 +10,8 @@ import operator
 import sys
 
 from .core import (MAX_ORDER, QTable, _axis_chunks, _ints_below, _offsets,
-                   _Record, check_cell_budget, retract, validate)
+                   _power_over, _Record, check_cell_budget, retract,
+                   validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -66,9 +67,7 @@ class Shell(_Record):
         basepoint = _checked_head(n, k, basepoint)
         data = (bytes(values)
                 if isinstance(values, (bytes, bytearray, memoryview)) else b"")
-        # k^n > len(data) when k >= 2 and 2^n > len(data): a huge arity
-        # never reaches the power
-        if ((k > 1 and n >= len(data).bit_length()) or k ** n != len(data)
+        if (_power_over(n, k, len(data)) or k ** n != len(data)
                 or (data := bytes(_on_shell(n, k, basepoint, data))).translate(
                     None, bytes(range(k)))):
             raise AnalysisError("shell values must be %d^%d bytes in 0..%d"
@@ -582,11 +581,9 @@ def shell_from_json_obj(obj):
                 "shell entry %r must list coordinates and a value, all "
                 "JSON integers" % (row,))
     base = _checked_head(n, k, base)
-    # k^n - (k-1)^n >= 2^(n-1) for k >= 2: test bit lengths so k^n is
-    # never formed for a huge arity
+    # k^n - (k-1)^n >= k^(n-1): a huge arity never reaches the power
     count = len(rows)
-    if ((k > 1 and n - 1 >= count.bit_length())
-            or k ** n - (k - 1) ** n != count):
+    if _power_over(n - 1, k, count) or k ** n - (k - 1) ** n != count:
         raise AnalysisError(
             "shell of arity %d, order %d has %d entries, not k^n - (k-1)^n"
             % (n, k, count))

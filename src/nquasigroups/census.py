@@ -7,9 +7,8 @@ import math
 import random
 import time
 
-from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _offsets,
-                   _power_over, _Record, from_function, omega_product,
-                   validate)
+from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _offsets, _Record,
+                   _power_over, from_function, omega_product, validate)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 DEFAULT_TIME_LIMIT = 600.0

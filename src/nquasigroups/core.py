@@ -112,9 +112,7 @@ class QTable(_Record):
             values = values if isinstance(values, (tuple, list)) else list(values)
             data = None
         count = len(values)
-        # order**arity > count whenever order >= 2 and 2**arity > count; the
-        # test keeps a huge arity from ever reaching the power
-        if (order > 1 and arity >= count.bit_length()) or order ** arity != count:
+        if _power_over(arity, order, count) or order ** arity != count:
             raise StructuralError(
                 "%d values do not fill a table of order %d and arity %d"
                 % (count, order, arity))
