@@ -18,6 +18,11 @@ from .core import (MAX_ORDER, QTable, _axis_chunks, _ints_below, _offsets,
 # (4^8 and 5^7 still fit)
 RECONSTRUCT_BUDGET = 1 << 24
 
+# find_subquasigroups' work and output grow with the closed sets it finds:
+# refuse tables with more than this (xor on 256 symbols, with 417,198,
+# reaches it in under 1 s)
+SUBQUASIGROUP_CAP = 1 << 10
+
 
 class AnalysisError(ValueError):
     """Bad arguments to an analysis procedure."""
@@ -260,22 +265,56 @@ def find_reductions(q):
     return found
 
 
+def _closure(raw, n, k, closed, x):
+    """The closure of closed | {x} under the table raw, or None when it
+    gains a symbol below x or reaches all k symbols."""
+    members = closed | {x}
+    while len(members) < k:
+        new = set(map(raw.__getitem__, _offsets(
+            n, k, range(1, n + 1), members))) - members
+        if not new:
+            return members
+        if min(new) < x:
+            return None
+        members |= new
+    return None
+
+
 def find_subquasigroups(q):
-    """All proper symbol subsets on which q is closed.
+    """All proper symbol subsets on which q is closed, sorted by size,
+    then as tuples.
 
     Closure suffices: on finite sets the restriction of a quasigroup to a
-    closed subset is itself Latin.  Returns sorted tuples, smallest first.
+    closed subset is itself Latin.  Only closed sets are visited, each
+    once, as a tree.  A closed proper S is the closure of one chain
+    s_1 < s_2 < .. of its symbols: s_i is the least symbol of S outside
+    C_(i-1), the closure of s_1..s_(i-1), and every C_i lies inside S.
+    So from a closed C reached by adding g (the empty set, g = -1, is the
+    root), the search closes C | {x} for each x > g outside C, and keeps
+    the closure when it gains no symbol below x and is not all k symbols:
+    exactly when C and x are the last link of its own chain.  A table
+    with more than SUBQUASIGROUP_CAP closed proper sets is refused with
+    AnalysisError.
     """
     n, k = q.arity, q.order
-    vals = q.values
-    out = []
-    for size in range(1, k):
-        for omega in itertools.combinations(range(k), size):
-            inside = set(omega)
-            if all(vals[o] in inside
-                   for o in _offsets(n, k, range(1, n + 1), omega)):
-                out.append(omega)
-    return out
+    raw = q.values.obj
+    found = []
+    todo = [(frozenset(), -1)]
+    while todo:
+        closed, g = todo.pop()
+        for x in range(g + 1, k):
+            if x in closed:
+                continue
+            sub = _closure(raw, n, k, closed, x)
+            if sub is None:
+                continue
+            if len(found) == SUBQUASIGROUP_CAP:
+                raise AnalysisError(
+                    "table has more than %d proper closed symbol sets "
+                    "(SUBQUASIGROUP_CAP)" % SUBQUASIGROUP_CAP)
+            found.append(tuple(sorted(sub)))
+            todo.append((sub, x))
+    return sorted(found, key=lambda om: (len(om), om))
 
 
 def extract_shell(q, basepoint):
@@ -575,11 +614,14 @@ def shell_from_json_obj(obj):
         raise AnalysisError("shell JSON misses field %s" % e)
     if not isinstance(rows, list):
         raise AnalysisError("shell entries must be a list")
-    for row in rows:
-        if not (type(row) is list and row and set(map(type, row)) <= {int}):
-            raise AnalysisError(
-                "shell entry %r must list coordinates and a value, all "
-                "JSON integers" % (row,))
+    # C-level passes first; the scan only names the first bad row
+    if not (set(map(type, rows)) <= {list} and all(rows) and set(
+            map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        bad = next(row for row in rows if not (
+            type(row) is list and row and set(map(type, row)) <= {int}))
+        raise AnalysisError(
+            "shell entry %r must list coordinates and a value, all JSON "
+            "integers" % (bad,))
     base = _checked_head(n, k, base)
     # k^n - (k-1)^n >= k^(n-1): a huge arity never reaches the power
     count = len(rows)

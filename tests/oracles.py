@@ -99,14 +99,17 @@ def reference_restrict_to_symbols(t, omega):
 
 
 def reference_find_subquasigroups(q):
+    """Every proper symbol subset on which q is closed, by trying all
+    2^k - 2 of them in (size, tuple) order: analysis.find_subquasigroups
+    before it searched closed sets only, the oracle for k <= 10."""
     n, k = q.arity, q.order
     vals = q.values
     out = []
     for size in range(1, k):
         for omega in itertools.combinations(range(k), size):
             inside = set(omega)
-            if all(vals[q.index(x)] in inside
-                   for x in itertools.product(omega, repeat=n)):
+            if all(vals[o] in inside
+                   for o in core._offsets(n, k, range(1, n + 1), omega)):
                 out.append(omega)
     return out
 

@@ -1,8 +1,10 @@
 """Reducibility decisions, shells, reconstruction, switching components."""
 
 import copy
+import functools
 import itertools
 import json
+import operator
 import pickle
 import time
 
@@ -103,7 +105,43 @@ class TestFindReductions:
         assert A.find_reductions(t) == []
 
 
+def xor_table(k, n=2):
+    return core.from_function(n, k, lambda *x: functools.reduce(
+        operator.xor, x))
+
+
+# the brute-force oracle tries all 2^k - 2 subsets, so these keep k <= 10
+ORACLE_TABLES = (
+    [z_add(k, n) for n in (2, 3) for k in range(2, 11)]
+    + [C.build_closed(n, k, r) for n, k, r in
+       [(2, 4, 2), (2, 6, 3), (2, 8, 4), (2, 10, 5), (2, 10, 3), (3, 6, 2),
+        (3, 8, 4), (4, 4, 2)]]
+    + [core.iterate(xor_table(4), 3), xor_table(8), xor_table(8, 3),
+       core.from_function(2, 9, lambda x, y: (5 * x + 5 * y) % 9),
+       core.QTable(1, 10, (1, 0, 3, 4, 2, 6, 7, 8, 9, 5)),
+       core.QTable(2, 6, bytes(36))]
+    + [C.fixture(fid) for fid in ("Q42", "Q52", "Q62", "Q72")])
+
+
 class TestFindSubquasigroups:
+    @pytest.mark.parametrize("q", ORACLE_TABLES,
+                             ids=lambda q: "%d^%d" % (q.order, q.arity))
+    def test_matches_brute_force_on_fixed_tables(self, q):
+        assert A.find_subquasigroups(q) \
+            == oracles.reference_find_subquasigroups(q)
+
+    def test_cap_refused(self, monkeypatch):
+        # xor on 16 symbols: its 66 proper closed sets are its subgroups
+        q = xor_table(16)
+        assert len(A.find_subquasigroups(q)) == 66
+        monkeypatch.setattr(A, "SUBQUASIGROUP_CAP", 66)
+        assert len(A.find_subquasigroups(q)) == 66
+        monkeypatch.setattr(A, "SUBQUASIGROUP_CAP", 65)
+        with pytest.raises(A.AnalysisError) as err:
+            A.find_subquasigroups(q)
+        assert str(err.value) == ("table has more than 65 proper closed "
+                                  "symbol sets (SUBQUASIGROUP_CAP)")
+
     def test_fixture_01(self):
         assert (0, 1) in A.find_subquasigroups(C.fixture("Q72"))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from array import array
 from pathlib import Path
@@ -117,6 +118,52 @@ def snapshot_certificate(fam):
         cert["materialized"] = 2 ** s
         cert["distinct"] = True
     return s, cert
+
+
+def reference_omega_certificate(n, k, seed):
+    """Reference block-product certifier: builds every assignment (past
+    the cap, the seeded sample) with omega_product and validates each
+    table in full, as census._certify_omega did before it certified the
+    family by construction.  It reads the skeleton, the choices and the
+    product through census, so a test's monkeypatch reaches both."""
+    r, s_in = (k // 2, 2) if k % 2 == 0 else (k // 3, 3)
+    g = census.from_function(n, r, lambda *x: sum(x) % r)
+    choices = list(census.enumerate_tables(n, s_in))
+    nchoices = len(choices)
+    nblocks = r ** n
+    if nchoices & (nchoices - 1) == 0:
+        family_log2 = nblocks * (nchoices.bit_length() - 1)
+    else:
+        family_log2 = nblocks * math.log2(nchoices)
+    blocks = list(itertools.product(range(r), repeat=n))
+    sampled = nchoices ** nblocks > census.MATERIALIZE_CAP
+    if sampled:
+        rng = random.Random(seed)
+        picks = set()
+        while len(picks) < 8:
+            picks.add(tuple(rng.randrange(nchoices) for _ in blocks))
+        twin = list(min(picks))
+        twin[0] = (twin[0] + 1) % nchoices
+        picks.add(tuple(twin))
+        assignments = sorted(picks)
+    else:
+        assignments = itertools.product(range(nchoices), repeat=nblocks)
+    seen = set()
+    made = 0
+    for assign in assignments:
+        om = core.OmegaMap(r, s_in, n,
+                           {y: choices[c] for y, c in zip(blocks, assign)})
+        t = census.omega_product(g, om)
+        if not core.validate(t).ok:
+            raise census.CertificationError("block product failed validation")
+        if t.values in seen:
+            raise census.CertificationError(
+                "two block assignments gave one table")
+        seen.add(t.values)
+        made += 1
+    return family_log2, {"path": "omega", "blocks": nblocks,
+                         "choices": nchoices, "materialized": made,
+                         "distinct": True, "sampled": sampled}
 
 
 def certify_outcome(certify, fam):
@@ -604,6 +651,71 @@ class TestCertifyComponents:
         with pytest.raises(census.CertificationError,
                            match="does not switch.*not in"):
             census._certify_components(fam)
+
+
+class TestCertifyOmega:
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 6)])
+    def test_materialized_matches_reference(self, n, k):
+        cert = census._certify_omega(n, k, 0)
+        assert cert == reference_omega_certificate(n, k, 0)
+        assert cert[1]["materialized"] == 2 ** cert[1]["blocks"]
+        assert cert[1]["sampled"] is False
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n,k", [(3, 6), (4, 4), (2, 8), (2, 9)])
+    def test_sampled_matches_reference(self, n, k, seed):
+        cert = census._certify_omega(n, k, seed)
+        assert cert == reference_omega_certificate(n, k, seed)
+        assert cert[1]["sampled"] is True
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (3, 2)])
+    def test_walk_forms_every_block_product(self, n, r):
+        g = core.from_function(n, r, lambda *x: sum(x) % r)
+        choices = list(census.enumerate_tables(n, 2))
+        blocks = list(itertools.product(range(r), repeat=n))
+        want = {core.omega_product(g, core.OmegaMap(
+                    r, 2, n, {y: choices[c] for y, c in zip(blocks, assign)}
+                )).values.tobytes()
+                for assign in itertools.product(range(2), repeat=len(blocks))}
+        assert census._walk_blocks(g, 2, choices) == want
+        assert len(want) == 2 ** len(blocks)
+
+    def test_only_two_choice_cases_fit_the_cap(self):
+        # blocks = r^n >= 2^n, and every case has >= 2 choices, so from
+        # n = 4 on (2^16 assignments) and past r^n = 12 all are sampled
+        fit = set()
+        for n in (2, 3, 4):
+            for k in range(4, 13):
+                if k % 2 and k % 3:
+                    continue
+                r, s = (k // 2, 2) if k % 2 == 0 else (k // 3, 3)
+                nchoices = len(list(census.enumerate_tables(n, s)))
+                if nchoices ** r ** n <= census.MATERIALIZE_CAP:
+                    assert nchoices == 2
+                    fit.add((n, k))
+        assert fit == {(2, 4), (3, 4), (2, 6)}
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (2, 6), (4, 4)])
+    def test_non_latin_skeleton_refused(self, monkeypatch, n, k):
+        # the bare product, so that its non-Latin table reaches the checks
+        monkeypatch.setattr(census, "omega_product",
+                            census.omega_product.__wrapped__)
+        monkeypatch.setattr(census, "from_function",
+                            lambda n, r, fn: core.QTable(n, r, bytes(r ** n)))
+        with pytest.raises(census.CertificationError):
+            census._certify_omega(n, k, 0)
+        with pytest.raises(census.CertificationError):
+            reference_omega_certificate(n, k, 0)
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (2, 6), (4, 4)])
+    def test_duplicate_choice_refused(self, monkeypatch, n, k):
+        tables = census.enumerate_tables
+        monkeypatch.setattr(census, "enumerate_tables",
+                            lambda n, s: [next(tables(n, s))] * 2)
+        with pytest.raises(census.CertificationError):
+            census._certify_omega(n, k, 0)
+        with pytest.raises(census.CertificationError):
+            reference_omega_certificate(n, k, 0)
 
 
 class TestRunCensus:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -218,6 +219,16 @@ class TestAnalyze:
         feed_stdin(monkeypatch, core.to_json(C.build_closed(3, 6, 3)))
         code, out, _ = run_cli(capsys, "analyze", "-", "--subquasigroups")
         assert code == 0 and [0, 1, 2] in json.loads(out)
+
+    def test_subquasigroups_over_the_cap_exit_1(self, capsys, monkeypatch):
+        # xor on 16 symbols has 66 proper closed sets, its subgroups
+        monkeypatch.setattr(analysis, "SUBQUASIGROUP_CAP", 65)
+        feed_stdin(monkeypatch, core.to_json(core.from_function(
+            2, 16, operator.xor)))
+        code, out, err = run_cli(capsys, "analyze", "-", "--subquasigroups")
+        assert (code, out) == (1, "")
+        assert err == ("error: table has more than 65 proper closed symbol "
+                       "sets (SUBQUASIGROUP_CAP)\n")
 
     def test_shell_requires_basepoint(self, capsys, monkeypatch):
         feed_stdin(monkeypatch, core.to_json(C.fixture("Q42")))
@@ -671,6 +682,22 @@ class TestCensusCli:
         code, out, _ = run_cli(capsys, "census", "--n", "3", "--k", "5",
                                "--budget", str(core.BUILD_CELL_BUDGET))
         assert code == 0 and json.loads(out)["family_log2"] == 3
+
+
+def test_cyclic_order_22_subquasigroups_at_once(tmp_path):
+    # trying all 2^22 - 2 symbol subsets took 50 s; the closed-set search
+    # visits three
+    table = tmp_path / "z22.json"
+    table.write_text(core.to_json(core.from_function(
+        2, 22, lambda x, y: (x + y) % 22)))
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "nquasigroups.cli", "analyze", str(table),
+         "--subquasigroups"], env=child_env(), capture_output=True,
+        text=True, timeout=60)
+    assert time.perf_counter() - t0 < 1.0
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [[0], [0, 11], list(range(0, 22, 2))]
 
 
 def test_table_commands_load_neither_numpy_nor_array(tmp_path):
