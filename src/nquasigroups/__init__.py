@@ -10,18 +10,18 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": """OmegaMap QTable StructuralError ValidationReport
-        direct_product evaluate from_function from_json from_json_obj
-        from_rows from_text inverse_along is_valid iterate omega_product
-        restrict_to_symbols retract superpose to_json to_json_obj to_text
-        validate""",
-    "analysis": """AnalysisError Component ReconstructionError Shell Split
-        extract_shell find_components find_reductions find_subquasigroups
-        is_reducible_wrt reconstruct reconstruct_with_split
-        shell_from_json_obj shell_to_json_obj switch_component""",
-    "constructions": """CompletionError ConstructionError CountingFamily
-        FixtureId PartialRectangle build_closed build_family5 build_family_k
-        build_irreducible build_ptq build_qkr build_shell_counterexample
+    "core": """AnalysisError ConstructionError OmegaMap QTable
+        StructuralError ValidationReport direct_product evaluate
+        from_function from_json from_json_obj from_rows from_text
+        inverse_along is_valid iterate omega_product restrict_to_symbols
+        retract superpose to_json to_json_obj to_text validate""",
+    "analysis": """ReconstructionError Shell Split extract_shell
+        find_reductions find_subquasigroups is_reducible_wrt reconstruct
+        reconstruct_with_split shell_from_json_obj shell_to_json_obj""",
+    "switching": """Component CountingFamily build_family5 build_family_k
+        build_ptq find_components switch_component""",
+    "constructions": """CompletionError FixtureId PartialRectangle
+        build_closed build_irreducible build_qkr build_shell_counterexample
         complete_rectangle fixture irreducible_base switch_sub""",
     "census": """BudgetError CensusReport CertificationError bound_exponents
         run_census enumerate_count enumerate_tables report_to_json_obj

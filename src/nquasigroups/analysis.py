@@ -1,17 +1,17 @@
 """Decision procedures over quasigroup tables.
 
-Reducibility testing, subquasigroup search, switching-component detection,
-and shell extraction/reconstruction.  Everything here is a pure function of
-immutable inputs.
+Reducibility testing, subquasigroup search, and shell
+extraction/reconstruction.  Everything here is a pure function of
+immutable inputs.  The switching-component names (Component,
+find_components, switch_component) live in switching and resolve here on
+first use, so `nqg analyze` and `nqg reconstruct` do not compile it.
 """
 
 import itertools
-import operator
-import sys
 
-from .core import (MAX_ORDER, QTable, _axis_chunks, _ints_below, _offsets,
-                   _power_over, _Record, check_cell_budget, retract,
-                   validate)
+from .core import (MAX_ORDER, AnalysisError, QTable, _forward, _ints_below,
+                   _offsets, _power_over, _Record, check_cell_budget,
+                   retract, validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -23,9 +23,12 @@ RECONSTRUCT_BUDGET = 1 << 24
 # reaches it in under 1 s)
 SUBQUASIGROUP_CAP = 1 << 10
 
+# find_reductions tests each of the 2^n - n - 2 splits with a pass over the
+# table: refuse arities with more splits than this (arity 10 has 1,012)
+REDUCTION_SPLIT_CAP = 1 << 10
 
-class AnalysisError(ValueError):
-    """Bad arguments to an analysis procedure."""
+__getattr__ = _forward(__name__, "switching",
+                       "Component find_components switch_component")
 
 
 class ReconstructionError(AnalysisError):
@@ -112,82 +115,6 @@ def _on_shell(n, k, base, src):
     return out
 
 
-def _coord_tuples(indices, n, k):
-    """Coordinate tuples of flat row-major indices of a k^n table, in the
-    order given; each is a high half plus a low half from two short
-    tables."""
-    m = k ** (n // 2)
-    high = list(itertools.product(range(k), repeat=n - n // 2))
-    low = list(itertools.product(range(k), repeat=n // 2))
-    return [high[i // m] + low[i % m] for i in indices]
-
-
-class Component(_Record):
-    """A switching set: cells valued in {a,b} whose a<->b flip stays Latin.
-
-    Components returned by find_components are additionally inclusion-minimal;
-    constructed families may carry larger (non-minimal) switching sets.
-
-    Component(indices, arity, order, pair) is a part of a table of shape
-    (arity, order), kept as its pair {a, b} and the sorted flat row-major
-    indices of its cells, given as a uint32 buffer or a sequence of ints.
-    AnalysisError refuses an arity or order that is not an int >= 1, a
-    pair that is not two distinct symbols in 0..order-1, an empty part,
-    an index that is not an int in 0..2^32-1, and indices unsorted,
-    repeated or past order^arity.
-    """
-
-    __slots__ = ("pair", "shape", "_data")
-
-    def __init__(self, indices, arity, order, pair):
-        if not (type(arity) is int and type(order) is int
-                and arity >= 1 and order >= 1):
-            raise AnalysisError("component arity and order must be "
-                                "integers >= 1")
-        symbols = frozenset(pair)
-        if len(symbols) != 2 or not _ints_below(symbols, order):
-            raise AnalysisError("component pair %r is not two distinct symbols "
-                                "in 0..%d" % (pair, order - 1))
-        if not len(indices):
-            raise AnalysisError("empty component")
-        if getattr(indices, "format", None) != "I":
-            if not _ints_below(indices, 1 << 32):
-                bad = next(i for i in indices if not _ints_below((i,), 1 << 32))
-                raise AnalysisError("component index %r is not an integer "
-                                    "in 0..2^32-1" % (bad,))
-            buf = memoryview(bytearray(4 * len(indices))).cast("I")
-            for j, i in enumerate(indices):
-                buf[j] = i
-            indices = buf
-        # order^32 >= 2^32 passes every uint32 when order >= 2
-        if not (all(map(operator.lt, indices, indices[1:]))
-                and indices[-1] < order ** min(arity, 32)):
-            raise AnalysisError(
-                "component indices must be sorted, distinct and below %d^%d"
-                % (order, arity))
-        _Record.__init__(self, symbols, (arity, order), bytes(indices))
-
-    @property
-    def indices(self):
-        """Sorted flat indices of the cells."""
-        return memoryview(self._data).cast("I")
-
-    def coords(self):
-        """Coordinate tuples of the cells in row-major (coordinate) order."""
-        return _coord_tuples(self.indices, *self.shape)
-
-    def __len__(self):
-        return len(self._data) // 4
-
-    def __reduce__(self):
-        return Component, (self.indices.tolist(), *self.shape,
-                           sorted(self.pair))
-
-    def __repr__(self):
-        return "Component(%r, %d, %d, %r)" % (
-            self.indices.tolist(), *self.shape, sorted(self.pair))
-
-
 def _checked_axes(split, n):
     if not isinstance(split, Split):
         split = Split(frozenset(split))
@@ -248,13 +175,19 @@ def find_reductions(q):
     """All splits under which q is reducible, sorted by axis bitmask.
 
     Empty result means q is permutably irreducible.  Exhausts all
-    2^n - n - 2 admissible axis subsets.
+    2^n - n - 2 admissible axis subsets; an arity with more than
+    REDUCTION_SPLIT_CAP of them is refused with AnalysisError.
     """
     from .reducibility import reduction_witness
 
     n = q.arity
     if n < 3:
         raise AnalysisError("reducibility is defined for arity >= 3")
+    # for a power of two 2^c (c >= 3), 2^n - n - 2 > 2^c exactly when n > c
+    if n >= REDUCTION_SPLIT_CAP.bit_length():
+        raise AnalysisError(
+            "arity %d has 2^%d - %d splits to test, over the %d-split cap "
+            "(REDUCTION_SPLIT_CAP)" % (n, n, n + 2, REDUCTION_SPLIT_CAP))
     vals = q.values.obj
     found = []
     for size in range(2, n):
@@ -267,16 +200,26 @@ def find_reductions(q):
 
 def _closure(raw, n, k, closed, x):
     """The closure of closed | {x} under the table raw, or None when it
-    gains a symbol below x or reaches all k symbols."""
-    members = closed | {x}
+    gains a symbol below x or reaches all k symbols.  closed is closed, so
+    each round reads only the tuples that use a symbol new in the round
+    before: those whose first such symbol is at axis i, for each i."""
+    old, members = closed, closed | {x}
     while len(members) < k:
-        new = set(map(raw.__getitem__, _offsets(
-            n, k, range(1, n + 1), members))) - members
+        fresh = members - old
+        new = set()
+        for i in range(1, n + 1):
+            mids = _offsets(n, k, (i,), fresh)
+            heads = [h + m for h in _offsets(n, k, range(1, i), old)
+                     for m in mids]
+            tails = _offsets(n, k, range(i + 1, n + 1), members)
+            new.update(map(raw.__getitem__,
+                           [h + t for h in heads for t in tails]))
+        new -= members
         if not new:
             return members
         if min(new) < x:
             return None
-        members |= new
+        old, members = members, members | new
     return None
 
 
@@ -466,119 +409,6 @@ def reconstruct(sh):
     if not candidates:
         raise ReconstructionError("not reducible or shell inconsistent")
     return candidates
-
-
-def _hit_positions(raw, symbol, bases, slices):
-    """Position j of symbol on each line of an _axis_chunks chunk, in bases
-    order.  Each slice of raw is translated to 0/1 flags "cell holds
-    symbol", so no whole-table copy is made; on Latin lines the flags hold
-    one 1 per line, so the j-weighted sum of the k slices puts j in that
-    line's byte."""
-    flags = bytes(symbol) + b"\x01" + bytes(255 - symbol)
-    pos = sum(j * int.from_bytes(raw[sl].translate(flags), "little")
-              for j, sl in enumerate(slices) if j)
-    return pos.to_bytes(len(bases), "little")
-
-
-def find_components(q, a, b):
-    """Minimal ab-switching components of q, as a partition of the ab-cells.
-
-    Every axis line holds exactly one a-cell and one b-cell; those two must
-    flip together, so components are the connected parts of the cell graph
-    with one edge per line.  Each part flips to a valid table and no proper
-    nonempty subset of a part does.  Sorted by smallest cell index.
-
-    A non-Latin table has no such graph and raises AnalysisError; the
-    check is validate's one-hot sums.  On a Latin table the 0/1 flags
-    "cell holds a" put exactly one 1 on every line, so the sum over j of
-    j times the flags of a line's j-th cells is the position of its
-    a-cell; the same big-integer sums validate takes, weighted by j, give
-    the positions of a and of b on every line of an axis at once
-    (_hit_positions).  The two ab-cells of a line along the last axis are
-    joined by that line's edge, so the union-find runs over those lines,
-    line number = cell index // k, and a root is the smallest line of its
-    part: parts met in a scan by line come in the order of their smallest
-    lines, and so of their smallest cells.  The parents are a list of
-    ints, read without unpacking, and each find halves its path.  One
-    last scan by line flattens the parents and appends each line's two
-    cells, the smaller first, to its root's uint32 buffer, so every
-    part's flat cell indices come out sorted, parts in order of roots.
-    """
-    n, k = q.arity, q.order
-    if a == b or not _ints_below((a, b), k):
-        raise AnalysisError("component pair %r is not two distinct symbols "
-                            "in 0..%d" % ((a, b), k - 1))
-    if not validate(q).ok:
-        raise AnalysisError("table is not Latin; components are undefined")
-
-    raw = q.values.obj
-    lines = k ** (n - 1)
-    parent = list(range(lines))
-    for ax in range(n - 1):
-        stride = k ** (n - 1 - ax)
-        for bases, slices in _axis_chunks(n, k, ax):
-            pos_a = _hit_positions(raw, a, bases, slices)
-            pos_b = _hit_positions(raw, b, bases, slices)
-            for base, i, j in zip(bases, pos_a, pos_b):
-                # path halving: parent[x] (old x) and then x take x's
-                # grandparent, until x is a root
-                x = (base + i * stride) // k
-                while x != (r := parent[x]):
-                    parent[x] = x = parent[r]
-                y = (base + j * stride) // k
-                while y != (r := parent[y]):
-                    parent[y] = y = parent[r]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
-
-    # the last axis: one chunk, its lines in order.  parent[i] <= i
-    # throughout, so one step from an already flattened parent finds the
-    # root, and a root opens its part before the rest of its lines
-    (bases, slices), = _axis_chunks(n, k, n - 1)
-    parts = {}
-    for i, j, l in zip(range(lines), _hit_positions(raw, a, bases, slices),
-                       _hit_positions(raw, b, bases, slices)):
-        r = parent[i] = parent[parent[i]]
-        if r == i:
-            parts[i] = part = bytearray()
-        else:
-            part = parts[r]
-        x = i * k
-        if l < j:
-            j, l = l, j
-        part += (x + j).to_bytes(4, sys.byteorder)
-        part += (x + l).to_bytes(4, sys.byteorder)
-    return [Component(memoryview(part).cast("I"), n, k, (a, b))
-            for part in parts.values()]
-
-
-def switch_component(q, comp):
-    """Swap the component's two symbols on its cells; re-verifies on the way.
-
-    Refuses a part of a table of another shape than q's, a cell that
-    does not hold one of the pair (naming the first in index order), and
-    a flip that breaks the Latin property, so a set that is not actually
-    a switching set of q is refused.
-    """
-    if comp.shape != (q.arity, q.order):
-        raise AnalysisError(
-            "not a component of this table: a part of shape %r, the table "
-            "has shape %r" % (comp.shape, (q.arity, q.order)))
-    a, b = sorted(comp.pair)
-    vals = bytearray(q.values)
-    for idx in comp.indices:
-        v = vals[idx]
-        if v != a and v != b:
-            raise AnalysisError(
-                "not a component of this table: cell %r holds %d, not in {%d,%d}"
-                % (q.coords(idx), v, a, b))
-        vals[idx] = a + b - v
-    t = QTable(q.arity, q.order, vals)
-    if not validate(t).ok:
-        raise AnalysisError("not a component: the flip breaks the Latin property")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -216,12 +216,6 @@ def bound_exponents(n, k):
     return out
 
 
-def _flip(vals, idxs, ab):
-    """Swap the symbols of a pair summing to ab on the given cells, in place."""
-    for idx in idxs:
-        vals[idx] = ab - vals[idx]
-
-
 def _certify_components(fam):
     """Check a component family: a Latin base, disjoint components, valid
     single flips, and (when 2^s fits the cap) all 2^s switched tables
@@ -239,8 +233,11 @@ def _certify_components(fam):
     switched table is Latin, and distinct: the components are nonempty and
     a flip changes every cell of its component.  While 2^s fits the cap
     the patterns are still walked in Gray-code order, step i flipping
-    component ctz(i), so that materialized counts tables actually formed;
-    the closing flip of the last component returns the copy to the base.
+    component ctz(i), so that materialized counts tables actually formed.
+    A table is its values read as one little-endian integer, and a flip
+    XORs in the component's delta, a ^ b on its cells and 0 elsewhere
+    (on a cell holding a or b, v ^ a ^ b is a + b - v); the closing flip
+    of the last component returns the walk to the base.
     """
     comps = fam.components
     s = len(comps)
@@ -267,8 +264,9 @@ def _certify_components(fam):
             "base table is not Latin: axis %d line %r" % (bad.axis, bad.fixed))
     k = base.order
     strides = [k ** e for e in range(base.arity)]
-    vals = bytearray(base.values)
-    flips = []
+    vals = base.values
+    walk = 2 ** s <= MATERIALIZE_CAP
+    deltas = []
     for i, comp in enumerate(comps):
         a, b = sorted(comp.pair)
         idxs = comp.indices
@@ -277,7 +275,11 @@ def _certify_components(fam):
                 raise CertificationError(
                     "component %d does not switch: cell %r holds %d, not in "
                     "{%d,%d}" % (i, base.coords(idx), vals[idx], a, b))
-        flips.append((idxs, a + b))
+        if walk:
+            delta = bytearray(len(vals))
+            for idx in idxs:
+                delta[idx] = a ^ b
+            deltas.append(int.from_bytes(delta, "little"))
         if any(2 * len({idx - idx // sd % k * sd for idx in idxs}) != len(idxs)
                for sd in strides):
             raise CertificationError(
@@ -291,15 +293,25 @@ def _certify_components(fam):
         "materialized": 0,
         "distinct": None,
     }
-    if 2 ** s <= MATERIALIZE_CAP:
-        for step in range(1, 2 ** s):
-            _flip(vals, *flips[(step & -step).bit_length() - 1])
-        if flips:
-            _flip(vals, *flips[-1])
-        assert vals == base.values
-        cert["materialized"] = 2 ** s
+    if walk:
+        start = int.from_bytes(vals, "little")
+        made = 0
+        for table in _gray_tables(start, deltas):
+            made += 1
+        assert (table ^ deltas[-1] if deltas else table) == start
+        cert["materialized"] = made
         cert["distinct"] = True
     return s, cert
+
+
+def _gray_tables(start, deltas):
+    """Yield start, then start XOR the deltas of each other subset, in
+    Gray-code order: step i XORs in delta ctz(i)."""
+    table = start
+    yield table
+    for step in range(1, 2 ** len(deltas)):
+        table ^= deltas[(step & -step).bit_length() - 1]
+        yield table
 
 
 def _certify_omega(n, k, seed):
@@ -439,7 +451,7 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     bounds = bound_exponents(n, k)
     if k == 5 or (k % 2 == 1 and k % 3 != 0):
         # imported here: the block-product path needs only core
-        from .constructions import build_family5, build_family_k
+        from .switching import build_family5, build_family_k
 
         fam = build_family5(n) if k == 5 else build_family_k(n, k)
         family_log2, cert = _certify_components(fam)

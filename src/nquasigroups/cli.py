@@ -9,10 +9,11 @@ output pipe early ends the command quietly, with exit code 0.
 
 Each handler imports the modules it runs, and building the parser imports
 none, so a launch compiles only what its subcommand needs: validate and
-eval load core; analyze, components and reconstruct add analysis, and
-the reducibility kernel when they test a split (analyze --reductions and
---split, reconstruct); construct adds analysis and constructions; census
-loads core and census, plus analysis and constructions for the component
+eval load core; analyze and reconstruct add analysis, and the
+reducibility kernel when they test a split (analyze --reductions and
+--split, reconstruct); components adds switching; construct adds
+constructions, and switching for the stored fixtures, --ptq and the
+families; census loads core and census, plus switching for the component
 families (order 5 and odd orders prime to 3).  The parser's literals
 below copy library constants; tests pin them to their sources.
 """
@@ -202,18 +203,18 @@ def _cmd_analyze(args):
 
 
 def _cmd_components(args):
-    from . import analysis
+    from . import switching
 
     t = _read_table(args.table)
     a, b = args.pair
-    comps = analysis.find_components(t, a, b)
+    comps = switching.find_components(t, a, b)
     if args.switch is None:
         _emit([_component_obj(c) for c in comps])
     else:
         if not 0 <= args.switch < len(comps):
             raise _UsageError(
                 "--switch index out of range 0..%d" % (len(comps) - 1))
-        _emit_table(analysis.switch_component(t, comps[args.switch]),
+        _emit_table(switching.switch_component(t, comps[args.switch]),
                     args.pretty)
     return 0
 

@@ -1,30 +1,30 @@
 """Constructive builders: closed quasigroups, rectangle completion, switching,
-irreducible tables, and the switching-component counting families.
+irreducible tables.  The switching-component counting families and their
+binary base (build_family5, build_family_k, build_ptq, CountingFamily)
+live in switching and resolve here on first use.
 """
 
 import enum
-import itertools
 import json
 
-from . import analysis
 from .core import (
+    ConstructionError,
     QTable,
     _Record,
+    _forward,
     _ints_below,
     _offsets,
     check_cell_budget,
     from_function,
     from_json_obj,
     from_rows,
-    inverse_along,
     iterate,
     superpose,
     validate,
 )
 
-
-class ConstructionError(ValueError):
-    """A builder was asked for parameters it cannot serve."""
+__getattr__ = _forward(__name__, "switching",
+                       "CountingFamily build_family5 build_family_k build_ptq")
 
 
 class CompletionError(ConstructionError):
@@ -44,9 +44,8 @@ class FixtureId(enum.Enum):
     Q72 = "Q72"
 
 
-# The four stored arrays.  All are {0,1}-closed.  The order-5 array is the
-# unique Latin completion of the published rows; see fixture() for the two
-# forced cells.
+# Three of the four stored arrays, all {0,1}-closed; the order-5 one is
+# stored with the family it carries, as switching._Q52.
 _FIXTURES_JSON = """
 {
   "Q42": {"arity": 2, "order": 4, "values":
@@ -54,12 +53,6 @@ _FIXTURES_JSON = """
      1, 0, 3, 2,
      2, 3, 0, 1,
      3, 2, 1, 0]},
-  "Q52": {"arity": 2, "order": 5, "values":
-    [0, 1, 2, 3, 4,
-     1, 0, 3, 4, 2,
-     2, 4, 0, 1, 3,
-     3, 2, 4, 0, 1,
-     4, 3, 1, 2, 0]},
   "Q62": {"arity": 2, "order": 6, "values":
     [0, 1, 2, 3, 4, 5,
      1, 0, 3, 2, 5, 4,
@@ -90,8 +83,11 @@ def fixture(fid):
     """
     global _FIXTURES
     if _FIXTURES is None:
+        from .switching import _Q52
+
         raw = json.loads(_FIXTURES_JSON)
         _FIXTURES = {key: from_json_obj(obj) for key, obj in raw.items()}
+        _FIXTURES["Q52"] = _Q52
     if isinstance(fid, str):
         fid = FixtureId(fid)
     return _FIXTURES[fid.value]
@@ -319,183 +315,6 @@ def build_irreducible(n, k):
     if n >= 4 or k <= 7:
         return switch_sub(base, (0, 1), _parity_shift(n, 1))
     return switch_sub(base, (0, 1, 2, 3), build_irreducible(3, 4))
-
-
-def build_ptq(k):
-    """Binary quasigroup of odd order k >= 7 (k not divisible by 3) whose
-    2x2 blocks {2j,2j+1} x {2i,2i+1} carry consecutive value pairs.
-
-    Rows 2j are translations by 3j; rows 2j+1 apply the permutation pi
-    first; the next floor(k/3) rows use tau; the final one (k = 1 mod 3)
-    or two (k = 2 mod 3) rows follow fixed tail patterns.  The result is
-    always validated: a Latin failure means the pattern does not extend to
-    this k and is reported, never returned.
-    """
-    if k < 7 or k % 2 == 0 or k % 3 == 0:
-        raise ConstructionError(
-            "order must be odd, >= 7, and not divisible by 3; got %d" % k)
-    check_cell_budget(2, k, ConstructionError)
-    t = k // 3
-
-    pi = list(range(k))
-    for m2 in range(0, k - 4, 2):  # transpositions (2m, 2m+1) while 2m <= k-5
-        pi[m2], pi[m2 + 1] = pi[m2 + 1], pi[m2]
-    pi[k - 3], pi[k - 2], pi[k - 1] = k - 2, k - 1, k - 3
-
-    tau = list(range(k))
-    tau[0] = k - 1
-    for m2 in range(1, k - 3, 2):  # transpositions (2m+1, 2m+2) while 2m+2 <= k-3
-        tau[m2], tau[m2 + 1] = tau[m2 + 1], tau[m2]
-    tau[k - 2] = 0
-    tau[k - 1] = k - 2
-
-    rows = [[0] * k for _ in range(k)]
-    for j in range(t):
-        for i in range(k):
-            rows[2 * j][i] = (i + 3 * j) % k
-            rows[2 * j + 1][i] = (pi[i] + 3 * j) % k
-    for j in range(t):
-        for i in range(k):
-            rows[2 * t + j][i] = (tau[i] + 3 * j) % k
-    if k % 3 == 2:
-        for i in range(k - 2):
-            rows[k - 2][i] = (i - 3) % k
-        rows[k - 2][k - 2] = k - 4
-        rows[k - 2][k - 1] = k - 5
-    for i in range(k - 2):
-        rows[k - 1][i] = (i - 2) % k
-    rows[k - 1][k - 2] = k - 3
-    rows[k - 1][k - 1] = k - 4
-
-    table = from_rows(rows)
-    rep = validate(table)
-    if not rep.ok:
-        raise ConstructionError(
-            "row pattern does not close into a Latin square at k=%d "
-            "(first bad line: axis %d at %r)"
-            % (k, rep.violations[0].axis, rep.violations[0].fixed))
-    return table
-
-
-class CountingFamily(_Record):
-    """A base table plus pairwise disjoint switching sets.
-
-    Flipping the sets independently yields 2**claimed_log2 distinct
-    quasigroups.
-    """
-
-    __slots__ = ("base", "components", "claimed_log2")
-
-    def __init__(self, base, components, claimed_log2):
-        _Record.__init__(self, base, components, claimed_log2)
-
-
-# Cells of the two 01-switching sets of the order-5 fixture.
-_D0 = ((0, 0), (0, 1), (1, 0), (1, 1))
-_D1 = ((2, 2), (2, 3), (3, 3), (3, 4), (4, 2), (4, 4))
-
-
-def _family5_blocks(n):
-    """Arity split into blocks of 3 (squared table) and 2 (plain table)."""
-    m, rem = divmod(n, 3)
-    if rem == 0:
-        return [3] * m
-    if rem == 1:
-        return [3] * (m - 1) + [2, 2]
-    return [3] * m + [2]
-
-
-def build_family5(n):
-    """Disjoint 01-switching sets on an order-5 table of arity n >= 2.
-
-    The base is a superposition of squared copies of the order-5 fixture;
-    each 3-ary block carries three disjoint sets (T0, T1, T2) and each
-    2-ary block two (D0, D1).  Their per-block products are switching sets
-    of the whole table, giving 3^m, 4*3^(m-1), or 2*3^m of them according
-    to n mod 3.
-    """
-    if n < 2:
-        raise ConstructionError("need arity >= 2")
-    check_cell_budget(n, 5, ConstructionError)
-    q = fixture(FixtureId.Q52)
-    q2 = iterate(q, 2)
-
-    blocks = _family5_blocks(n)
-    tables = {2: q, 3: q2}
-    if len(blocks) == 1:
-        base = tables[blocks[0]]
-    else:
-        base = iterate(q, len(blocks) - 1)
-        for pos in range(len(blocks), 0, -1):
-            base = superpose(base, pos, tables[blocks[pos - 1]])
-
-    # sorted flat indices in each block's 5^b cube; a concatenated cell
-    # sits at idx_prefix * 5^b + idx_block, so products stay sorted
-    d_sets = [sorted(5 * x + y for x, y in d) for d in (_D0, _D1)]
-    t01 = [[25 * x0 + i for x0 in (0, 1) for i in d] for d in d_sets]
-    taken = set(t01[0] + t01[1])
-    low = [i for i, v in enumerate(q2.values) if v < 2 and i not in taken]
-    t_sets = (t01[0], t01[1], low)
-
-    options = [d_sets if b == 2 else t_sets for b in blocks]
-    comps = []
-    for combo in itertools.product(*options):
-        idxs = [0]
-        for b, part in zip(blocks, combo):
-            idxs = [acc * 5 ** b + i for acc in idxs for i in part]
-        comps.append(analysis.Component(idxs, n, 5, (0, 1)))
-    return CountingFamily(base, tuple(comps), len(comps))
-
-
-def build_family_k(n, k):
-    """Disjoint switching sets on an order-k table, k >= 7 odd, 3 not | k.
-
-    The binary base g is the axis-1 inverse of build_ptq(k); it has
-    floor(k/2) components for each value pair {2j,2j+1} (the square ones are
-    known in closed form, the leftover one is discovered).  Each component
-    lifts through every extra argument by prefixing a two-element row set,
-    for floor(k/2)*floor(k/3)^(n-1) pairwise disjoint sets in total.
-    """
-    if n < 2:
-        raise ConstructionError("need arity >= 2")
-    check_cell_budget(n, k, ConstructionError)
-    g = inverse_along(build_ptq(k), 1)
-    npairs = k // 3
-
-    level = []  # (pair index j, sorted flat indices in a k^2 table)
-    for j in range(npairs):
-        found = [comp.indices.tolist()
-                 for comp in analysis.find_components(g, 2 * j, 2 * j + 1)]
-        if len(found) != k // 2:
-            raise ConstructionError(
-                "expected %d components for pair {%d,%d}, found %d"
-                % (k // 2, 2 * j, 2 * j + 1, len(found)))
-        for i in range(k // 2 - 1):
-            rows = ((2 * i + 3 * j) % k, (2 * i + 3 * j + 1) % k)
-            if sorted(k * x + y for x in rows
-                      for y in (2 * i, 2 * i + 1)) not in found:
-                raise ConstructionError(
-                    "analytic square block is not a component at k=%d" % k)
-        level.extend((j, idxs) for idxs in found)
-
-    # prefixing row p to a cell of a k^m table puts it at p * k^m + idx
-    for m in range(2, n):
-        lifted = []
-        for j1 in range(npairs):
-            for j2, idxs in level:
-                prefix = sorted(((2 * j2 + 3 * j1) % k,
-                                 (2 * j2 + 3 * j1 + 1) % k))
-                lifted.append(
-                    (j1, [p * k ** m + i for p in prefix for i in idxs]))
-        level = lifted
-
-    comps = tuple(
-        analysis.Component(idxs, n, k, (2 * j, 2 * j + 1))
-        for j, idxs in level)
-    want = (k // 2) * npairs ** (n - 1)
-    if len(comps) != want:
-        raise ConstructionError("component count %d, want %d" % (len(comps), want))
-    return CountingFamily(iterate(g, n - 1), comps, len(comps))
 
 
 def build_shell_counterexample():

@@ -5,6 +5,7 @@ coordinate 1 most significant: index(x_1..x_n) = sum x_i * k**(n-i).
 Symbols are always 0..k-1.
 """
 
+import importlib
 import itertools
 import json
 import re
@@ -12,6 +13,31 @@ import re
 
 class StructuralError(ValueError):
     """Malformed table data: wrong length, out-of-range symbol, bad axis."""
+
+
+# Here rather than in analysis and constructions, so that switching, which
+# raises both, loads neither.
+class AnalysisError(ValueError):
+    """Bad arguments to an analysis procedure."""
+
+
+class ConstructionError(ValueError):
+    """A builder was asked for parameters it cannot serve."""
+
+
+def _forward(module, home, names):
+    """A module __getattr__ (PEP 562) for module that reads the given
+    names from its sibling module home on first use, so that the alias
+    costs no import."""
+    names = frozenset(names.split())
+
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (module, name))
+        return getattr(importlib.import_module(
+            "." + home, module.rpartition(".")[0]), name)
+    return __getattr__
 
 
 # The most cells a builder or omega_product allocates: 4^11, and 5^9 with

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nquasigroups import analysis, census, constructions, core
+from nquasigroups import analysis, census, constructions, core, switching
 
 CRITERIA = {
     1: "embedded fixtures validate and match published spot values",
@@ -50,7 +50,7 @@ CHECKED = {name: _validated(getattr(core, name)) for name in OPERATORS}
 def _validate_operators(monkeypatch):
     # every module that calls an operator by name reaches the checked one,
     # so every table an operator derives during a test is revalidated
-    for module in (core, constructions, analysis, census):
+    for module in (core, constructions, analysis, census, switching):
         for name, checked in CHECKED.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, checked)

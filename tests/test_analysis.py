@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import pickle
+import random
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from nquasigroups import cli
 from nquasigroups import constructions as C
 from nquasigroups import core
 from nquasigroups import reducibility as R
+from nquasigroups import switching
 
 import oracles
 import randgen
@@ -104,6 +106,19 @@ class TestFindReductions:
         t = core.direct_product(C.build_irreducible(3, 4), z_add(2, 3))
         assert A.find_reductions(t) == []
 
+    def test_split_cap(self, monkeypatch):
+        # the Z_2 iterate reduces over every split: arity 10 has 1,012,
+        # under the cap, and arity 11 has 2,035, refused before any test
+        assert A.REDUCTION_SPLIT_CAP == 1024
+        assert len(A.find_reductions(z_add(2, 10))) == 2 ** 10 - 12
+        monkeypatch.setattr(R, "reduction_witness", None)
+        for n in (11, 16):
+            with pytest.raises(A.AnalysisError) as err:
+                A.find_reductions(z_add(2, n))
+            assert str(err.value) == (
+                "arity %d has 2^%d - %d splits to test, over the 1024-split "
+                "cap (REDUCTION_SPLIT_CAP)" % (n, n, n + 2))
+
 
 def xor_table(k, n=2):
     return core.from_function(n, k, lambda *x: functools.reduce(
@@ -127,6 +142,23 @@ class TestFindSubquasigroups:
     @pytest.mark.parametrize("q", ORACLE_TABLES,
                              ids=lambda q: "%d^%d" % (q.order, q.arity))
     def test_matches_brute_force_on_fixed_tables(self, q):
+        assert A.find_subquasigroups(q) \
+            == oracles.reference_find_subquasigroups(q)
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["magma", "latin"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_on_random_tables(self, seed, kind):
+        # a closure round reads only the tuples that use a symbol new in
+        # the round before; without a group's many paths to each product,
+        # a symbol reached only from two new ones shows a missed tuple
+        rng = random.Random(seed)
+        if kind == "latin":
+            q = randgen.random_binary(rng.randrange(3, 11), seed)
+        else:
+            n = rng.choice((2, 3))
+            k = rng.randrange(3, 9 if n == 2 else 6)
+            q = core.QTable(n, k, bytes(rng.randrange(k)
+                                        for _ in range(k ** n)))
         assert A.find_subquasigroups(q) \
             == oracles.reference_find_subquasigroups(q)
 
@@ -1429,8 +1461,8 @@ def cell_find_components(q, a, b):
     raw = bytes(vals)
     lines = k ** (n - 1)
     (bases, slices), = core._axis_chunks(n, k, n - 1)
-    last_a = A._hit_positions(raw, a, bases, slices)
-    last_b = A._hit_positions(raw, b, bases, slices)
+    last_a = switching._hit_positions(raw, a, bases, slices)
+    last_b = switching._hit_positions(raw, b, bases, slices)
     parent = list(range(lines))
 
     def find(x):
@@ -1441,8 +1473,8 @@ def cell_find_components(q, a, b):
     for ax in range(n - 1):
         stride = k ** (n - 1 - ax)
         for bases, slices in core._axis_chunks(n, k, ax):
-            pos_a = A._hit_positions(raw, a, bases, slices)
-            pos_b = A._hit_positions(raw, b, bases, slices)
+            pos_a = switching._hit_positions(raw, a, bases, slices)
+            pos_b = switching._hit_positions(raw, b, bases, slices)
             for base, i, j in zip(bases, pos_a, pos_b):
                 x = find((base + i * stride) // k)
                 y = find((base + j * stride) // k)

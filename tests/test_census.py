@@ -21,6 +21,12 @@ from oracles import reference_visit_order
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def flip(vals, idxs, ab):
+    """Swap the symbols of a pair summing to ab on the given cells, in place."""
+    for idx in idxs:
+        vals[idx] = ab - vals[idx]
+
+
 def materialized_certificate(fam):
     """Reference certifier: builds all 2^s switched tables and validates
     each one in full, as family certification did before line-local checks.
@@ -95,9 +101,9 @@ def snapshot_certificate(fam):
                     "component %d does not switch: cell %r holds %d, not in "
                     "{%d,%d}" % (i, base.coords(idx), vals[idx], a, b))
         flips.append((idxs, a + b))
-        census._flip(vals, idxs, a + b)
+        flip(vals, idxs, a + b)
         ok = core.validate(core.QTable(base.arity, k, vals.tobytes())).ok
-        census._flip(vals, idxs, a + b)
+        flip(vals, idxs, a + b)
         if not ok:
             raise census.CertificationError(
                 "component %d does not switch: the flip breaks the Latin "
@@ -108,7 +114,7 @@ def snapshot_certificate(fam):
     if 2 ** s <= census.MATERIALIZE_CAP:
         seen = {vals.tobytes()}
         for step in range(1, 2 ** s):
-            census._flip(vals, *flips[(step & -step).bit_length() - 1])
+            flip(vals, *flips[(step & -step).bit_length() - 1])
             snap = vals.tobytes()
             if snap in seen:
                 raise census.CertificationError(
@@ -494,6 +500,30 @@ class TestCertifyComponents:
         assert census._certify_components(fam) == materialized_certificate(fam)
         assert census._certify_components(fam) == snapshot_certificate(fam)
 
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 5), (6, 5), (3, 7)])
+    def test_xor_walk_forms_the_byte_flip_tables(self, monkeypatch, n, k):
+        # the certifier's walk of big-integer XORs, recorded table by table,
+        # against the byte flips it replaced, in the same Gray-code order
+        fam = family(n, k)
+        walked = []
+        walk = census._gray_tables
+
+        def recorded(start, deltas):
+            for table in walk(start, deltas):
+                walked.append(table)
+                yield table
+        monkeypatch.setattr(census, "_gray_tables", recorded)
+        s, cert = census._certify_components(fam)
+        base = fam.base
+        vals = bytearray(base.values)
+        flips = [(comp.indices, sum(comp.pair)) for comp in fam.components]
+        want = [bytes(vals)]
+        for step in range(1, 2 ** s):
+            flip(vals, *flips[(step & -step).bit_length() - 1])
+            want.append(bytes(vals))
+        assert [t.to_bytes(len(vals), "little") for t in walked] == want
+        assert cert["materialized"] == len(set(want)) == 2 ** s
+
     @given(st.integers(2, 3), st.integers(2, 5), st.integers(0, 10 ** 5),
            st.data())
     @settings(max_examples=60, deadline=None)
@@ -522,7 +552,7 @@ class TestCertifyComponents:
         comp = analysis.Component(sorted(part), n, k, (a, b))
         fam = C.CountingFamily(base=t, components=(comp,), claimed_log2=1)
         vals = bytearray(t.values)
-        census._flip(vals, sorted(part), a + b)
+        flip(vals, sorted(part), a + b)
         full = core.validate(core.QTable(n, k, vals)).ok
         got = certify_outcome(census._certify_components, fam)
         if len(part) % 2:

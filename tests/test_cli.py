@@ -700,6 +700,21 @@ def test_cyclic_order_22_subquasigroups_at_once(tmp_path):
     assert json.loads(done.stdout) == [[0], [0, 11], list(range(0, 22, 2))]
 
 
+def test_z2_arity_16_reductions_refused_at_once(tmp_path):
+    # testing all 2^16 - 18 splits of the Z_2 iterate took 60 s; the split
+    # cap refuses it before the first
+    table = tmp_path / "z2n16.json"
+    table.write_text(core.to_json(core.iterate(
+        core.from_function(2, 2, operator.xor), 15)))
+    done = subprocess.run(
+        [sys.executable, "-m", "nquasigroups.cli", "analyze", str(table),
+         "--reductions"], env=child_env(), capture_output=True, text=True,
+        timeout=10)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: arity 16 has 2^16 - 18 splits to test, "
+                           "over the 1024-split cap (REDUCTION_SPLIT_CAP)\n")
+
+
 def test_table_commands_load_neither_numpy_nor_array(tmp_path):
     # the kernels run on builtins: a child loading either would pay its
     # start-up time and resident memory
@@ -739,18 +754,24 @@ LOADS_SCRIPT = (
     (["--help"], "cli"),
     (["validate", "TABLE"], "cli core"),
     (["census", "--n", "3", "--k", "4"], "census cli core"),
-    (["census", "--n", "2", "--k", "5"],
-     "analysis census cli constructions core"),
-    (["components", "TABLE", "--pair", "0,1"], "analysis cli core"),
+    (["census", "--n", "2", "--k", "5"], "census cli core switching"),
+    (["components", "TABLE", "--pair", "0,1"], "cli core switching"),
     (["analyze", "TABLE3", "--reductions"],
      "analysis cli core reducibility"),
+    (["census", "--n", "3", "--k", "7"], "census cli core switching"),
+    (["construct", "--closed", "3", "5", "2"], "cli constructions core"),
+    (["reconstruct", "SHELL3"], "analysis cli core reducibility"),
 ])
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
     table.write_text(core.to_json(C.fixture("Q52")))
     table3 = tmp_path / "t3.json"
     table3.write_text(core.to_json(C.build_closed(3, 4, 2)))
-    paths = {"TABLE": str(table), "TABLE3": str(table3)}
+    shell3 = tmp_path / "s3.json"
+    shell3.write_text(json.dumps(analysis.shell_to_json_obj(
+        analysis.extract_shell(C.build_closed(3, 4, 2), (0, 0, 0)))))
+    paths = {"TABLE": str(table), "TABLE3": str(table3),
+             "SHELL3": str(shell3)}
     argv = [paths.get(a, a) for a in argv]
     done = subprocess.run(
         [sys.executable, "-S", "-c", LOADS_SCRIPT,

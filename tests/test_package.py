@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import nquasigroups
-from nquasigroups import analysis, census, core
+from nquasigroups import analysis, census, core, switching
 from nquasigroups import constructions as C
 
 PUBLIC = (
@@ -51,6 +51,18 @@ class TestLazyNames:
             nquasigroups.no_such_name
         with pytest.raises(ImportError):
             exec("from nquasigroups import no_such_name", {})
+
+    def test_moved_names_still_answer_in_their_old_modules(self):
+        # the switching names are forwarded, not copied
+        for module, names in [
+                (analysis, "Component find_components switch_component"),
+                (C, "CountingFamily build_family5 build_family_k build_ptq")]:
+            for name in names.split():
+                assert getattr(module, name) is getattr(switching, name)
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name
+        assert analysis.AnalysisError is core.AnalysisError
+        assert C.ConstructionError is core.ConstructionError
 
     def test_submodules_still_import(self):
         ns = {}
