@@ -74,7 +74,12 @@ def _search(n, k, cells, pinned, time_limit):
     generator yields (placed, m): placed[i] is the bit of the symbol at
     cells[i] for every earlier cell, and each bit of m completes a Latin
     table.  placed is the live search state, valid until the next step.
+    time_limit is None, for no limit, or a finite number of seconds > 0.
     """
+    if time_limit is not None and not 0 < time_limit < math.inf:
+        raise ValueError("time limit must be a finite number of seconds > 0,"
+                         " not %r" % (time_limit,))
+    deadline = math.inf if time_limit is None else time.monotonic() + time_limit
     total = k ** n
     strides = [k ** (n - 1 - ax) for ax in range(n)]
 
@@ -92,7 +97,6 @@ def _search(n, k, cells, pinned, time_limit):
     last = len(cells) - 1
     placed = [0] * len(cells)
     cand = [0] * len(cells)
-    deadline = math.inf if time_limit is None else time.monotonic() + time_limit
 
     pos = 0
     acc = 0

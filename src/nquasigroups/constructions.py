@@ -5,7 +5,6 @@ live in switching and resolve here on first use.
 """
 
 import enum
-import json
 
 from .core import (
     ConstructionError,
@@ -83,6 +82,8 @@ def fixture(fid):
     """
     global _FIXTURES
     if _FIXTURES is None:
+        import json
+
         from .switching import _Q52
 
         raw = json.loads(_FIXTURES_JSON)

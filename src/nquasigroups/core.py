@@ -7,7 +7,6 @@ Symbols are always 0..k-1.
 
 import importlib
 import itertools
-import json
 import re
 
 
@@ -571,6 +570,8 @@ def to_json(t, separators=(", ", ": ")):
     """json.dumps(to_json_obj(t), separators=separators); single-digit
     symbols are translated to digits, the item separator put between."""
     if t.order > 10:
+        import json
+
         return json.dumps(to_json_obj(t), separators=separators)
     item, key = separators
     sep = item.encode()
@@ -598,6 +599,8 @@ def from_json(s):
                     or raw[1:-2:2].translate(None, b",")):
                 return QTable(int(head[1]), int(head[2]),
                               digits.translate(_FROM_DIGITS))
+    import json
+
     try:
         obj = json.loads(s)
     except (json.JSONDecodeError, RecursionError) as e:

@@ -7,9 +7,10 @@ QTable.index per cell.  The reference shell is the dict of coordinate
 tuples that Shell held before its zero-padded k^n byte form.
 """
 
+import argparse
 import itertools
 
-from nquasigroups import core
+from nquasigroups import cli, core
 from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
 
@@ -249,3 +250,72 @@ def table_outcome(fn, *args):
         return ("ok", fn(*args).values)
     except (ValueError, AssertionError) as e:
         return (type(e).__name__, str(e))
+
+
+def reference_build_parser():
+    """The argparse parser nqg was built from before its option table:
+    cli._build_parser as it read then, the names it used taken from cli."""
+    p = argparse.ArgumentParser(
+        prog="nqg",
+        description="Construct, analyze, switch, and count n-ary quasigroups.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("validate", help="check the Latin property")
+    sp.add_argument("table", help="table file (JSON or text), or - for stdin")
+    sp.set_defaults(func=cli._cmd_validate)
+
+    sp = sub.add_parser("eval", help="evaluate a table at one cell")
+    sp.add_argument("table")
+    sp.add_argument("coords", nargs="+", type=int, help="cell coordinates")
+    sp.set_defaults(func=cli._cmd_eval)
+
+    sp = sub.add_parser("construct", help="run one of the builders")
+    g = sp.add_mutually_exclusive_group(required=True)
+    g.add_argument("--qkr", nargs=2, type=int, metavar=("K", "R"))
+    g.add_argument("--fixture", choices=cli._FIXTURES)
+    g.add_argument("--closed", nargs=3, type=int, metavar=("N", "K", "R"))
+    g.add_argument("--irreducible", nargs=2, type=int, metavar=("N", "K"))
+    g.add_argument("--ptq", type=int, metavar="K")
+    g.add_argument("--family5", type=int, metavar="N")
+    g.add_argument("--family-k", nargs=2, type=int, metavar=("N", "K"))
+    g.add_argument("--counterexample", action="store_true")
+    sp.add_argument("--pretty", action="store_true")
+    sp.set_defaults(func=cli._cmd_construct)
+
+    sp = sub.add_parser("analyze", help="reducibility, closures, shells")
+    sp.add_argument("table")
+    g = sp.add_mutually_exclusive_group(required=True)
+    g.add_argument("--reductions", action="store_true")
+    g.add_argument("--subquasigroups", action="store_true")
+    g.add_argument("--split", type=cli._int_list, metavar="A,B,...")
+    g.add_argument("--shell", action="store_true")
+    sp.add_argument("--basepoint", type=cli._int_list, metavar="O1,...,ON")
+    sp.set_defaults(func=cli._cmd_analyze)
+
+    sp = sub.add_parser("components", help="switching components of a pair")
+    sp.add_argument("table")
+    sp.add_argument("--pair", type=cli._pair, required=True, metavar="A,B")
+    sp.add_argument("--switch", type=int, metavar="INDEX",
+                    help="emit the table with this component flipped")
+    sp.add_argument("--pretty", action="store_true")
+    sp.set_defaults(func=cli._cmd_components)
+
+    sp = sub.add_parser("reconstruct", help="rebuild a table from its shell")
+    sp.add_argument("shell", help="shell file (JSON), or - for stdin")
+    sp.add_argument("--split", type=cli._int_list, metavar="A,B,...")
+    sp.add_argument("--pretty", action="store_true")
+    sp.set_defaults(func=cli._cmd_reconstruct)
+
+    sp = sub.add_parser("census", help="exact counts, bounds, family checks")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--budget", type=int, default=cli._CELL_BUDGET,
+                    help="most cells the exact search or the family build "
+                    "may touch (default %%(default)s, at most %d, "
+                    "core.BUILD_CELL_BUDGET)" % cli._BUILD_CELL_BUDGET)
+    sp.add_argument("--exact", choices=["auto", "on", "off"], default="auto")
+    sp.add_argument("--time-limit", type=float, default=cli._TIME_LIMIT)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(func=cli._cmd_census)
+
+    return p

@@ -381,6 +381,21 @@ class TestEnumerateCount:
         with pytest.raises(census.BudgetError):
             census.enumerate_count(2, 6, time_limit=0.05)
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, 0, 0.0, -1, -0.5])
+    def test_time_limit_refused_unless_finite_and_positive(self, limit):
+        # nan once switched the deadline off (the (2,6) search ran to its
+        # end) and a limit <= 0 was applied only after 4,096 nodes
+        t0 = time.perf_counter()
+        for call in (lambda: census.enumerate_count(2, 6, time_limit=limit),
+                     lambda: next(census.enumerate_tables(2, 6,
+                                                          time_limit=limit))):
+            with pytest.raises(ValueError, match="finite number of seconds"):
+                call()
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_no_time_limit(self):
+        assert census.enumerate_count(2, 4, time_limit=None) == 576
+
     @pytest.mark.parametrize("visit", VISITS)
     @pytest.mark.parametrize("n,k", [(3, 2), (2, 3), (3, 3), (2, 4), (2, 1)])
     def test_tables_match_reference_order(self, n, k, visit):

@@ -19,6 +19,7 @@ from nquasigroups import analysis, census, cli, core
 from nquasigroups import constructions as C
 
 from capped import run_capped
+from oracles import reference_build_parser
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -746,8 +747,8 @@ LOADS_SCRIPT = (
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = cli.run(sys.argv[2:])\n"
     "print(code, *sorted(m.split('.')[-1] for m in sys.modules\n"
-    "                    if m.startswith('nquasigroups.')\n"
-    "                    or m == 'dataclasses'))\n")
+    "                    if m.startswith('nquasigroups.') or m in\n"
+    "                    ('dataclasses', 'argparse', 'gettext', 'json')))\n")
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -778,11 +779,17 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
          str(Path(__file__).parent.parent / "src"), *argv],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 %s\n" % loaded
+    # argparse and gettext never load; json loads only in the commands
+    # that parse JSON or write through json.dumps, so not in --help or in
+    # construct --closed, whose compact table of order <= 10 is written
+    # without it
+    json_free = argv[0] in ("--help", "construct")
+    assert done.stdout == "0 %s\n" % " ".join(
+        sorted(loaded.split() + ["json"] * (not json_free)))
 
 
 def test_parser_literals_match_their_sources():
-    # the parser is built without importing the library, so it holds
+    # the option table is read without importing the library, so it holds
     # copies of these constants
     assert cli._FIXTURES == tuple(f.value for f in C.FixtureId)
     assert cli._CELL_BUDGET == census.DEFAULT_CELL_BUDGET
@@ -851,3 +858,108 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_usage_error_names_the_command(self, capsys):
+        code, out, err = run_cli(capsys, "census", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: nqg census [-h] --n N --k K ")
+        assert err.endswith("\nnqg: error: required: --k\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h", "bogus"],
+                                      ["census", "--bogus", "-h"]])
+    def test_help_goes_to_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: nqg ")
+
+    @pytest.mark.parametrize("limit", ["-1", "0", "nan", "inf"])
+    def test_census_time_limit_refused(self, capsys, limit):
+        code, out, err = run_cli(capsys, "census", "--n", "3", "--k", "4",
+                                 "--time-limit", limit)
+        assert (code, out) == (1, "")
+        assert err == ("error: time limit must be a finite number of "
+                       "seconds > 0, not %r\n" % float(limit))
+
+
+def parse_outcome(parse, argv):
+    """("ok", attributes) for argv parsed, or ("exit", code)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "ok", vars(parse(list(argv)))
+        except SystemExit as e:
+            return "exit", e.code
+
+
+REFERENCE = reference_build_parser()
+
+# Hand-picked command lines: negative values, "=" values, help after the
+# command, repeated options, exclusive groups, "-" and "--" as values.
+PARSE_CASES = [
+    ["eval", "t", "-1", "2"], ["eval", "t", "-.5"], ["eval", "t", "-1."],
+    ["census", "--n", "-1", "--k", "4"], ["construct", "--ptq", "-3"],
+    ["census", "--n", "3", "--k", "4", "--time-limit", "-0.5", "--seed", "-7"],
+    ["analyze", "t", "--split", "-1,2"], ["analyze", "t", "--split=-1,2"],
+    ["analyze", "t", "--split=1, 2"], ["analyze", "t", "--split", "-1 2"],
+    ["components", "t", "--pair", "0,1", "--switch", "-1"],
+    ["census", "--n=3", "--k=4", "--exact=off"], ["construct", "--fixture=Q52"],
+    ["construct", "--qkr=3", "4"], ["construct", "--pretty=x", "--ptq", "3"],
+    ["census", "--n=", "--k", "4"], ["components", "t", "--pair=0,1", "--switch=2"],
+    ["census", "-h"], ["census", "--n", "x", "-h"], ["census", "-h", "--n", "x"],
+    ["construct", "--ptq", "3", "--qkr", "1", "2", "-h"],
+    ["validate", "t", "extra", "-h"], ["census", "--bogus", "-h"],
+    ["--bogus", "validate", "-h"], ["eval", "t", "x", "-h"],
+    ["eval", "t", "1", "-h", "2"], ["eval", "t", "1", "-x", "", "-h"],
+    ["eval", "t", "1", "--bogus", "2"], ["-h", "bogus"], ["bogus", "-h"],
+    ["validate", "--help=x"], ["validate", "-h=x"], ["--bogus"], ["--bogus", "-h"],
+    ["census", "--n", "3", "--n", "4", "--k", "4"],
+    ["construct", "--ptq", "3", "--ptq", "5"],
+    ["construct", "--counterexample", "--counterexample"],
+    ["components", "t", "--pair", "0,1", "--pair", "1,2"],
+    ["construct", "--pretty", "--pretty", "--closed", "3", "5", "2"],
+    ["construct", "--closed", "3", "5", "2", "--qkr", "4", "2"],
+    ["analyze", "t", "--shell", "--reductions"],
+    ["analyze", "t", "--split", "1,2", "--split", "2,3"],
+    ["construct"], ["analyze", "t"], ["construct", "--closed", "3", "5"],
+    ["construct", "--qkr", "3", "--pretty"], ["census", "--n"],
+    ["validate", "-"], ["eval", "-", "1", "2"], ["-"], ["validate", ""], [""], [],
+    ["analyze", "-", "--shell", "--basepoint", "0,0,0"],
+    ["validate", "--", "-"], ["validate", "--", "-x"], ["validate", "t", "--"],
+    ["eval", "t", "--", "-1", "2"], ["eval", "--", "t", "1"],
+    ["validate", "--", "t", "-h"], ["census", "--n", "--", "3"],
+    ["validate", "-a b"], ["validate", "-x", "t"], ["validate", "a", "b"],
+    ["census", "--n", "3", "--k", "4", "--exact", "x", "--time-limit", "nan"],
+]
+
+
+class TestParserMatchesArgparse:
+    """The option table against the argparse parser it replaced
+    (oracles.reference_build_parser): where argparse accepts a command
+    line, the same attributes; where it prints help or refuses, the same
+    exit code.  Intended differences, each refused with exit 2:
+    - prefix abbreviations (--he for --help, --pre for --pretty);
+    - bundled short flags (-hh);
+    - "--" before the command, which argparse refuses in Python 3.10 to
+      3.13.0 and accepts in 3.13.13;
+    - a second "--" after the first, a value here, which argparse drops
+      in 3.10 to 3.13.0.
+    """
+
+    @given(FUZZ_ARGV, st.lists(FUZZ_NOISE, max_size=2))
+    @settings(max_examples=400, deadline=None)
+    def test_fuzz(self, tokens, noise):
+        argv = tokens + noise
+        assert parse_outcome(cli._parse, argv) \
+            == parse_outcome(REFERENCE.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", PARSE_CASES)
+    def test_hand_picked(self, argv):
+        assert parse_outcome(cli._parse, argv) \
+            == parse_outcome(REFERENCE.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--he"], ["construct", "--pre", "--ptq", "3"],
+        ["validate", "-hh"], ["--", "validate", "t"],
+        ["eval", "t", "--", "--", "1"]])
+    def test_intended_differences_exit_2(self, argv):
+        assert parse_outcome(cli._parse, argv) == ("exit", 2)
