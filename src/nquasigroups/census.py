@@ -65,6 +65,13 @@ def _check_budget(n, k, budget):
             "touch at least that many nodes" % (k, n, budget))
 
 
+def _check_time_limit(time_limit):
+    """Refuse a time limit that is neither None nor a finite number > 0."""
+    if time_limit is not None and not 0 < time_limit < math.inf:
+        raise ValueError("time limit must be a finite number of seconds > 0,"
+                         " not %r" % (time_limit,))
+
+
 def _search(n, k, cells, pinned, time_limit):
     """Backtrack over the given cells of a k^n table, in the given order.
 
@@ -74,11 +81,9 @@ def _search(n, k, cells, pinned, time_limit):
     generator yields (placed, m): placed[i] is the bit of the symbol at
     cells[i] for every earlier cell, and each bit of m completes a Latin
     table.  placed is the live search state, valid until the next step.
-    time_limit is None, for no limit, or a finite number of seconds > 0.
+    time_limit is None, for no limit, or a finite number of seconds > 0
+    (_check_time_limit, which the public entry points call first).
     """
-    if time_limit is not None and not 0 < time_limit < math.inf:
-        raise ValueError("time limit must be a finite number of seconds > 0,"
-                         " not %r" % (time_limit,))
     deadline = math.inf if time_limit is None else time.monotonic() + time_limit
     total = k ** n
     strides = [k ** (n - 1 - ax) for ax in range(n)]
@@ -172,6 +177,7 @@ def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
     Latin hypercubes", 2008).  The free cells are filled in the chosen
     visitation order.  Deterministic.
     """
+    _check_time_limit(time_limit)
     _check_budget(n, k, budget)
     cells, pinned = _reduced(n, k, visit)
     multiplier = math.factorial(k) * math.factorial(k - 1) ** (n - 1)
@@ -186,6 +192,7 @@ def enumerate_count(n, k, budget=DEFAULT_CELL_BUDGET,
 def enumerate_tables(n, k, budget=DEFAULT_CELL_BUDGET,
                      time_limit=DEFAULT_TIME_LIMIT, visit="index"):
     """Yield every n-ary quasigroup of order k, in search order."""
+    _check_time_limit(time_limit)
     _check_budget(n, k, budget)
     yield from _tables(n, k, _offsets(n, k, _visit_axes(n, visit)), {},
                        time_limit)
@@ -481,8 +488,11 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     runtimes: (2,4), (2,5), (3,4), and any k <= 3 while n * k**n fits the
     budget, since the search holds n line masks per cell; past that the
     count is None.  'on' forces the attempt, 'off' skips it.  A budget
-    over core.BUILD_CELL_BUDGET is refused with BudgetError.
+    over core.BUILD_CELL_BUDGET is refused with BudgetError, and a time
+    limit that is neither None nor a finite number of seconds > 0 with
+    ValueError, whether or not a search runs.
     """
+    _check_time_limit(time_limit)
     if exact not in ("auto", "on", "off"):
         raise ValueError("exact must be 'auto', 'on', or 'off'")
     _check_ceiling(n, k, budget)

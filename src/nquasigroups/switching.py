@@ -100,16 +100,105 @@ class Component(_Record):
             self.indices.tolist(), *self.shape, sorted(self.pair))
 
 
-def _hit_positions(raw, symbol, bases, slices):
-    """Position j of symbol on each line of an _axis_chunks chunk, in bases
-    order.  Each slice of raw is translated to 0/1 flags "cell holds
-    symbol", so no whole-table copy is made; on Latin lines the flags hold
-    one 1 per line, so the j-weighted sum of the k slices puts j in that
-    line's byte."""
-    flags = bytes(symbol) + b"\x01" + bytes(255 - symbol)
-    pos = sum(j * int.from_bytes(raw[sl].translate(flags), "little")
-              for j, sl in enumerate(slices) if j)
-    return pos.to_bytes(len(bases), "little")
+# memoryview formats of native unsigned fields, by width in bytes
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _width(count):
+    """Bytes per field of the labels 0..count-1."""
+    return 1 if count < 256 else 2 if count < 65536 else 4
+
+
+def _relabel(labels, w, new, width):
+    """w-byte native labels mapped through the sequence new, as width-byte
+    native fields.  Byte i of each output field is one plane: a translate
+    of 1-byte labels or a C-level map of wider ones, so no label is held
+    as a Python int."""
+    if w == width == 1:
+        return labels.translate(bytes(new).ljust(256, b"\0"))
+    out = bytearray(width * (len(labels) // w))
+    cells = memoryview(labels).cast(_FORMATS[w])
+    for i in range(width):
+        plane = bytes([x >> 8 * i & 255 for x in new])
+        out[i if sys.byteorder == "little" else width - 1 - i::width] = (
+            labels.translate(plane.ljust(256, b"\0")) if w == 1
+            else bytes(map(plane.__getitem__, cells)))
+    return out
+
+
+def _block(pat, k, memo):
+    """(count, labels): the parts of a block of k^m contiguous cells, those
+    sharing their first n-m coordinates, joined by the block's own lines.
+
+    They depend only on the block's a/b pattern pat (1 at a, 2 at b, 0
+    elsewhere), so memo keeps one answer per distinct pattern.  Parts are
+    numbered by first cell; labels holds each cell's part in
+    _width(count)-byte fields, some part at cells outside the pair.  A
+    line (m = 1) is one part.  Otherwise the parts of the k sub-blocks,
+    each shifted past those of the sub-blocks before it, are joined by
+    the block's first-axis lines.  A Latin line holds one a and one b, so
+    the labels of every line's a-cell, and of its b-cell, are the sums
+    over the sub-blocks of their labels masked to a, and to b: big-integer
+    passes over whole sub-blocks.  The union-find sees only the distinct
+    (a, b) label pairs.  A merged part starts at the first cell of its
+    smallest label, so parts renumbered in order of their smallest labels
+    stay numbered by first cell.
+    """
+    size = len(pat) // k
+    if size == 1:
+        return 1, bytes(k)
+    got = memo.get(pat)
+    if got is not None:
+        return got
+    subs = [pat[i:i + size] for i in range(0, len(pat), size)]
+    kids = [_block(sub, k, memo) for sub in subs]
+    *starts, total = itertools.accumulate((c for c, _ in kids), initial=0)
+    w = _width(total)
+    full = 256 ** w - 1
+    # each line's a-cell label, then its b-cell label: full fields mask
+    # the shifted labels to the sub-block's a-cells, then to its b-cells
+    ends = [0, 0]
+    for sub, (c, labels), start in zip(subs, kids, starts):
+        shifted = int.from_bytes(_relabel(labels, _width(c),
+                                          range(start, start + c), w),
+                                 sys.byteorder)
+        for j, mask in enumerate(((0, full), (0, 0, full))):
+            ends[j] += shifted & int.from_bytes(_relabel(sub, 1, mask, w),
+                                                sys.byteorder)
+    pairs = bytearray(2 * w * size)
+    view = memoryview(pairs).cast(_FORMATS[w])
+    for j, end in enumerate(ends):
+        view[j::2] = memoryview(end.to_bytes(w * size, sys.byteorder)).cast(
+            _FORMATS[w])
+    parent = list(range(total))
+    for pair in set(memoryview(pairs).cast(_FORMATS[2 * w])):
+        # path halving; the smaller root wins
+        x, y = pair >> 8 * w, pair & full
+        while x != (r := parent[x]):
+            parent[x] = x = parent[r]
+        while y != (r := parent[y]):
+            parent[y] = y = parent[r]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    # parent[g] <= g, so one step from a flattened parent finds the root
+    new = [0] * total
+    count = 0
+    for g in range(total):
+        r = parent[g] = parent[parent[g]]
+        if r == g:
+            new[g] = count
+            count += 1
+        else:
+            new[g] = new[r]
+    width = _width(count)
+    out = bytearray(width * len(pat))
+    for j, ((c, labels), start) in enumerate(zip(kids, starts)):
+        out[j * width * size:(j + 1) * width * size] = _relabel(
+            labels, _width(c), new[start:start + c], width)
+    memo[pat] = count, out
+    return count, out
 
 
 def find_components(q, a, b):
@@ -121,20 +210,13 @@ def find_components(q, a, b):
     nonempty subset of a part does.  Sorted by smallest cell index.
 
     A non-Latin table has no such graph and raises AnalysisError; the
-    check is validate's one-hot sums.  On a Latin table the 0/1 flags
-    "cell holds a" put exactly one 1 on every line, so the sum over j of
-    j times the flags of a line's j-th cells is the position of its
-    a-cell; the same big-integer sums validate takes, weighted by j, give
-    the positions of a and of b on every line of an axis at once
-    (_hit_positions).  The two ab-cells of a line along the last axis are
-    joined by that line's edge, so the union-find runs over those lines,
-    line number = cell index // k, and a root is the smallest line of its
-    part: parts met in a scan by line come in the order of their smallest
-    lines, and so of their smallest cells.  The parents are a list of
-    ints, read without unpacking, and each find halves its path.  One
-    last scan by line flattens the parents and appends each line's two
-    cells, the smaller first, to its root's uint32 buffer, so every
-    part's flat cell indices come out sorted, parts in order of roots.
+    check is validate's one-hot sums.  The parts come from the whole
+    table's block (_block), divided along the first axis down to lines and
+    solved once per distinct a/b pattern: the tables built here are
+    superpositions and isotopes of iterates, whose blocks repeat a few
+    patterns.  One C-level pass then appends every ab-cell's uint32
+    index, in index order, to its part, so each part comes out sorted and
+    the parts in order of their smallest cells.
     """
     n, k = q.arity, q.order
     if a == b or not _ints_below((a, b), k):
@@ -143,47 +225,18 @@ def find_components(q, a, b):
     if not validate(q).ok:
         raise AnalysisError("table is not Latin; components are undefined")
 
-    raw = q.values.obj
-    lines = k ** (n - 1)
-    parent = list(range(lines))
-    for ax in range(n - 1):
-        stride = k ** (n - 1 - ax)
-        for bases, slices in _axis_chunks(n, k, ax):
-            pos_a = _hit_positions(raw, a, bases, slices)
-            pos_b = _hit_positions(raw, b, bases, slices)
-            for base, i, j in zip(bases, pos_a, pos_b):
-                # path halving: parent[x] (old x) and then x take x's
-                # grandparent, until x is a root
-                x = (base + i * stride) // k
-                while x != (r := parent[x]):
-                    parent[x] = x = parent[r]
-                y = (base + j * stride) // k
-                while y != (r := parent[y]):
-                    parent[y] = y = parent[r]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
-
-    # the last axis: one chunk, its lines in order.  parent[i] <= i
-    # throughout, so one step from an already flattened parent finds the
-    # root, and a root opens its part before the rest of its lines
-    (bases, slices), = _axis_chunks(n, k, n - 1)
-    parts = {}
-    for i, j, l in zip(range(lines), _hit_positions(raw, a, bases, slices),
-                       _hit_positions(raw, b, bases, slices)):
-        r = parent[i] = parent[parent[i]]
-        if r == i:
-            parts[i] = part = bytearray()
-        else:
-            part = parts[r]
-        x = i * k
-        if l < j:
-            j, l = l, j
-        part += (x + j).to_bytes(4, sys.byteorder)
-        part += (x + l).to_bytes(4, sys.byteorder)
+    pair = bytearray(256)
+    pair[a], pair[b] = 1, 2
+    pat = q.values.obj.translate(pair)
+    count, labels = _block(pat, k, {})
+    parts = [bytearray() for _ in range(count)]
+    # bytearray.extend returns None, so any() runs the whole map
+    any(map(bytearray.extend, map(parts.__getitem__, itertools.compress(
+        memoryview(labels).cast(_FORMATS[_width(count)]), pat)),
+        map(int.to_bytes, itertools.compress(range(len(pat)), pat),
+            itertools.repeat(4), itertools.repeat(sys.byteorder))))
     return [Component(memoryview(part).cast("I"), n, k, (a, b))
-            for part in parts.values()]
+            for part in parts]
 
 
 def switch_component(q, comp):

@@ -9,10 +9,12 @@ tuples that Shell held before its zero-padded k^n byte form.
 
 import argparse
 import itertools
+import sys
 
 from nquasigroups import cli, core
 from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
+from nquasigroups.switching import Component
 
 
 def reference_lines(n, k):
@@ -319,3 +321,71 @@ def reference_build_parser():
     sp.set_defaults(func=cli._cmd_census)
 
     return p
+
+
+def hit_positions(raw, symbol, bases, slices):
+    """Position j of symbol on each line of an _axis_chunks chunk, in bases
+    order.  Each slice of raw is translated to 0/1 flags "cell holds
+    symbol", so no whole-table copy is made; on Latin lines the flags hold
+    one 1 per line, so the j-weighted sum of the k slices puts j in that
+    line's byte."""
+    flags = bytes(symbol) + b"\x01" + bytes(255 - symbol)
+    pos = sum(j * int.from_bytes(raw[sl].translate(flags), "little")
+              for j, sl in enumerate(slices) if j)
+    return pos.to_bytes(len(bases), "little")
+
+
+def union_find_components(q, a, b):
+    """switching.find_components as it was before the block search: a
+    union-find over the last-axis lines, joined along every other axis
+    by the positions of a and b that whole-axis big-integer sums give
+    (hit_positions), then one scan by line that appends each line's two
+    cells to its root's uint32 buffer; the oracle."""
+    n, k = q.arity, q.order
+    if a == b or not core._ints_below((a, b), k):
+        raise AnalysisError("component pair %r is not two distinct symbols "
+                            "in 0..%d" % ((a, b), k - 1))
+    if not core.validate(q).ok:
+        raise AnalysisError("table is not Latin; components are undefined")
+
+    raw = q.values.obj
+    lines = k ** (n - 1)
+    parent = list(range(lines))
+    for ax in range(n - 1):
+        stride = k ** (n - 1 - ax)
+        for bases, slices in core._axis_chunks(n, k, ax):
+            pos_a = hit_positions(raw, a, bases, slices)
+            pos_b = hit_positions(raw, b, bases, slices)
+            for base, i, j in zip(bases, pos_a, pos_b):
+                # path halving: parent[x] (old x) and then x take x's
+                # grandparent, until x is a root
+                x = (base + i * stride) // k
+                while x != (r := parent[x]):
+                    parent[x] = x = parent[r]
+                y = (base + j * stride) // k
+                while y != (r := parent[y]):
+                    parent[y] = y = parent[r]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+
+    # the last axis: one chunk, its lines in order.  parent[i] <= i
+    # throughout, so one step from an already flattened parent finds the
+    # root, and a root opens its part before the rest of its lines
+    (bases, slices), = core._axis_chunks(n, k, n - 1)
+    parts = {}
+    for i, j, l in zip(range(lines), hit_positions(raw, a, bases, slices),
+                       hit_positions(raw, b, bases, slices)):
+        r = parent[i] = parent[parent[i]]
+        if r == i:
+            parts[i] = part = bytearray()
+        else:
+            part = parts[r]
+        x = i * k
+        if l < j:
+            j, l = l, j
+        part += (x + j).to_bytes(4, sys.byteorder)
+        part += (x + l).to_bytes(4, sys.byteorder)
+    return [Component(memoryview(part).cast("I"), n, k, (a, b))
+            for part in parts.values()]

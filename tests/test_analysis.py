@@ -1108,6 +1108,91 @@ class TestFindComponentsAgainstReference:
             assert str(err.value) == error
 
 
+def isotope(t, seed):
+    """t with seeded random permutations of the result and of every
+    argument, drawn in perfbench's order, by flat index arithmetic."""
+    rng = random.Random(seed)
+    n, k = t.arity, t.order
+    res = list(range(k))
+    rng.shuffle(res)
+    offs = [0]
+    for _ in range(n):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        offs = [o * k + p for o in offs for p in perm]
+    return core.QTable(n, k, bytes(map(t.values.__getitem__, offs)).translate(
+        bytes(res) + bytes(256 - k)))
+
+
+def assert_parts_match_union_find(t, a, b):
+    """find_components' block search against the union-find it replaced,
+    part for part: pair, shape, index bytes and order."""
+    got = [(c.pair, c.shape, bytes(c.indices))
+           for c in A.find_components(t, a, b)]
+    want = [(c.pair, c.shape, bytes(c.indices))
+            for c in oracles.union_find_components(t, a, b)]
+    assert got == want
+    return len(got)
+
+
+CLOSED8 = C.build_closed(8, 5, 2)
+
+
+class TestBlockSearchAgainstUnionFind:
+    @pytest.mark.parametrize("t", latin_tables(),
+                             ids=lambda t: "%d^%d" % (t.order, t.arity))
+    def test_every_pair(self, t):
+        for a, b in itertools.permutations(range(t.order), 2):
+            assert_parts_match_union_find(t, a, b)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_closed8_and_its_isotopes(self, seed):
+        # few distinct block patterns; either order of each pair
+        t = CLOSED8 if seed is None else isotope(CLOSED8, seed)
+        assert core.validate(t).ok and (seed is None) == (t == CLOSED8)
+        for a, b in itertools.combinations(range(5), 2):
+            assert_parts_match_union_find(t, *((a, b), (b, a))[(a + b) % 2])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_reducible(self, seed):
+        # patterns repeat less than in the iterates' isotopes
+        t = randgen.random_reducible(8, 5, seed)[0]
+        for a, b in [(0, seed), (4, seed - 1)]:
+            assert_parts_match_union_find(t, a, b)
+
+    @pytest.mark.parametrize("t,a,b,parts,widest", [
+        (z_add(8, 5), 0, 4, 256, 256), (z_add(6, 6), 0, 3, 243, 256),
+        (C.build_closed(10, 4, 2), 0, 1, 512, 512)],
+        ids=["z8-iterate-5", "z6-iterate-6", "closed-10-4"])
+    def test_many_parts(self, monkeypatch, t, a, b, parts, widest):
+        # 256 or more labels take 2-byte fields: at 256 parts, past 255
+        # labels in the sub-blocks of a 243-part table, and at 512 parts
+        counts = []
+        width = switching._width
+        monkeypatch.setattr(switching, "_width",
+                            lambda c: counts.append(c) or width(c))
+        assert assert_parts_match_union_find(t, a, b) == parts
+        assert max(counts) >= widest
+
+    @given(st.integers(2, 5), st.integers(3, 6), st.integers(0, 10 ** 6),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_other_symbols_relabelled(self, n, k, seed, data):
+        # only where a and b stand decides the partition
+        t = (randgen.random_binary(k, seed) if n == 2
+             else randgen.random_reducible(n, k, seed)[0])
+        a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
+                                  max_size=2, unique=True))
+        others = [s for s in range(k) if s not in (a, b)]
+        moved = data.draw(st.permutations(others))
+        table = list(range(256))
+        for s, v in zip(others, moved):
+            table[s] = v
+        u = core.QTable(n, k, bytes(t.values).translate(bytes(table)))
+        assert core.validate(u).ok
+        assert A.find_components(u, a, b) == A.find_components(t, a, b)
+
+
 def bfs_find_components(q, a, b):
     """The parts of the ab-cells as coordinate tuples, by breadth-first
     search: from each ab-cell not yet reached, in coordinate order, walk
@@ -1461,8 +1546,8 @@ def cell_find_components(q, a, b):
     raw = bytes(vals)
     lines = k ** (n - 1)
     (bases, slices), = core._axis_chunks(n, k, n - 1)
-    last_a = switching._hit_positions(raw, a, bases, slices)
-    last_b = switching._hit_positions(raw, b, bases, slices)
+    last_a = oracles.hit_positions(raw, a, bases, slices)
+    last_b = oracles.hit_positions(raw, b, bases, slices)
     parent = list(range(lines))
 
     def find(x):
@@ -1473,8 +1558,8 @@ def cell_find_components(q, a, b):
     for ax in range(n - 1):
         stride = k ** (n - 1 - ax)
         for bases, slices in core._axis_chunks(n, k, ax):
-            pos_a = switching._hit_positions(raw, a, bases, slices)
-            pos_b = switching._hit_positions(raw, b, bases, slices)
+            pos_a = oracles.hit_positions(raw, a, bases, slices)
+            pos_b = oracles.hit_positions(raw, b, bases, slices)
             for base, i, j in zip(bases, pos_a, pos_b):
                 x = find((base + i * stride) // k)
                 y = find((base + j * stride) // k)

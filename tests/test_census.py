@@ -393,8 +393,24 @@ class TestEnumerateCount:
                 call()
         assert time.perf_counter() - t0 < 0.05
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, 0, -1])
+    def test_time_limit_refused_when_no_search_runs(self, limit):
+        # a pinned-only shape returns before the search forms its
+        # deadline, and exact='auto' skips the search at (3,7)
+        for call in (lambda: census.enumerate_count(1, 3, time_limit=limit),
+                     lambda: census.run_census(1, 3, time_limit=limit),
+                     lambda: census.run_census(3, 7, time_limit=limit),
+                     lambda: census.run_census(3, 4, exact="off",
+                                               time_limit=limit)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == ("time limit must be a finite number "
+                                      "of seconds > 0, not %r" % (limit,))
+
     def test_no_time_limit(self):
         assert census.enumerate_count(2, 4, time_limit=None) == 576
+        assert census.enumerate_count(1, 3, time_limit=None) == 6
+        assert census.run_census(1, 3, time_limit=None).exact_count == 6
 
     @pytest.mark.parametrize("visit", VISITS)
     @pytest.mark.parametrize("n,k", [(3, 2), (2, 3), (3, 3), (2, 4), (2, 1)])

@@ -880,6 +880,17 @@ class TestUsage:
         assert err == ("error: time limit must be a finite number of "
                        "seconds > 0, not %r\n" % float(limit))
 
+    @pytest.mark.parametrize("argv,limit", [
+        (["--n", "3", "--k", "7"], "nan"), (["--n", "1", "--k", "3"], "-1"),
+        (["--n", "3", "--k", "4", "--exact", "off"], "inf")])
+    def test_census_time_limit_refused_without_search(self, capsys, argv,
+                                                      limit):
+        code, out, err = run_cli(capsys, "census", *argv,
+                                 "--time-limit", limit)
+        assert (code, out) == (1, "")
+        assert err == ("error: time limit must be a finite number of "
+                       "seconds > 0, not %r\n" % float(limit))
+
 
 def parse_outcome(parse, argv):
     """("ok", attributes) for argv parsed, or ("exit", code)."""
