@@ -12,12 +12,14 @@ argparse's rules but without loading argparse.  Each handler imports the
 modules it runs, so a launch compiles only what its subcommand needs:
 validate and eval load core; analyze and reconstruct add analysis, and
 the reducibility kernel when they test a split (analyze --reductions and
---split, reconstruct); components adds switching; construct adds
-constructions, and switching for the stored fixtures, --ptq and the
-families; census loads core and census, plus switching for the component
-families (order 5 and odd orders prime to 3).  json loads only where
-JSON is parsed or written with json.dumps.  The table's literals below
-copy library constants; tests pin them to their sources.
+--split, reconstruct); components adds switching, and its --switch i
+flips part i straight from the block labels, building no parts;
+construct adds constructions, and switching for the stored fixtures,
+--ptq and the families; census loads core and census, plus switching
+for the component families (order 5 and odd orders prime to 3).  json
+loads only where JSON is parsed or written with json.dumps.  The
+table's literals below copy library constants; tests pin them to their
+sources.
 """
 
 import itertools
@@ -211,15 +213,16 @@ def _cmd_components(args):
 
     t = _read_table(args.table)
     a, b = args.pair
-    comps = switching.find_components(t, a, b)
     if args.switch is None:
-        _emit([_component_obj(c) for c in comps])
+        _emit([_component_obj(c) for c in switching.find_components(t, a, b)])
     else:
-        if not 0 <= args.switch < len(comps):
+        labelled = switching._labelled(t, a, b)
+        if not 0 <= args.switch < labelled[1]:
             raise _UsageError(
-                "--switch index out of range 0..%d" % (len(comps) - 1))
-        _emit_table(switching.switch_component(t, comps[args.switch]),
-                    args.pretty)
+                "--switch index out of range 0..%d" % (labelled[1] - 1))
+        t = switching._flip(t, a, b, labelled, args.switch)
+        del labelled  # not held while the table is written
+        _emit_table(t, args.pretty)
     return 0
 
 

@@ -1,7 +1,9 @@
 """Switching sets: the minimal components of a symbol pair, their flips,
 and the disjoint switching families behind the growth bounds.
 
-find_components and switch_component serve `nqg components`;
+find_components and switch_component give the parts and flip one;
+`nqg components` lists the parts, and its --switch i reads part i from
+the block labels (_labelled, _flip), building no parts.
 build_family5 and build_family_k build the families that `nqg census`
 certifies at order 5 and at odd orders prime to 3.  Only core is
 imported, so neither path compiles analysis or constructions, which
@@ -201,6 +203,22 @@ def _block(pat, k, memo):
     return count, out
 
 
+def _labelled(q, a, b):
+    """(pat, count, labels) of the pair {a, b} of q: its a/b pattern and
+    the whole table's block (_block), after the pair check and the
+    non-Latin refusal that every path to the parts shares."""
+    k = q.order
+    if a == b or not _ints_below((a, b), k):
+        raise AnalysisError("component pair %r is not two distinct symbols "
+                            "in 0..%d" % ((a, b), k - 1))
+    if not validate(q).ok:
+        raise AnalysisError("table is not Latin; components are undefined")
+    pair = bytearray(256)
+    pair[a], pair[b] = 1, 2
+    pat = q.values.obj.translate(pair)
+    return (pat, *_block(pat, k, {}))
+
+
 def find_components(q, a, b):
     """Minimal ab-switching components of q, as a partition of the ab-cells.
 
@@ -218,24 +236,14 @@ def find_components(q, a, b):
     index, in index order, to its part, so each part comes out sorted and
     the parts in order of their smallest cells.
     """
-    n, k = q.arity, q.order
-    if a == b or not _ints_below((a, b), k):
-        raise AnalysisError("component pair %r is not two distinct symbols "
-                            "in 0..%d" % ((a, b), k - 1))
-    if not validate(q).ok:
-        raise AnalysisError("table is not Latin; components are undefined")
-
-    pair = bytearray(256)
-    pair[a], pair[b] = 1, 2
-    pat = q.values.obj.translate(pair)
-    count, labels = _block(pat, k, {})
+    pat, count, labels = _labelled(q, a, b)
     parts = [bytearray() for _ in range(count)]
     # bytearray.extend returns None, so any() runs the whole map
     any(map(bytearray.extend, map(parts.__getitem__, itertools.compress(
         memoryview(labels).cast(_FORMATS[_width(count)]), pat)),
         map(int.to_bytes, itertools.compress(range(len(pat)), pat),
             itertools.repeat(4), itertools.repeat(sys.byteorder))))
-    return [Component(memoryview(part).cast("I"), n, k, (a, b))
+    return [Component(memoryview(part).cast("I"), q.arity, q.order, (a, b))
             for part in parts]
 
 
@@ -260,10 +268,43 @@ def switch_component(q, comp):
                 "not a component of this table: cell %r holds %d, not in {%d,%d}"
                 % (q.coords(idx), v, a, b))
         vals[idx] = a + b - v
+    return _flipped(q, vals)
+
+
+def _flipped(q, vals):
+    """The table of q's shape holding vals, refused unless it is Latin."""
     t = QTable(q.arity, q.order, vals)
     if not validate(t).ok:
         raise AnalysisError("not a component: the flip breaks the Latin property")
     return t
+
+
+def _flip(q, a, b, labelled, i):
+    """switch_component(q, find_components(q, a, b)[i]) from labelled,
+    _labelled(q, a, b), without building a part: a ^ b times the part's
+    mask (_part) is XORed into the values as one big integer, and the
+    flipped table is validated.  One expression, so no big integer is
+    alive while validate runs."""
+    return _flipped(q, ((a ^ b) * _part(labelled, i)
+                        ^ int.from_bytes(q.values, "little")).to_bytes(
+                            len(q.values), "little"))
+
+
+def _part(labelled, i):
+    """1 in the byte of each cell of part i, else 0, as a big integer:
+    the a/b cells (others carry some label) whose label matches i in
+    every byte plane, one translate per plane to 1 at i's byte."""
+    pat, count, labels = labelled
+    w = _width(count)
+    mask = int.from_bytes(pat.translate(bytes((0, 1, 1)).ljust(256, b"\0")),
+                          "little")
+    for j in range(w):
+        hit = bytearray(256)
+        hit[i >> 8 * j & 255] = 1
+        mask &= int.from_bytes(labels[j if sys.byteorder == "little"
+                                      else w - 1 - j::w].translate(hit),
+                               "little")
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -1193,6 +1193,62 @@ class TestBlockSearchAgainstUnionFind:
         assert A.find_components(u, a, b) == A.find_components(t, a, b)
 
 
+def assert_flips_match_switch_component(t, a, b, parts=None):
+    """The label flip behind `nqg components --switch i` against
+    switch_component on find_components' part i, in both orders of the
+    pair, for every part or for the parts listed.  Returns the count."""
+    for x, y in ((a, b), (b, a)):
+        labelled = switching._labelled(t, x, y)
+        comps = A.find_components(t, x, y)
+        assert labelled[1] == len(comps)
+        for i in range(len(comps)) if parts is None else parts:
+            got = switching._flip(t, x, y, labelled, i)
+            want = A.switch_component(t, comps[i])
+            assert (got.arity, got.order, got.values.obj) == \
+                (want.arity, want.order, want.values.obj), (x, y, i)
+    return len(comps)
+
+
+class TestFlipAgainstSwitchComponent:
+    @pytest.mark.parametrize("t", latin_tables(),
+                             ids=lambda t: "%d^%d" % (t.order, t.arity))
+    def test_every_pair(self, t):
+        for a, b in itertools.combinations(range(t.order), 2):
+            assert_flips_match_switch_component(t, a, b)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_closed8_and_its_isotopes(self, seed):
+        t = CLOSED8 if seed is None else isotope(CLOSED8, seed)
+        assert_flips_match_switch_component(t, 0, 1 + (seed or 0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_reducible(self, seed):
+        t = randgen.random_reducible(8, 5, seed)[0]
+        assert_flips_match_switch_component(t, 4, seed - 1)
+
+    @pytest.mark.parametrize("t,a,b,parts,checked", [
+        (z_add(8, 5), 0, 4, 256, None), (z_add(6, 6), 0, 3, 243, None),
+        # 1,024 validates of 4^10 cells take a minute: the ends of each
+        # byte plane of the 2-byte labels and a spread between them
+        (C.build_closed(10, 4, 2), 0, 1, 512,
+         [0, 1, 127, 255, 256, 257, 383, 510, 511])],
+        ids=["z8-iterate-5", "z6-iterate-6", "closed-10-4"])
+    def test_many_parts(self, t, a, b, parts, checked):
+        assert assert_flips_match_switch_component(t, a, b, checked) == parts
+
+    def test_non_switching_flip_refused(self):
+        # a part of one cell does not follow the lines: the flipped table
+        # is validated and refused with switch_component's text
+        t = C.fixture("Q52")
+        pat, _, _ = switching._labelled(t, 0, 1)
+        labels = bytearray(len(pat))
+        labels[pat.index(1)] = 1
+        with pytest.raises(A.AnalysisError) as err:
+            switching._flip(t, 0, 1, (pat, 2, labels), 1)
+        assert str(err.value) == \
+            "not a component: the flip breaks the Latin property"
+
+
 def bfs_find_components(q, a, b):
     """The parts of the ab-cells as coordinate tuples, by breadth-first
     search: from each ab-cell not yet reached, in coordinate order, walk

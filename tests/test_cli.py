@@ -287,6 +287,28 @@ class TestComponents:
                                "--switch", "7")
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("index", ["8", "-1"])
+    def test_switch_range_names_the_part_count(self, capsys, monkeypatch,
+                                               index):
+        feed_stdin(monkeypatch, core.to_json(C.build_closed(8, 5, 2)))
+        code, out, err = run_cli(capsys, "components", "-", "--pair", "0,1",
+                                 "--switch", index)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --switch index out of range 0..7\n"
+
+    def test_switch_domain_errors_before_range(self, capsys, monkeypatch):
+        # the table and the pair are refused before the index is read
+        feed_stdin(monkeypatch, "0 1 0\n1 2 0\n2 0 1\n")
+        code, out, err = run_cli(capsys, "components", "-", "--pair", "0,1",
+                                 "--switch", "99")
+        assert (code, out) == (1, "")
+        assert err == "error: table is not Latin; components are undefined\n"
+        feed_stdin(monkeypatch, core.to_json(C.fixture("Q52")))
+        code, out, err = run_cli(capsys, "components", "-", "--pair", "1,1",
+                                 "--switch", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: component pair (1, 1)")
+
     def test_pair_must_differ(self, capsys, monkeypatch):
         feed_stdin(monkeypatch, core.to_json(C.fixture("Q52")))
         code, _, err = run_cli(capsys, "components", "-", "--pair", "1,1")
