@@ -8,10 +8,11 @@ first use, so `nqg analyze` and `nqg reconstruct` do not compile it.
 """
 
 import itertools
+import re
 
-from .core import (MAX_ORDER, AnalysisError, QTable, _forward, _ints_below,
-                   _offsets, _power_over, _Record, check_cell_budget,
-                   retract, validate)
+from .core import (_FROM_DIGITS, _TO_DIGITS, BUILD_CELL_BUDGET, MAX_ORDER,
+                   AnalysisError, QTable, _forward, _ints_below, _offsets,
+                   _power_over, _Record, check_cell_budget, retract, validate)
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -414,9 +415,14 @@ def reconstruct(sh):
 # ---------------------------------------------------------------------------
 # shell file format
 
+def _touching(n, k, base):
+    """1 on the k^n cells touching base, 0 elsewhere."""
+    return _on_shell(n, k, base, b"\x01" * k ** n)
+
+
 def shell_to_json_obj(sh):
     n, k = sh.arity, sh.order
-    mask = _on_shell(n, k, sh.basepoint, b"\x01" * k ** n)
+    mask = _touching(n, k, sh.basepoint)
     cells = itertools.compress(itertools.product(range(k), repeat=n), mask)
     return {
         "arity": n,
@@ -425,6 +431,81 @@ def shell_to_json_obj(sh):
         "entries": [[*x, v] for x, v in
                     zip(cells, itertools.compress(sh.values, mask))],
     }
+
+
+def _rows(n, k, mask, values):
+    """The entries of an order-k <= 10 shell as compact JSON rows, each
+    [x_1,..,x_n,v] and a comma: 2n+4 bytes per touching cell of mask, in
+    index order, with the given values.  One template row is repeated and
+    each column filled by one extended slice, then made digits."""
+    w = 2 * n + 4
+    rows = bytearray(b"[" + b"0," * n + b"0],") * len(values)
+    cells = bytes(itertools.chain.from_iterable(itertools.compress(
+        itertools.product(range(k), repeat=n), mask)))
+    for j in range(n):
+        rows[2 * j + 1::w] = cells[j::n]
+    rows[2 * n + 1::w] = values
+    return rows.translate(_TO_DIGITS)
+
+
+def _shell_json(sh):
+    """json.dumps(shell_to_json_obj(sh), separators=(",", ":")), with the
+    entries of an order up to 10 written by _rows."""
+    n, k = sh.arity, sh.order
+    if k > 10:
+        import json
+
+        return json.dumps(shell_to_json_obj(sh), separators=(",", ":"))
+    mask = _touching(n, k, sh.basepoint)
+    rows = _rows(n, k, mask, bytes(itertools.compress(sh.values, mask)))
+    return '{"arity":%d,"order":%d,"basepoint":[%s],"entries":[%s]}' % (
+        n, k, ",".join(map(str, sh.basepoint)), rows[:-1].decode())
+
+
+# the head _shell_json writes for an order up to 10, single-digit
+# basepoint coordinates, up to the first entry
+_SHELL_HEAD = (r'[ \t\n\r]*\{"arity":([1-9][0-9]{0,8}),"order":([1-9]|10),'
+               r'"basepoint":\[((?:[0-9],)*[0-9])\],"entries":\[')
+
+
+def _shell_from_json(s):
+    """Shell from its JSON text, else AnalysisError.
+
+    The form _shell_json writes, with whitespace only around it, is read
+    directly when it holds a shell: rows of 2n+4 bytes, the right count
+    (tested before k^n is formed, which stays within BUILD_CELL_BUDGET),
+    values below k, and the coordinates _rows writes.  Every other text
+    takes json.loads and shell_from_json_obj, so both ways give one
+    Shell or one error.
+    """
+    head = re.match(_SHELL_HEAD, s)
+    rest = s[head.end():].rstrip(" \t\n\r") if head else ""
+    if rest.isascii() and rest.endswith("]}"):
+        n, k = int(head[1]), int(head[2])
+        base = list(map(int, head[3][::2]))
+        w = 2 * n + 4
+        count, one = divmod(len(rest), w)
+        rows = (rest[:-2] + ",").encode()
+        digits = rows[2 * n + 1::w]
+        if (one == 1 and len(base) == n and max(base) < k
+                and not digits.translate(None, b"0123456789"[:k])
+                and not _power_over(n - 1, k, count)
+                and k ** n - (k - 1) ** n == count
+                and not _power_over(n, k, BUILD_CELL_BUDGET)):
+            mask = _touching(n, k, base)
+            values = digits.translate(_FROM_DIGITS)
+            if _rows(n, k, mask, values) == rows:
+                # accumulate(mask) is 1 + the entry index on a touching
+                # cell; the constructor zeroes the others
+                return Shell(n, k, base, bytes(map(
+                    (b"\0" + values).__getitem__, itertools.accumulate(mask))))
+    import json
+
+    try:
+        obj = json.loads(s)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise AnalysisError("bad shell JSON: %s" % e)
+    return shell_from_json_obj(obj)
 
 
 def shell_from_json_obj(obj):
@@ -466,7 +547,7 @@ def shell_from_json_obj(obj):
         raise AnalysisError("shell values must be integers in 0..%d" % (k - 1))
     # sorted rows list the cells in index order: the first mismatch is a
     # cell listed twice, one off the basepoint, or a missing one
-    mask = _on_shell(n, k, base, b"\x01" * k ** n)
+    mask = _touching(n, k, base)
     cells = itertools.compress(itertools.product(range(k), repeat=n), mask)
     for p, (row, cell) in enumerate(zip(rows, map(list, cells))):
         if (got := row[:-1]) != cell:

@@ -16,10 +16,12 @@ the reducibility kernel when they test a split (analyze --reductions and
 flips part i straight from the block labels, building no parts;
 construct adds constructions, and switching for the stored fixtures,
 --ptq and the families; census loads core and census, plus switching
-for the component families (order 5 and odd orders prime to 3).  json
-loads only where JSON is parsed or written with json.dumps.  The
-table's literals below copy library constants; tests pin them to their
-sources.
+for the component families (order 5 and odd orders prime to 3).  Tables
+and shells of orders up to 10 are written and read in one byte pass
+(core.to_json and core.from_json, analysis._shell_json and
+analysis._shell_from_json), so json loads only on their fallback and
+where other results are written with json.dumps.  The table's literals
+below copy library constants; tests pin them to their sources.
 """
 
 import itertools
@@ -67,16 +69,9 @@ def _read_table(path):
 
 
 def _read_shell(path):
-    import json
-
     from . import analysis
 
-    data = _read_input(path)
-    try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise analysis.AnalysisError("bad shell JSON: %s" % e)
-    return analysis.shell_from_json_obj(obj)
+    return analysis._shell_from_json(_read_input(path))
 
 
 def _emit(obj):
@@ -203,8 +198,7 @@ def _cmd_analyze(args):
     else:
         if args.basepoint is None:
             raise _UsageError("--shell requires --basepoint")
-        sh = analysis.extract_shell(t, args.basepoint)
-        _emit(analysis.shell_to_json_obj(sh))
+        print(analysis._shell_json(analysis.extract_shell(t, args.basepoint)))
     return 0
 
 

@@ -471,6 +471,129 @@ class TestShellAgainstReference:
                             oracles.reference_shell_from_json_obj(obj)))
 
 
+def random_shell(data, k_max=12):
+    """A shell of any values in range at any basepoint, at most 4,096
+    cells; orders past 10 keep the arity at 3 or below."""
+    k = data.draw(st.integers(1, k_max))
+    n = data.draw(st.integers(1, 4 if k <= 8 else 3))
+    rng = data.draw(st.randoms(use_true_random=False))
+    base = [rng.randrange(k) for _ in range(n)]
+    return A.Shell(n, k, base, bytes(rng.randrange(k) for _ in range(k ** n)))
+
+
+def compact(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def slow_shell_read(text):
+    """The reference reader: json.loads, then shell_from_json_obj."""
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise A.AnalysisError("bad shell JSON: %s" % e)
+    return A.shell_from_json_obj(obj)
+
+
+def text_outcome(read, text):
+    """The Shell read makes of text, or the class and text of its error."""
+    try:
+        return read(text)
+    except A.AnalysisError as e:
+        return type(e), str(e)
+
+
+SHELL_TEXT_EDITS = ("space", "shuffle", "drop", "duplicate", "value_k",
+                    "coord_k", "two_digits", "base_length", "trailing",
+                    "truncate")
+
+
+class TestShellText:
+    """The compact shell text written and read in one byte pass, against
+    json.dumps of shell_to_json_obj and json.loads with
+    shell_from_json_obj."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_json_dumps(self, data):
+        # orders 1..12 cover both sides of the single-digit cut at 10
+        sh = random_shell(data)
+        assert A._shell_json(sh) == compact(A.shell_to_json_obj(sh))
+
+    def test_writer_on_the_closed6_shell(self):
+        sh = A.extract_shell(C.build_closed(6, 5, 2), (3, 0, 4, 1, 2, 1))
+        text = A._shell_json(sh)
+        assert len(text) == 184523
+        assert text == compact(A.shell_to_json_obj(sh))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_json_loads(self, data):
+        sh = random_shell(data)
+        n, k = sh.arity, sh.order
+        obj = A.shell_to_json_obj(sh)
+        rows = obj["entries"]
+        pick = st.integers(0, len(rows) - 1)
+        edit = data.draw(st.sampled_from((None,) + SHELL_TEXT_EDITS))
+        if edit == "shuffle":
+            data.draw(st.randoms(use_true_random=False)).shuffle(rows)
+        elif edit == "drop":
+            del rows[data.draw(pick)]
+        elif edit == "duplicate":
+            i = data.draw(pick)
+            rows.insert(i, list(rows[i]))
+        elif edit == "value_k":
+            rows[data.draw(pick)][-1] = k
+        elif edit == "coord_k":
+            rows[data.draw(pick)][data.draw(st.integers(0, n - 1))] = k
+        elif edit == "two_digits":
+            rows[data.draw(pick)][data.draw(st.integers(0, n))] = \
+                data.draw(st.integers(10, 99))
+        elif edit == "base_length":
+            obj["basepoint"] = (obj["basepoint"] + [0] if data.draw(
+                st.booleans()) else obj["basepoint"][:-1])
+        text = compact(obj)
+        if edit == "space":
+            # after a bracket, brace, comma or colon, outside the keys
+            i = data.draw(st.sampled_from(
+                [i + 1 for i, c in enumerate(text) if c in "[]{},:"]))
+            text = text[:i] + data.draw(st.sampled_from(" \t\n\r")) + text[i:]
+        elif edit == "trailing":
+            text += data.draw(st.sampled_from(
+                ("x", "]", "}", "0", ",", "]}", " x", "\u00e9")))
+        elif edit == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        if data.draw(st.booleans()):
+            text = " \n" + text + "\r\t "
+        got = text_outcome(A._shell_from_json, text)
+        assert got == text_outcome(slow_shell_read, text)
+        if edit in (None, "shuffle", "space"):
+            assert got == sh
+
+    def test_canonical_text_skips_json(self, monkeypatch):
+        sh = A.extract_shell(C.build_closed(4, 5, 2), (4, 0, 3, 1))
+        text = A._shell_json(sh)
+
+        def refuse(obj):
+            raise AssertionError("json path taken")
+
+        monkeypatch.setattr(A, "shell_from_json_obj", refuse)
+        assert A._shell_from_json(text) == sh
+        assert A._shell_from_json("\n " + text + " \n") == sh
+        with pytest.raises(AssertionError, match="json path"):
+            A._shell_from_json(text.replace(",", ", ", 1))
+
+    @pytest.mark.parametrize("text", [
+        # arity 40 claims 2^40 - 1 entries: the count refuses it
+        '{"arity":40,"order":2,"basepoint":[%s],"entries":[[%s]]}'
+        % (",".join("0" * 40), ",".join("0" * 41)),
+        # 2^23 cells, over the build budget, with one row: the count again
+        '{"arity":23,"order":2,"basepoint":[%s],"entries":[[%s]]}'
+        % (",".join("0" * 23), ",".join("0" * 24))])
+    def test_huge_heads_refused_as_json_refuses(self, text):
+        assert (text_outcome(A._shell_from_json, text)
+                == text_outcome(slow_shell_read, text))
+
+
 class TestReconstructWithSplit:
     def test_fixture_roundtrip_n3(self):
         q = C.fixture("Q52")

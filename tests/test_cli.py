@@ -784,28 +784,35 @@ LOADS_SCRIPT = (
     (["census", "--n", "3", "--k", "7"], "census cli core switching"),
     (["construct", "--closed", "3", "5", "2"], "cli constructions core"),
     (["reconstruct", "SHELL3"], "analysis cli core reducibility"),
+    (["analyze", "TABLE", "--shell", "--basepoint", "0,1"], "analysis cli core"),
+    (["reconstruct", "SHELL4"], "analysis cli core reducibility"),
 ])
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
-    table.write_text(core.to_json(C.fixture("Q52")))
+    table.write_text(core.to_json(C.fixture("Q52"), (",", ":")))
     table3 = tmp_path / "t3.json"
     table3.write_text(core.to_json(C.build_closed(3, 4, 2)))
     shell3 = tmp_path / "s3.json"
     shell3.write_text(json.dumps(analysis.shell_to_json_obj(
         analysis.extract_shell(C.build_closed(3, 4, 2), (0, 0, 0)))))
+    shell4 = tmp_path / "s4.json"
+    shell4.write_text(analysis._shell_json(
+        analysis.extract_shell(C.build_closed(4, 4, 2), (0, 1, 2, 3))))
+    # argparse and gettext never load; json loads only in the commands
+    # that parse JSON or write through json.dumps, so not in --help, in
+    # construct --closed or analyze --shell, whose compact table or shell
+    # of order <= 10 is written without it, or in reconstruct from such a
+    # shell at arity 4
+    json_free = (argv[0] in ("--help", "construct") or "--shell" in argv
+                 or "SHELL4" in argv)
     paths = {"TABLE": str(table), "TABLE3": str(table3),
-             "SHELL3": str(shell3)}
+             "SHELL3": str(shell3), "SHELL4": str(shell4)}
     argv = [paths.get(a, a) for a in argv]
     done = subprocess.run(
         [sys.executable, "-S", "-c", LOADS_SCRIPT,
          str(Path(__file__).parent.parent / "src"), *argv],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # argparse and gettext never load; json loads only in the commands
-    # that parse JSON or write through json.dumps, so not in --help or in
-    # construct --closed, whose compact table of order <= 10 is written
-    # without it
-    json_free = argv[0] in ("--help", "construct")
     assert done.stdout == "0 %s\n" % " ".join(
         sorted(loaded.split() + ["json"] * (not json_free)))
 

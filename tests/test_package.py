@@ -1,10 +1,13 @@
-"""Public surface: the lazily loaded package names, and the records that
-keep the equality, hash, repr and immutability of frozen dataclasses."""
+"""Public surface: the lazily loaded package names, the records that
+keep the equality, hash, repr and immutability of frozen dataclasses, and
+the size of each module's source."""
 
 import copy
 import dataclasses
 import pickle
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +179,34 @@ class TestRecordConstructors:
     def test_no_instance_dict(self):
         assert not hasattr(analysis.Split({1, 2}), "__dict__")
         assert not hasattr(Q, "__dict__")
+
+
+# Python's parser doubles its token array past this many tokens while it
+# compiles a module from source, and every launch that compiles the module
+# pays for the larger array in peak RSS
+TOKEN_STEP = 4096
+# core is past the step; moving code out of it is an open item
+OVER_THE_STEP = {"core.py"}
+MODULES = sorted((Path(__file__).parent.parent / "src" / "nquasigroups")
+                 .glob("*.py"))
+
+
+def source_tokens(path):
+    """Tokens of a source file, counted as the CI "Source size" step
+    counts them: without comments, non-logical newlines and the
+    encoding."""
+    with open(path, "rb") as fh:
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL,
+                                  tokenize.ENCODING)
+                   for t in tokenize.tokenize(fh.readline))
+
+
+class TestSourceSize:
+    @pytest.mark.parametrize("path", [p for p in MODULES
+                                      if p.name not in OVER_THE_STEP],
+                             ids=lambda p: p.name)
+    def test_module_under_the_token_step(self, path):
+        assert source_tokens(path) < TOKEN_STEP
+
+    def test_every_module_is_counted(self):
+        assert {"analysis.py", "cli.py", "core.py"} <= {p.name for p in MODULES}
