@@ -10,11 +10,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": """AnalysisError ConstructionError OmegaMap QTable
-        StructuralError ValidationReport direct_product evaluate
-        from_function from_json from_json_obj from_rows from_text
-        inverse_along is_valid iterate omega_product restrict_to_symbols
-        retract superpose to_json to_json_obj to_text validate""",
+    "core": """AnalysisError ConstructionError QTable StructuralError
+        ValidationReport evaluate from_function from_json from_json_obj
+        from_rows from_text inverse_along is_valid iterate
+        restrict_to_symbols retract superpose to_json to_json_obj to_text
+        validate""",
     "analysis": """ReconstructionError Shell Split extract_shell
         find_reductions find_subquasigroups is_reducible_wrt reconstruct
         reconstruct_with_split shell_from_json_obj shell_to_json_obj""",
@@ -23,9 +23,9 @@ _EXPORTS = {
     "constructions": """CompletionError FixtureId PartialRectangle
         build_closed build_irreducible build_qkr build_shell_counterexample
         complete_rectangle fixture irreducible_base switch_sub""",
-    "census": """BudgetError CensusReport CertificationError bound_exponents
-        run_census enumerate_count enumerate_tables report_to_json_obj
-        verify_family""",
+    "census": """BudgetError CensusReport CertificationError OmegaMap
+        bound_exponents direct_product enumerate_count enumerate_tables
+        omega_product report_to_json_obj run_census verify_family""",
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items()

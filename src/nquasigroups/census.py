@@ -1,5 +1,6 @@
 """Exact enumeration of small quasigroup spaces and certification of the
 double-exponential lower-bound families.
+It also holds the block products; only _block_product lays out blocks.
 """
 
 import itertools
@@ -7,8 +8,9 @@ import math
 import random
 import time
 
-from .core import (BUILD_CELL_BUDGET, OmegaMap, QTable, _offsets, _Record,
-                   _power_over, from_function, omega_product, validate)
+from .core import (BUILD_CELL_BUDGET, QTable, StructuralError, _offsets,
+                   _Record, _power_over, check_cell_budget, from_function,
+                   validate)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 DEFAULT_TIME_LIMIT = 600.0
@@ -325,6 +327,80 @@ def _gray_tables(start, deltas):
         yield table
 
 
+class OmegaMap(_Record):
+    """Assignment of one inner table of order s to every outer cell.
+
+    assignment maps each tuple in {0..r-1}**n to a QTable of arity n and
+    order s, for omega_product.  StructuralError refuses orders and arity
+    that are not ints >= 1 (nor bools) and an assignment that is not a dict.
+    """
+
+    __slots__ = ("outer_order", "inner_order", "arity", "assignment")
+
+    def __init__(self, outer_order, inner_order, arity, assignment):
+        for name, v in zip(self.__slots__, (outer_order, inner_order, arity)):
+            if type(v) is not int or v < 1:
+                raise StructuralError("%s must be an integer >= 1" % name)
+        if not isinstance(assignment, dict):
+            raise StructuralError("assignment must be a dict")
+        _Record.__init__(self, outer_order, inner_order, arity, assignment)
+
+    def blocks(self):
+        """The inner tables in index order of the outer cells, checked."""
+        r, s, n = self.outer_order, self.inner_order, self.arity
+        for y in itertools.product(range(r), repeat=n):
+            t = self.assignment.get(y)
+            if t is None:
+                raise StructuralError("omega map misses block %r" % (y,))
+            if not isinstance(t, QTable):
+                raise StructuralError(
+                    "omega block %r holds %r, not a table of shape (%d,%d)"
+                    % (y, t, n, s))
+            if t.arity != n or t.order != s:
+                raise StructuralError(
+                    "omega block %r has shape (%d,%d), want (%d,%d)"
+                    % (y, t.arity, t.order, n, s))
+            yield t
+
+
+def _block_product(g, s, blocks):
+    """Order r*s table holding g(y) * s + block_y(x) at the cell y*s + x
+    (coordinatewise); blocks lists the order-s block_y for the cells y of
+    g in index order, and is drawn only once the budget is checked."""
+    n, kk = g.arity, g.order * s
+    check_cell_budget(n, kk, StructuralError)
+    axes = range(1, n + 1)
+    cells = _offsets(n, kk, axes, range(s))
+    # a list: an order past MAX_ORDER is left to the QTable constructor
+    vals = [0] * kk ** n
+    for corner, top, block in zip(_offsets(n, kk, axes, range(0, kk, s)),
+                                  g.values, blocks):
+        top *= s
+        for c, v in zip(cells, block.values):
+            vals[corner + c] = top + v
+    return QTable(n, kk, vals)
+
+
+def direct_product(g, q):
+    """Componentwise product; symbol pairs (a, b) encode as a*q.order + b."""
+    if g.arity != q.arity:
+        raise StructuralError("arity mismatch: %d vs %d" % (g.arity, q.arity))
+    return _block_product(g, q.order, itertools.repeat(q, len(g.values)))
+
+
+def omega_product(g, om):
+    """Block product of order r*s from an order-r skeleton g.
+
+    f(z) = g(floor(z/s)) * s + om<floor(z/s)>(z mod s), coordinatewise.
+    Distinct assignments om give distinct results.
+    """
+    if not isinstance(om, OmegaMap):
+        raise StructuralError("second argument must be an OmegaMap")
+    if om.outer_order != g.order or om.arity != g.arity:
+        raise StructuralError("omega map does not match the outer table")
+    return _block_product(g, om.inner_order, om.blocks())
+
+
 def _certify_omega(n, k, seed):
     """Certify the block-product family for even k or 3 | k.
 
@@ -334,17 +410,18 @@ def _certify_omega(n, k, seed):
     all choices^blocks assignments fit MATERIALIZE_CAP (s = 2 there, so
     two choices) the family is certified by construction: g and each
     choice are validated once, the choices are checked distinct, and the
-    all-zero assignment is built with omega_product and validated in
+    all-zero assignment is built with direct_product and validated in
     full.  Every other table is then Latin without a check: along any
     axis line the skeleton cells take each of g's r values once, as g is
     Latin, and inside each block the line takes each of the s inner
     values once, as the block is Latin, so the line holds each of the
-    r * s symbols once.  The assignments are walked in binary Gray-code
-    order on one bytearray, step i rewriting only the s^n cells of block
-    ctz(i); every walked table is kept as a bytes snapshot and counted,
-    and a repeat is refused.  Past the cap a seeded sample of 8
-    assignments, plus the least of them with block 0 changed, is built
-    with omega_product and validated, each table in full.
+    r * s symbols once.  As in _certify_components, a table is one
+    little-endian integer, and block j's delta is the all-zero table XOR
+    the one with choice 1 at block j alone; _gray_tables walks the
+    assignments, step i XORing in the delta of block ctz(i).  Every
+    table walked is counted, and a repeat is refused.  Past the cap a
+    seeded sample of 8 assignments, plus the least of them with block 0
+    changed, is built with _block_product and validated in full.
     """
     if k % 2 == 0:
         r, s_in = k // 2, 2
@@ -361,21 +438,18 @@ def _certify_omega(n, k, seed):
     else:
         family_log2 = nblocks * math.log2(nchoices)
 
-    blocks = list(itertools.product(range(r), repeat=n))
     sampled = nchoices ** nblocks > MATERIALIZE_CAP
     if sampled:
         rng = random.Random(seed)
         picks = set()
         while len(picks) < 8:
-            picks.add(tuple(rng.randrange(nchoices) for _ in blocks))
+            picks.add(tuple(rng.randrange(nchoices) for _ in range(nblocks)))
         twin = list(min(picks))
         twin[0] = (twin[0] + 1) % nchoices
         picks.add(tuple(twin))
         seen = set()
         for assign in sorted(picks):
-            om = OmegaMap(r, s_in, n,
-                          {y: choices[c] for y, c in zip(blocks, assign)})
-            t = omega_product(g, om)
+            t = _block_product(g, s_in, [choices[c] for c in assign])
             if not validate(t).ok:
                 raise CertificationError("block product failed validation")
             if t.values in seen:
@@ -385,20 +459,14 @@ def _certify_omega(n, k, seed):
         made = len(seen)
     else:
         made = len(_walk_blocks(g, s_in, choices))
-    cert = {
-        "path": "omega",
-        "blocks": nblocks,
-        "choices": nchoices,
-        "materialized": made,
-        "distinct": True,
-        "sampled": sampled,
-    }
-    return family_log2, cert
+    return family_log2, {"path": "omega", "blocks": nblocks,
+                         "choices": nchoices, "materialized": made,
+                         "distinct": True, "sampled": sampled}
 
 
 def _walk_blocks(g, s, choices):
     """Form every block product of g over two choices in Gray-code order
-    (see _certify_omega); returns the set of their value bytes."""
+    (see _certify_omega); returns the set of them as little-endian ints."""
     # only s = 2 fits the cap, where Q(n, 2) holds exactly two tables
     assert len(choices) == 2
     if not validate(g).ok:
@@ -407,32 +475,19 @@ def _walk_blocks(g, s, choices):
         raise CertificationError("a block choice is not Latin")
     if choices[0].values == choices[1].values:
         raise CertificationError("the two block choices are one table")
-    n, r = g.arity, g.order
-    first = omega_product(
-        g, OmegaMap(r, s, n, dict.fromkeys(
-            itertools.product(range(r), repeat=n), choices[0])))
+    first = direct_product(g, choices[0])
     if not validate(first).ok:
         raise CertificationError("block product failed validation")
-    axes = range(1, n + 1)
-    cells = _offsets(n, r * s, axes, range(s))
-    corners = _offsets(n, r * s, axes, range(0, r * s, s))
-    # per block, its cell offsets and its two byte patterns
-    writes = [([corner + c for c in cells],
-               [bytes(top * s + v for v in ch.values) for ch in choices])
-              for corner, top in zip(corners, g.values)]
-    vals = bytearray(first.values)
-    seen = {bytes(vals)}
-    assign = [0] * len(writes)
-    for step in range(1, 2 ** len(writes)):
-        j = (step & -step).bit_length() - 1
-        assign[j] ^= 1
-        idxs, patterns = writes[j]
-        for idx, v in zip(idxs, patterns[assign[j]]):
-            vals[idx] = v
-        snap = bytes(vals)
-        if snap in seen:
-            raise CertificationError("two block assignments gave one table")
-        seen.add(snap)
+    start = int.from_bytes(first.values, "little")
+    # block j's delta: the first table XOR the one with choice 1 at block j
+    nblocks = len(g.values)
+    deltas = [start ^ int.from_bytes(_block_product(
+                  g, s, [choices[y == j] for y in range(nblocks)]).values,
+                  "little")
+              for j in range(nblocks)]
+    seen = set(_gray_tables(start, deltas))
+    if len(seen) < 2 ** nblocks:
+        raise CertificationError("two block assignments gave one table")
     return seen
 
 
@@ -452,8 +507,8 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     are Latin is Latin on every line, so the skeleton, the two block
     choices, checked distinct, and one whole product are validated
     (_certify_omega).  While a family fits MATERIALIZE_CAP its tables
-    are walked in Gray-code order, one component flip or one block
-    rewrite per step, and counted as materialized; the block walk also
+    are walked in Gray-code order, one big-integer XOR per step
+    (_gray_tables), and counted as materialized; the block walk also
     refuses a repeated table.  Past the cap a block family is checked on
     a seeded sample of 9 tables, each validated in full.
     """

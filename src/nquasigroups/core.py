@@ -3,6 +3,9 @@
 A table of arity n and order k stores all k**n values flat, row-major with
 coordinate 1 most significant: index(x_1..x_n) = sum x_i * k**(n-i).
 Symbols are always 0..k-1.
+
+The block products OmegaMap, omega_product and direct_product live in census;
+core.<name> still resolves them, loading census on first use (_forward).
 """
 
 import importlib
@@ -39,7 +42,11 @@ def _forward(module, home, names):
     return __getattr__
 
 
-# The most cells a builder or omega_product allocates: 4^11, and 5^9 with
+__getattr__ = _forward(__name__, "census",
+                       "OmegaMap direct_product omega_product")
+
+
+# The most cells a builder or a block product allocates: 4^11, and 5^9 with
 # room to spare.  check_cell_budget refuses larger tables up front.
 BUILD_CELL_BUDGET = 1 << 22
 
@@ -193,32 +200,6 @@ class QTable(_Record):
             raise StructuralError("rows() is defined for binary tables")
         k = self.order
         return [self.values[i * k:(i + 1) * k].tolist() for i in range(k)]
-
-
-class OmegaMap(_Record):
-    """Assignment of one inner table of order s to every outer cell.
-
-    assignment maps each tuple in {0..r-1}**n to a QTable of arity n and
-    order s.  Used by omega_product to build tables of order r*s.
-    """
-
-    __slots__ = ("outer_order", "inner_order", "arity", "assignment")
-
-    def __init__(self, outer_order, inner_order, arity, assignment):
-        _Record.__init__(self, outer_order, inner_order, arity, assignment)
-
-    def blocks(self):
-        """The inner tables in index order of the outer cells, checked."""
-        r, s, n = self.outer_order, self.inner_order, self.arity
-        for y in itertools.product(range(r), repeat=n):
-            t = self.assignment.get(y)
-            if t is None:
-                raise StructuralError("omega map misses block %r" % (y,))
-            if t.arity != n or t.order != s:
-                raise StructuralError(
-                    "omega block %r has shape (%d,%d), want (%d,%d)"
-                    % (y, t.arity, t.order, n, s))
-            yield t
 
 
 class LineViolation(_Record):
@@ -466,44 +447,6 @@ def iterate(q, m):
     for _ in range(m - 1):
         t = superpose(q, 2, t)
     return t
-
-
-def _block_product(g, s, blocks):
-    """Order r*s table holding g(y) * s + block_y(x) at the cell y*s + x
-    (coordinatewise); blocks lists the order-s block_y for the cells y of
-    g in index order, and is drawn only once the budget is checked."""
-    n, kk = g.arity, g.order * s
-    check_cell_budget(n, kk, StructuralError)
-    axes = range(1, n + 1)
-    cells = _offsets(n, kk, axes, range(s))
-    # a list: an order past MAX_ORDER is left to the QTable constructor
-    vals = [0] * kk ** n
-    for corner, top, block in zip(_offsets(n, kk, axes, range(0, kk, s)),
-                                  g.values, blocks):
-        top *= s
-        for c, v in zip(cells, block.values):
-            vals[corner + c] = top + v
-    return QTable(n, kk, vals)
-
-
-def direct_product(g, q):
-    """Componentwise product; symbol pairs (a, b) encode as a*q.order + b."""
-    if g.arity != q.arity:
-        raise StructuralError("arity mismatch: %d vs %d" % (g.arity, q.arity))
-    return _block_product(g, q.order, itertools.repeat(q, len(g.values)))
-
-
-def omega_product(g, om):
-    """Block product of order r*s from an order-r skeleton g.
-
-    f(z) = g(floor(z/s)) * s + om<floor(z/s)>(z mod s), coordinatewise.
-    Distinct assignments om give distinct results.
-    """
-    if not isinstance(om, OmegaMap):
-        raise StructuralError("second argument must be an OmegaMap")
-    if om.outer_order != g.order or om.arity != g.arity:
-        raise StructuralError("omega map does not match the outer table")
-    return _block_product(g, om.inner_order, om.blocks())
 
 
 def restrict_to_symbols(t, omega):

@@ -467,6 +467,28 @@ class TestOmegaProduct:
         with pytest.raises(core.StructuralError):
             core.omega_product(x, om)
 
+    @pytest.mark.parametrize("args,message", [
+        ((0, 2, 2, {}), "outer_order must be an integer >= 1"),
+        ((2, "2", 2, {}), "inner_order must be an integer >= 1"),
+        ((2, 1.5, 2, {}), "inner_order must be an integer >= 1"),
+        # a bool is not quietly taken as 1
+        ((2, True, 2, {}), "inner_order must be an integer >= 1"),
+        ((2, 2, 0, {}), "arity must be an integer >= 1"),
+        ((2, 2, 2, None), "assignment must be a dict"),
+        ((2, 2, 2, []), "assignment must be a dict")])
+    def test_malformed_map_refused(self, args, message):
+        with pytest.raises(core.StructuralError) as err:
+            core.OmegaMap(*args)
+        assert str(err.value) == message
+
+    def test_block_that_is_not_a_table_refused(self):
+        x = core.from_rows(XOR2)
+        om = self._omega([x, x, 5, x])
+        with pytest.raises(core.StructuralError) as err:
+            core.omega_product(x, om)
+        assert str(err.value) == ("omega block (1, 0) holds 5, not a table "
+                                  "of shape (2,2)")
+
     def test_over_build_budget_refused_first(self):
         # (2 * 10^6)^2 cells: refused before the map is even checked
         x = core.from_rows(XOR2)
