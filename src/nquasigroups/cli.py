@@ -16,11 +16,12 @@ the reducibility kernel when they test a split (analyze --reductions and
 flips part i straight from the block labels, building no parts;
 construct adds constructions, and switching for the stored fixtures,
 --ptq and the families; census loads core and census, plus switching
-for the component families (order 5 and odd orders prime to 3).  Tables
-and shells of orders up to 10 are written and read in one byte pass
-(core.to_json and core.from_json, analysis._shell_json and
-analysis._shell_from_json), so json loads only on their fallback and
-where other results are written with json.dumps.  The table's literals
+for the component families (order 5 and odd orders prime to 3).  A
+table of order <= 10 is read by offsets into its text and written as
+one bytearray to stdout's byte stream (core.from_json, _json_bytes);
+a shell takes one byte pass each way (analysis._shell_json and
+_shell_from_json).  So json loads only on their fallback and where
+other results are written with json.dumps.  The table's literals
 below copy library constants; tests pin them to their sources.
 """
 
@@ -81,35 +82,31 @@ def _emit(obj):
 
 
 def _pretty(t):
-    w = len(str(t.order - 1))
-    k = t.order
-
-    def grid(vals):
-        rows = []
-        for i in range(k):
-            rows.append(" ".join(str(v).rjust(w) for v in vals[i * k:(i + 1) * k]))
-        return rows
-
-    if t.arity == 1:
-        return " ".join(str(v).rjust(w) for v in t.values) + "\n"
-    if t.arity == 2:
-        return "\n".join(grid(t.values)) + "\n"
-    chunks = []
-    step = k * k
-    for pos, prefix in enumerate(itertools.product(range(k), repeat=t.arity - 2)):
-        chunks.append("[" + ",".join(str(c) for c in prefix) + "]")
-        chunks.extend(grid(t.values[pos * step:(pos + 1) * step]))
-        chunks.append("")
-    return "\n".join(chunks[:-1]) + "\n"
+    k, w = t.order, len(str(t.order - 1))
+    rows = [" ".join(str(v).rjust(w) for v in t.values[i:i + k])
+            for i in range(0, len(t.values), k)]
+    if t.arity > 2:
+        grids, rows = rows, []
+        for pos, prefix in enumerate(
+                itertools.product(range(k), repeat=t.arity - 2)):
+            rows += ["[%s]" % ",".join(map(str, prefix)),
+                     *grids[pos * k:pos * k + k], ""]
+        rows.pop()
+    return "\n".join(rows) + "\n"
 
 
 def _emit_table(t, pretty):
     if pretty:
         print(_pretty(t), end="")
-    else:
-        from .core import to_json
+    elif sys.stdout:  # None when the output descriptor is closed
+        from .core import _json_bytes
 
-        print(to_json(t, (",", ":")))
+        out = _json_bytes(t)
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(out)
+        else:  # a text stream, such as io.StringIO
+            sys.stdout.write(out.decode())
 
 
 def _component_obj(c):
@@ -214,8 +211,9 @@ def _cmd_components(args):
         if not 0 <= args.switch < labelled[1]:
             raise _UsageError(
                 "--switch index out of range 0..%d" % (labelled[1] - 1))
-        t = switching._flip(t, a, b, labelled, args.switch)
-        del labelled  # not held while the table is written
+        vals = switching._flip(t, a, b, labelled, args.switch)
+        del labelled  # not held while the flip is validated and written
+        t = switching._flipped(t, vals)
         _emit_table(t, args.pretty)
     return 0
 

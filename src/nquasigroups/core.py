@@ -341,9 +341,10 @@ def evaluate(t, coords):
     if len(coords) != t.arity:
         raise StructuralError(
             "cell has %d coordinates, table arity is %d" % (len(coords), t.arity))
-    if not _ints_below(coords, t.order):
-        bad = next(c for c in coords if not _ints_below((c,), t.order))
-        raise StructuralError("coordinate %r out of range 0..%d" % (bad, t.order - 1))
+    for c in coords:
+        if not _ints_below((c,), t.order):
+            raise StructuralError("coordinate %r out of range 0..%d"
+                                  % (c, t.order - 1))
     return t.values[t.index(coords)]
 
 
@@ -373,8 +374,7 @@ def inverse_along(t, i):
     n, k = t.arity, t.order
     if not _ints_below((i,), n + 1, 1):
         raise StructuralError("axis %r out of range 1..%d" % (i, n))
-    ax = i - 1
-    stride = k ** (n - 1 - ax)
+    stride = k ** (n - i)
     out = [None] * len(t.values)
     for idx, z in enumerate(t.values):
         xi = (idx // stride) % k
@@ -509,64 +509,80 @@ _COMPACT_HEAD = (r'[ \t\n\r]*\{"arity":(0|[1-9][0-9]*),'
                  r'"order":(0|[1-9][0-9]*),"values":\[')
 
 
-def to_json(t, separators=(", ", ": ")):
-    """json.dumps(to_json_obj(t), separators=separators); single-digit
-    symbols are translated to digits, the item separator put between."""
+def _json_bytes(t, separators=(",", ":"), end=b"\n"):
+    """json.dumps(to_json_obj(t), separators=separators), encoded, + end.
+
+    Below order 11 it is built once, as a bytearray: a digit and the item
+    separator once per value, the symbols translated to digits into every
+    digit's place by one extended slice, "]}" and end in place of the
+    last separator, and the head put in front.
+    """
+    item, key = separators
     if t.order > 10:
         import json
 
-        return json.dumps(to_json_obj(t), separators=separators)
-    item, key = separators
-    sep = item.encode()
-    digits = t.values.obj.translate(_TO_DIGITS)
-    return '{"arity"%s%d%s"order"%s%d%s"values"%s[%s]}' % (
-        key, t.arity, item, key, t.order, item, key,
-        digits.replace(b"", sep)[len(sep):-len(sep) or None].decode())
+        return json.dumps(to_json_obj(t),
+                          separators=separators).encode() + end
+    unit = b"0" + item.encode()
+    out = bytearray(unit) * len(t.values)
+    out[::len(unit)] = t.values.obj.translate(_TO_DIGITS)
+    out[len(out) + 1 - len(unit):] = b"]}" + end
+    out[:0] = ('{"arity"%s%d%s"order"%s%d%s"values"%s[' % (
+        key, t.arity, item, key, t.order, item, key)).encode()
+    return out
+
+
+def to_json(t, separators=(", ", ": ")):
+    """json.dumps(to_json_obj(t), separators=separators) (_json_bytes)."""
+    return _json_bytes(t, separators, b"").decode()
 
 
 def from_json(s):
     """Table from its JSON text.
 
     The compact form {"arity":N,"order":K,"values":[d,d,...]} of single
-    digits, with whitespace only around it, is read directly: digits at
-    the even positions of the list's body, commas at the odd ones.  Other
+    digits, with whitespace only around it, is read by offsets into s,
+    without copying it: the values are the even positions of the list's
+    body, up to its closing "]}".  Once every one of them is a digit, the
+    commas can stand only at the odd positions, one fewer than the
+    digits, so a comma count of len(digits) - 1 puts one at each.  Other
     texts take json.loads and from_json_obj, with the same outcome.
     """
-    head = re.match(_COMPACT_HEAD, s) if isinstance(s, str) else None
+    head = isinstance(s, str) and s.isascii() and re.match(_COMPACT_HEAD, s)
     if head:
-        body = s[head.end():].rstrip(" \t\n\r")
-        if body.isascii() and body.endswith("]}") and len(body) % 2:
-            raw = body.encode()
-            digits = raw[:-2:2]
-            if not (digits.translate(None, b"0123456789")
-                    or raw[1:-2:2].translate(None, b",")):
-                return QTable(int(head[1]), int(head[2]),
-                              digits.translate(_FROM_DIGITS))
+        lo, hi = head.end(), len(s)
+        # trailing whitespace, found from the end; the head ends in "["
+        while s[hi - 1] in " \t\n\r":
+            hi -= 1
+        digits = s[lo:hi - 2:2].encode()
+        if (s.endswith("]}", lo, hi) and (hi - lo) % 2 and digits.isdigit()
+                and s.count(",", lo, hi) == len(digits) - 1):
+            return QTable(int(head[1]), int(head[2]),
+                          digits.translate(_FROM_DIGITS))
     import json
 
     try:
-        obj = json.loads(s)
+        return from_json_obj(json.loads(s))
     except (json.JSONDecodeError, RecursionError) as e:
         raise StructuralError("bad table JSON: %s" % e)
-    return from_json_obj(obj)
 
 
 def to_text(t):
     """k lines of k space-separated integers; binary tables only."""
     if t.arity != 2:
         raise StructuralError("text format covers binary tables only")
-    return "\n".join(" ".join(str(v) for v in row) for row in t.rows()) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in t.rows()) + "\n"
 
 
 def from_text(s):
     lines = [ln for ln in s.splitlines() if ln.strip()]
     k = len(lines)
-    if k == 0:
+    if not k:
         raise StructuralError("empty text table")
     rows = []
     for ln in lines:
         try:
-            row = [int(w) for w in ln.split()]
+            row = list(map(int, ln.split()))
         except ValueError:
             raise StructuralError("non-integer entry in text table")
         if len(row) != k:

@@ -3,7 +3,9 @@ and the disjoint switching families behind the growth bounds.
 
 find_components and switch_component give the parts and flip one;
 `nqg components` lists the parts, and its --switch i reads part i from
-the block labels (_labelled, _flip), building no parts.
+the block labels (_labelled) and flips it one first-axis block at a time
+(_flip), building no parts; the flipped values are validated
+(_flipped) once the labels are dropped.
 build_family5 and build_family_k build the families that `nqg census`
 certifies at order 5 and at odd orders prime to 3.  Only core is
 imported, so neither path compiles analysis or constructions, which
@@ -128,32 +130,41 @@ def _relabel(labels, w, new, width):
     return out
 
 
-def _block(pat, k, memo):
+def _block(pat, k, memo=None):
     """(count, labels): the parts of a block of k^m contiguous cells, those
     sharing their first n-m coordinates, joined by the block's own lines.
 
     They depend only on the block's a/b pattern pat (1 at a, 2 at b, 0
-    elsewhere), so memo keeps one answer per distinct pattern.  Parts are
-    numbered by first cell; labels holds each cell's part in
-    _width(count)-byte fields, some part at cells outside the pair.  A
-    line (m = 1) is one part.  Otherwise the parts of the k sub-blocks,
-    each shifted past those of the sub-blocks before it, are joined by
-    the block's first-axis lines.  A Latin line holds one a and one b, so
-    the labels of every line's a-cell, and of its b-cell, are the sums
-    over the sub-blocks of their labels masked to a, and to b: big-integer
-    passes over whole sub-blocks.  The union-find sees only the distinct
-    (a, b) label pairs.  A merged part starts at the first cell of its
-    smallest label, so parts renumbered in order of their smallest labels
-    stay numbered by first cell.
+    elsewhere), so memo keeps one answer per distinct pattern.  The top
+    call (no memo) starts one, takes its own sub-blocks as views of pat
+    rather than copies, and empties the memo once they are solved, since
+    only their labels are read after that.  Parts are numbered by first
+    cell; labels holds each cell's part in _width(count)-byte fields,
+    some part at cells outside the pair.  A line (m = 1) is one part.
+    Otherwise the parts of the k sub-blocks, each shifted past those of
+    the sub-blocks before it, are joined by the block's first-axis lines.
+    A Latin line holds one a and one b, so the labels of every line's
+    a-cell, and of its b-cell, are the sums over the sub-blocks of their
+    labels masked to a, and to b: big-integer passes over whole
+    sub-blocks.  The union-find sees only the distinct (a, b) label
+    pairs.  A merged part starts at the first cell of its smallest label,
+    so parts renumbered in order of their smallest labels stay numbered
+    by first cell.
     """
     size = len(pat) // k
     if size == 1:
         return 1, bytes(k)
+    top = memo is None
+    if top:
+        memo, pat = {}, memoryview(pat)
     got = memo.get(pat)
     if got is not None:
         return got
-    subs = [pat[i:i + size] for i in range(0, len(pat), size)]
+    subs = [pat[i:i + size] if top else bytes(pat[i:i + size])
+            for i in range(0, len(pat), size)]
     kids = [_block(sub, k, memo) for sub in subs]
+    if top:
+        memo.clear()
     *starts, total = itertools.accumulate((c for c, _ in kids), initial=0)
     w = _width(total)
     full = 256 ** w - 1
@@ -165,8 +176,8 @@ def _block(pat, k, memo):
                                           range(start, start + c), w),
                                  sys.byteorder)
         for j, mask in enumerate(((0, full), (0, 0, full))):
-            ends[j] += shifted & int.from_bytes(_relabel(sub, 1, mask, w),
-                                                sys.byteorder)
+            ends[j] += shifted & int.from_bytes(
+                _relabel(bytes(sub), 1, mask, w), sys.byteorder)
     pairs = bytearray(2 * w * size)
     view = memoryview(pairs).cast(_FORMATS[w])
     for j, end in enumerate(ends):
@@ -216,7 +227,7 @@ def _labelled(q, a, b):
     pair = bytearray(256)
     pair[a], pair[b] = 1, 2
     pat = q.values.obj.translate(pair)
-    return (pat, *_block(pat, k, {}))
+    return (pat, *_block(pat, k))
 
 
 def find_components(q, a, b):
@@ -280,31 +291,32 @@ def _flipped(q, vals):
 
 
 def _flip(q, a, b, labelled, i):
-    """switch_component(q, find_components(q, a, b)[i]) from labelled,
-    _labelled(q, a, b), without building a part: a ^ b times the part's
-    mask (_part) is XORed into the values as one big integer, and the
-    flipped table is validated.  One expression, so no big integer is
-    alive while validate runs."""
-    return _flipped(q, ((a ^ b) * _part(labelled, i)
-                        ^ int.from_bytes(q.values, "little")).to_bytes(
-                            len(q.values), "little"))
+    """The values of switch_component(q, find_components(q, a, b)[i]), as
+    bytes, from labelled = _labelled(q, a, b), building no part; the
+    caller validates them (_flipped).
 
-
-def _part(labelled, i):
-    """1 in the byte of each cell of part i, else 0, as a big integer:
-    the a/b cells (others carry some label) whose label matches i in
-    every byte plane, one translate per plane to 1 at i's byte."""
+    One first-axis block of k^(n-1) cells at a time: the block's a/b
+    cells (from pat) whose label matches i in every byte plane, one
+    translate per plane to 1 at i's byte, form a mask, and a ^ b times
+    the mask is XORed into the block's values as one big integer.
+    Blocks without a cell of part i are q's own bytes.
+    """
     pat, count, labels = labelled
     w = _width(count)
-    mask = int.from_bytes(pat.translate(bytes((0, 1, 1)).ljust(256, b"\0")),
-                          "little")
-    for j in range(w):
-        hit = bytearray(256)
-        hit[i >> 8 * j & 255] = 1
-        mask &= int.from_bytes(labels[j if sys.byteorder == "little"
-                                      else w - 1 - j::w].translate(hit),
-                               "little")
-    return mask
+    size = len(pat) // q.order
+    blocks = []
+    for lo in range(0, len(pat), size):
+        hi = lo + size
+        mask = int.from_bytes(pat[lo:hi].translate(
+            bytes(0 < v < 3 for v in range(256))), "little")
+        # byte j of each native w-byte label against byte j of i
+        for j, byte in enumerate(i.to_bytes(w, sys.byteorder)):
+            mask &= int.from_bytes(labels[lo * w + j:hi * w:w].translate(
+                bytes(v == byte for v in range(256))), "little")
+        block = q.values[lo:hi]
+        blocks.append((int.from_bytes(block, "little") ^ (a ^ b) * mask)
+                      .to_bytes(size, "little") if mask else block)
+    return b"".join(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,22 @@ def _validated(op):
 CHECKED = {name: _validated(getattr(core, name)) for name in OPERATORS}
 
 
+# the operators core only forwards to census (core._forward)
+FORWARDED = ("omega_product", "direct_product")
+
+
 @pytest.fixture(autouse=True)
 def _validate_operators(monkeypatch):
+    # the last test's undo must not have written a forwarded name into
+    # core, where it would shadow the forward for every later test
+    assert not set(FORWARDED) & vars(core).keys()
     # every module that calls an operator by name reaches the checked one,
-    # so every table an operator derives during a test is revalidated
+    # so every table an operator derives during a test is revalidated.
+    # Only a module's own names are patched: core.omega_product reaches
+    # census's patched one through the forward.
     for module in (core, constructions, analysis, census, switching):
         for name, checked in CHECKED.items():
-            if hasattr(module, name):
+            if name in vars(module):
                 monkeypatch.setattr(module, name, checked)
 
 

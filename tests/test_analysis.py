@@ -1325,7 +1325,8 @@ def assert_flips_match_switch_component(t, a, b, parts=None):
         comps = A.find_components(t, x, y)
         assert labelled[1] == len(comps)
         for i in range(len(comps)) if parts is None else parts:
-            got = switching._flip(t, x, y, labelled, i)
+            got = switching._flipped(
+                t, switching._flip(t, x, y, labelled, i))
             want = A.switch_component(t, comps[i])
             assert (got.arity, got.order, got.values.obj) == \
                 (want.arity, want.order, want.values.obj), (x, y, i)
@@ -1367,7 +1368,8 @@ class TestFlipAgainstSwitchComponent:
         labels = bytearray(len(pat))
         labels[pat.index(1)] = 1
         with pytest.raises(A.AnalysisError) as err:
-            switching._flip(t, 0, 1, (pat, 2, labels), 1)
+            switching._flipped(
+                t, switching._flip(t, 0, 1, (pat, 2, labels), 1))
         assert str(err.value) == \
             "not a component: the flip breaks the Latin property"
 

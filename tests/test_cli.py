@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -857,6 +858,48 @@ def test_closed_output_pipe_exits_0_quietly(tmp_path):
         proc.wait()
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["raw", "buffered"])
+def test_table_to_closed_pipe_exits_0_quietly(unbuffered):
+    # the 5^8 table goes to stdout's byte stream in one write: a raw
+    # FileIO under PYTHONUNBUFFERED, a BufferedWriter otherwise
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nquasigroups.cli", "construct", "--closed",
+         "8", "5", "2"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(10) == b'{"arity":8'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_table_bytes_follow_earlier_text():
+    # text already written through sys.stdout is flushed before the
+    # table's bytes go to its byte stream
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8")
+    t = C.build_closed(3, 5, 2)
+    with contextlib.redirect_stdout(out):
+        print("before")
+        cli._emit_table(t, False)
+        print("after")
+        out.flush()
+    assert raw.getvalue().decode() == "before\n%s\nafter\n" % core.to_json(
+        t, (",", ":"))
+
+
+def test_table_to_missing_stdout_is_quiet(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    cli._emit_table(C.fixture("Q52"), False)
+
+
 def test_closed_output_descriptor_exits_quietly(tmp_path):
     # started with descriptor 1 closed, the child's sys.stdout is None
     table = tmp_path / "t.json"
@@ -870,7 +913,7 @@ def test_closed_output_descriptor_exits_quietly(tmp_path):
 
 @pytest.mark.parametrize("args", ["--closed 3 5 2", "--fixture Q52 --pretty"])
 def test_table_to_closed_output_descriptor_exits_quietly(args):
-    # a table is written through print, which skips a None sys.stdout
+    # a table skips a None sys.stdout, as print does for --pretty
     done = subprocess.run(
         ["sh", "-c", '"$0" -m nquasigroups.cli construct %s >&-' % args,
          sys.executable], env=child_env(), capture_output=True, text=True,
@@ -1003,3 +1046,49 @@ class TestParserMatchesArgparse:
         ["eval", "t", "--", "--", "1"]])
     def test_intended_differences_exit_2(self, argv):
         assert parse_outcome(cli._parse, argv) == ("exit", 2)
+
+
+class TestTableJobMemory:
+    """tracemalloc peaks of whole table jobs on a 5^8 table, in bytes per
+    cell, with stdout sent to a real file: each job holds a few
+    table-sized buffers at a time, not one per step."""
+
+    CELLS = 5 ** 8
+
+    @pytest.fixture(scope="class")
+    def closed8(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("memory") / "c8.json"
+        path.write_text(core.to_json(C.build_closed(8, 5, 2), (",", ":")))
+        return path
+
+    def peak_per_cell(self, call):
+        # every module a job loads is loaded before, so that only the
+        # job's own buffers count
+        from nquasigroups import reducibility  # noqa: F401
+
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] / self.CELLS
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["validate", "TABLE"], 5.5),
+        (["analyze", "TABLE", "--reductions"], 5.5),
+        (["construct", "--closed", "8", "5", "2"], 5.5),
+        (["components", "TABLE", "--pair", "0,1", "--switch", "3"], 6.5)],
+        ids=["validate", "reductions", "construct", "switch"])
+    def test_cli_job_peak(self, closed8, tmp_path, argv, bound):
+        argv = [str(closed8) if a == "TABLE" else a for a in argv]
+        out = tmp_path / "out.json"
+        with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+            code, peak = self.peak_per_cell(lambda: cli.run(argv))
+        assert code == 0
+        assert peak <= bound
+
+    def test_from_json_peak(self, closed8):
+        text = closed8.read_text()
+        t, peak = self.peak_per_cell(lambda: core.from_json(text))
+        assert t == C.build_closed(8, 5, 2)
+        assert peak <= 3.5

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -810,6 +811,90 @@ class TestCompactJson:
             with pytest.raises(core.StructuralError) as err:
                 read(text)
             assert str(err.value) == error
+
+
+def drawn_table(data, orders):
+    """A drawn table of an order in orders and at most about 150 cells:
+    a cyclic n-ary group with its symbols permuted (Latin), or any
+    symbols."""
+    k = data.draw(st.sampled_from(orders))
+    n = data.draw(st.integers(1, max(1, {1: 7, 2: 7, 3: 4, 4: 3}.get(k, 2))))
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(k)))
+        return core.QTable(n, k, bytes(
+            perm[sum(x) % k] for x in itertools.product(range(k), repeat=n)))
+    return core.QTable(n, k, data.draw(st.lists(
+        st.integers(0, k - 1), min_size=k ** n, max_size=k ** n)))
+
+
+def edited_compact(t, data):
+    """The compact JSON of t with one drawn edit, in one place."""
+    text = json.dumps(core.to_json_obj(t), separators=(",", ":"))
+    lo, hi = text.index("[") + 1, text.rindex("]")
+    values = [m.span() for m in re.finditer(r"[0-9]+", text[lo:hi])]
+    commas = [i for i in range(lo, hi) if text[i] == ","]
+    kind = data.draw(st.sampled_from((
+        "none", "drop-comma", "double-comma", "other-separator", "big-symbol",
+        "non-ascii", "tail", "no-close", "empty-list", "leading")))
+    if kind in ("big-symbol", "non-ascii"):
+        a, b = data.draw(st.sampled_from(values))
+        symbol = (str(data.draw(st.integers(t.order, t.order + 12)))
+                  if kind == "big-symbol" else data.draw(st.sampled_from(
+                      ("\u0663", "\uff11", "\u0967", "\U0001d7d8",
+                       "\ud800"))))
+        return text[:lo + a] + symbol + text[lo + b:]
+    if kind in ("drop-comma", "double-comma", "other-separator") and commas:
+        i = data.draw(st.sampled_from(commas))
+        if kind == "other-separator":
+            # the same length, so only the comma test can see it
+            other = data.draw(st.sampled_from(" ;.:0"))
+            return text[:i] + other + text[i + 1:]
+        return text[:i] + "," * (kind == "double-comma") + text[i:]
+    if kind == "tail":
+        return text + data.draw(st.sampled_from(
+            ("\r\n", "\t", " ", "\n", " \r\n\t", "\x0c", "\xa0")))
+    if kind == "no-close":
+        return data.draw(st.sampled_from(
+            (text[:-2], text[:-1], text[:-2] + "}")))
+    if kind == "empty-list":
+        return text[:lo] + text[hi:]
+    if kind == "leading":
+        return data.draw(st.sampled_from((" ", "\n", "\t\r\n "))) + text
+    return text
+
+
+def structural_outcome(read, text):
+    try:
+        return read(text)
+    except core.StructuralError as e:
+        return str(e)
+
+
+class TestJsonByOffsets:
+    """from_json's reading by offsets and _json_bytes, the writer to_json
+    and nqg share, against json on one-edit variants of compact texts."""
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_read_matches_json_loads(self, data):
+        text = edited_compact(drawn_table(data, range(1, 13)), data)
+        assert structural_outcome(core.from_json, text) \
+            == structural_outcome(loads_reference, text)
+
+    @pytest.mark.parametrize("orders", [range(1, 11), range(11, 17)],
+                             ids=["single-digit", "past-10"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_writer_matches_json_dumps(self, orders, data):
+        t = drawn_table(data, orders)
+        obj = core.to_json_obj(t)
+        assert core._json_bytes(t) == (
+            json.dumps(obj, separators=(",", ":")) + "\n").encode()
+        separators = data.draw(st.sampled_from(
+            ((", ", ": "), ("", ""), (" ,\n", " :"), ("\u2028", "::"))))
+        assert core.to_json(t, separators) \
+            == json.dumps(obj, separators=separators)
+        assert core.to_json(t) == json.dumps(obj)
 
 
 class TestOffsets:

@@ -65,8 +65,7 @@ class TestLazyNames:
                 (core, census, "OmegaMap direct_product omega_product")]:
             for name in names.split():
                 assert getattr(module, name) is getattr(home, name)
-                # the forward itself, which the suite's operator patches
-                # would otherwise shadow
+                # and the forward itself, called directly
                 assert module.__getattr__(name) is getattr(home, name)
             with pytest.raises(AttributeError, match="no_such_name"):
                 module.no_such_name
