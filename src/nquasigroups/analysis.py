@@ -2,9 +2,10 @@
 
 Reducibility testing, subquasigroup search, and shell
 extraction/reconstruction.  Everything here is a pure function of
-immutable inputs.  The switching-component names (Component,
-find_components, switch_component) live in switching and resolve here on
-first use, so `nqg analyze` and `nqg reconstruct` do not compile it.
+immutable inputs.  The switching components live in switching, which
+`nqg analyze` and `nqg reconstruct` do not compile; find_components and
+switch_component still resolve here on first use, for the benchmark
+harness that reads them.
 """
 
 import itertools
@@ -29,7 +30,7 @@ SUBQUASIGROUP_CAP = 1 << 10
 REDUCTION_SPLIT_CAP = 1 << 10
 
 __getattr__ = _forward(__name__, "switching",
-                       "Component find_components switch_component")
+                       "find_components switch_component")
 
 
 class ReconstructionError(AnalysisError):
@@ -354,7 +355,9 @@ def reconstruct(sh):
     A surviving split over which a candidate already found is reducible
     is skipped: a table reducible over S is h0(d^-1(g0(x_S)), x_C) with
     g0, h0 and d read from its own shell, so assembling S would rebuild
-    that candidate.
+    that candidate.  That also deduplicates the list: a table assembled
+    over S is kept only if it is reducible over S, so it equals no
+    earlier candidate.
     Shells whose 2^n - n - 2 splits times k^n cells exceed
     RECONSTRUCT_BUDGET, or whose k^n cells exceed BUILD_CELL_BUDGET, are
     refused before any split.
@@ -388,7 +391,6 @@ def reconstruct(sh):
         return True
 
     candidates = []
-    seen = set()
     for size in range(2, n):
         for S in itertools.combinations(range(1, n + 1), size):
             if not survives(S):
@@ -402,10 +404,9 @@ def reconstruct(sh):
                 t = _assemble(sh, S)
             except ReconstructionError:
                 continue
-            if not is_reducible_wrt(t, split):
-                continue
-            if t.values not in seen:
-                seen.add(t.values)
+            # t is reducible over S and no earlier candidate is, so t is
+            # new to the list
+            if is_reducible_wrt(t, split):
                 candidates.append(t)
     if not candidates:
         raise ReconstructionError("not reducible or shell inconsistent")

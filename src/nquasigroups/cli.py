@@ -14,15 +14,16 @@ validate and eval load core; analyze and reconstruct add analysis, and
 the reducibility kernel when they test a split (analyze --reductions and
 --split, reconstruct); components adds switching, and its --switch i
 flips part i straight from the block labels, building no parts;
-construct adds constructions, and switching for the stored fixtures,
---ptq and the families; census loads core and census, plus switching
-for the component families (order 5 and odd orders prime to 3).  A
-table of order <= 10 is read by offsets into its text and written as
-one bytearray to stdout's byte stream (core.from_json, _json_bytes);
-a shell takes one byte pass each way (analysis._shell_json and
-_shell_from_json).  So json loads only on their fallback and where
-other results are written with json.dumps.  The table's literals
-below copy library constants; tests pin them to their sources.
+construct adds constructions, and switching for the stored Q52, but
+--ptq and the families add switching alone; census loads core and
+census, plus switching for the component families (order 5 and odd
+orders prime to 3).  A table of order <= 10 is read by offsets into its
+text and written as one bytearray to stdout's byte stream
+(core.from_json, _json_bytes); a shell takes one byte pass each way
+(analysis._shell_json and _shell_from_json).  So json loads only on
+their fallback and where other results are written with json.dumps.
+The table's literals below copy library constants; tests pin them to
+their sources.
 """
 
 import itertools
@@ -149,26 +150,31 @@ def _cmd_eval(args):
 
 
 def _cmd_construct(args):
-    from . import constructions, core
+    from . import core
 
+    # the families and their binary base are built in switching
+    if args.ptq is not None or args.family5 is not None or args.family_k:
+        from . import switching as builders
+    else:
+        from . import constructions as builders
     table = None
     obj = None
     if args.qkr:
-        table = constructions.build_qkr(*args.qkr)
+        table = builders.build_qkr(*args.qkr)
     elif args.fixture:
-        table = constructions.fixture(args.fixture)
+        table = builders.fixture(args.fixture)
     elif args.closed:
-        table = constructions.build_closed(*args.closed)
+        table = builders.build_closed(*args.closed)
     elif args.irreducible:
-        table = constructions.build_irreducible(*args.irreducible)
+        table = builders.build_irreducible(*args.irreducible)
     elif args.ptq is not None:
-        table = constructions.build_ptq(args.ptq)
+        table = builders.build_ptq(args.ptq)
     elif args.family5 is not None:
-        obj = _family_obj(constructions.build_family5(args.family5))
+        obj = _family_obj(builders.build_family5(args.family5))
     elif args.family_k:
-        obj = _family_obj(constructions.build_family_k(*args.family_k))
+        obj = _family_obj(builders.build_family_k(*args.family_k))
     else:
-        q, f, loop = constructions.build_shell_counterexample()
+        q, f, loop = builders.build_shell_counterexample()
         obj = {"q": core.to_json_obj(q), "f": core.to_json_obj(f),
                "loop": core.to_json_obj(loop)}
     if table is not None:

@@ -1,12 +1,13 @@
 """Constructive builders: closed quasigroups, rectangle completion, switching,
 irreducible tables.  The switching-component counting families and their
-binary base (build_family5, build_family_k, build_ptq, CountingFamily)
-live in switching and resolve here on first use.
+binary base live in switching; build_family5 and build_family_k still
+resolve here on first use, for the benchmark harness that reads them.
 """
 
 import enum
 
 from .core import (
+    _FROM_DIGITS,
     ConstructionError,
     QTable,
     _Record,
@@ -15,15 +16,13 @@ from .core import (
     _offsets,
     check_cell_budget,
     from_function,
-    from_json_obj,
     from_rows,
     iterate,
     superpose,
     validate,
 )
 
-__getattr__ = _forward(__name__, "switching",
-                       "CountingFamily build_family5 build_family_k build_ptq")
+__getattr__ = _forward(__name__, "switching", "build_family5 build_family_k")
 
 
 class CompletionError(ConstructionError):
@@ -43,34 +42,16 @@ class FixtureId(enum.Enum):
     Q72 = "Q72"
 
 
-# Three of the four stored arrays, all {0,1}-closed; the order-5 one is
-# stored with the family it carries, as switching._Q52.
-_FIXTURES_JSON = """
-{
-  "Q42": {"arity": 2, "order": 4, "values":
-    [0, 1, 2, 3,
-     1, 0, 3, 2,
-     2, 3, 0, 1,
-     3, 2, 1, 0]},
-  "Q62": {"arity": 2, "order": 6, "values":
-    [0, 1, 2, 3, 4, 5,
-     1, 0, 3, 2, 5, 4,
-     4, 5, 0, 1, 2, 3,
-     5, 4, 1, 0, 3, 2,
-     2, 3, 4, 5, 0, 1,
-     3, 2, 5, 4, 1, 0]},
-  "Q72": {"arity": 2, "order": 7, "values":
-    [0, 1, 2, 3, 4, 5, 6,
-     1, 0, 3, 4, 5, 6, 2,
-     2, 4, 0, 1, 6, 3, 5,
-     3, 5, 6, 0, 1, 2, 4,
-     4, 6, 5, 2, 0, 1, 3,
-     5, 2, 4, 6, 3, 0, 1,
-     6, 3, 1, 5, 2, 4, 0]}
+# Three of the four stored arrays, all {0,1}-closed, as the digits of their
+# rows; the order-5 one is stored with the family it carries, as
+# switching._Q52.
+_FIXTURES = {
+    "Q42": QTable(2, 4, b"0123103223013210".translate(_FROM_DIGITS)),
+    "Q62": QTable(2, 6, b"012345103254450123541032234501325410"
+                  .translate(_FROM_DIGITS)),
+    "Q72": QTable(2, 7, b"0123456103456224016353560124465201352463016315240"
+                  .translate(_FROM_DIGITS)),
 }
-"""
-
-_FIXTURES = None
 
 
 def fixture(fid):
@@ -80,18 +61,12 @@ def fixture(fid):
     published form (row 2 col 4, row 4 col 3) are replaced by the values 3
     and 2 forced by the Latin property on the surrounding rows/columns.
     """
-    global _FIXTURES
-    if _FIXTURES is None:
-        import json
-
+    fid = FixtureId(fid).value
+    if fid == "Q52":
         from .switching import _Q52
 
-        raw = json.loads(_FIXTURES_JSON)
-        _FIXTURES = {key: from_json_obj(obj) for key, obj in raw.items()}
-        _FIXTURES["Q52"] = _Q52
-    if isinstance(fid, str):
-        fid = FixtureId(fid)
-    return _FIXTURES[fid.value]
+        return _Q52
+    return _FIXTURES[fid]
 
 
 def build_qkr(k, r):

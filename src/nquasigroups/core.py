@@ -4,8 +4,9 @@ A table of arity n and order k stores all k**n values flat, row-major with
 coordinate 1 most significant: index(x_1..x_n) = sum x_i * k**(n-i).
 Symbols are always 0..k-1.
 
-The block products OmegaMap, omega_product and direct_product live in census;
-core.<name> still resolves them, loading census on first use (_forward).
+The block products OmegaMap, omega_product and direct_product live in
+census.  Of these, core still answers to OmegaMap and omega_product,
+loading census on first use (_forward), for the benchmark harness.
 """
 
 import importlib
@@ -42,8 +43,7 @@ def _forward(module, home, names):
     return __getattr__
 
 
-__getattr__ = _forward(__name__, "census",
-                       "OmegaMap direct_product omega_product")
+__getattr__ = _forward(__name__, "census", "OmegaMap omega_product")
 
 
 # The most cells a builder or a block product allocates: 4^11, and 5^9 with

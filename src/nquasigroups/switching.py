@@ -7,25 +7,22 @@ the block labels (_labelled) and flips it one first-axis block at a time
 (_flip), building no parts; the flipped values are validated
 (_flipped) once the labels are dropped.
 build_family5 and build_family_k build the families that `nqg census`
-certifies at order 5 and at odd orders prime to 3.  Only core is
-imported, so neither path compiles analysis or constructions, which
-re-export these names.
+certifies at order 5 and at odd orders prime to 3; `nqg construct`
+calls them and build_ptq here.  Only core is imported, so none of these
+paths compiles analysis or constructions.
 """
 
 import itertools
 import operator
 import sys
 
-from .core import (AnalysisError, ConstructionError, QTable, _axis_chunks,
+from .core import (_FROM_DIGITS, AnalysisError, ConstructionError, QTable,
                    _ints_below, _Record, check_cell_budget, from_rows,
                    inverse_along, iterate, superpose, validate)
 
-# The order-5 fixture Q52, {0,1}-closed, that constructions.fixture serves.
-_Q52 = QTable(2, 5, bytes((0, 1, 2, 3, 4,
-                           1, 0, 3, 4, 2,
-                           2, 4, 0, 1, 3,
-                           3, 2, 4, 0, 1,
-                           4, 3, 1, 2, 0)))
+# The order-5 fixture Q52, {0,1}-closed, that constructions.fixture serves,
+# as the digits of its rows.
+_Q52 = QTable(2, 5, b"0123410342240133240143120".translate(_FROM_DIGITS))
 
 
 def _coord_tuples(indices, n, k):

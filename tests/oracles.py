@@ -11,7 +11,7 @@ import argparse
 import itertools
 import sys
 
-from nquasigroups import cli, core
+from nquasigroups import census, cli, core
 from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
 from nquasigroups.switching import Component
@@ -63,7 +63,7 @@ def reference_direct_product(g, q):
 
 
 def reference_omega_product(g, om):
-    if not isinstance(om, core.OmegaMap):
+    if not isinstance(om, census.OmegaMap):
         raise core.StructuralError("second argument must be an OmegaMap")
     if om.outer_order != g.order or om.arity != g.arity:
         raise core.StructuralError("omega map does not match the outer table")

@@ -8,7 +8,7 @@ import itertools
 import time
 from pathlib import Path
 
-from nquasigroups import analysis, core
+from nquasigroups import analysis, core, switching
 from nquasigroups import constructions as C
 import nquasigroups.census as census
 
@@ -26,7 +26,7 @@ def test_criterion_1_fixture_integrity():
         t = C.fixture(fid)
         assert core.is_valid(t)
         assert core.is_valid(core.restrict_to_symbols(t, (0, 1)))
-    comps = analysis.find_components(C.fixture("Q52"), 0, 1)
+    comps = switching.find_components(C.fixture("Q52"), 0, 1)
     got = [comp.coords() for comp in comps]
     assert got == [D0, D1]
     assert time.perf_counter() - t0 < 1.0
@@ -151,13 +151,13 @@ def test_criterion_9_component_theory():
     t0 = time.perf_counter()
 
     def check(t, a, b):
-        comps = analysis.find_components(t, a, b)
+        comps = switching.find_components(t, a, b)
         covered = set()
         for comp in comps:
             cells = set(comp.coords())
             assert not (cells & covered)
             covered |= cells
-            assert core.is_valid(analysis.switch_component(t, comp))
+            assert core.is_valid(switching.switch_component(t, comp))
         expect = {t.coords(i) for i, v in enumerate(t.values) if v in (a, b)}
         assert covered == expect
         # binary cycle oracle: pair the a-cell and b-cell of each row

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nquasigroups import analysis as A
+from nquasigroups import census
 from nquasigroups import cli
 from nquasigroups import constructions as C
 from nquasigroups import core
@@ -103,7 +104,7 @@ class TestFindReductions:
             A.find_reductions(C.fixture("Q42"))
 
     def test_product_with_group_stays_irreducible(self):
-        t = core.direct_product(C.build_irreducible(3, 4), z_add(2, 3))
+        t = census.direct_product(C.build_irreducible(3, 4), z_add(2, 3))
         assert A.find_reductions(t) == []
 
     def test_split_cap(self, monkeypatch):
@@ -1106,8 +1107,8 @@ class TestReductionKernel:
             boxes(*args) and not passed.append(args[3])))
         t = C.build_closed(n, k, 2)
         rejected = 0
-        for comp in A.find_components(t, 0, 1)[:4]:
-            switched = A.switch_component(t, comp)
+        for comp in switching.find_components(t, 0, 1)[:4]:
+            switched = switching.switch_component(t, comp)
             passed.clear()
             found = {s.axes for s in A.find_reductions(switched)}
             rejected += len(set(passed) - found)
@@ -1171,7 +1172,7 @@ def reference_find_components(q, a, b):
     groups = {}
     for idx in parent:
         groups.setdefault(find(idx), []).append(idx)
-    return [A.Component(sorted(groups[r]), n, k, (a, b))
+    return [switching.Component(sorted(groups[r]), n, k, (a, b))
             for r in sorted(groups, key=lambda r: min(groups[r]))]
 
 
@@ -1180,7 +1181,7 @@ def latin_tables():
     superpositions, isotopes of the cyclic sum, irreducible builds."""
     import random
     rng = random.Random(7)
-    out = [z_add(2, 1), z_add(7, 1), C.fixture("Q52"), C.build_ptq(7)]
+    out = [z_add(2, 1), z_add(7, 1), C.fixture("Q52"), switching.build_ptq(7)]
     out += [randgen.random_binary(k, 30 + k) for k in range(2, 8)]
     out += [randgen.random_reducible(n, k, n * k)[0]
             for n, k in [(3, 3), (3, 5), (4, 4), (5, 3), (3, 6)]]
@@ -1200,12 +1201,13 @@ class TestFindComponentsAgainstReference:
     def test_every_pair(self, t):
         assert core.validate(t).ok
         for a, b in itertools.permutations(range(t.order), 2):
-            assert A.find_components(t, a, b) == reference_find_components(t, a, b)
+            assert (switching.find_components(t, a, b)
+                    == reference_find_components(t, a, b))
 
     def test_order_past_256(self):
         # a byte holds every symbol and every position on a line: wider
         # orders are refused when the table is built
-        assert A.find_components(z_add(256), 255, 3) \
+        assert switching.find_components(z_add(256), 255, 3) \
             == reference_find_components(z_add(256), 255, 3)
         with pytest.raises(core.StructuralError) as err:
             z_add(257)
@@ -1218,10 +1220,10 @@ class TestFindComponentsAgainstReference:
         t = core.QTable(2, 3, (0, 1, 0, 1, 2, 0, 2, 0, 1))
         assert reference_find_components(t, 0, 1)
         with pytest.raises(A.AnalysisError, match="not Latin"):
-            A.find_components(t, 0, 1)
+            switching.find_components(t, 0, 1)
         # a line missing the pair
         with pytest.raises(A.AnalysisError, match="not Latin"):
-            A.find_components(core.QTable(2, 2, (0, 1, 0, 1)), 0, 1)
+            switching.find_components(core.QTable(2, 2, (0, 1, 0, 1)), 0, 1)
         # an out-of-range symbol and a short table are refused when built
         for vals, error in [((0, 1, 1, 5), "symbol 5 out of range 0..1"),
                             ((0, 1, 1), "3 values do not fill a table of "
@@ -1251,7 +1253,7 @@ def assert_parts_match_union_find(t, a, b):
     """find_components' block search against the union-find it replaced,
     part for part: pair, shape, index bytes and order."""
     got = [(c.pair, c.shape, bytes(c.indices))
-           for c in A.find_components(t, a, b)]
+           for c in switching.find_components(t, a, b)]
     want = [(c.pair, c.shape, bytes(c.indices))
             for c in oracles.union_find_components(t, a, b)]
     assert got == want
@@ -1313,7 +1315,8 @@ class TestBlockSearchAgainstUnionFind:
             table[s] = v
         u = core.QTable(n, k, bytes(t.values).translate(bytes(table)))
         assert core.validate(u).ok
-        assert A.find_components(u, a, b) == A.find_components(t, a, b)
+        assert (switching.find_components(u, a, b)
+                == switching.find_components(t, a, b))
 
 
 def assert_flips_match_switch_component(t, a, b, parts=None):
@@ -1322,12 +1325,12 @@ def assert_flips_match_switch_component(t, a, b, parts=None):
     pair, for every part or for the parts listed.  Returns the count."""
     for x, y in ((a, b), (b, a)):
         labelled = switching._labelled(t, x, y)
-        comps = A.find_components(t, x, y)
+        comps = switching.find_components(t, x, y)
         assert labelled[1] == len(comps)
         for i in range(len(comps)) if parts is None else parts:
             got = switching._flipped(
                 t, switching._flip(t, x, y, labelled, i))
-            want = A.switch_component(t, comps[i])
+            want = switching.switch_component(t, comps[i])
             assert (got.arity, got.order, got.values.obj) == \
                 (want.arity, want.order, want.values.obj), (x, y, i)
     return len(comps)
@@ -1418,7 +1421,7 @@ class TestFindComponentsAgainstBfs:
              "reducible-4-4", "reducible-5-3", "reducible-4-5"])
     def test_every_pair(self, t):
         for a, b in itertools.permutations(range(t.order), 2):
-            comps = A.find_components(t, a, b)
+            comps = switching.find_components(t, a, b)
             assert [c.coords() for c in comps] == bfs_find_components(t, a, b)
             assert all(c.pair == {a, b} for c in comps)
 
@@ -1430,37 +1433,38 @@ class TestFindComponentsAgainstBfs:
 
 class TestFindComponents:
     def test_q52_named_components(self):
-        comps = A.find_components(C.fixture("Q52"), 0, 1)
+        comps = switching.find_components(C.fixture("Q52"), 0, 1)
         got = [comp.coords() for comp in comps]
         assert got == [
             [(0, 0), (0, 1), (1, 0), (1, 1)],
             [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2), (4, 4)]]
 
     def test_xor_single_component(self):
-        comps = A.find_components(core.from_rows([[0, 1], [1, 0]]), 0, 1)
+        comps = switching.find_components(core.from_rows([[0, 1], [1, 0]]),
+                                          0, 1)
         assert [len(c) for c in comps] == [4]
 
     def test_inverted_ptq7_pattern(self):
-        g = core.inverse_along(C.build_ptq(7), 1)
-        comps = A.find_components(g, 0, 1)
+        g = core.inverse_along(switching.build_ptq(7), 1)
+        comps = switching.find_components(g, 0, 1)
         assert sorted(len(c) for c in comps) == [4, 4, 6]
 
     def test_same_symbol_rejected(self):
         with pytest.raises(A.AnalysisError):
-            A.find_components(C.fixture("Q42"), 1, 1)
+            switching.find_components(C.fixture("Q42"), 1, 1)
 
     def test_partition_and_validity_random(self):
         for seed in range(6):
             k = 4 + seed % 4
             t = randgen.random_binary(k, seed)
             a, b = seed % k, (seed + 1) % k
-            comps = A.find_components(t, a, b)
+            comps = switching.find_components(t, a, b)
             covered = set()
             for comp in comps:
                 cells = set(comp.coords())
                 assert not (cells & covered)
                 covered |= cells
-                assert core.is_valid(A.switch_component(t, comp))
+                assert core.is_valid(switching.switch_component(t, comp))
             want = {t.coords(i) for i, v in enumerate(t.values) if v in (a, b)}
             assert covered == want
 
@@ -1489,14 +1493,14 @@ class TestFindComponents:
                     r = perm[r]
                     length += 1
                 sizes.append(2 * length)
-            got = sorted(len(c) for c in A.find_components(t, a, b))
+            got = sorted(len(c) for c in switching.find_components(t, a, b))
             assert got == sorted(sizes)
 
     def test_minimality_small_components(self):
         # no nonempty proper subset of a small component flips validly
         for seed in range(4):
             t = randgen.random_binary(5, seed + 40)
-            comps = A.find_components(t, 0, 1)
+            comps = switching.find_components(t, 0, 1)
             for comp in comps:
                 cells = comp.coords()
                 if len(cells) > 8:
@@ -1514,45 +1518,44 @@ class TestFindComponents:
 class TestSwitchComponent:
     def test_q52_first_component(self):
         q = C.fixture("Q52")
-        comps = A.find_components(q, 0, 1)
-        sw = A.switch_component(q, comps[0])
+        comps = switching.find_components(q, 0, 1)
+        sw = switching.switch_component(q, comps[0])
         rows = [list(r) for r in sw.rows()]
         assert rows[0][:2] == [1, 0] and rows[1][:2] == [0, 1]
 
     def test_involution(self):
         q = C.fixture("Q52")
-        comp = A.find_components(q, 0, 1)[1]
-        assert A.switch_component(A.switch_component(q, comp), comp).values \
-            == q.values
+        comp = switching.find_components(q, 0, 1)[1]
+        flip = switching.switch_component
+        assert flip(flip(q, comp), comp).values == q.values
 
     def test_independent_switches_distinct(self):
         q = C.fixture("Q52")
-        c0, c1 = A.find_components(q, 0, 1)
-        tabs = {q.values,
-                A.switch_component(q, c0).values,
-                A.switch_component(q, c1).values,
-                A.switch_component(A.switch_component(q, c0), c1).values}
+        c0, c1 = switching.find_components(q, 0, 1)
+        flip = switching.switch_component
+        tabs = {q.values, flip(q, c0).values, flip(q, c1).values,
+                flip(flip(q, c0), c1).values}
         assert len(tabs) == 4
 
     def test_not_a_component_rejected(self):
         q = C.fixture("Q52")
-        fake = A.Component([0, 1], 2, 5, (0, 1))
+        fake = switching.Component([0, 1], 2, 5, (0, 1))
         with pytest.raises(A.AnalysisError):
-            A.switch_component(q, fake)
+            switching.switch_component(q, fake)
 
     def test_wrong_table_rejected(self):
-        comp = A.find_components(C.fixture("Q52"), 0, 1)[0]
+        comp = switching.find_components(C.fixture("Q52"), 0, 1)[0]
         other = z_add(5)
         with pytest.raises(A.AnalysisError):
-            A.switch_component(other, comp)
+            switching.switch_component(other, comp)
 
     def test_part_of_another_shape_refused(self):
         # a part of Q52 is never flipped by its indices on a smaller, a
         # wider or a higher table; the refusal names both shapes
-        comp = A.find_components(C.fixture("Q52"), 0, 1)[1]
+        comp = switching.find_components(C.fixture("Q52"), 0, 1)[1]
         for q in (C.fixture("Q42"), z_add(6), z_add(5, 3)):
             with pytest.raises(A.AnalysisError) as err:
-                A.switch_component(q, comp)
+                switching.switch_component(q, comp)
             assert str(err.value) == (
                 "not a component of this table: a part of shape (2, 5), the "
                 "table has shape %r" % ((q.arity, q.order),))
@@ -1566,7 +1569,8 @@ class TestSwitchComponent:
         indices, arity = cells
         q = C.fixture("Q52")
         with pytest.raises(A.AnalysisError) as err:
-            A.switch_component(q, A.Component(indices, arity, 5, (0, 1)))
+            switching.switch_component(
+                q, switching.Component(indices, arity, 5, (0, 1)))
         if arity == 2:
             assert str(err.value) == ("component index %r is not an integer "
                                       "in 0..2^32-1" % (indices[0],))
@@ -1605,7 +1609,7 @@ class TestComponentRecord:
     def test_refused(self, indices, pair, error):
         # the coordinate cases pass the index of the cell they named
         with pytest.raises(A.AnalysisError) as err:
-            A.Component(indices, 2, 5, pair)
+            switching.Component(indices, 2, 5, pair)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("indices,pair,error", [
@@ -1618,7 +1622,7 @@ class TestComponentRecord:
     ], ids=["one-symbol-pair", "pair-out-of-range", "bool-symbol"])
     def test_from_indices_refused(self, indices, pair, error):
         with pytest.raises(A.AnalysisError) as err:
-            A.Component(indices, 2, 5, pair)
+            switching.Component(indices, 2, 5, pair)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("indices", [
@@ -1630,14 +1634,14 @@ class TestComponentRecord:
         # a part listing cells past the table reached an IndexError in
         # switch_component; now no such part exists
         with pytest.raises(A.AnalysisError) as err:
-            A.Component(indices, 2, 5, (0, 1))
+            switching.Component(indices, 2, 5, (0, 1))
         assert str(err.value) == ("component indices must be sorted, "
                                   "distinct and below 5^2")
 
     @pytest.mark.parametrize("index", [-1, 1 << 32, 1.0, None])
     def test_from_indices_not_uint32_refused(self, index):
         with pytest.raises(A.AnalysisError) as err:
-            A.Component([0, index], 2, 5, (0, 1))
+            switching.Component([0, index], 2, 5, (0, 1))
         assert str(err.value) == ("component index %r is not an integer in "
                                   "0..2^32-1" % (index,))
 
@@ -1647,7 +1651,7 @@ class TestComponentRecord:
              "str-arity"])
     def test_bad_shape_refused(self, arity, order):
         with pytest.raises(A.AnalysisError) as err:
-            A.Component([0], arity, order, (0, 1))
+            switching.Component([0], arity, order, (0, 1))
         assert str(err.value) == ("component arity and order must be "
                                   "integers >= 1")
 
@@ -1661,16 +1665,16 @@ class TestComponentRecord:
                                   "and arity 2")
 
     def test_from_indices_list_or_buffer(self):
-        want = A.Component([1, 3], 2, 3, (0, 1))
+        want = switching.Component([1, 3], 2, 3, (0, 1))
         assert want.coords() == [(0, 1), (1, 0)]
         for idxs in ([1, 3], (1, 3), want.indices, range(1, 4, 2)):
-            comp = A.Component(idxs, 2, 3, [1, 0])
+            comp = switching.Component(idxs, 2, 3, [1, 0])
             assert comp == want and comp.pair == frozenset((0, 1))
             assert comp.shape == (2, 3) and comp.indices.tolist() == [1, 3]
 
     def test_copy_and_pickle(self):
-        comps = A.find_components(C.build_closed(4, 5, 2), 0, 1)
-        comps.append(A.Component([1, 3], 2, 3, (1, 0)))
+        comps = switching.find_components(C.build_closed(4, 5, 2), 0, 1)
+        comps.append(switching.Component([1, 3], 2, 3, (1, 0)))
         for comp in comps:
             for twin in (copy.copy(comp), copy.deepcopy(comp),
                          pickle.loads(pickle.dumps(comp))):
@@ -1682,15 +1686,15 @@ class TestComponentRecord:
             == len(comps)
 
     def test_record_fields(self):
-        comp = A.Component([1, 3], 2, 3, (1, 0))
+        comp = switching.Component([1, 3], 2, 3, (1, 0))
         assert not hasattr(comp, "__dict__")
         with pytest.raises(AttributeError, match="cannot assign to field"):
             comp.pair = frozenset((0, 2))
         with pytest.raises(AttributeError, match="cannot delete field"):
             del comp.shape
-        assert comp != A.Component([1, 3], 2, 3, (0, 2))
-        assert comp != A.Component([1, 3], 2, 4, (0, 1))
-        assert comp != A.Component([1, 4], 2, 3, (0, 1))
+        assert comp != switching.Component([1, 3], 2, 3, (0, 2))
+        assert comp != switching.Component([1, 3], 2, 4, (0, 1))
+        assert comp != switching.Component([1, 4], 2, 3, (0, 1))
         assert comp != (comp.pair, comp.shape, comp._data)
 
     @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10 ** 6),
@@ -1705,11 +1709,11 @@ class TestComponentRecord:
             t = randgen.random_reducible(n, k, seed)[0]
         a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
                                   max_size=2, unique=True))
-        for comp in A.find_components(t, a, b):
+        for comp in switching.find_components(t, a, b):
             cells = comp.coords()
             assert cells == sorted(cells) and len(cells) == len(comp)
-            rebuilt = A.Component(sorted(t.index(x) for x in cells), n, k,
-                                  (b, a))
+            rebuilt = switching.Component(sorted(t.index(x) for x in cells),
+                                          n, k, (b, a))
             assert rebuilt == comp and hash(rebuilt) == hash(comp)
 
 
@@ -1748,7 +1752,7 @@ def cell_find_components(q, a, b):
     groups = {}
     for i, (j, l) in enumerate(zip(last_a, last_b)):
         groups.setdefault(find(i), []).extend((i * k + j, i * k + l))
-    return [A.Component(sorted(cells), n, k, (a, b))
+    return [switching.Component(sorted(cells), n, k, (a, b))
             for cells in groups.values()]
 
 
@@ -1791,21 +1795,23 @@ class TestIndexedComponents:
 
     def test_hand_built_equals_indexed(self):
         q = C.fixture("Q52")
-        comps = A.find_components(q, 0, 1)
+        comps = switching.find_components(q, 0, 1)
         assert comps[0].indices.tolist() == [0, 1, 5, 6]
         assert comps[0].shape == (2, 5)
         cells = [(1, 1), (0, 0), (1, 0), (0, 1)]
-        hand = A.Component(sorted(q.index(x) for x in cells), 2, 5, (1, 0))
+        hand = switching.Component(sorted(q.index(x) for x in cells), 2, 5,
+                                   (1, 0))
         assert hand == comps[0] and comps[0] == hand
         assert hash(hand) == hash(comps[0])
         assert hand != comps[1] and hand.indices.tolist() == [0, 1, 5, 6]
-        assert A.Component(comps[0].indices, 2, 5, frozenset((0, 1))) == hand
+        assert switching.Component(comps[0].indices, 2, 5,
+                                   frozenset((0, 1))) == hand
         # the same cells of a table of another order are another part
-        assert A.Component(hand.indices, 2, 6, (0, 1)) != hand
+        assert switching.Component(hand.indices, 2, 6, (0, 1)) != hand
         assert comps[0].coords() == hand.coords() == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
         assert repr(hand) == "Component([0, 1, 5, 6], 2, 5, [0, 1])"
-        assert eval(repr(hand), {"Component": A.Component}) == hand
+        assert eval(repr(hand), {"Component": switching.Component}) == hand
         with pytest.raises(AttributeError):
             comps[0].pair = frozenset((0, 2))
 
@@ -1816,7 +1822,7 @@ class TestIndexedComponents:
         with open(path, "w") as fh:
             fh.write(core.to_json(t))
         for a, b in itertools.permutations(range(t.order), 2):
-            comps = A.find_components(t, a, b)
+            comps = switching.find_components(t, a, b)
             old = cell_find_components(t, a, b)
             assert comps == old
             argv = ["components", path, "--pair", "%d,%d" % (a, b)]
@@ -1824,7 +1830,7 @@ class TestIndexedComponents:
             assert capsys.readouterr().out == cell_listing(t, old)
             for i, (comp, want) in enumerate(zip(comps, old)):
                 switched = cell_switch_component(t, want)
-                assert A.switch_component(t, comp) == switched
+                assert switching.switch_component(t, comp) == switched
                 assert cli.run(argv + ["--switch", str(i)]) == 0
                 out = capsys.readouterr().out
                 assert json.loads(out) == core.to_json_obj(switched)
@@ -1840,23 +1846,24 @@ class TestIndexedComponents:
         shifted = core.QTable(n, k, tuple((v + 1) % k for v in t.values))
         wider = z_add(k + 1, n)
         for a, b in itertools.permutations(range(k), 2):
-            for comp, old in zip(A.find_components(t, a, b),
+            for comp, old in zip(switching.find_components(t, a, b),
                                  cell_find_components(t, a, b)):
                 # a proper part of a minimal component: its flip breaks Latin
-                part = A.Component(comp.indices[1:], n, k, comp.pair)
-                old_part = A.Component(
+                part = switching.Component(comp.indices[1:], n, k, comp.pair)
+                old_part = switching.Component(
                     sorted(t.index(x) for x in old.coords()[1:]), n, k,
                     old.pair)
                 assert part == old_part
-                got = switch_outcome(A.switch_component, t, part)
+                got = switch_outcome(switching.switch_component, t, part)
                 assert got == switch_outcome(cell_switch_component, t, old_part)
                 assert got == ("AnalysisError", "not a component: the flip "
                                "breaks the Latin property")
-                got = switch_outcome(A.switch_component, shifted, comp)
+                got = switch_outcome(switching.switch_component, shifted, comp)
                 assert got == switch_outcome(cell_switch_component, shifted, old)
                 # a part of another shape is refused, never flipped on the
                 # same coordinates of the wider table
-                assert switch_outcome(A.switch_component, wider, comp) == (
+                assert switch_outcome(switching.switch_component, wider,
+                                      comp) == (
                     "AnalysisError", "not a component of this table: a part "
                     "of shape %r, the table has shape %r" % ((n, k), (n, k + 1)))
 
@@ -1872,9 +1879,9 @@ class TestIndexedComponents:
             t = randgen.random_reducible(n, k, seed)[0]
         a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
                                   max_size=2, unique=True))
-        comps = A.find_components(t, a, b)
+        comps = switching.find_components(t, a, b)
         comp = comps[data.draw(st.integers(0, len(comps) - 1))]
-        switched = A.switch_component(t, comp)
+        switched = switching.switch_component(t, comp)
         assert core.validate(switched).ok
         changed = [i for i, (u, v) in enumerate(zip(t.values, switched.values))
                    if u != v]

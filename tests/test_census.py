@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nquasigroups.census as census
-from nquasigroups import analysis, core
+from nquasigroups import analysis, core, switching
 from nquasigroups import constructions as C
 
 import randgen
@@ -35,7 +35,7 @@ def materialized_certificate(fam):
     s = len(comps)
     base = fam.base
     for comp in comps:
-        analysis.switch_component(base, comp)
+        switching.switch_component(base, comp)
     cert = {"path": "components", "component_count": s,
             "pairwise_disjoint": True, "flips_valid": True,
             "materialized": 0, "distinct": None}
@@ -157,8 +157,8 @@ def reference_omega_certificate(n, k, seed):
     seen = set()
     made = 0
     for assign in assignments:
-        om = core.OmegaMap(r, s_in, n,
-                           {y: choices[c] for y, c in zip(blocks, assign)})
+        om = census.OmegaMap(r, s_in, n,
+                             {y: choices[c] for y, c in zip(blocks, assign)})
         t = census.omega_product(g, om)
         if not core.validate(t).ok:
             raise census.CertificationError("block product failed validation")
@@ -180,7 +180,9 @@ def certify_outcome(certify, fam):
 
 
 def family(n, k):
-    return C.build_family5(n) if k == 5 else C.build_family_k(n, k)
+    if k == 5:
+        return switching.build_family5(n)
+    return switching.build_family_k(n, k)
 
 
 def _raw_cell_lines(n, k, idx):
@@ -510,16 +512,18 @@ class TestVerifyFamily:
 
     def test_overlapping_components_rejected(self):
         q = C.fixture("Q52")
-        comps = analysis.find_components(q, 0, 1)
-        fam = C.CountingFamily(base=q, components=(comps[0], comps[0]),
-                               claimed_log2=2)
+        comps = switching.find_components(q, 0, 1)
+        fam = switching.CountingFamily(base=q,
+                                       components=(comps[0], comps[0]),
+                                       claimed_log2=2)
         with pytest.raises(census.CertificationError, match="share"):
             census._certify_components(fam)
 
     def test_wrong_claim_rejected(self):
         q = C.fixture("Q52")
-        comps = analysis.find_components(q, 0, 1)
-        fam = C.CountingFamily(base=q, components=tuple(comps), claimed_log2=5)
+        comps = switching.find_components(q, 0, 1)
+        fam = switching.CountingFamily(base=q, components=tuple(comps),
+                                       claimed_log2=5)
         with pytest.raises(census.CertificationError):
             census._certify_components(fam)
 
@@ -574,14 +578,15 @@ class TestCertifyComponents:
             part = set(data.draw(st.lists(st.sampled_from(ab_cells),
                                           min_size=1, unique=True)))
         else:
-            parts = analysis.find_components(t, a, b)
+            parts = switching.find_components(t, a, b)
             picked = data.draw(st.lists(st.sampled_from(parts), min_size=1))
             part = {idx for comp in picked for idx in comp.indices}
             if kind == "odd":
                 # a component has at least four cells, so part stays nonempty
                 part ^= {data.draw(st.sampled_from(ab_cells))}
-        comp = analysis.Component(sorted(part), n, k, (a, b))
-        fam = C.CountingFamily(base=t, components=(comp,), claimed_log2=1)
+        comp = switching.Component(sorted(part), n, k, (a, b))
+        fam = switching.CountingFamily(base=t, components=(comp,),
+                                       claimed_log2=1)
         vals = bytearray(t.values)
         flip(vals, sorted(part), a + b)
         full = core.validate(core.QTable(n, k, vals)).ok
@@ -604,7 +609,7 @@ class TestCertifyComponents:
         # The family5 base and Z_4 addition have several parts per pair.
         kind = data.draw(st.sampled_from(["random", "family5", "sum4"]))
         if kind == "family5":
-            t = C.build_family5(n).base
+            t = switching.build_family5(n).base
         elif kind == "sum4":
             t = core.from_function(n, 4, lambda *x: sum(x) % 4)
         elif n == 2:
@@ -620,7 +625,7 @@ class TestCertifyComponents:
                 # the unused switching components, each left out or put in
                 # one of two sets: a flip of either passes
                 groups = [set(), set()]
-                for part in analysis.find_components(t, a, b):
+                for part in switching.find_components(t, a, b):
                     cells = set(part.coords())
                     group = data.draw(st.integers(0, 2))
                     if group and not cells & used:
@@ -634,9 +639,9 @@ class TestCertifyComponents:
             for cells in groups:
                 if cells:
                     used |= cells
-                    comps.append(analysis.Component(
+                    comps.append(switching.Component(
                         sorted(t.index(x) for x in cells), t.arity, k, (a, b)))
-        fam = C.CountingFamily(t, tuple(comps), len(comps))
+        fam = switching.CountingFamily(t, tuple(comps), len(comps))
         # no family the checks pass has two equal switched tables
         outcome = certify_outcome(census._certify_components, fam)
         assert outcome == certify_outcome(snapshot_certificate, fam)
@@ -653,29 +658,30 @@ class TestCertifyComponents:
 
     def test_non_latin_base_rejected(self):
         q = C.fixture("Q52")
-        comps = analysis.find_components(q, 0, 1)
+        comps = switching.find_components(q, 0, 1)
         vals = list(q.values)
         vals[-1] = vals[-2]
         broken = core.QTable(2, 5, tuple(vals))
-        fam = C.CountingFamily(base=broken, components=(comps[0],),
-                               claimed_log2=1)
+        fam = switching.CountingFamily(base=broken, components=(comps[0],),
+                                       claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="base table is not Latin"):
             census._certify_components(fam)
 
     def test_proper_subset_of_component_rejected(self):
         q = C.fixture("Q52")
-        comp = max(analysis.find_components(q, 0, 1), key=len)
-        part = analysis.Component(comp.indices[1:], 2, 5, comp.pair)
-        fam = C.CountingFamily(base=q, components=(part,), claimed_log2=1)
+        comp = max(switching.find_components(q, 0, 1), key=len)
+        part = switching.Component(comp.indices[1:], 2, 5, comp.pair)
+        fam = switching.CountingFamily(base=q, components=(part,),
+                                       claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*Latin"):
             census._certify_components(fam)
 
     def test_part_of_another_shape_rejected(self):
-        comp = analysis.find_components(C.fixture("Q42"), 0, 1)[0]
-        fam = C.CountingFamily(base=C.fixture("Q52"), components=(comp,),
-                               claimed_log2=1)
+        comp = switching.find_components(C.fixture("Q42"), 0, 1)[0]
+        fam = switching.CountingFamily(base=C.fixture("Q52"),
+                                       components=(comp,), claimed_log2=1)
         with pytest.raises(census.CertificationError) as err:
             census._certify_components(fam)
         assert str(err.value) == ("component 0 is a part of shape (2, 4), the "
@@ -686,7 +692,7 @@ class TestCertifyComponents:
         # distinct: it is refused before any family can carry it
         for buf in (b"", memoryview(b"").cast("I"), []):
             with pytest.raises(analysis.AnalysisError) as err:
-                analysis.Component(buf, 2, 5, (0, 1))
+                switching.Component(buf, 2, 5, (0, 1))
             assert str(err.value) == "empty component"
 
     @pytest.mark.parametrize("extra", ["first", 25], ids=[
@@ -694,21 +700,22 @@ class TestCertifyComponents:
     def test_part_listing_a_cell_twice_or_outside_rejected(self, extra):
         # refused by the constructor, before any family can carry the part
         q = C.fixture("Q52")
-        comp = analysis.find_components(q, 0, 1)[0]
+        comp = switching.find_components(q, 0, 1)[0]
         idxs = comp.indices.tolist()
         idxs.append(idxs[0] if extra == "first" else extra)
         with pytest.raises(analysis.AnalysisError) as err:
-            analysis.Component(sorted(idxs), 2, 5, comp.pair)
+            switching.Component(sorted(idxs), 2, 5, comp.pair)
         assert str(err.value) == ("component indices must be sorted, "
                                   "distinct and below 5^2")
 
     def test_cell_outside_pair_rejected(self):
         q = C.fixture("Q52")
-        comp = analysis.find_components(q, 0, 1)[0]
+        comp = switching.find_components(q, 0, 1)[0]
         stray = next(x for x in q.cells() if q.values[q.index(x)] == 2)
-        bad = analysis.Component(sorted({*comp.indices, q.index(stray)}), 2,
-                                 5, comp.pair)
-        fam = C.CountingFamily(base=q, components=(bad,), claimed_log2=1)
+        bad = switching.Component(sorted({*comp.indices, q.index(stray)}), 2,
+                                  5, comp.pair)
+        fam = switching.CountingFamily(base=q, components=(bad,),
+                                       claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*not in"):
             census._certify_components(fam)
@@ -735,7 +742,7 @@ class TestCertifyOmega:
         choices = list(census.enumerate_tables(n, 2))
         blocks = list(itertools.product(range(r), repeat=n))
         # the walk returns each table's values as one little-endian int
-        want = {int.from_bytes(core.omega_product(g, core.OmegaMap(
+        want = {int.from_bytes(census.omega_product(g, census.OmegaMap(
                     r, 2, n, {y: choices[c] for y, c in zip(blocks, assign)}
                 )).values, "little")
                 for assign in itertools.product(range(2), repeat=len(blocks))}

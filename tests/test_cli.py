@@ -787,6 +787,9 @@ LOADS_SCRIPT = (
     (["reconstruct", "SHELL3"], "analysis cli core reducibility"),
     (["analyze", "TABLE", "--shell", "--basepoint", "0,1"], "analysis cli core"),
     (["reconstruct", "SHELL4"], "analysis cli core reducibility"),
+    (["construct", "--fixture", "Q42"], "cli constructions core"),
+    (["construct", "--ptq", "7"], "cli core switching"),
+    (["construct", "--family5", "3"], "cli core switching"),
 ])
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
@@ -801,11 +804,11 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
         analysis.extract_shell(C.build_closed(4, 4, 2), (0, 1, 2, 3))))
     # argparse and gettext never load; json loads only in the commands
     # that parse JSON or write through json.dumps, so not in --help, in
-    # construct --closed or analyze --shell, whose compact table or shell
-    # of order <= 10 is written without it, or in reconstruct from such a
-    # shell at arity 4
-    json_free = (argv[0] in ("--help", "construct") or "--shell" in argv
-                 or "SHELL4" in argv)
+    # construct or analyze --shell, whose compact table or shell of order
+    # <= 10 is written without it, or in reconstruct from such a shell at
+    # arity 4; construct --family5 writes its family through json.dumps
+    json_free = (argv[0] == "--help" or "--shell" in argv or "SHELL4" in argv
+                 or argv[0] == "construct" and "--family5" not in argv)
     paths = {"TABLE": str(table), "TABLE3": str(table3),
              "SHELL3": str(shell3), "SHELL4": str(shell4)}
     argv = [paths.get(a, a) for a in argv]

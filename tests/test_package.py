@@ -56,19 +56,22 @@ class TestLazyNames:
             exec("from nquasigroups import no_such_name", {})
 
     def test_moved_names_still_answer_in_their_old_modules(self):
-        # the switching and block-product names are forwarded, not copied
-        for module, home, names in [
-                (analysis, switching,
-                 "Component find_components switch_component"),
-                (C, switching,
-                 "CountingFamily build_family5 build_family_k build_ptq"),
-                (core, census, "OmegaMap direct_product omega_product")]:
+        # the six names the benchmark harness reads in their old modules
+        # are forwarded, not copied; the other moved names answer only
+        # in their home
+        for module, home, names, gone in [
+                (analysis, switching, "find_components switch_component",
+                 "Component"),
+                (C, switching, "build_family5 build_family_k",
+                 "CountingFamily build_ptq"),
+                (core, census, "OmegaMap omega_product", "direct_product")]:
             for name in names.split():
                 assert getattr(module, name) is getattr(home, name)
                 # and the forward itself, called directly
                 assert module.__getattr__(name) is getattr(home, name)
-            with pytest.raises(AttributeError, match="no_such_name"):
-                module.no_such_name
+            for name in gone.split() + ["no_such_name"]:
+                with pytest.raises(AttributeError, match=name):
+                    getattr(module, name)
         assert analysis.AnalysisError is core.AnalysisError
         assert C.ConstructionError is core.ConstructionError
 
@@ -86,9 +89,9 @@ SHELL_VALUES = bytes((0, 1, 1, 0))
 # (record, its fields in order, a record differing in one field)
 RECORDS = [
     (Q, (2, 2, (0, 1, 1, 0)), core.QTable(2, 2, (1, 0, 0, 1))),
-    (core.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (0, 1))}),
+    (census.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (0, 1))}),
      (1, 2, 1, {(0,): core.QTable(1, 2, (0, 1))}),
-     core.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (1, 0))})),
+     census.OmegaMap(1, 2, 1, {(0,): core.QTable(1, 2, (1, 0))})),
     (analysis.Split(frozenset({1, 2})), (frozenset({1, 2}),),
      analysis.Split(frozenset({2, 3}))),
     (analysis.Shell(2, 2, (0, 0), SHELL_VALUES),
@@ -103,7 +106,7 @@ RECORDS = [
     (census.CensusReport(2, 4, 576, {"even": 4}, 4, 0.5, {"path": "omega"}),
      (2, 4, 576, {"even": 4}, 4, 0.5, {"path": "omega"}),
      census.CensusReport(2, 4, 576, {"even": 4}, 4, 0.5, {"path": "x"})),
-    (C.CountingFamily(Q, (), 0), (Q, (), 0), C.CountingFamily(Q, (), 1)),
+    (switching.CountingFamily(Q, (), 0), (Q, (), 0), switching.CountingFamily(Q, (), 1)),
     (C.PartialRectangle(2, ((0, 1),)), (2, ((0, 1),)),
      C.PartialRectangle(2, ((1, 0),))),
 ]
