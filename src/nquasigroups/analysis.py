@@ -356,8 +356,11 @@ def reconstruct(sh):
     is skipped: a table reducible over S is h0(d^-1(g0(x_S)), x_C) with
     g0, h0 and d read from its own shell, so assembling S would rebuild
     that candidate.  That also deduplicates the list: a table assembled
-    over S is kept only if it is reducible over S, so it equals no
-    earlier candidate.
+    over S is reducible over S, so it equals no earlier candidate.  It
+    is t(x) = h0(d^-1(g0(x_S)), x_C), returned only once t validates.
+    On the probe axis g0 is d, so the line of t along it, the rest of S
+    at the basepoint, reads h0(., x_C); that line is Latin, so each
+    h0(., x_C) is a permutation, and every C-row of t has g0's partition.
     Shells whose 2^n - n - 2 splits times k^n cells exceed
     RECONSTRUCT_BUDGET, or whose k^n cells exceed BUILD_CELL_BUDGET, are
     refused before any split.
@@ -400,14 +403,12 @@ def reconstruct(sh):
             # assembly over S would rebuild that same table
             if any(is_reducible_wrt(c, split) for c in candidates):
                 continue
+            # reducible over S, unlike every earlier candidate (see the
+            # docstring), so new to the list
             try:
-                t = _assemble(sh, S)
+                candidates.append(_assemble(sh, S))
             except ReconstructionError:
-                continue
-            # t is reducible over S and no earlier candidate is, so t is
-            # new to the list
-            if is_reducible_wrt(t, split):
-                candidates.append(t)
+                pass
     if not candidates:
         raise ReconstructionError("not reducible or shell inconsistent")
     return candidates

@@ -1,6 +1,6 @@
 """Exact enumeration of small quasigroup spaces and certification of the
 double-exponential lower-bound families.
-It also holds the block products; only _block_product lays out blocks.
+It also holds the block products, which _block_product lays out.
 """
 
 import itertools
@@ -230,28 +230,8 @@ def bound_exponents(n, k):
 
 
 def _certify_components(fam):
-    """Check a component family: a Latin base, disjoint components, valid
-    single flips, and (when 2^s fits the cap) all 2^s switched tables
-    distinct and Latin.
-
-    Components are parts of the base's shape, disjoint; their
-    constructor already refuses repeated cells and cells outside the shape.
-    The base is validated once in full, so each axis line holds one a and
-    one b and meets a component X of pair (a, b), whose cells hold a or b,
-    in 0, 1 or 2 cells; the flip keeps the line Latin unless it meets X once.
-    With c1 lines meeting X once and c2 twice, |X| = c1 + 2*c2 and X meets
-    c1 + c2 lines, so the flip is valid exactly when X meets |X|/2 distinct
-    lines along each axis; along stride sd the line of cell idx starts at
-    idx - (idx // sd % k) * sd.  Disjoint valid flips compose, so every
-    switched table is Latin, and distinct: the components are nonempty and
-    a flip changes every cell of its component.  While 2^s fits the cap
-    the patterns are still walked in Gray-code order, step i flipping
-    component ctz(i), so that materialized counts tables actually formed.
-    A table is its values read as one little-endian integer, and a flip
-    XORs in the component's delta, a ^ b on its cells and 0 elsewhere
-    (on a cell holding a or b, v ^ a ^ b is a + b - v); the closing flip
-    of the last component returns the walk to the base.
-    """
+    """Check a component family: its log2 claim is its part count and each
+    part has the base's shape; the rest is _certify_parts."""
     comps = fam.components
     s = len(comps)
     if fam.claimed_log2 != s:
@@ -259,12 +239,47 @@ def _certify_components(fam):
             "family claims log2 = %d but carries %d components"
             % (fam.claimed_log2, s))
     base = fam.base
-    idxsets = [set(comp.indices) for comp in comps]
     for i, comp in enumerate(comps):
         if comp.shape != (base.arity, base.order):
             raise CertificationError(
                 "component %d is a part of shape %r, the base has shape %r"
                 % (i, comp.shape, (base.arity, base.order)))
+    made = _certify_parts(base, [(comp.pair, comp.indices) for comp in comps])
+    return s, {
+        "path": "components",
+        "component_count": s,
+        "pairwise_disjoint": True,
+        "flips_valid": True,
+        "materialized": made,
+        "distinct": True if made else None,
+    }
+
+
+def _certify_parts(base, parts):
+    """Certify switching parts, each a (pair, cell indices): a Latin base,
+    disjoint parts, valid single flips, and (when 2^s fits the cap) all
+    2^s switched tables walked.  Returns the tables walked, 0 past the cap.
+
+    Parts are nonempty and list each cell of the base at most once (the
+    Component constructor refuses the rest; blocks are built so).  The
+    base is validated once in full, so each axis line holds one a and
+    one b and meets a part X of pair (a, b), whose cells hold a or b, in
+    0, 1 or 2 cells; the flip keeps the line Latin unless it meets X
+    once.  With c1 lines meeting X once and c2 twice, |X| = c1 + 2*c2
+    and X meets c1 + c2 lines, so the flip is valid exactly when X meets
+    |X|/2 distinct lines along each axis; along stride sd the line of
+    cell idx starts at idx - (idx // sd % k) * sd.  Disjoint valid flips
+    compose, so every switched table is Latin, and distinct: the parts
+    are nonempty and a flip changes every cell of its part.  While 2^s
+    fits the cap the patterns are still walked in Gray-code order, step
+    i flipping part ctz(i), so that the count is of tables actually
+    formed.  A table is its values read as one little-endian integer,
+    and a flip XORs in the part's delta, a ^ b on its cells and 0
+    elsewhere (on a cell holding a or b, v ^ a ^ b is a + b - v); the
+    closing flip of the last part returns the walk to the base.
+    """
+    s = len(parts)
+    idxsets = [set(idxs) for _, idxs in parts]
     for i in range(s):
         for j in range(i + 1, s):
             if not idxsets[i].isdisjoint(idxsets[j]):
@@ -280,9 +295,8 @@ def _certify_components(fam):
     vals = base.values
     walk = 2 ** s <= MATERIALIZE_CAP
     deltas = []
-    for i, comp in enumerate(comps):
-        a, b = sorted(comp.pair)
-        idxs = comp.indices
+    for i, (pair, idxs) in enumerate(parts):
+        a, b = sorted(pair)
         for idx in idxs:
             if vals[idx] != a and vals[idx] != b:
                 raise CertificationError(
@@ -298,23 +312,14 @@ def _certify_components(fam):
             raise CertificationError(
                 "component %d does not switch: the flip breaks the Latin "
                 "property" % i)
-    cert = {
-        "path": "components",
-        "component_count": s,
-        "pairwise_disjoint": True,
-        "flips_valid": True,
-        "materialized": 0,
-        "distinct": None,
-    }
-    if walk:
-        start = int.from_bytes(vals, "little")
-        made = 0
-        for table in _gray_tables(start, deltas):
-            made += 1
-        assert (table ^ deltas[-1] if deltas else table) == start
-        cert["materialized"] = made
-        cert["distinct"] = True
-    return s, cert
+    if not walk:
+        return 0
+    start = int.from_bytes(vals, "little")
+    made = 0
+    for table in _gray_tables(start, deltas):
+        made += 1
+    assert (table ^ deltas[-1] if deltas else table) == start
+    return made
 
 
 def _gray_tables(start, deltas):
@@ -407,21 +412,14 @@ def _certify_omega(n, k, seed):
     The skeleton g is modular addition of order r = k/2 or k/3, and each
     of its r^n blocks may carry any inner quasigroup of order s = 2 or 3
     (the choices): block y's cell x holds g(y) * s + choice_y(x).  When
-    all choices^blocks assignments fit MATERIALIZE_CAP (s = 2 there, so
-    two choices) the family is certified by construction: g and each
-    choice are validated once, the choices are checked distinct, and the
-    all-zero assignment is built with direct_product and validated in
-    full.  Every other table is then Latin without a check: along any
-    axis line the skeleton cells take each of g's r values once, as g is
-    Latin, and inside each block the line takes each of the s inner
-    values once, as the block is Latin, so the line holds each of the
-    r * s symbols once.  As in _certify_components, a table is one
-    little-endian integer, and block j's delta is the all-zero table XOR
-    the one with choice 1 at block j alone; _gray_tables walks the
-    assignments, step i XORing in the delta of block ctz(i).  Every
-    table walked is counted, and a repeat is refused.  Past the cap a
-    seeded sample of 8 assignments, plus the least of them with block 0
-    changed, is built with _block_product and validated in full.
+    all choices^blocks assignments fit MATERIALIZE_CAP (s = 2 there),
+    the two choices must be one 0-1 flip apart.  Trading one for the
+    other on block y then swaps the symbols 2g(y) and 2g(y) + 1 on its
+    2^n cells, so the blocks are switching parts of the product with
+    choice 0 everywhere (direct_product), and _certify_parts certifies
+    and walks them.  Past the cap a seeded sample of 8 assignments, plus
+    the least of them with block 0 changed, is built with _block_product
+    and validated in full.
     """
     if k % 2 == 0:
         r, s_in = k // 2, 2
@@ -458,37 +456,20 @@ def _certify_omega(n, k, seed):
             seen.add(t.values)
         made = len(seen)
     else:
-        made = len(_walk_blocks(g, s_in, choices))
+        # only s = 2 fits the cap, where Q(n, 2) is two tables
+        if nchoices != 2 or any(
+                a == b for a, b in zip(choices[0].values, choices[1].values)):
+            raise CertificationError(
+                "the block choices are not two tables one 0-1 flip apart")
+        axes = range(1, n + 1)
+        cells = _offsets(n, k, axes, range(2))
+        made = _certify_parts(direct_product(g, choices[0]), [
+            ((2 * top, 2 * top + 1), [corner + c for c in cells])
+            for corner, top in zip(_offsets(n, k, axes, range(0, k, 2)),
+                                   g.values)])
     return family_log2, {"path": "omega", "blocks": nblocks,
                          "choices": nchoices, "materialized": made,
                          "distinct": True, "sampled": sampled}
-
-
-def _walk_blocks(g, s, choices):
-    """Form every block product of g over two choices in Gray-code order
-    (see _certify_omega); returns the set of them as little-endian ints."""
-    # only s = 2 fits the cap, where Q(n, 2) holds exactly two tables
-    assert len(choices) == 2
-    if not validate(g).ok:
-        raise CertificationError("block skeleton is not Latin")
-    if not all(validate(c).ok for c in choices):
-        raise CertificationError("a block choice is not Latin")
-    if choices[0].values == choices[1].values:
-        raise CertificationError("the two block choices are one table")
-    first = direct_product(g, choices[0])
-    if not validate(first).ok:
-        raise CertificationError("block product failed validation")
-    start = int.from_bytes(first.values, "little")
-    # block j's delta: the first table XOR the one with choice 1 at block j
-    nblocks = len(g.values)
-    deltas = [start ^ int.from_bytes(_block_product(
-                  g, s, [choices[y == j] for y in range(nblocks)]).values,
-                  "little")
-              for j in range(nblocks)]
-    seen = set(_gray_tables(start, deltas))
-    if len(seen) < 2 ** nblocks:
-        raise CertificationError("two block assignments gave one table")
-    return seen
 
 
 def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
@@ -499,18 +480,17 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     certified family_log2 must reach every applicable exponent from
     bound_exponents, else CertificationError.
 
-    Both families are certified from their parts.  A component family's
-    base is validated in full, and a component switches exactly when it
-    meets half as many lines along each axis as it has cells; disjoint
-    switching sets make all 2^s patterns Latin and distinct
-    (_certify_components).  A block product whose skeleton and blocks
-    are Latin is Latin on every line, so the skeleton, the two block
-    choices, checked distinct, and one whole product are validated
-    (_certify_omega).  While a family fits MATERIALIZE_CAP its tables
-    are walked in Gray-code order, one big-integer XOR per step
-    (_gray_tables), and counted as materialized; the block walk also
-    refuses a repeated table.  Past the cap a block family is checked on
-    a seeded sample of 9 tables, each validated in full.
+    Both families are certified from their parts by one certifier,
+    _certify_parts.  The base is validated in full, and a part switches
+    exactly when it meets half as many lines along each axis as it has
+    cells; disjoint switching parts make all 2^s patterns Latin and
+    distinct.  A component family's parts are its components; a walked
+    block family's are its blocks, each a 0-1 flip of its order-2 block
+    (_certify_omega).  While a family fits MATERIALIZE_CAP its tables are
+    walked in Gray-code order, one big-integer XOR per step
+    (_gray_tables), and counted as materialized.  Past the cap a block
+    family is checked on a seeded sample of 9 tables, each validated in
+    full.
     """
     t0 = time.monotonic()
     _check_budget(n, k, budget)

@@ -512,10 +512,11 @@ _COMPACT_HEAD = (r'[ \t\n\r]*\{"arity":(0|[1-9][0-9]*),'
 def _json_bytes(t, separators=(",", ":"), end=b"\n"):
     """json.dumps(to_json_obj(t), separators=separators), encoded, + end.
 
-    Below order 11 it is built once, as a bytearray: a digit and the item
-    separator once per value, the symbols translated to digits into every
-    digit's place by one extended slice, "]}" and end in place of the
-    last separator, and the head put in front.
+    Below order 11 it is built in one bytearray, allocated once: a digit
+    and the item separator once per value, with room for the head in
+    front and "]}" + end behind.  The surplus front is dropped in O(1),
+    and the head, the digits (the symbols translated, by one extended
+    slice) and "]}" + end, over the last separator, are written in.
     """
     item, key = separators
     if t.order > 10:
@@ -523,12 +524,17 @@ def _json_bytes(t, separators=(",", ":"), end=b"\n"):
 
         return json.dumps(to_json_obj(t),
                           separators=separators).encode() + end
-    unit = b"0" + item.encode()
-    out = bytearray(unit) * len(t.values)
-    out[::len(unit)] = t.values.obj.translate(_TO_DIGITS)
-    out[len(out) + 1 - len(unit):] = b"]}" + end
-    out[:0] = ('{"arity"%s%d%s"order"%s%d%s"values"%s[' % (
+    head = ('{"arity"%s%d%s"order"%s%d%s"values"%s[' % (
         key, t.arity, item, key, t.order, item, key)).encode()
+    tail = b"]}" + end
+    unit = b"0" + item.encode()
+    room = len(head) + len(tail)
+    out = bytearray(unit) * (len(t.values) + 2 * room)
+    del out[:room * len(unit) - len(head)]
+    out[:len(head)] = head
+    stop = len(head) + len(t.values) * len(unit)
+    out[len(head):stop:len(unit)] = t.values.obj.translate(_TO_DIGITS)
+    out[stop + 1 - len(unit):] = tail
     return out
 
 

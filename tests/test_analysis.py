@@ -714,7 +714,7 @@ class TestReconstruct:
         def checked(q, split, **kw):
             # a 5-ary test of a split not yet assembled is a coverage test
             verdict = reducible(q, split, **kw)
-            if q.arity == 5 and verdict and split not in assembled:
+            if q.arity == 5 and verdict and split.axes not in assembled:
                 covered.append(split)
             return verdict
 
@@ -730,12 +730,54 @@ class TestReconstruct:
         # every split t reduces over survives the retract pruning and is
         # either assembled or skipped as covered by a found candidate
         for sp in reductions:
-            assert sp in assembled or sp in covered
+            assert sp.axes in assembled or sp in covered
         assert len(assembled) < 25
         assembled.clear()
         with pytest.raises(A.ReconstructionError):
             A.reconstruct(A.extract_shell(C.build_irreducible(5, 4), (0,) * 5))
         assert assembled == []
+
+    @staticmethod
+    def assembled(sh):
+        """(S, table) for every admissible S that _assemble accepts."""
+        out = []
+        for size in range(2, sh.arity):
+            for S in itertools.combinations(range(1, sh.arity + 1), size):
+                try:
+                    out.append((S, A._assemble(sh, S)))
+                except A.ReconstructionError:
+                    pass
+        return out
+
+    @given(st.integers(3, 6), st.integers(0, 10 ** 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_assembly_is_reducible_over_its_split(self, n, seed, data):
+        # reconstruct keeps every table _assemble returns without testing
+        # it: each is reducible over its split, the source's among them
+        k = data.draw(st.integers(2, {3: 6, 4: 5, 5: 4, 6: 3}[n]))
+        t, split = randgen.random_reducible(n, k, seed)
+        bp = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                      max_size=n)))
+        got = self.assembled(A.extract_shell(t, bp))
+        assert (split, t) in got
+        for S, u in got:
+            assert A.is_reducible_wrt(u, S)
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (3, 8), (4, 4), (4, 5), (5, 4),
+                                     (6, 4)])
+    def test_assembly_from_an_irreducible_shell(self, n, k):
+        # at the zero basepoint from arity 4 on, no split assembles.  An
+        # assembled table is reducible over its split, so never the source.
+        # From arity 4 on two reducible tables share no shell, but an
+        # irreducible one can share a reducible one's: build_irreducible's
+        # (4, 4) table at basepoint (0, 1, 2, 3) assembles over {1, 2}
+        t = C.build_irreducible(n, k)
+        for bp in ((0,) * n, tuple(i % k for i in range(n))):
+            got = self.assembled(A.extract_shell(t, bp))
+            if n >= 4 and not any(bp):
+                assert got == []
+            for S, u in got:
+                assert A.is_reducible_wrt(u, S) and u != t
 
     @pytest.mark.parametrize("basepoint", [
         (0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 4), (0, -1, 0, 0), (0, 0.0, 0, 0)])

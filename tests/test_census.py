@@ -737,16 +737,28 @@ class TestCertifyOmega:
         assert cert[1]["sampled"] is True
 
     @pytest.mark.parametrize("n,r", [(2, 2), (3, 2)])
-    def test_walk_forms_every_block_product(self, n, r):
+    def test_walk_forms_every_block_product(self, monkeypatch, n, r):
+        # the walk's tables, recorded as the component walk's are, against
+        # omega_product over every assignment of the two choices
         g = core.from_function(n, r, lambda *x: sum(x) % r)
         choices = list(census.enumerate_tables(n, 2))
         blocks = list(itertools.product(range(r), repeat=n))
-        # the walk returns each table's values as one little-endian int
-        want = {int.from_bytes(census.omega_product(g, census.OmegaMap(
+        want = {census.omega_product(g, census.OmegaMap(
                     r, 2, n, {y: choices[c] for y, c in zip(blocks, assign)}
-                )).values, "little")
+                )).values
                 for assign in itertools.product(range(2), repeat=len(blocks))}
-        assert census._walk_blocks(g, 2, choices) == want
+        walked = []
+        walk = census._gray_tables
+
+        def recorded(start, deltas):
+            for table in walk(start, deltas):
+                walked.append(table)
+                yield table
+        monkeypatch.setattr(census, "_gray_tables", recorded)
+        _, cert = census._certify_omega(n, 2 * r, 0)
+        size = (2 * r) ** n
+        assert {t.to_bytes(size, "little") for t in walked} == want
+        assert cert["materialized"] == len(walked) == len(want)
         assert len(want) == 2 ** len(blocks)
 
     def test_only_two_choice_cases_fit_the_cap(self):
@@ -788,6 +800,22 @@ class TestCertifyOmega:
             census._certify_omega(n, k, 0)
         with pytest.raises(census.CertificationError):
             reference_omega_certificate(n, k, 0)
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 6)])
+    def test_block_cell_off_its_pair_refused(self, monkeypatch, n, k):
+        # a Latin product with symbols 1 and 2 traded everywhere: block 0
+        # carries pair (0, 1), and its first cell that held 1 holds 2
+        product = census.direct_product
+
+        def traded(g, q):
+            t = product(g, q)
+            return core.QTable(t.arity, t.order, bytes(
+                (0, 2, 1, *range(3, t.order))[v] for v in t.values))
+        monkeypatch.setattr(census, "direct_product", traded)
+        with pytest.raises(census.CertificationError,
+                           match=r"component 0 does not switch: cell .* "
+                                 r"holds 2, not in \{0,1\}"):
+            census._certify_omega(n, k, 0)
 
 
 class TestRunCensus:
