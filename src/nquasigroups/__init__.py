@@ -9,6 +9,11 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class _UsageError(Exception):
+    """Exit code 2 from cli or commands: no module imports cli."""
+
+
 _EXPORTS = {
     "core": """AnalysisError ConstructionError QTable StructuralError
         ValidationReport evaluate from_function from_json from_json_obj
@@ -18,8 +23,9 @@ _EXPORTS = {
     "analysis": """ReconstructionError Shell Split extract_shell
         find_reductions find_subquasigroups is_reducible_wrt reconstruct
         reconstruct_with_split shell_from_json_obj shell_to_json_obj""",
-    "switching": """Component CountingFamily build_family5 build_family_k
-        build_ptq find_components switch_component""",
+    "switching": "find_components switch_component",
+    "families": """Component CountingFamily build_family5 build_family_k
+        build_ptq""",
     "constructions": """CompletionError FixtureId PartialRectangle
         build_closed build_irreducible build_qkr build_shell_counterexample
         complete_rectangle fixture irreducible_base switch_sub""",

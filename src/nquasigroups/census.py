@@ -39,6 +39,22 @@ def report_to_json_obj(rep):
     return dict(zip(rep.__slots__, rep._fields()))
 
 
+def _report_json(v):
+    """v, report_to_json_obj's dict or a value in it, as json.dumps writes
+    it with separators (",", ":"), without loading json.  A report holds
+    dicts with identifier keys over None, bools, ints, floats (written by
+    float.__repr__, as json writes them) and identifier strings, so no
+    string needs an escape."""
+    if isinstance(v, dict):
+        return "{%s}" % ",".join('"%s":%s' % (key, _report_json(x))
+                                 for key, x in v.items())
+    if v is None or isinstance(v, bool):
+        return {None: "null", True: "true", False: "false"}[v]
+    if isinstance(v, str):
+        return '"%s"' % v
+    return (float if isinstance(v, float) else int).__repr__(v)
+
+
 def _visit_axes(n, visit):
     """Axes whose _offsets list the cells in visitation order: 1..n, or
     n..1 for transposed order (lexicographic over reversed coordinates)."""
@@ -217,13 +233,9 @@ def bound_exponents(n, k):
     if k % 3 == 0:
         out["div3"] = n * (k // 3) ** n
     if k == 5:
+        # 3^m, 4*3^(m-1) or 2*3^m, by n = 3m + rem
         m, rem = divmod(n, 3)
-        if rem == 0:
-            out["five"] = 3 ** m
-        elif rem == 1:
-            out["five"] = 4 * 3 ** (m - 1)
-        else:
-            out["five"] = 2 * 3 ** m
+        out["five"] = (1, 4, 2)[rem] * 3 ** (m - (rem == 1))
     if k >= 7 and k % 2 == 1 and k % 3 != 0:
         out["general"] = (k // 2) * (k // 3) ** (n - 1)
     return out
@@ -279,12 +291,17 @@ def _certify_parts(base, parts):
     closing flip of the last part returns the walk to the base.
     """
     s = len(parts)
-    idxsets = [set(idxs) for _, idxs in parts]
-    for i in range(s):
-        for j in range(i + 1, s):
-            if not idxsets[i].isdisjoint(idxsets[j]):
+    taken = bytearray(len(base.values))
+    for _, idxs in parts:
+        for idx in idxs:
+            if taken[idx]:
+                # name the lowest i sharing a cell, then its lowest j
+                sets = [set(idxs) for _, idxs in parts]
                 raise CertificationError(
-                    "components %d and %d share cells" % (i, j))
+                    "components %d and %d share cells" % next(
+                        (i, j) for i in range(s) for j in range(i + 1, s)
+                        if not sets[i].isdisjoint(sets[j])))
+            taken[idx] = 1
     rep = validate(base)
     if not rep.ok:
         bad = rep.violations[0]
@@ -497,7 +514,7 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     bounds = bound_exponents(n, k)
     if k == 5 or (k % 2 == 1 and k % 3 != 0):
         # imported here: the block-product path needs only core
-        from .switching import build_family5, build_family_k
+        from .families import build_family5, build_family_k
 
         fam = build_family5(n) if k == 5 else build_family_k(n, k)
         family_log2, cert = _certify_components(fam)
@@ -533,24 +550,20 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     _check_ceiling(n, k, budget)
     t0 = time.monotonic()
     exact_count = None
-    attempt = exact == "on" or (
-        exact == "auto" and not _power_over(n, k, budget // n)
-        and (k <= 3 or (n, k) in _EXACT_AUTO))
-    if attempt:
+    if exact == "on" or (
+            exact == "auto" and not _power_over(n, k, budget // n)
+            and (k <= 3 or (n, k) in _EXACT_AUTO)):
         exact_count = enumerate_count(n, k, budget=budget,
                                       time_limit=time_limit)
-    family_log2 = None
-    bounds = None
-    cert = None
+    family_log2 = bounds = cert = None
     if k >= 4:
         rep = verify_family(n, k, seed=seed, budget=budget)
-        bounds = rep.bound_exponents
-        family_log2 = rep.family_log2
-        cert = rep.certification
-    if exact_count is not None and family_log2 is not None:
-        if family_log2 > math.log2(exact_count) + 1e-9:
-            raise CertificationError(
-                "family of 2^%s tables exceeds the exact count %d"
-                % (family_log2, exact_count))
+        bounds, family_log2, cert = (rep.bound_exponents, rep.family_log2,
+                                     rep.certification)
+    if (exact_count is not None and family_log2 is not None
+            and family_log2 > math.log2(exact_count) + 1e-9):
+        raise CertificationError(
+            "family of 2^%s tables exceeds the exact count %d"
+            % (family_log2, exact_count))
     return CensusReport(n, k, exact_count, bounds, family_log2,
                         time.monotonic() - t0, cert)

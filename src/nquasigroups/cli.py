@@ -7,37 +7,23 @@ compact JSON, or as aligned digit grids with --pretty.  Exit codes:
 0 success, 1 domain error, 2 usage error.  A reader that closes the
 output pipe early ends the command quietly, with exit code 0.
 
-The command line is read from one table, _COMMANDS, by _parse, with
-argparse's rules but without loading argparse.  Each handler imports the
-modules it runs, so a launch compiles only what its subcommand needs:
-validate and eval load core; analyze and reconstruct add analysis, and
-the reducibility kernel when they test a split (analyze --reductions and
---split, reconstruct); components adds switching, and its --switch i
-flips part i straight from the block labels, building no parts;
-construct adds constructions, and switching for the stored Q52, but
---ptq and the families add switching alone; census loads core and
-census, plus switching for the component families (order 5 and odd
-orders prime to 3).  A table of order <= 10 is read by offsets into its
-text and written as one bytearray to stdout's byte stream
-(core.from_json, _json_bytes); a shell takes one byte pass each way
-(analysis._shell_json and _shell_from_json).  So json loads only on
-their fallback and where other results are written with json.dumps.
-The table's literals below copy library constants; tests pin them to
-their sources.
+_parse reads the command line by one table, _COMMANDS, with argparse's
+rules but without loading argparse.  census runs here, on core and census
+(and families at order 5 and odd orders prime to 3), and writes its
+report without json; the table commands run in commands (_handler).  No
+module imports this one, which python -m runs as __main__.  The table's
+literals copy library constants; tests pin them to their sources.
 """
 
-import itertools
 import os
 import sys
+
+from . import _UsageError
 
 _FIXTURES = ("Q42", "Q52", "Q62", "Q72")   # constructions.FixtureId values
 _CELL_BUDGET = 2_000_000                   # census.DEFAULT_CELL_BUDGET
 _TIME_LIMIT = 600.0                        # census.DEFAULT_TIME_LIMIT
 _BUILD_CELL_BUDGET = 1 << 22               # core.BUILD_CELL_BUDGET
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _int_list(text):
@@ -54,207 +40,13 @@ def _pair(text):
     return parts
 
 
-def _read_input(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_table(path):
-    from . import core
-
-    data = _read_input(path)
-    if data.lstrip().startswith("{"):
-        return core.from_json(data)
-    return core.from_text(data)
-
-
-def _read_shell(path):
-    from . import analysis
-
-    return analysis._shell_from_json(_read_input(path))
-
-
-def _emit(obj):
-    import json
-
-    print(json.dumps(obj, separators=(",", ":")))
-
-
-def _pretty(t):
-    k, w = t.order, len(str(t.order - 1))
-    rows = [" ".join(str(v).rjust(w) for v in t.values[i:i + k])
-            for i in range(0, len(t.values), k)]
-    if t.arity > 2:
-        grids, rows = rows, []
-        for pos, prefix in enumerate(
-                itertools.product(range(k), repeat=t.arity - 2)):
-            rows += ["[%s]" % ",".join(map(str, prefix)),
-                     *grids[pos * k:pos * k + k], ""]
-        rows.pop()
-    return "\n".join(rows) + "\n"
-
-
-def _emit_table(t, pretty):
-    if pretty:
-        print(_pretty(t), end="")
-    elif sys.stdout:  # None when the output descriptor is closed
-        from .core import _json_bytes
-
-        out = _json_bytes(t)
-        if hasattr(sys.stdout, "buffer"):
-            sys.stdout.flush()
-            sys.stdout.buffer.write(out)
-        else:  # a text stream, such as io.StringIO
-            sys.stdout.write(out.decode())
-
-
-def _component_obj(c):
-    a, b = sorted(c.pair)
-    return {
-        "pair": [a, b],
-        "size": len(c),
-        "cells": [list(x) for x in c.coords()],
-    }
-
-
-def _family_obj(fam):
-    from .core import to_json_obj
-
-    return {
-        "base": to_json_obj(fam.base),
-        "claimed_log2": fam.claimed_log2,
-        "components": [_component_obj(c) for c in fam.components],
-    }
-
-
-def _cmd_validate(args):
-    from . import core
-
-    rep = core.validate(_read_table(args.table))
-    if rep.ok:
-        _emit({"ok": True})
-        return 0
-    _emit({"ok": False, "violations": [
-        {"axis": v.axis, "fixed": list(v.fixed)} for v in rep.violations]})
-    return 1
-
-
-def _cmd_eval(args):
-    from . import core
-
-    t = _read_table(args.table)
-    _emit({"value": core.evaluate(t, tuple(args.coords))})
-    return 0
-
-
-def _cmd_construct(args):
-    from . import core
-
-    # the families and their binary base are built in switching
-    if args.ptq is not None or args.family5 is not None or args.family_k:
-        from . import switching as builders
-    else:
-        from . import constructions as builders
-    table = None
-    obj = None
-    if args.qkr:
-        table = builders.build_qkr(*args.qkr)
-    elif args.fixture:
-        table = builders.fixture(args.fixture)
-    elif args.closed:
-        table = builders.build_closed(*args.closed)
-    elif args.irreducible:
-        table = builders.build_irreducible(*args.irreducible)
-    elif args.ptq is not None:
-        table = builders.build_ptq(args.ptq)
-    elif args.family5 is not None:
-        obj = _family_obj(builders.build_family5(args.family5))
-    elif args.family_k:
-        obj = _family_obj(builders.build_family_k(*args.family_k))
-    else:
-        q, f, loop = builders.build_shell_counterexample()
-        obj = {"q": core.to_json_obj(q), "f": core.to_json_obj(f),
-               "loop": core.to_json_obj(loop)}
-    if table is not None:
-        _emit_table(table, args.pretty)
-    else:
-        if args.pretty:
-            raise _UsageError("--pretty applies to single-table outputs only")
-        _emit(obj)
-    return 0
-
-
-def _cmd_analyze(args):
-    from . import analysis
-
-    t = _read_table(args.table)
-    if args.reductions:
-        _emit([list(s.axes) for s in analysis.find_reductions(t)])
-    elif args.subquasigroups:
-        _emit([list(om) for om in analysis.find_subquasigroups(t)])
-    elif args.split:
-        ok, wit = analysis.is_reducible_wrt(
-            t, analysis.Split(frozenset(args.split)), return_witness=True)
-        _emit({"reducible": ok, "witness": list(wit) if ok else None})
-    else:
-        if args.basepoint is None:
-            raise _UsageError("--shell requires --basepoint")
-        print(analysis._shell_json(analysis.extract_shell(t, args.basepoint)))
-    return 0
-
-
-def _cmd_components(args):
-    from . import switching
-
-    t = _read_table(args.table)
-    a, b = args.pair
-    if args.switch is None:
-        _emit([_component_obj(c) for c in switching.find_components(t, a, b)])
-    else:
-        labelled = switching._labelled(t, a, b)
-        if not 0 <= args.switch < labelled[1]:
-            raise _UsageError(
-                "--switch index out of range 0..%d" % (labelled[1] - 1))
-        vals = switching._flip(t, a, b, labelled, args.switch)
-        del labelled  # not held while the flip is validated and written
-        t = switching._flipped(t, vals)
-        _emit_table(t, args.pretty)
-    return 0
-
-
-def _cmd_reconstruct(args):
-    from . import analysis, core
-
-    sh = _read_shell(args.shell)
-    if args.split:
-        t = analysis.reconstruct_with_split(
-            sh, analysis.Split(frozenset(args.split)))
-        _emit_table(t, args.pretty)
-        return 0
-    tables = analysis.reconstruct(sh)
-    if sh.arity == 3:
-        if args.pretty:
-            raise _UsageError("--pretty applies to single-table outputs only")
-        _emit([core.to_json_obj(t) for t in tables])
-        return 0
-    # theorem (1): a reducible table of arity >= 4 is fixed by its shell
-    if len(tables) > 1:
-        raise analysis.ReconstructionError(
-            "shell admits %d distinct tables; uniqueness expected at arity >= 4"
-            % len(tables))
-    _emit_table(tables[0], args.pretty)
-    return 0
-
-
 def _cmd_census(args):
     from . import census
 
     rep = census.run_census(args.n, args.k, budget=args.budget,
                             exact=args.exact, time_limit=args.time_limit,
                             seed=args.seed)
-    _emit(census.report_to_json_obj(rep))
+    print(census._report_json(census.report_to_json_obj(rep)))
     return 0
 
 
@@ -305,8 +97,7 @@ _HELP = ("-h", "--help")
 
 
 class _Args:
-    """The parsed command line: command, func and one attribute per
-    argument."""
+    """The parsed command line: command and one attribute per argument."""
 
 
 def _dest(spec):
@@ -409,7 +200,6 @@ def _parse(argv):
             if cmd is None:
                 cmd = value
                 _, arguments, groups = _COMMANDS[cmd]
-                args.func = globals()["_cmd_" + cmd]
                 wanted = [a for a in arguments if a[0][0] != "-"]
                 for a in arguments:
                     if a[0][0] == "-":
@@ -463,10 +253,20 @@ def _domain_errors():
     return ValueError, BudgetError, CertificationError, OSError
 
 
+def _handler(cmd):
+    """The function that runs cmd: census's is here, every other command's
+    is in commands, which only those commands load."""
+    if cmd == "census":
+        return _cmd_census
+    from . import commands
+
+    return getattr(commands, "_cmd_" + cmd)
+
+
 def run(argv):
     try:
         args = _parse(argv)
-        return args.func(args)
+        return _handler(args.command)(args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     except _UsageError as e:

@@ -1,6 +1,6 @@
 """Constructive builders: closed quasigroups, rectangle completion, switching,
 irreducible tables.  The switching-component counting families and their
-binary base live in switching; build_family5 and build_family_k still
+binary base live in families; build_family5 and build_family_k still
 resolve here on first use, for the benchmark harness that reads them.
 """
 
@@ -22,7 +22,7 @@ from .core import (
     validate,
 )
 
-__getattr__ = _forward(__name__, "switching", "build_family5 build_family_k")
+__getattr__ = _forward(__name__, "families", "build_family5 build_family_k")
 
 
 class CompletionError(ConstructionError):
@@ -44,7 +44,7 @@ class FixtureId(enum.Enum):
 
 # Three of the four stored arrays, all {0,1}-closed, as the digits of their
 # rows; the order-5 one is stored with the family it carries, as
-# switching._Q52.
+# families._Q52.
 _FIXTURES = {
     "Q42": QTable(2, 4, b"0123103223013210".translate(_FROM_DIGITS)),
     "Q62": QTable(2, 6, b"012345103254450123541032234501325410"
@@ -63,7 +63,7 @@ def fixture(fid):
     """
     fid = FixtureId(fid).value
     if fid == "Q52":
-        from .switching import _Q52
+        from .families import _Q52
 
         return _Q52
     return _FIXTURES[fid]

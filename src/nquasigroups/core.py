@@ -18,7 +18,7 @@ class StructuralError(ValueError):
     """Malformed table data: wrong length, out-of-range symbol, bad axis."""
 
 
-# Here rather than in analysis and constructions, so that switching, which
+# Here rather than in analysis and constructions, so that families, which
 # raises both, loads neither.
 class AnalysisError(ValueError):
     """Bad arguments to an analysis procedure."""

@@ -9,7 +9,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nquasigroups import analysis, census, constructions, core, switching
+from nquasigroups import (analysis, census, constructions, core, families,
+                          switching)
 
 CRITERIA = {
     1: "embedded fixtures validate and match published spot values",
@@ -60,7 +61,8 @@ def _validate_operators(monkeypatch):
     # so every table an operator derives during a test is revalidated.
     # Only a module's own names are patched: core's forward of
     # omega_product reaches census's patched one.
-    for module in (core, constructions, analysis, census, switching):
+    for module in (core, constructions, analysis, census, families,
+                   switching):
         for name, checked in CHECKED.items():
             if name in vars(module):
                 monkeypatch.setattr(module, name, checked)

@@ -11,10 +11,10 @@ import argparse
 import itertools
 import sys
 
-from nquasigroups import census, cli, core
+from nquasigroups import census, cli, commands, core
 from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
-from nquasigroups.switching import Component
+from nquasigroups.families import Component
 
 
 def reference_lines(n, k):
@@ -264,12 +264,12 @@ def reference_build_parser():
 
     sp = sub.add_parser("validate", help="check the Latin property")
     sp.add_argument("table", help="table file (JSON or text), or - for stdin")
-    sp.set_defaults(func=cli._cmd_validate)
+    sp.set_defaults(func=commands._cmd_validate)
 
     sp = sub.add_parser("eval", help="evaluate a table at one cell")
     sp.add_argument("table")
     sp.add_argument("coords", nargs="+", type=int, help="cell coordinates")
-    sp.set_defaults(func=cli._cmd_eval)
+    sp.set_defaults(func=commands._cmd_eval)
 
     sp = sub.add_parser("construct", help="run one of the builders")
     g = sp.add_mutually_exclusive_group(required=True)
@@ -282,7 +282,7 @@ def reference_build_parser():
     g.add_argument("--family-k", nargs=2, type=int, metavar=("N", "K"))
     g.add_argument("--counterexample", action="store_true")
     sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cli._cmd_construct)
+    sp.set_defaults(func=commands._cmd_construct)
 
     sp = sub.add_parser("analyze", help="reducibility, closures, shells")
     sp.add_argument("table")
@@ -292,7 +292,7 @@ def reference_build_parser():
     g.add_argument("--split", type=cli._int_list, metavar="A,B,...")
     g.add_argument("--shell", action="store_true")
     sp.add_argument("--basepoint", type=cli._int_list, metavar="O1,...,ON")
-    sp.set_defaults(func=cli._cmd_analyze)
+    sp.set_defaults(func=commands._cmd_analyze)
 
     sp = sub.add_parser("components", help="switching components of a pair")
     sp.add_argument("table")
@@ -300,13 +300,13 @@ def reference_build_parser():
     sp.add_argument("--switch", type=int, metavar="INDEX",
                     help="emit the table with this component flipped")
     sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cli._cmd_components)
+    sp.set_defaults(func=commands._cmd_components)
 
     sp = sub.add_parser("reconstruct", help="rebuild a table from its shell")
     sp.add_argument("shell", help="shell file (JSON), or - for stdin")
     sp.add_argument("--split", type=cli._int_list, metavar="A,B,...")
     sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cli._cmd_reconstruct)
+    sp.set_defaults(func=commands._cmd_reconstruct)
 
     sp = sub.add_parser("census", help="exact counts, bounds, family checks")
     sp.add_argument("--n", type=int, required=True)

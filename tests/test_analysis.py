@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from nquasigroups import analysis as A
 from nquasigroups import census
-from nquasigroups import cli
+from nquasigroups import cli, commands
 from nquasigroups import constructions as C
 from nquasigroups import core
 from nquasigroups import reducibility as R
-from nquasigroups import switching
+from nquasigroups import families, switching
 
 import oracles
 import randgen
@@ -1214,7 +1214,7 @@ def reference_find_components(q, a, b):
     groups = {}
     for idx in parent:
         groups.setdefault(find(idx), []).append(idx)
-    return [switching.Component(sorted(groups[r]), n, k, (a, b))
+    return [families.Component(sorted(groups[r]), n, k, (a, b))
             for r in sorted(groups, key=lambda r: min(groups[r]))]
 
 
@@ -1223,7 +1223,7 @@ def latin_tables():
     superpositions, isotopes of the cyclic sum, irreducible builds."""
     import random
     rng = random.Random(7)
-    out = [z_add(2, 1), z_add(7, 1), C.fixture("Q52"), switching.build_ptq(7)]
+    out = [z_add(2, 1), z_add(7, 1), C.fixture("Q52"), families.build_ptq(7)]
     out += [randgen.random_binary(k, 30 + k) for k in range(2, 8)]
     out += [randgen.random_reducible(n, k, n * k)[0]
             for n, k in [(3, 3), (3, 5), (4, 4), (5, 3), (3, 6)]]
@@ -1487,7 +1487,7 @@ class TestFindComponents:
         assert [len(c) for c in comps] == [4]
 
     def test_inverted_ptq7_pattern(self):
-        g = core.inverse_along(switching.build_ptq(7), 1)
+        g = core.inverse_along(families.build_ptq(7), 1)
         comps = switching.find_components(g, 0, 1)
         assert sorted(len(c) for c in comps) == [4, 4, 6]
 
@@ -1581,7 +1581,7 @@ class TestSwitchComponent:
 
     def test_not_a_component_rejected(self):
         q = C.fixture("Q52")
-        fake = switching.Component([0, 1], 2, 5, (0, 1))
+        fake = families.Component([0, 1], 2, 5, (0, 1))
         with pytest.raises(A.AnalysisError):
             switching.switch_component(q, fake)
 
@@ -1612,7 +1612,7 @@ class TestSwitchComponent:
         q = C.fixture("Q52")
         with pytest.raises(A.AnalysisError) as err:
             switching.switch_component(
-                q, switching.Component(indices, arity, 5, (0, 1)))
+                q, families.Component(indices, arity, 5, (0, 1)))
         if arity == 2:
             assert str(err.value) == ("component index %r is not an integer "
                                       "in 0..2^32-1" % (indices[0],))
@@ -1651,7 +1651,7 @@ class TestComponentRecord:
     def test_refused(self, indices, pair, error):
         # the coordinate cases pass the index of the cell they named
         with pytest.raises(A.AnalysisError) as err:
-            switching.Component(indices, 2, 5, pair)
+            families.Component(indices, 2, 5, pair)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("indices,pair,error", [
@@ -1664,7 +1664,7 @@ class TestComponentRecord:
     ], ids=["one-symbol-pair", "pair-out-of-range", "bool-symbol"])
     def test_from_indices_refused(self, indices, pair, error):
         with pytest.raises(A.AnalysisError) as err:
-            switching.Component(indices, 2, 5, pair)
+            families.Component(indices, 2, 5, pair)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("indices", [
@@ -1676,14 +1676,14 @@ class TestComponentRecord:
         # a part listing cells past the table reached an IndexError in
         # switch_component; now no such part exists
         with pytest.raises(A.AnalysisError) as err:
-            switching.Component(indices, 2, 5, (0, 1))
+            families.Component(indices, 2, 5, (0, 1))
         assert str(err.value) == ("component indices must be sorted, "
                                   "distinct and below 5^2")
 
     @pytest.mark.parametrize("index", [-1, 1 << 32, 1.0, None])
     def test_from_indices_not_uint32_refused(self, index):
         with pytest.raises(A.AnalysisError) as err:
-            switching.Component([0, index], 2, 5, (0, 1))
+            families.Component([0, index], 2, 5, (0, 1))
         assert str(err.value) == ("component index %r is not an integer in "
                                   "0..2^32-1" % (index,))
 
@@ -1693,7 +1693,7 @@ class TestComponentRecord:
              "str-arity"])
     def test_bad_shape_refused(self, arity, order):
         with pytest.raises(A.AnalysisError) as err:
-            switching.Component([0], arity, order, (0, 1))
+            families.Component([0], arity, order, (0, 1))
         assert str(err.value) == ("component arity and order must be "
                                   "integers >= 1")
 
@@ -1707,16 +1707,16 @@ class TestComponentRecord:
                                   "and arity 2")
 
     def test_from_indices_list_or_buffer(self):
-        want = switching.Component([1, 3], 2, 3, (0, 1))
+        want = families.Component([1, 3], 2, 3, (0, 1))
         assert want.coords() == [(0, 1), (1, 0)]
         for idxs in ([1, 3], (1, 3), want.indices, range(1, 4, 2)):
-            comp = switching.Component(idxs, 2, 3, [1, 0])
+            comp = families.Component(idxs, 2, 3, [1, 0])
             assert comp == want and comp.pair == frozenset((0, 1))
             assert comp.shape == (2, 3) and comp.indices.tolist() == [1, 3]
 
     def test_copy_and_pickle(self):
         comps = switching.find_components(C.build_closed(4, 5, 2), 0, 1)
-        comps.append(switching.Component([1, 3], 2, 3, (1, 0)))
+        comps.append(families.Component([1, 3], 2, 3, (1, 0)))
         for comp in comps:
             for twin in (copy.copy(comp), copy.deepcopy(comp),
                          pickle.loads(pickle.dumps(comp))):
@@ -1728,15 +1728,15 @@ class TestComponentRecord:
             == len(comps)
 
     def test_record_fields(self):
-        comp = switching.Component([1, 3], 2, 3, (1, 0))
+        comp = families.Component([1, 3], 2, 3, (1, 0))
         assert not hasattr(comp, "__dict__")
         with pytest.raises(AttributeError, match="cannot assign to field"):
             comp.pair = frozenset((0, 2))
         with pytest.raises(AttributeError, match="cannot delete field"):
             del comp.shape
-        assert comp != switching.Component([1, 3], 2, 3, (0, 2))
-        assert comp != switching.Component([1, 3], 2, 4, (0, 1))
-        assert comp != switching.Component([1, 4], 2, 3, (0, 1))
+        assert comp != families.Component([1, 3], 2, 3, (0, 2))
+        assert comp != families.Component([1, 3], 2, 4, (0, 1))
+        assert comp != families.Component([1, 4], 2, 3, (0, 1))
         assert comp != (comp.pair, comp.shape, comp._data)
 
     @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10 ** 6),
@@ -1754,7 +1754,7 @@ class TestComponentRecord:
         for comp in switching.find_components(t, a, b):
             cells = comp.coords()
             assert cells == sorted(cells) and len(cells) == len(comp)
-            rebuilt = switching.Component(sorted(t.index(x) for x in cells),
+            rebuilt = families.Component(sorted(t.index(x) for x in cells),
                                           n, k, (b, a))
             assert rebuilt == comp and hash(rebuilt) == hash(comp)
 
@@ -1794,7 +1794,7 @@ def cell_find_components(q, a, b):
     groups = {}
     for i, (j, l) in enumerate(zip(last_a, last_b)):
         groups.setdefault(find(i), []).extend((i * k + j, i * k + l))
-    return [switching.Component(sorted(cells), n, k, (a, b))
+    return [families.Component(sorted(cells), n, k, (a, b))
             for cells in groups.values()]
 
 
@@ -1841,19 +1841,19 @@ class TestIndexedComponents:
         assert comps[0].indices.tolist() == [0, 1, 5, 6]
         assert comps[0].shape == (2, 5)
         cells = [(1, 1), (0, 0), (1, 0), (0, 1)]
-        hand = switching.Component(sorted(q.index(x) for x in cells), 2, 5,
+        hand = families.Component(sorted(q.index(x) for x in cells), 2, 5,
                                    (1, 0))
         assert hand == comps[0] and comps[0] == hand
         assert hash(hand) == hash(comps[0])
         assert hand != comps[1] and hand.indices.tolist() == [0, 1, 5, 6]
-        assert switching.Component(comps[0].indices, 2, 5,
+        assert families.Component(comps[0].indices, 2, 5,
                                    frozenset((0, 1))) == hand
         # the same cells of a table of another order are another part
-        assert switching.Component(hand.indices, 2, 6, (0, 1)) != hand
+        assert families.Component(hand.indices, 2, 6, (0, 1)) != hand
         assert comps[0].coords() == hand.coords() == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
         assert repr(hand) == "Component([0, 1, 5, 6], 2, 5, [0, 1])"
-        assert eval(repr(hand), {"Component": switching.Component}) == hand
+        assert eval(repr(hand), {"Component": families.Component}) == hand
         with pytest.raises(AttributeError):
             comps[0].pair = frozenset((0, 2))
 
@@ -1878,7 +1878,7 @@ class TestIndexedComponents:
                 assert json.loads(out) == core.to_json_obj(switched)
                 if i == 0:
                     assert cli.run(argv + ["--switch", str(i), "--pretty"]) == 0
-                    assert capsys.readouterr().out == cli._pretty(switched)
+                    assert capsys.readouterr().out == commands._pretty(switched)
 
     @pytest.mark.parametrize("t", latin_tables(),
                              ids=lambda t: "%d^%d" % (t.order, t.arity))
@@ -1891,8 +1891,8 @@ class TestIndexedComponents:
             for comp, old in zip(switching.find_components(t, a, b),
                                  cell_find_components(t, a, b)):
                 # a proper part of a minimal component: its flip breaks Latin
-                part = switching.Component(comp.indices[1:], n, k, comp.pair)
-                old_part = switching.Component(
+                part = families.Component(comp.indices[1:], n, k, comp.pair)
+                old_part = families.Component(
                     sorted(t.index(x) for x in old.coords()[1:]), n, k,
                     old.pair)
                 assert part == old_part

@@ -1,6 +1,7 @@
 """Exact enumeration, lower-bound exponents, family certification."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nquasigroups.census as census
-from nquasigroups import analysis, core, switching
+from nquasigroups import analysis, core, families, switching
 from nquasigroups import constructions as C
 
 import randgen
@@ -181,8 +182,8 @@ def certify_outcome(certify, fam):
 
 def family(n, k):
     if k == 5:
-        return switching.build_family5(n)
-    return switching.build_family_k(n, k)
+        return families.build_family5(n)
+    return families.build_family_k(n, k)
 
 
 def _raw_cell_lines(n, k, idx):
@@ -513,16 +514,33 @@ class TestVerifyFamily:
     def test_overlapping_components_rejected(self):
         q = C.fixture("Q52")
         comps = switching.find_components(q, 0, 1)
-        fam = switching.CountingFamily(base=q,
+        fam = families.CountingFamily(base=q,
                                        components=(comps[0], comps[0]),
                                        claimed_log2=2)
         with pytest.raises(census.CertificationError, match="share"):
             census._certify_components(fam)
 
+    @given(st.sampled_from(["Q52", "family5-3"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sharing_parts_named_as_the_pairwise_scan_names_them(
+            self, base, data):
+        # parts of several pairs, repeats allowed, so that cells are shared
+        # at any pair of positions: the one-pass mark names the lowest i,
+        # then its lowest j, as the oracle's pairwise scan does
+        q = C.fixture("Q52") if base == "Q52" else families.build_family5(
+            3).base
+        pairs = list(itertools.combinations(range(5), 2))
+        comps = tuple(data.draw(st.sampled_from(switching.find_components(
+            q, *data.draw(st.sampled_from(pairs)))))
+            for _ in range(data.draw(st.integers(2, 7))))
+        fam = families.CountingFamily(q, comps, len(comps))
+        assert certify_outcome(census._certify_components, fam) \
+            == certify_outcome(snapshot_certificate, fam)
+
     def test_wrong_claim_rejected(self):
         q = C.fixture("Q52")
         comps = switching.find_components(q, 0, 1)
-        fam = switching.CountingFamily(base=q, components=tuple(comps),
+        fam = families.CountingFamily(base=q, components=tuple(comps),
                                        claimed_log2=5)
         with pytest.raises(census.CertificationError):
             census._certify_components(fam)
@@ -584,8 +602,8 @@ class TestCertifyComponents:
             if kind == "odd":
                 # a component has at least four cells, so part stays nonempty
                 part ^= {data.draw(st.sampled_from(ab_cells))}
-        comp = switching.Component(sorted(part), n, k, (a, b))
-        fam = switching.CountingFamily(base=t, components=(comp,),
+        comp = families.Component(sorted(part), n, k, (a, b))
+        fam = families.CountingFamily(base=t, components=(comp,),
                                        claimed_log2=1)
         vals = bytearray(t.values)
         flip(vals, sorted(part), a + b)
@@ -609,7 +627,7 @@ class TestCertifyComponents:
         # The family5 base and Z_4 addition have several parts per pair.
         kind = data.draw(st.sampled_from(["random", "family5", "sum4"]))
         if kind == "family5":
-            t = switching.build_family5(n).base
+            t = families.build_family5(n).base
         elif kind == "sum4":
             t = core.from_function(n, 4, lambda *x: sum(x) % 4)
         elif n == 2:
@@ -639,9 +657,9 @@ class TestCertifyComponents:
             for cells in groups:
                 if cells:
                     used |= cells
-                    comps.append(switching.Component(
+                    comps.append(families.Component(
                         sorted(t.index(x) for x in cells), t.arity, k, (a, b)))
-        fam = switching.CountingFamily(t, tuple(comps), len(comps))
+        fam = families.CountingFamily(t, tuple(comps), len(comps))
         # no family the checks pass has two equal switched tables
         outcome = certify_outcome(census._certify_components, fam)
         assert outcome == certify_outcome(snapshot_certificate, fam)
@@ -662,7 +680,7 @@ class TestCertifyComponents:
         vals = list(q.values)
         vals[-1] = vals[-2]
         broken = core.QTable(2, 5, tuple(vals))
-        fam = switching.CountingFamily(base=broken, components=(comps[0],),
+        fam = families.CountingFamily(base=broken, components=(comps[0],),
                                        claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="base table is not Latin"):
@@ -671,8 +689,8 @@ class TestCertifyComponents:
     def test_proper_subset_of_component_rejected(self):
         q = C.fixture("Q52")
         comp = max(switching.find_components(q, 0, 1), key=len)
-        part = switching.Component(comp.indices[1:], 2, 5, comp.pair)
-        fam = switching.CountingFamily(base=q, components=(part,),
+        part = families.Component(comp.indices[1:], 2, 5, comp.pair)
+        fam = families.CountingFamily(base=q, components=(part,),
                                        claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*Latin"):
@@ -680,7 +698,7 @@ class TestCertifyComponents:
 
     def test_part_of_another_shape_rejected(self):
         comp = switching.find_components(C.fixture("Q42"), 0, 1)[0]
-        fam = switching.CountingFamily(base=C.fixture("Q52"),
+        fam = families.CountingFamily(base=C.fixture("Q52"),
                                        components=(comp,), claimed_log2=1)
         with pytest.raises(census.CertificationError) as err:
             census._certify_components(fam)
@@ -692,7 +710,7 @@ class TestCertifyComponents:
         # distinct: it is refused before any family can carry it
         for buf in (b"", memoryview(b"").cast("I"), []):
             with pytest.raises(analysis.AnalysisError) as err:
-                switching.Component(buf, 2, 5, (0, 1))
+                families.Component(buf, 2, 5, (0, 1))
             assert str(err.value) == "empty component"
 
     @pytest.mark.parametrize("extra", ["first", 25], ids=[
@@ -704,7 +722,7 @@ class TestCertifyComponents:
         idxs = comp.indices.tolist()
         idxs.append(idxs[0] if extra == "first" else extra)
         with pytest.raises(analysis.AnalysisError) as err:
-            switching.Component(sorted(idxs), 2, 5, comp.pair)
+            families.Component(sorted(idxs), 2, 5, comp.pair)
         assert str(err.value) == ("component indices must be sorted, "
                                   "distinct and below 5^2")
 
@@ -712,9 +730,9 @@ class TestCertifyComponents:
         q = C.fixture("Q52")
         comp = switching.find_components(q, 0, 1)[0]
         stray = next(x for x in q.cells() if q.values[q.index(x)] == 2)
-        bad = switching.Component(sorted({*comp.indices, q.index(stray)}), 2,
+        bad = families.Component(sorted({*comp.indices, q.index(stray)}), 2,
                                   5, comp.pair)
-        fam = switching.CountingFamily(base=q, components=(bad,),
+        fam = families.CountingFamily(base=q, components=(bad,),
                                        claimed_log2=1)
         with pytest.raises(census.CertificationError,
                            match="does not switch.*not in"):
@@ -859,3 +877,45 @@ class TestRunCensus:
                              "certification"]
         assert obj["arity"] == 2 and obj["order"] == 4
         assert isinstance(obj["elapsed"], float)
+
+
+IDENT = st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 40, 10 ** 40),
+                   FINITE, st.sampled_from([5e-324, 2.2250738585072e-308,
+                                            1.7976931348623157e308, -0.0]),
+                   IDENT)
+
+
+class TestReportJson:
+    """census._report_json of report_to_json_obj, the text nqg census
+    prints, against json.dumps, byte for byte."""
+
+    @staticmethod
+    def check(rep):
+        obj = census.report_to_json_obj(rep)
+        assert census._report_json(obj) == json.dumps(obj, separators=(",", ":"))
+
+    @pytest.mark.parametrize("n,k,exact,seed", [
+        (2, 4, "auto", 0), (2, 5, "auto", 0), (3, 4, "auto", 0),
+        (2, 6, "auto", 0), (3, 6, "auto", 0), (3, 6, "auto", 1),
+        (3, 6, "auto", 2), (3, 6, "auto", 7), (2, 9, "auto", 0),
+        (6, 5, "auto", 0), (3, 7, "auto", 0), (5, 7, "auto", 0),
+        (2, 4, "off", 0), (3, 3, "auto", 0)])
+    def test_every_census_path(self, n, k, exact, seed):
+        # exact, walked and sampled omega, a float family_log2 (2,9),
+        # component families, exact_count None, no family (k = 3)
+        self.check(census.run_census(n, k, exact=exact, seed=seed))
+
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+           st.one_of(st.none(), st.integers(0, 10 ** 60)),
+           st.one_of(st.none(), st.dictionaries(
+               st.sampled_from(["even", "div3", "five", "general"]),
+               st.integers(0, 10 ** 30))),
+           st.one_of(st.none(), st.integers(0, 10 ** 9), FINITE),
+           FINITE,
+           st.one_of(st.none(), st.dictionaries(IDENT, SCALAR, max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_built_reports(self, n, k, exact, bounds, log2, elapsed, cert):
+        self.check(census.CensusReport(n, k, exact, bounds, log2, elapsed,
+                                       cert))

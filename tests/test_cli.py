@@ -16,13 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, census, cli, core
+from nquasigroups import analysis, census, cli, commands, core
 from nquasigroups import constructions as C
 
 from capped import run_capped
 from oracles import reference_build_parser
+from test_package import source_tokens
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC_PACKAGE = Path(__file__).parent.parent / "src" / "nquasigroups"
 
 
 # runs cli.run on the child's argv and prints the exit code and stdout,
@@ -778,18 +780,28 @@ LOADS_SCRIPT = (
     (["--help"], "cli"),
     (["validate", "TABLE"], "cli core"),
     (["census", "--n", "3", "--k", "4"], "census cli core"),
-    (["census", "--n", "2", "--k", "5"], "census cli core switching"),
-    (["components", "TABLE", "--pair", "0,1"], "cli core switching"),
+    (["census", "--n", "2", "--k", "5"], "census cli core families"),
+    (["components", "TABLE", "--pair", "0,1"],
+     "cli core families switching"),
     (["analyze", "TABLE3", "--reductions"],
      "analysis cli core reducibility"),
-    (["census", "--n", "3", "--k", "7"], "census cli core switching"),
+    (["census", "--n", "3", "--k", "7"],
+     "census cli core families switching"),
     (["construct", "--closed", "3", "5", "2"], "cli constructions core"),
     (["reconstruct", "SHELL3"], "analysis cli core reducibility"),
     (["analyze", "TABLE", "--shell", "--basepoint", "0,1"], "analysis cli core"),
     (["reconstruct", "SHELL4"], "analysis cli core reducibility"),
     (["construct", "--fixture", "Q42"], "cli constructions core"),
-    (["construct", "--ptq", "7"], "cli core switching"),
-    (["construct", "--family5", "3"], "cli core switching"),
+    (["construct", "--ptq", "7"], "cli core families"),
+    (["construct", "--family5", "3"], "cli core families"),
+    (["census", "--n", "6", "--k", "5"], "census cli core families"),
+    (["census", "--n", "5", "--k", "7"],
+     "census cli core families switching"),
+    (["census", "--n", "3", "--k", "6", "--seed", "1"], "census cli core"),
+    (["components", "TABLE", "--pair", "0,1", "--switch", "0"],
+     "cli core switching"),
+    (["construct", "--irreducible", "3", "5"],
+     "cli constructions core families"),
 ])
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
@@ -804,21 +816,71 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
         analysis.extract_shell(C.build_closed(4, 4, 2), (0, 1, 2, 3))))
     # argparse and gettext never load; json loads only in the commands
     # that parse JSON or write through json.dumps, so not in --help, in
-    # construct or analyze --shell, whose compact table or shell of order
-    # <= 10 is written without it, or in reconstruct from such a shell at
-    # arity 4; construct --family5 writes its family through json.dumps
-    json_free = (argv[0] == "--help" or "--shell" in argv or "SHELL4" in argv
+    # census, whose report has its own writer, in construct or analyze
+    # --shell, whose compact table or shell of order <= 10 is written
+    # without it, in components --switch, or in reconstruct from such a
+    # shell at arity 4; construct --family5 writes its family through
+    # json.dumps
+    json_free = (argv[0] in ("--help", "census") or "--shell" in argv
+                 or "SHELL4" in argv or "--switch" in argv
                  or argv[0] == "construct" and "--family5" not in argv)
+    # every command but census has its handler in commands
+    table_command = argv[0] not in ("--help", "census")
     paths = {"TABLE": str(table), "TABLE3": str(table3),
              "SHELL3": str(shell3), "SHELL4": str(shell4)}
+    line = " ".join(argv)
     argv = [paths.get(a, a) for a in argv]
     done = subprocess.run(
         [sys.executable, "-S", "-c", LOADS_SCRIPT,
          str(Path(__file__).parent.parent / "src"), *argv],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    modules = loaded.split() + ["commands"] * table_command
     assert done.stdout == "0 %s\n" % " ".join(
-        sorted(loaded.split() + ["json"] * (not json_free)))
+        sorted(modules + ["json"] * (not json_free)))
+    assert sum(source_tokens(SRC_PACKAGE / (m + ".py"))
+               for m in modules + ["__init__"]) == COMPILED_TOKENS[line]
+
+
+# Tokens each command line compiles from the package, __init__ included,
+# counted as CI counts them (test_package.source_tokens), so that a move
+# or a deletion on a launch's path shows here as a number.
+COMPILED_TOKENS = {
+    "--help": 2379,
+    "validate TABLE": 7808,
+    "census --n 3 --k 4": 10107,
+    "census --n 2 --k 5": 11982,
+    "components TABLE --pair 0,1": 11307,
+    "analyze TABLE3 --reductions": 12247,
+    "census --n 3 --k 7": 13606,
+    "construct --closed 3 5 2": 9694,
+    "reconstruct SHELL3": 12247,
+    "analyze TABLE --shell --basepoint 0,1": 11269,
+    "reconstruct SHELL4": 12247,
+    "construct --fixture Q42": 9694,
+    "construct --ptq 7": 9683,
+    "construct --family5 3": 9683,
+    "census --n 6 --k 5": 11982,
+    "census --n 5 --k 7": 13606,
+    "census --n 3 --k 6 --seed 1": 10107,
+    "components TABLE --pair 0,1 --switch 0": 9432,
+    "construct --irreducible 3 5": 11569,
+}
+
+
+@pytest.mark.parametrize("argv", [["census", "--n", "6", "--k", "5"],
+                                  ["construct", "--closed", "3", "5", "2"]])
+def test_main_never_imports_cli_as_a_module(argv):
+    # under python -m, cli runs as __main__; a module that imported
+    # nquasigroups.cli would compile it a second time
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "nquasigroups.cli", *argv],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rpartition("|")[2].strip()
+                for line in done.stderr.splitlines()}
+    assert "nquasigroups.core" in imported
+    assert "nquasigroups.cli" not in imported
 
 
 def test_parser_literals_match_their_sources():
@@ -891,7 +953,7 @@ def test_table_bytes_follow_earlier_text():
     t = C.build_closed(3, 5, 2)
     with contextlib.redirect_stdout(out):
         print("before")
-        cli._emit_table(t, False)
+        commands._emit_table(t, False)
         print("after")
         out.flush()
     assert raw.getvalue().decode() == "before\n%s\nafter\n" % core.to_json(
@@ -900,7 +962,7 @@ def test_table_bytes_follow_earlier_text():
 
 def test_table_to_missing_stdout_is_quiet(monkeypatch):
     monkeypatch.setattr(sys, "stdout", None)
-    cli._emit_table(C.fixture("Q52"), False)
+    commands._emit_table(C.fixture("Q52"), False)
 
 
 def test_closed_output_descriptor_exits_quietly(tmp_path):
@@ -977,6 +1039,14 @@ def parse_outcome(parse, argv):
             return "exit", e.code
 
 
+def parse_with_handler(argv):
+    """cli._parse, plus the handler run picks for the command, which
+    argparse stored as func."""
+    args = cli._parse(argv)
+    args.func = cli._handler(args.command)
+    return args
+
+
 REFERENCE = reference_build_parser()
 
 # Hand-picked command lines: negative values, "=" values, help after the
@@ -1035,12 +1105,12 @@ class TestParserMatchesArgparse:
     @settings(max_examples=400, deadline=None)
     def test_fuzz(self, tokens, noise):
         argv = tokens + noise
-        assert parse_outcome(cli._parse, argv) \
+        assert parse_outcome(parse_with_handler, argv) \
             == parse_outcome(REFERENCE.parse_args, argv)
 
     @pytest.mark.parametrize("argv", PARSE_CASES)
     def test_hand_picked(self, argv):
-        assert parse_outcome(cli._parse, argv) \
+        assert parse_outcome(parse_with_handler, argv) \
             == parse_outcome(REFERENCE.parse_args, argv)
 
     @pytest.mark.parametrize("argv", [
@@ -1048,7 +1118,7 @@ class TestParserMatchesArgparse:
         ["validate", "-hh"], ["--", "validate", "t"],
         ["eval", "t", "--", "--", "1"]])
     def test_intended_differences_exit_2(self, argv):
-        assert parse_outcome(cli._parse, argv) == ("exit", 2)
+        assert parse_outcome(parse_with_handler, argv) == ("exit", 2)
 
 
 class TestTableJobMemory:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, core, switching
+from nquasigroups import analysis, core, families, switching
 from nquasigroups import constructions as C
 
 import oracles
@@ -233,26 +233,26 @@ class TestBuildPtq:
           [5, 6, 0, 1, 2, 4, 3]]
 
     def test_k7_full_table(self):
-        assert [list(r) for r in switching.build_ptq(7).rows()] == self.K7
+        assert [list(r) for r in families.build_ptq(7).rows()] == self.K7
 
     def test_k7_named_rows(self):
-        rows = [list(r) for r in switching.build_ptq(7).rows()]
+        rows = [list(r) for r in families.build_ptq(7).rows()]
         assert rows[1] == [1, 0, 3, 2, 5, 6, 4]
         assert rows[4] == [6, 2, 1, 4, 3, 0, 5]
 
     def test_k11_shifted_permutation_rows(self):
-        rows = [list(r) for r in switching.build_ptq(11).rows()]
+        rows = [list(r) for r in families.build_ptq(11).rows()]
         # row 5 is the first permutation shifted by 6, row 7 the second by 3
         assert rows[5] == [7, 6, 9, 8, 0, 10, 2, 1, 4, 5, 3]
         assert rows[7] == [2, 5, 4, 7, 6, 9, 8, 0, 10, 3, 1]
 
     @pytest.mark.parametrize("k", [7, 11, 13, 17, 19, 23])
     def test_valid(self, k):
-        assert core.is_valid(switching.build_ptq(k))
+        assert core.is_valid(families.build_ptq(k))
 
     @pytest.mark.parametrize("k", [7, 11, 13])
     def test_square_blocks_carry_value_pairs(self, k):
-        t = switching.build_ptq(k)
+        t = families.build_ptq(k)
         for j in range(k // 3):
             for i in range(k // 2 - 1):
                 got = {core.evaluate(t, (r, c))
@@ -263,12 +263,12 @@ class TestBuildPtq:
     @pytest.mark.parametrize("k", [5, 6, 9, 12, 15])
     def test_rejects_bad_orders(self, k):
         with pytest.raises(C.ConstructionError):
-            switching.build_ptq(k)
+            families.build_ptq(k)
 
 
 class TestBuildFamily5:
     def test_n2_is_the_fixture_components(self):
-        fam = switching.build_family5(2)
+        fam = families.build_family5(2)
         assert fam.base.values == C.fixture("Q52").values
         sizes = sorted(len(c) for c in fam.components)
         assert sizes == [4, 6]
@@ -276,13 +276,13 @@ class TestBuildFamily5:
         assert cells0 == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_n3_component_sizes(self):
-        fam = switching.build_family5(3)
+        fam = families.build_family5(3)
         assert sorted(len(c) for c in fam.components) == [8, 12, 30]
 
     def test_n3_components_cover_the_low_cells(self):
         # the three sets of a 3-ary block partition the cells of the
         # squared fixture valued 0 or 1
-        fam = switching.build_family5(3)
+        fam = families.build_family5(3)
         cells = [x for comp in fam.components for x in comp.coords()]
         assert len(cells) == len(set(cells))
         assert set(cells) == oracles.reference_low_cells(fam.base)
@@ -291,12 +291,12 @@ class TestBuildFamily5:
         # 3^m, 4*3^(m-1), 2*3^m as n runs over 3m, 3m+1, 3m+2
         want = {2: 2, 3: 3, 4: 4, 5: 6, 6: 9, 7: 12}
         for n, s in want.items():
-            fam = switching.build_family5(n)
+            fam = families.build_family5(n)
             assert len(fam.components) == s, n
             assert fam.claimed_log2 == s
 
     def test_components_disjoint_and_flippable(self):
-        fam = switching.build_family5(4)
+        fam = families.build_family5(4)
         seen = set()
         for comp in fam.components:
             cells = set(comp.coords())
@@ -309,17 +309,17 @@ class TestBuildFamilyK:
     @pytest.mark.parametrize("n,k,s", [(2, 7, 6), (3, 7, 12), (4, 7, 24),
                                        (2, 11, 15), (2, 13, 24)])
     def test_component_counts(self, n, k, s):
-        fam = switching.build_family_k(n, k)
+        fam = families.build_family_k(n, k)
         assert len(fam.components) == s
         assert fam.claimed_log2 == s == (k // 2) * (k // 3) ** (n - 1)
 
     def test_square_component_values_at_k7(self):
-        g = core.inverse_along(switching.build_ptq(7), 1)
+        g = core.inverse_along(families.build_ptq(7), 1)
         got = {core.evaluate(g, (r, c)) for r in (0, 1) for c in (0, 1)}
         assert got == {0, 1}
 
     def test_binary_components_match_search(self):
-        fam = switching.build_family_k(2, 7)
+        fam = families.build_family_k(2, 7)
         by_pair = {}
         for comp in fam.components:
             by_pair.setdefault(tuple(sorted(comp.pair)), []).append(
@@ -330,7 +330,7 @@ class TestBuildFamilyK:
                 comp.coords() for comp in found)
 
     def test_components_disjoint_and_flippable(self):
-        fam = switching.build_family_k(3, 7)
+        fam = families.build_family_k(3, 7)
         seen = set()
         for comp in fam.components:
             cells = set(comp.coords())
@@ -341,7 +341,7 @@ class TestBuildFamilyK:
     def test_rejects_bad_orders(self):
         for k in (6, 9, 5):
             with pytest.raises(C.ConstructionError):
-                switching.build_family_k(2, k)
+                families.build_family_k(2, k)
 
 
 class TestBuildBudget:
@@ -375,7 +375,7 @@ class TestBuildBudget:
 
     def test_largest_in_budget_cases_still_build(self):
         assert core.is_valid(C.build_closed(9, 4, 2))
-        assert switching.build_family5(9).claimed_log2 == 27
+        assert families.build_family5(9).claimed_log2 == 27
 
 
 class TestShellCounterexample:

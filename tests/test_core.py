@@ -785,14 +785,14 @@ class TestCompactJson:
         import contextlib
         import io
 
-        from nquasigroups import cli
+        from nquasigroups import commands
 
         t = small_table(data)
         obj = core.to_json_obj(t)
         assert core.to_json(t) == json.dumps(obj)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._emit_table(t, False)
+            commands._emit_table(t, False)
         assert out.getvalue() == json.dumps(obj, separators=(",", ":")) + "\n"
         assert core.from_json(out.getvalue()) == t
 

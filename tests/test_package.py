@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nquasigroups
-from nquasigroups import analysis, census, core, switching
+from nquasigroups import analysis, census, core, families, switching
 from nquasigroups import constructions as C
 
 PUBLIC = (
@@ -62,7 +62,7 @@ class TestLazyNames:
         for module, home, names, gone in [
                 (analysis, switching, "find_components switch_component",
                  "Component"),
-                (C, switching, "build_family5 build_family_k",
+                (C, families, "build_family5 build_family_k",
                  "CountingFamily build_ptq"),
                 (core, census, "OmegaMap omega_product", "direct_product")]:
             for name in names.split():
@@ -106,7 +106,7 @@ RECORDS = [
     (census.CensusReport(2, 4, 576, {"even": 4}, 4, 0.5, {"path": "omega"}),
      (2, 4, 576, {"even": 4}, 4, 0.5, {"path": "omega"}),
      census.CensusReport(2, 4, 576, {"even": 4}, 4, 0.5, {"path": "x"})),
-    (switching.CountingFamily(Q, (), 0), (Q, (), 0), switching.CountingFamily(Q, (), 1)),
+    (families.CountingFamily(Q, (), 0), (Q, (), 0), families.CountingFamily(Q, (), 1)),
     (C.PartialRectangle(2, ((0, 1),)), (2, ((0, 1),)),
      C.PartialRectangle(2, ((1, 0),))),
 ]
