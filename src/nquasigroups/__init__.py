@@ -16,22 +16,23 @@ class _UsageError(Exception):
 
 _EXPORTS = {
     "core": """AnalysisError ConstructionError QTable StructuralError
-        ValidationReport evaluate from_function from_json from_json_obj
-        from_rows from_text inverse_along is_valid iterate
-        restrict_to_symbols retract superpose to_json to_json_obj to_text
-        validate""",
+        ValidationReport evaluate from_function from_rows inverse_along
+        is_valid iterate superpose validate""",
+    "tableio": "from_json from_json_obj from_text to_json to_json_obj to_text",
     "analysis": """ReconstructionError Shell Split extract_shell
         find_reductions find_subquasigroups is_reducible_wrt reconstruct
-        reconstruct_with_split shell_from_json_obj shell_to_json_obj""",
+        reconstruct_with_split restrict_to_symbols retract
+        shell_from_json_obj shell_to_json_obj""",
     "switching": "find_components switch_component",
     "families": """Component CountingFamily build_family5 build_family_k
         build_ptq""",
     "constructions": """CompletionError FixtureId PartialRectangle
         build_closed build_irreducible build_qkr build_shell_counterexample
         complete_rectangle fixture irreducible_base switch_sub""",
-    "census": """BudgetError CensusReport CertificationError OmegaMap
-        bound_exponents direct_product enumerate_count enumerate_tables
-        omega_product report_to_json_obj run_census verify_family""",
+    "census": """BudgetError CensusReport CertificationError
+        bound_exponents enumerate_count enumerate_tables report_to_json_obj
+        run_census verify_family""",
+    "latin": "OmegaMap direct_product omega_product",
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items()

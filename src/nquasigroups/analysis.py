@@ -1,19 +1,20 @@
 """Decision procedures over quasigroup tables.
 
-Reducibility testing, subquasigroup search, and shell
-extraction/reconstruction.  Everything here is a pure function of
-immutable inputs.  The switching components live in switching, which
-`nqg analyze` and `nqg reconstruct` do not compile; find_components and
-switch_component still resolve here on first use, for the benchmark
-harness that reads them.
+Reducibility testing, subquasigroup search and restriction to a closed
+symbol set, retracts, and shell extraction/reconstruction.  Everything
+here is a pure function of immutable inputs.  The switching components
+live in switching, which `nqg analyze` and `nqg reconstruct` do not
+compile; find_components and switch_component still resolve here on
+first use, for the benchmark harness that reads them.
 """
 
 import itertools
 import re
 
-from .core import (_FROM_DIGITS, _TO_DIGITS, BUILD_CELL_BUDGET, MAX_ORDER,
-                   AnalysisError, QTable, _forward, _ints_below, _offsets,
-                   _power_over, _Record, check_cell_budget, retract, validate)
+from .core import (_FROM_DIGITS, BUILD_CELL_BUDGET, MAX_ORDER, AnalysisError,
+                   QTable, StructuralError, _forward, _ints_below, _offsets,
+                   _power_over, _Record, check_cell_budget, validate)
+from .tableio import _TO_DIGITS
 
 # reconstruct assembles k^n cells for every split its retract tests leave,
 # at worst all of them: refuse shells whose splits times cells exceed this
@@ -29,8 +30,8 @@ SUBQUASIGROUP_CAP = 1 << 10
 # table: refuse arities with more splits than this (arity 10 has 1,012)
 REDUCTION_SPLIT_CAP = 1 << 10
 
-__getattr__ = _forward(__name__, "switching",
-                       "find_components switch_component")
+__getattr__ = _forward(__name__,
+                       {"switching": "find_components switch_component"})
 
 
 class ReconstructionError(AnalysisError):
@@ -262,6 +263,29 @@ def find_subquasigroups(q):
     return sorted(found, key=lambda om: (len(om), om))
 
 
+def restrict_to_symbols(t, omega):
+    """Restriction of t to a symbol subset, relabeled to 0..len(omega)-1.
+
+    Raises StructuralError if omega is not a nonempty subset of
+    0..order-1, or if t maps omega**n outside omega (not closed).
+    """
+    omega = set(omega)
+    if not omega or not _ints_below(omega, t.order):
+        raise StructuralError("omega must be a nonempty subset of 0..%d"
+                              % (t.order - 1))
+    omega = tuple(sorted(omega))
+    pos = {sym: i for i, sym in enumerate(omega)}
+    n = t.arity
+    vals = []
+    for off in _offsets(n, t.order, range(1, n + 1), omega):
+        v = t.values[off]
+        if v not in pos:
+            raise StructuralError("table is not closed on %r: value %d at %r"
+                                  % (omega, v, t.coords(off)))
+        vals.append(pos[v])
+    return QTable(n, len(omega), bytes(vals))
+
+
 def extract_shell(q, basepoint):
     """Restrict q to the cells having some coordinate at the basepoint;
     the Shell constructor refuses a bad basepoint."""
@@ -334,6 +358,23 @@ def _assemble(sh, S):
             "split inconsistent with shell: assembled table disagrees at %r"
             % (t.coords(i),))
     return t
+
+
+def retract(t, fixed):
+    """Fix some arguments to constants; fixed maps 1-based axis to symbol."""
+    n, k = t.arity, t.order
+    for ax, sym in fixed.items():
+        if not _ints_below((ax,), n + 1, 1):
+            raise StructuralError("axis %r out of range 1..%d" % (ax, n))
+        if not _ints_below((sym,), k):
+            raise StructuralError("symbol %r out of range 0..%d" % (sym, k - 1))
+    free = [ax for ax in range(1, n + 1) if ax not in fixed]
+    if not free:
+        raise StructuralError("retract must leave at least one axis free")
+    base = sum(sym * k ** (n - ax) for ax, sym in fixed.items())
+    vals = t.values
+    return QTable(len(free), k, bytes([vals[base + o]
+                                       for o in _offsets(n, k, free)]))
 
 
 def reconstruct(sh):

@@ -9,10 +9,11 @@ output pipe early ends the command quietly, with exit code 0.
 
 _parse reads the command line by one table, _COMMANDS, with argparse's
 rules but without loading argparse.  census runs here, on core and census
-(and families at order 5 and odd orders prime to 3), and writes its
-report without json; the table commands run in commands (_handler).  No
-module imports this one, which python -m runs as __main__.  The table's
-literals copy library constants; tests pin them to their sources.
+(and families for a component family, latin for an exact count or a
+block family), and writes its report without json; the table commands
+run in commands (_handler).  No module imports this one, which python -m
+runs as __main__.  The table's literals copy library constants; tests
+pin them to their sources.
 """
 
 import os

@@ -2,12 +2,13 @@
 components and reconstruct, which cli calls (cli._handler); --help and
 census compile none of this.
 
-Each handler imports what it runs: core, plus analysis for analyze and
-reconstruct (and reducibility to test a split), switching for components
-(and families for the parts it lists; --switch i flips part i from the
-block labels), constructions for construct (families for Q52, --ptq and
-the families).  Tables of order <= 10 and shells are read and written in
-one byte pass (core.from_json, _json_bytes, analysis._shell_json), so
+Each handler imports what it runs: tableio to read or write a table
+(and core, which it imports), plus analysis for analyze and reconstruct
+(and reducibility to test a split), switching for components (and
+families for the parts it lists; --switch i flips part i from the block
+labels), constructions for construct (families for Q52, --ptq and the
+families).  Tables of order <= 10 and shells are read and written in
+one byte pass (tableio.from_json and _json_bytes, analysis._shell_json), so
 json loads only on their fallback and for results written by json.dumps.
 """
 
@@ -25,11 +26,11 @@ def _read_input(path):
 
 
 def _read_table(path):
-    from . import core
+    from . import tableio
 
     data = _read_input(path)
-    return (core.from_json if data.lstrip().startswith("{")
-            else core.from_text)(data)
+    return (tableio.from_json if data.lstrip().startswith("{")
+            else tableio.from_text)(data)
 
 
 def _emit(obj):
@@ -56,7 +57,7 @@ def _emit_table(t, pretty):
     if pretty:
         print(_pretty(t), end="")
     elif sys.stdout:  # None when the output descriptor is closed
-        from .core import _json_bytes
+        from .tableio import _json_bytes
 
         out = _json_bytes(t)
         if hasattr(sys.stdout, "buffer"):
@@ -72,7 +73,7 @@ def _component_obj(c):
 
 
 def _family_obj(fam):
-    from .core import to_json_obj
+    from .tableio import to_json_obj
 
     return {"base": to_json_obj(fam.base), "claimed_log2": fam.claimed_log2,
             "components": [_component_obj(c) for c in fam.components]}
@@ -99,8 +100,6 @@ def _cmd_eval(args):
 
 
 def _cmd_construct(args):
-    from . import core
-
     # the families and their binary base are built in families
     if args.ptq is not None or args.family5 is not None or args.family_k:
         from . import families as builders
@@ -122,9 +121,11 @@ def _cmd_construct(args):
     elif args.family_k:
         obj = _family_obj(builders.build_family_k(*args.family_k))
     else:
+        from .tableio import to_json_obj
+
         q, f, loop = builders.build_shell_counterexample()
-        obj = {"q": core.to_json_obj(q), "f": core.to_json_obj(f),
-               "loop": core.to_json_obj(loop)}
+        obj = {"q": to_json_obj(q), "f": to_json_obj(f),
+               "loop": to_json_obj(loop)}
     if table is not None:
         _emit_table(table, args.pretty)
     else:
@@ -173,7 +174,7 @@ def _cmd_components(args):
 
 
 def _cmd_reconstruct(args):
-    from . import analysis, core
+    from . import analysis, tableio
 
     sh = analysis._shell_from_json(_read_input(args.shell))
     if args.split:
@@ -185,7 +186,7 @@ def _cmd_reconstruct(args):
     if sh.arity == 3:
         if args.pretty:
             raise _UsageError("--pretty applies to single-table outputs only")
-        _emit([core.to_json_obj(t) for t in tables])
+        _emit([tableio.to_json_obj(t) for t in tables])
         return 0
     # theorem (1): a reducible table of arity >= 4 is fixed by its shell
     if len(tables) > 1:

@@ -22,7 +22,8 @@ from .core import (
     validate,
 )
 
-__getattr__ = _forward(__name__, "families", "build_family5 build_family_k")
+__getattr__ = _forward(__name__,
+                       {"families": "build_family5 build_family_k"})
 
 
 class CompletionError(ConstructionError):
@@ -302,7 +303,7 @@ def build_shell_counterexample():
     yet they differ as tables.
     """
     # imported here: only this builder searches
-    from .census import _reduced, _tables
+    from .latin import _reduced, _tables
 
     # the reduced binary tables are the loops with identity 0; q = f
     # exactly when L is associative

@@ -4,14 +4,15 @@ A table of arity n and order k stores all k**n values flat, row-major with
 coordinate 1 most significant: index(x_1..x_n) = sum x_i * k**(n-i).
 Symbols are always 0..k-1.
 
-The block products OmegaMap, omega_product and direct_product live in
-census.  Of these, core still answers to OmegaMap and omega_product,
-loading census on first use (_forward), for the benchmark harness.
+The table file formats live in tableio, the block products OmegaMap,
+omega_product and direct_product in latin, and retract and
+restrict_to_symbols in analysis.  core still answers to from_json,
+to_json, to_json_obj, OmegaMap and omega_product, loading their module
+on first use (_forward), for the benchmark harness that reads them here.
 """
 
 import importlib
 import itertools
-import re
 
 
 class StructuralError(ValueError):
@@ -28,22 +29,24 @@ class ConstructionError(ValueError):
     """A builder was asked for parameters it cannot serve."""
 
 
-def _forward(module, home, names):
-    """A module __getattr__ (PEP 562) for module that reads the given
-    names from its sibling module home on first use, so that the alias
-    costs no import."""
-    names = frozenset(names.split())
+def _forward(module, homes):
+    """A module __getattr__ (PEP 562) for module that reads each name of
+    homes, a dict from a sibling module to the names it answers for, from
+    that module on first use, so that the alias costs no import."""
+    home_of = {name: home for home, names in homes.items()
+               for name in names.split()}
 
     def __getattr__(name):
-        if name not in names:
+        if name not in home_of:
             raise AttributeError("module %r has no attribute %r"
                                  % (module, name))
         return getattr(importlib.import_module(
-            "." + home, module.rpartition(".")[0]), name)
+            "." + home_of[name], module.rpartition(".")[0]), name)
     return __getattr__
 
 
-__getattr__ = _forward(__name__, "census", "OmegaMap omega_product")
+__getattr__ = _forward(__name__, {"latin": "OmegaMap omega_product",
+                                  "tableio": "from_json to_json to_json_obj"})
 
 
 # The most cells a builder or a block product allocates: 4^11, and 5^9 with
@@ -69,6 +72,10 @@ def check_cell_budget(n, k, error):
 
 # The most symbols a table holds: one byte per cell.
 MAX_ORDER = 256
+
+# digit d as the symbol d (tableio._TO_DIGITS maps back): the stored
+# tables and the compact readers spell their values this way
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _ints_below(xs, k, low=0):
@@ -384,23 +391,6 @@ def inverse_along(t, i):
     return QTable(n, k, bytes(out))
 
 
-def retract(t, fixed):
-    """Fix some arguments to constants; fixed maps 1-based axis to symbol."""
-    n, k = t.arity, t.order
-    for ax, sym in fixed.items():
-        if not _ints_below((ax,), n + 1, 1):
-            raise StructuralError("axis %r out of range 1..%d" % (ax, n))
-        if not _ints_below((sym,), k):
-            raise StructuralError("symbol %r out of range 0..%d" % (sym, k - 1))
-    free = [ax for ax in range(1, n + 1) if ax not in fixed]
-    if not free:
-        raise StructuralError("retract must leave at least one axis free")
-    base = sum(sym * k ** (n - ax) for ax, sym in fixed.items())
-    vals = t.values
-    return QTable(len(free), k, bytes([vals[base + o]
-                                       for o in _offsets(n, k, free)]))
-
-
 def superpose(outer, position, inner):
     """Plug inner into argument slot `position` (1-based) of outer.
 
@@ -447,152 +437,3 @@ def iterate(q, m):
     for _ in range(m - 1):
         t = superpose(q, 2, t)
     return t
-
-
-def restrict_to_symbols(t, omega):
-    """Restriction of t to a symbol subset, relabeled to 0..len(omega)-1.
-
-    Raises StructuralError if omega is not a nonempty subset of
-    0..order-1, or if t maps omega**n outside omega (not closed).
-    """
-    omega = set(omega)
-    if not omega or not _ints_below(omega, t.order):
-        raise StructuralError("omega must be a nonempty subset of 0..%d"
-                              % (t.order - 1))
-    omega = tuple(sorted(omega))
-    pos = {sym: i for i, sym in enumerate(omega)}
-    n = t.arity
-    vals = []
-    for off in _offsets(n, t.order, range(1, n + 1), omega):
-        v = t.values[off]
-        if v not in pos:
-            raise StructuralError("table is not closed on %r: value %d at %r"
-                                  % (omega, v, t.coords(off)))
-        vals.append(pos[v])
-    return QTable(n, len(omega), bytes(vals))
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-def to_json_obj(t):
-    return {"arity": t.arity, "order": t.order, "values": t.values.tolist()}
-
-
-def from_json_obj(obj):
-    """Table from its JSON object.
-
-    arity, order and every value must be JSON integers, not floats or
-    booleans; anything else, and whatever the QTable constructor refuses,
-    raises StructuralError.
-    """
-    if not isinstance(obj, dict):
-        raise StructuralError("table JSON must be an object")
-    try:
-        arity, order, values = obj["arity"], obj["order"], obj["values"]
-    except KeyError as e:
-        raise StructuralError("table JSON misses field %s" % e)
-    if type(arity) is not int or type(order) is not int:
-        raise StructuralError("arity and order must be integers")
-    if not isinstance(values, list):
-        raise StructuralError("values must be a list")
-    if not set(map(type, values)) <= {int}:
-        raise StructuralError("values must be integers")
-    return QTable(arity, order, values)
-
-
-# symbol d as its digit, and back
-_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
-# the compact form's head, up to the first value
-_COMPACT_HEAD = (r'[ \t\n\r]*\{"arity":(0|[1-9][0-9]*),'
-                 r'"order":(0|[1-9][0-9]*),"values":\[')
-
-
-def _json_bytes(t, separators=(",", ":"), end=b"\n"):
-    """json.dumps(to_json_obj(t), separators=separators), encoded, + end.
-
-    Below order 11 it is built in one bytearray, allocated once: a digit
-    and the item separator once per value, with room for the head in
-    front and "]}" + end behind.  The surplus front is dropped in O(1),
-    and the head, the digits (the symbols translated, by one extended
-    slice) and "]}" + end, over the last separator, are written in.
-    """
-    item, key = separators
-    if t.order > 10:
-        import json
-
-        return json.dumps(to_json_obj(t),
-                          separators=separators).encode() + end
-    head = ('{"arity"%s%d%s"order"%s%d%s"values"%s[' % (
-        key, t.arity, item, key, t.order, item, key)).encode()
-    tail = b"]}" + end
-    unit = b"0" + item.encode()
-    room = len(head) + len(tail)
-    out = bytearray(unit) * (len(t.values) + 2 * room)
-    del out[:room * len(unit) - len(head)]
-    out[:len(head)] = head
-    stop = len(head) + len(t.values) * len(unit)
-    out[len(head):stop:len(unit)] = t.values.obj.translate(_TO_DIGITS)
-    out[stop + 1 - len(unit):] = tail
-    return out
-
-
-def to_json(t, separators=(", ", ": ")):
-    """json.dumps(to_json_obj(t), separators=separators) (_json_bytes)."""
-    return _json_bytes(t, separators, b"").decode()
-
-
-def from_json(s):
-    """Table from its JSON text.
-
-    The compact form {"arity":N,"order":K,"values":[d,d,...]} of single
-    digits, with whitespace only around it, is read by offsets into s,
-    without copying it: the values are the even positions of the list's
-    body, up to its closing "]}".  Once every one of them is a digit, the
-    commas can stand only at the odd positions, one fewer than the
-    digits, so a comma count of len(digits) - 1 puts one at each.  Other
-    texts take json.loads and from_json_obj, with the same outcome.
-    """
-    head = isinstance(s, str) and s.isascii() and re.match(_COMPACT_HEAD, s)
-    if head:
-        lo, hi = head.end(), len(s)
-        # trailing whitespace, found from the end; the head ends in "["
-        while s[hi - 1] in " \t\n\r":
-            hi -= 1
-        digits = s[lo:hi - 2:2].encode()
-        if (s.endswith("]}", lo, hi) and (hi - lo) % 2 and digits.isdigit()
-                and s.count(",", lo, hi) == len(digits) - 1):
-            return QTable(int(head[1]), int(head[2]),
-                          digits.translate(_FROM_DIGITS))
-    import json
-
-    try:
-        return from_json_obj(json.loads(s))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise StructuralError("bad table JSON: %s" % e)
-
-
-def to_text(t):
-    """k lines of k space-separated integers; binary tables only."""
-    if t.arity != 2:
-        raise StructuralError("text format covers binary tables only")
-    return "\n".join(" ".join(map(str, row)) for row in t.rows()) + "\n"
-
-
-def from_text(s):
-    lines = [ln for ln in s.splitlines() if ln.strip()]
-    k = len(lines)
-    if not k:
-        raise StructuralError("empty text table")
-    rows = []
-    for ln in lines:
-        try:
-            row = list(map(int, ln.split()))
-        except ValueError:
-            raise StructuralError("non-integer entry in text table")
-        if len(row) != k:
-            raise StructuralError(
-                "text table is not square: %d lines, row of %d" % (k, len(row)))
-        rows.append(row)
-    return from_rows(rows)

@@ -1,8 +1,9 @@
 """The switching families behind the growth bounds: switching sets
 (Component) and the disjoint families of them that `nqg census` certifies
 at order 5 (build_family5) and at odd orders prime to 3 (build_family_k,
-on build_ptq's base), which `nqg construct` also builds.  Only
-build_family_k imports switching's search.
+on build_ptq's base), which `nqg construct` also builds.  None of them
+loads switching's search: build_family_k reads its binary base's parts
+off the a/b cycles of a Latin square (_cycles).
 """
 
 import itertools
@@ -191,27 +192,52 @@ def build_ptq(k):
     return table
 
 
+def _cycles(g, a, b):
+    """switching.find_components(g, a, b) of the Latin square g, as sorted
+    flat indices, without its search.  Every row and column holds one a
+    and one b, so the a/b cells form disjoint cycles alternating rows and
+    columns, each one part.  From the lowest unvisited row the walk takes
+    the row's two cells, then the row whose a sits in the column of this
+    row's b, until the cycle closes; a part's smallest cell is in the row
+    its walk starts from, so the parts come out in order of it."""
+    k, raw = g.order, g.values.obj
+    col_a = [raw.index(a, r * k, r * k + k) - r * k for r in range(k)]
+    col_b = [raw.index(b, r * k, r * k + k) - r * k for r in range(k)]
+    row_a = [0] * k
+    for r, c in enumerate(col_a):
+        row_a[c] = r
+    seen = bytearray(k)
+    parts = []
+    for start in range(k):
+        part, r = [], start
+        while not seen[r]:
+            seen[r] = 1
+            part += (r * k + col_a[r], r * k + col_b[r])
+            r = row_a[col_b[r]]
+        if part:
+            parts.append(sorted(part))
+    return parts
+
+
 def build_family_k(n, k):
     """Disjoint switching sets on an order-k table, k >= 7 odd, 3 not | k.
 
     The binary base g is the axis-1 inverse of build_ptq(k); it has
-    floor(k/2) components for each value pair {2j,2j+1} (the square ones are
-    known in closed form, the leftover one is discovered).  Each component
-    lifts through every extra argument by prefixing a two-element row set,
-    for floor(k/2)*floor(k/3)^(n-1) pairwise disjoint sets in total.
+    floor(k/2) components for each value pair {2j,2j+1} (_cycles finds
+    them; the square ones, known in closed form, are checked).  Each
+    component lifts through every extra argument by prefixing a
+    two-element row set, for floor(k/2)*floor(k/3)^(n-1) pairwise
+    disjoint sets in total.
     """
     if n < 2:
         raise ConstructionError("need arity >= 2")
     check_cell_budget(n, k, ConstructionError)
-    from .switching import find_components
-
     g = inverse_along(build_ptq(k), 1)
     npairs = k // 3
 
     level = []  # (pair index j, sorted flat indices in a k^2 table)
     for j in range(npairs):
-        found = [comp.indices.tolist()
-                 for comp in find_components(g, 2 * j, 2 * j + 1)]
+        found = _cycles(g, 2 * j, 2 * j + 1)
         if len(found) != k // 2:
             raise ConstructionError(
                 "expected %d components for pair {%d,%d}, found %d"

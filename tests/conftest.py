@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nquasigroups import (analysis, census, constructions, core, families,
-                          switching)
+                          latin, switching)
 
 CRITERIA = {
     1: "embedded fixtures validate and match published spot values",
@@ -26,8 +26,8 @@ CRITERIA = {
 
 
 # the table operators whose every output the tests validate, by home module
-OPERATORS = {core: ("superpose", "retract", "inverse_along"),
-             census: ("omega_product", "direct_product")}
+OPERATORS = {core: ("superpose", "inverse_along"), analysis: ("retract",),
+             latin: ("omega_product", "direct_product")}
 
 
 def _validated(op):
@@ -48,20 +48,23 @@ CHECKED = {name: _validated(getattr(home, name))
            for home, names in OPERATORS.items() for name in names}
 
 
-# the operator core only forwards to census (core._forward)
-FORWARDED = ("omega_product",)
+# the operators that core only forwards (core._forward), by home module
+FORWARDED = {latin: ("omega_product",)}
 
 
 @pytest.fixture(autouse=True)
 def _validate_operators(monkeypatch):
     # the last test's undo must not have written a forwarded name into
     # core, where it would shadow the forward for every later test
-    assert not set(FORWARDED) & vars(core).keys()
+    for home, names in FORWARDED.items():
+        for name in names:
+            assert name not in vars(core)
+            assert core.__getattr__(name) is getattr(home, name)
     # every module that calls an operator by name reaches the checked one,
     # so every table an operator derives during a test is revalidated.
     # Only a module's own names are patched: core's forward of
-    # omega_product reaches census's patched one.
-    for module in (core, constructions, analysis, census, families,
+    # omega_product reaches latin's patched one.
+    for module in (core, constructions, analysis, census, latin, families,
                    switching):
         for name, checked in CHECKED.items():
             if name in vars(module):

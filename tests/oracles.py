@@ -11,7 +11,7 @@ import argparse
 import itertools
 import sys
 
-from nquasigroups import census, cli, commands, core
+from nquasigroups import cli, commands, core, families, latin, switching
 from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
 from nquasigroups.families import Component
@@ -63,7 +63,7 @@ def reference_direct_product(g, q):
 
 
 def reference_omega_product(g, om):
-    if not isinstance(om, census.OmegaMap):
+    if not isinstance(om, latin.OmegaMap):
         raise core.StructuralError("second argument must be an OmegaMap")
     if om.outer_order != g.order or om.arity != g.arity:
         raise core.StructuralError("omega map does not match the outer table")
@@ -389,3 +389,39 @@ def union_find_components(q, a, b):
         part += (x + l).to_bytes(4, sys.byteorder)
     return [Component(memoryview(part).cast("I"), n, k, (a, b))
             for part in parts.values()]
+
+
+def reference_build_family_k(n, k):
+    """families.build_family_k as it was before the row-cycle walk
+    (families._cycles): the binary parts of each pair from
+    switching.find_components, then the same lift through every extra
+    argument."""
+    if n < 2:
+        raise ConstructionError("need arity >= 2")
+    core.check_cell_budget(n, k, ConstructionError)
+    g = core.inverse_along(families.build_ptq(k), 1)
+    npairs = k // 3
+    level = []
+    for j in range(npairs):
+        found = [comp.indices.tolist()
+                 for comp in switching.find_components(g, 2 * j, 2 * j + 1)]
+        if len(found) != k // 2:
+            raise ConstructionError(
+                "expected %d components for pair {%d,%d}, found %d"
+                % (k // 2, 2 * j, 2 * j + 1, len(found)))
+        for i in range(k // 2 - 1):
+            rows = ((2 * i + 3 * j) % k, (2 * i + 3 * j + 1) % k)
+            if sorted(k * x + y for x in rows
+                      for y in (2 * i, 2 * i + 1)) not in found:
+                raise ConstructionError(
+                    "analytic square block is not a component at k=%d" % k)
+        level.extend((j, idxs) for idxs in found)
+    for m in range(2, n):
+        level = [(j1, [p * k ** m + i
+                       for p in sorted(((2 * j2 + 3 * j1) % k,
+                                        (2 * j2 + 3 * j1 + 1) % k))
+                       for i in idxs])
+                 for j1 in range(npairs) for j2, idxs in level]
+    comps = tuple(Component(idxs, n, k, (2 * j, 2 * j + 1))
+                  for j, idxs in level)
+    return families.CountingFamily(core.iterate(g, n - 1), comps, len(comps))

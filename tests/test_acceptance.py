@@ -25,7 +25,7 @@ def test_criterion_1_fixture_integrity():
     for fid in C.FixtureId:
         t = C.fixture(fid)
         assert core.is_valid(t)
-        assert core.is_valid(core.restrict_to_symbols(t, (0, 1)))
+        assert core.is_valid(analysis.restrict_to_symbols(t, (0, 1)))
     comps = switching.find_components(C.fixture("Q52"), 0, 1)
     got = [comp.coords() for comp in comps]
     assert got == [D0, D1]
@@ -37,14 +37,14 @@ def test_criterion_2_formula_builders():
     for k in range(5, 26, 2):
         t = C.build_qkr(k, 2)
         assert core.is_valid(t)
-        assert core.is_valid(core.restrict_to_symbols(t, (0, 1)))
+        assert core.is_valid(analysis.restrict_to_symbols(t, (0, 1)))
     for k in range(4, 26):
         for r in range(2, k // 2 + 1):
             if (k - r) % 2 == 0:
                 continue
             t = C.build_qkr(k, r)
             assert core.is_valid(t)
-            sub = core.restrict_to_symbols(t, tuple(range(r)))
+            sub = analysis.restrict_to_symbols(t, tuple(range(r)))
             assert core.is_valid(sub)
     assert time.perf_counter() - t0 < 1.0
 
@@ -56,7 +56,7 @@ def test_criterion_3_closed_embeddings():
             for r in range(2, k // 2 + 1):
                 t = C.build_closed(n, k, r)
                 assert core.is_valid(t)
-                sub = core.restrict_to_symbols(t, tuple(range(r)))
+                sub = analysis.restrict_to_symbols(t, tuple(range(r)))
                 assert sub.order == r and core.is_valid(sub)
     assert time.perf_counter() - t0 < 30.0
 

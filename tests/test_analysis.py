@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nquasigroups import analysis as A
-from nquasigroups import census
 from nquasigroups import cli, commands
 from nquasigroups import constructions as C
 from nquasigroups import core
 from nquasigroups import reducibility as R
-from nquasigroups import families, switching
+from nquasigroups import families, latin, switching, tableio
 
 import oracles
 import randgen
@@ -104,7 +103,7 @@ class TestFindReductions:
             A.find_reductions(C.fixture("Q42"))
 
     def test_product_with_group_stays_irreducible(self):
-        t = census.direct_product(C.build_irreducible(3, 4), z_add(2, 3))
+        t = latin.direct_product(C.build_irreducible(3, 4), z_add(2, 3))
         assert A.find_reductions(t) == []
 
     def test_split_cap(self, monkeypatch):
@@ -192,7 +191,7 @@ class TestFindSubquasigroups:
     def test_restrictions_validate(self):
         q = C.build_closed(2, 8, 4)
         for om in A.find_subquasigroups(q):
-            assert core.is_valid(core.restrict_to_symbols(q, om))
+            assert core.is_valid(A.restrict_to_symbols(q, om))
 
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 10 ** 6),
            st.booleans())
@@ -1862,7 +1861,7 @@ class TestIndexedComponents:
     def test_cli_output_matches_cell_oracle(self, t, tmp_path, capsys):
         path = str(tmp_path / "t.json")
         with open(path, "w") as fh:
-            fh.write(core.to_json(t))
+            fh.write(tableio.to_json(t))
         for a, b in itertools.permutations(range(t.order), 2):
             comps = switching.find_components(t, a, b)
             old = cell_find_components(t, a, b)
@@ -1875,7 +1874,7 @@ class TestIndexedComponents:
                 assert switching.switch_component(t, comp) == switched
                 assert cli.run(argv + ["--switch", str(i)]) == 0
                 out = capsys.readouterr().out
-                assert json.loads(out) == core.to_json_obj(switched)
+                assert json.loads(out) == tableio.to_json_obj(switched)
                 if i == 0:
                     assert cli.run(argv + ["--switch", str(i), "--pretty"]) == 0
                     assert capsys.readouterr().out == commands._pretty(switched)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nquasigroups.census as census
-from nquasigroups import analysis, core, families, switching
+from nquasigroups import analysis, core, families, latin, switching
 from nquasigroups import constructions as C
 
 import randgen
@@ -130,12 +130,12 @@ def snapshot_certificate(fam):
 def reference_omega_certificate(n, k, seed):
     """Reference block-product certifier: builds every assignment (past
     the cap, the seeded sample) with omega_product and validates each
-    table in full, as census._certify_omega did before it certified the
+    table in full, as latin._certify_omega did before it certified the
     family by construction.  It reads the skeleton, the choices and the
-    product through census, so a test's monkeypatch reaches both."""
+    product through latin, so a test's monkeypatch reaches both."""
     r, s_in = (k // 2, 2) if k % 2 == 0 else (k // 3, 3)
-    g = census.from_function(n, r, lambda *x: sum(x) % r)
-    choices = list(census.enumerate_tables(n, s_in))
+    g = latin.from_function(n, r, lambda *x: sum(x) % r)
+    choices = list(latin.enumerate_tables(n, s_in))
     nchoices = len(choices)
     nblocks = r ** n
     if nchoices & (nchoices - 1) == 0:
@@ -158,9 +158,9 @@ def reference_omega_certificate(n, k, seed):
     seen = set()
     made = 0
     for assign in assignments:
-        om = census.OmegaMap(r, s_in, n,
-                             {y: choices[c] for y, c in zip(blocks, assign)})
-        t = census.omega_product(g, om)
+        om = latin.OmegaMap(r, s_in, n,
+                            {y: choices[c] for y, c in zip(blocks, assign)})
+        t = latin.omega_product(g, om)
         if not core.validate(t).ok:
             raise census.CertificationError("block product failed validation")
         if t.values in seen:
@@ -306,7 +306,7 @@ class TestEnumerateCount:
     def test_visit_order_matches_reference(self, visit):
         for n in range(1, 6):
             for k in range(1, 5):
-                assert census._offsets(n, k, census._visit_axes(n, visit)) \
+                assert census._offsets(n, k, latin._visit_axes(n, visit)) \
                     == reference_visit_order(n, k, visit)
 
     def test_unknown_visit_refused(self):
@@ -428,8 +428,8 @@ class TestEnumerateCount:
         ident = bytes(range(5))
         want = [t for t in raw_tables(2, 5)
                 if bytes(t.values[:5]) == bytes(t.values[::5]) == ident]
-        got = list(census._tables(2, 5, *census._reduced(2, 5, "index"),
-                                  None))
+        got = list(latin._tables(2, 5, *latin._reduced(2, 5, "index"),
+                                 None))
         assert len(want) == 56 and got == want
 
     def test_emitted_tables_all_valid(self):
@@ -440,6 +440,80 @@ class TestEnumerateCount:
             assert core.is_valid(t)
             vals.add(t.values)
         assert len(vals) == 12
+
+
+# Values a caller may pass by mistake: bools, floats (nan and the
+# infinities too), None, and ints past any budget or float
+ODD = st.one_of(st.booleans(), st.floats(), st.none(),
+                st.integers(2 ** 64, 2 ** 2048),
+                st.integers(-2 ** 2048, -2 ** 64))
+
+
+class TestEntryPointArguments:
+    """Every census entry point that takes a budget returns, or refuses
+    with ValueError or BudgetError, whatever it is given."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: census.enumerate_count(True, 4),
+        lambda: census.enumerate_count(2, True),
+        lambda: census.enumerate_count(2, 3.0),
+        lambda: census.enumerate_count(2, 3, budget=1e6 + 0.5),
+        lambda: census.enumerate_count(2, 3, budget=True),
+        lambda: next(census.enumerate_tables(2.0, 3)),
+        lambda: census.verify_family(3, 5, budget=None),
+        lambda: census.run_census(3, 4.0)], ids=[
+            "count-bool-arity", "count-bool-order", "count-float-order",
+            "count-float-budget", "count-bool-budget", "tables-float-arity",
+            "family-none-budget", "census-float-order"])
+    def test_non_int_or_bool_shape_or_budget_refused(self, call):
+        # enumerate_count(True, 4) once counted arity 1 (24), and a float
+        # order or budget raised TypeError or AttributeError
+        with pytest.raises(ValueError, match=r"^(arity|order|budget) must "
+                                             r"be an integer, not "):
+            call()
+
+    @pytest.mark.parametrize("limit", [True, False, 10 ** 400, "1", [1]])
+    def test_bool_or_unformable_time_limit_refused(self, limit):
+        # True once ran as one second, and 10^400 raised OverflowError
+        # when the search formed its deadline
+        for call in (lambda: census.enumerate_count(2, 3, time_limit=limit),
+                     lambda: census.run_census(2, 3, time_limit=limit)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == ("time limit must be a finite number "
+                                      "of seconds > 0, not %r" % (limit,))
+
+    def test_huge_arity_of_order_one_refused(self):
+        # one cell, but the pins once took a step per axis: 10^30 of them
+        for call in (lambda: census.enumerate_count(10 ** 30, 1),
+                     lambda: next(census.enumerate_tables(10 ** 30, 1)),
+                     lambda: census.verify_family(10 ** 30, 1)):
+            with pytest.raises(census.BudgetError, match="arity 10{30} is "
+                               "over the 2000000-cell budget"):
+                call()
+        assert census.enumerate_count(5, 1) == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_only_value_or_budget_errors(self, data):
+        # small valid shapes keep every search that does run short
+        n = data.draw(st.one_of(ODD, st.integers(-1, 3)), "n")
+        k = data.draw(st.one_of(ODD, st.integers(-1, 4)), "k")
+        budget = data.draw(st.one_of(ODD, st.integers(-1, 10 ** 6)), "budget")
+        limit = data.draw(st.one_of(ODD, st.just(60.0)), "time_limit")
+        visit = data.draw(st.one_of(ODD, st.just("index")), "visit")
+        exact = data.draw(st.one_of(ODD, st.just("auto")), "exact")
+        seed = data.draw(st.one_of(ODD, st.integers()), "seed")
+        for call in (
+                lambda: census.enumerate_count(n, k, budget, limit, visit),
+                lambda: next(census.enumerate_tables(n, k, budget, limit,
+                                                     visit), None),
+                lambda: census.verify_family(n, k, seed, budget),
+                lambda: census.run_census(n, k, budget, exact, limit, seed)):
+            try:
+                call()
+            except (ValueError, census.BudgetError):
+                pass
 
 
 class TestBoundExponents:
@@ -742,7 +816,7 @@ class TestCertifyComponents:
 class TestCertifyOmega:
     @pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 6)])
     def test_materialized_matches_reference(self, n, k):
-        cert = census._certify_omega(n, k, 0)
+        cert = latin._certify_omega(n, k, 0)
         assert cert == reference_omega_certificate(n, k, 0)
         assert cert[1]["materialized"] == 2 ** cert[1]["blocks"]
         assert cert[1]["sampled"] is False
@@ -750,7 +824,7 @@ class TestCertifyOmega:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n,k", [(3, 6), (4, 4), (2, 8), (2, 9)])
     def test_sampled_matches_reference(self, n, k, seed):
-        cert = census._certify_omega(n, k, seed)
+        cert = latin._certify_omega(n, k, seed)
         assert cert == reference_omega_certificate(n, k, seed)
         assert cert[1]["sampled"] is True
 
@@ -761,7 +835,7 @@ class TestCertifyOmega:
         g = core.from_function(n, r, lambda *x: sum(x) % r)
         choices = list(census.enumerate_tables(n, 2))
         blocks = list(itertools.product(range(r), repeat=n))
-        want = {census.omega_product(g, census.OmegaMap(
+        want = {latin.omega_product(g, latin.OmegaMap(
                     r, 2, n, {y: choices[c] for y, c in zip(blocks, assign)}
                 )).values
                 for assign in itertools.product(range(2), repeat=len(blocks))}
@@ -773,7 +847,7 @@ class TestCertifyOmega:
                 walked.append(table)
                 yield table
         monkeypatch.setattr(census, "_gray_tables", recorded)
-        _, cert = census._certify_omega(n, 2 * r, 0)
+        _, cert = latin._certify_omega(n, 2 * r, 0)
         size = (2 * r) ** n
         assert {t.to_bytes(size, "little") for t in walked} == want
         assert cert["materialized"] == len(walked) == len(want)
@@ -797,25 +871,25 @@ class TestCertifyOmega:
     @pytest.mark.parametrize("n,k", [(3, 4), (2, 6), (4, 4)])
     def test_non_latin_skeleton_refused(self, monkeypatch, n, k):
         # the bare products, so that their non-Latin tables reach the
-        # checks: census walks from direct_product, the reference builds
+        # checks: latin walks from direct_product, the reference builds
         # with omega_product
         for name in ("direct_product", "omega_product"):
-            monkeypatch.setattr(census, name,
-                                getattr(census, name).__wrapped__)
-        monkeypatch.setattr(census, "from_function",
+            monkeypatch.setattr(latin, name,
+                                getattr(latin, name).__wrapped__)
+        monkeypatch.setattr(latin, "from_function",
                             lambda n, r, fn: core.QTable(n, r, bytes(r ** n)))
         with pytest.raises(census.CertificationError):
-            census._certify_omega(n, k, 0)
+            latin._certify_omega(n, k, 0)
         with pytest.raises(census.CertificationError):
             reference_omega_certificate(n, k, 0)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (2, 6), (4, 4)])
     def test_duplicate_choice_refused(self, monkeypatch, n, k):
         tables = census.enumerate_tables
-        monkeypatch.setattr(census, "enumerate_tables",
+        monkeypatch.setattr(latin, "enumerate_tables",
                             lambda n, s: [next(tables(n, s))] * 2)
         with pytest.raises(census.CertificationError):
-            census._certify_omega(n, k, 0)
+            latin._certify_omega(n, k, 0)
         with pytest.raises(census.CertificationError):
             reference_omega_certificate(n, k, 0)
 
@@ -823,17 +897,17 @@ class TestCertifyOmega:
     def test_block_cell_off_its_pair_refused(self, monkeypatch, n, k):
         # a Latin product with symbols 1 and 2 traded everywhere: block 0
         # carries pair (0, 1), and its first cell that held 1 holds 2
-        product = census.direct_product
+        product = latin.direct_product
 
         def traded(g, q):
             t = product(g, q)
             return core.QTable(t.arity, t.order, bytes(
                 (0, 2, 1, *range(3, t.order))[v] for v in t.values))
-        monkeypatch.setattr(census, "direct_product", traded)
+        monkeypatch.setattr(latin, "direct_product", traded)
         with pytest.raises(census.CertificationError,
                            match=r"component 0 does not switch: cell .* "
                                  r"holds 2, not in \{0,1\}"):
-            census._certify_omega(n, k, 0)
+            latin._certify_omega(n, k, 0)
 
 
 class TestRunCensus:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, census, cli, commands, core
+from nquasigroups import analysis, census, cli, commands, core, tableio
 from nquasigroups import constructions as C
 
 from capped import run_capped
@@ -59,7 +59,7 @@ def feed_stdin(monkeypatch, text):
 class TestValidate:
     def test_ok_json(self, capsys, tmp_path):
         p = tmp_path / "t.json"
-        p.write_text(core.to_json(C.fixture("Q62")))
+        p.write_text(tableio.to_json(C.fixture("Q62")))
         code, out, err = run_cli(capsys, "validate", str(p))
         assert code == 0
         assert json.loads(out) == {"ok": True}
@@ -108,12 +108,12 @@ class TestStrictTableJson:
 
 class TestEval:
     def test_fixture_cell(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q72")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q72")))
         code, out, _ = run_cli(capsys, "eval", "-", "2", "4")
         assert code == 0 and json.loads(out) == {"value": 6}
 
     def test_bad_coordinate(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q42")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q42")))
         code, _, err = run_cli(capsys, "eval", "-", "9", "0")
         assert code == 1 and err
 
@@ -124,7 +124,7 @@ class TestConstruct:
         assert code == 0
         assert out == (GOLDEN / "q72.json").read_text()
         obj = json.loads(out)
-        assert core.is_valid(core.from_json_obj(obj))
+        assert core.is_valid(tableio.from_json_obj(obj))
 
     def test_fixture_pretty_golden_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--fixture", "Q72",
@@ -141,14 +141,14 @@ class TestConstruct:
 
     def test_closed_emits_reparsable_table(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--closed", "3", "6", "2")
-        t = core.from_json(out)
+        t = tableio.from_json(out)
         assert code == 0 and t.arity == 3 and core.is_valid(t)
 
     def test_counterexample_object(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--counterexample")
         obj = json.loads(out)
         assert set(obj) == {"q", "f", "loop"}
-        assert core.is_valid(core.from_json_obj(obj["loop"]))
+        assert core.is_valid(tableio.from_json_obj(obj["loop"]))
 
     def test_counterexample_golden_sha256(self, capsys):
         # the loop, q and f of `nqg construct --counterexample`, byte for byte
@@ -162,7 +162,7 @@ class TestConstruct:
         obj = json.loads(out)
         assert obj["claimed_log2"] == 3
         assert sorted(len(c["cells"]) for c in obj["components"]) == [8, 12, 30]
-        assert core.is_valid(core.from_json_obj(obj["base"]))
+        assert core.is_valid(tableio.from_json_obj(obj["base"]))
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--qkr", "6", "2")
@@ -200,34 +200,34 @@ class TestConstruct:
 
 class TestAnalyze:
     def test_reductions_empty_list(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.build_irreducible(3, 4)))
+        feed_stdin(monkeypatch, tableio.to_json(C.build_irreducible(3, 4)))
         code, out, _ = run_cli(capsys, "analyze", "-", "--reductions")
         assert code == 0 and out.strip() == "[]"
 
     def test_reductions_of_group_sum(self, capsys, monkeypatch):
         t = core.from_function(3, 5, lambda *x: sum(x) % 5)
-        feed_stdin(monkeypatch, core.to_json(t))
+        feed_stdin(monkeypatch, tableio.to_json(t))
         code, out, _ = run_cli(capsys, "analyze", "-", "--reductions")
         assert code == 0
         assert json.loads(out) == [[1, 2], [1, 3], [2, 3]]
 
     def test_split_witness(self, capsys, monkeypatch):
         t = core.from_function(3, 4, lambda *x: sum(x) % 4)
-        feed_stdin(monkeypatch, core.to_json(t))
+        feed_stdin(monkeypatch, tableio.to_json(t))
         code, out, _ = run_cli(capsys, "analyze", "-", "--split", "1,2")
         obj = json.loads(out)
         assert code == 0 and obj["reducible"] is True
         assert obj["witness"] is not None
 
     def test_subquasigroups(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.build_closed(3, 6, 3)))
+        feed_stdin(monkeypatch, tableio.to_json(C.build_closed(3, 6, 3)))
         code, out, _ = run_cli(capsys, "analyze", "-", "--subquasigroups")
         assert code == 0 and [0, 1, 2] in json.loads(out)
 
     def test_subquasigroups_over_the_cap_exit_1(self, capsys, monkeypatch):
         # xor on 16 symbols has 66 proper closed sets, its subgroups
         monkeypatch.setattr(analysis, "SUBQUASIGROUP_CAP", 65)
-        feed_stdin(monkeypatch, core.to_json(core.from_function(
+        feed_stdin(monkeypatch, tableio.to_json(core.from_function(
             2, 16, operator.xor)))
         code, out, err = run_cli(capsys, "analyze", "-", "--subquasigroups")
         assert (code, out) == (1, "")
@@ -235,7 +235,7 @@ class TestAnalyze:
                        "sets (SUBQUASIGROUP_CAP)\n")
 
     def test_shell_requires_basepoint(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q42")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q42")))
         code, _, err = run_cli(capsys, "analyze", "-", "--shell")
         assert code == 2 and "basepoint" in err
 
@@ -245,7 +245,7 @@ class TestAnalyze:
         # case the guard ever goes
         t = core.from_function(3, 5, lambda *x: sum(x) % 5)
         path = tmp_path / "t.json"
-        path.write_text(core.to_json(t))
+        path.write_text(tableio.to_json(t))
         done = run_capped(CAPPED_CLI, "analyze", str(path), "--shell",
                           "--basepoint", ",".join(["0"] * 20))
         assert done.stdout == "1 \n", done.stderr
@@ -254,7 +254,7 @@ class TestAnalyze:
     def test_closed6_k5_shell_golden_sha256(self, capsys, monkeypatch):
         # the shell of build_closed(6, 5, 2) at an off-centre basepoint,
         # byte for byte: 11,529 entries, 184,524 bytes
-        feed_stdin(monkeypatch, core.to_json(C.build_closed(6, 5, 2)))
+        feed_stdin(monkeypatch, tableio.to_json(C.build_closed(6, 5, 2)))
         code, out, _ = run_cli(capsys, "analyze", "-", "--shell",
                                "--basepoint", "3,0,4,1,2,1")
         golden = (GOLDEN / "closed6_k5_shell_304121.sha256").read_text()
@@ -264,7 +264,7 @@ class TestAnalyze:
 
 class TestComponents:
     def test_listing(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q52")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q52")))
         code, out, _ = run_cli(capsys, "components", "-", "--pair", "0,1")
         obj = json.loads(out)
         assert code == 0
@@ -273,19 +273,19 @@ class TestComponents:
 
     def test_switch_roundtrip(self, capsys, monkeypatch):
         q = C.fixture("Q52")
-        feed_stdin(monkeypatch, core.to_json(q))
+        feed_stdin(monkeypatch, tableio.to_json(q))
         code, out, _ = run_cli(capsys, "components", "-", "--pair", "0,1",
                                "--switch", "0")
         assert code == 0
-        t = core.from_json(out)
+        t = tableio.from_json(out)
         assert core.is_valid(t) and t.values != q.values
         feed_stdin(monkeypatch, out)
         code, out, _ = run_cli(capsys, "components", "-", "--pair", "0,1",
                                "--switch", "0")
-        assert code == 0 and core.from_json(out).values == q.values
+        assert code == 0 and tableio.from_json(out).values == q.values
 
     def test_switch_index_out_of_range(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q52")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q52")))
         code, _, err = run_cli(capsys, "components", "-", "--pair", "0,1",
                                "--switch", "7")
         assert code == 2 and "out of range" in err
@@ -293,7 +293,7 @@ class TestComponents:
     @pytest.mark.parametrize("index", ["8", "-1"])
     def test_switch_range_names_the_part_count(self, capsys, monkeypatch,
                                                index):
-        feed_stdin(monkeypatch, core.to_json(C.build_closed(8, 5, 2)))
+        feed_stdin(monkeypatch, tableio.to_json(C.build_closed(8, 5, 2)))
         code, out, err = run_cli(capsys, "components", "-", "--pair", "0,1",
                                  "--switch", index)
         assert (code, out) == (2, "")
@@ -306,14 +306,14 @@ class TestComponents:
                                  "--switch", "99")
         assert (code, out) == (1, "")
         assert err == "error: table is not Latin; components are undefined\n"
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q52")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q52")))
         code, out, err = run_cli(capsys, "components", "-", "--pair", "1,1",
                                  "--switch", "0")
         assert (code, out) == (1, "")
         assert err.startswith("error: component pair (1, 1)")
 
     def test_pair_must_differ(self, capsys, monkeypatch):
-        feed_stdin(monkeypatch, core.to_json(C.fixture("Q52")))
+        feed_stdin(monkeypatch, tableio.to_json(C.fixture("Q52")))
         code, _, err = run_cli(capsys, "components", "-", "--pair", "1,1")
         assert code == 1 and err
 
@@ -327,7 +327,7 @@ class TestComponents:
     def test_closed8_k5_listing_golden_sha256(self, capsys, monkeypatch):
         # the whole 2.8 MB listing of build_closed(8, 5, 2), pinned byte for
         # byte by the digest of `nqg components --pair 0,1`
-        feed_stdin(monkeypatch, core.to_json(C.build_closed(8, 5, 2)))
+        feed_stdin(monkeypatch, tableio.to_json(C.build_closed(8, 5, 2)))
         code, out, _ = run_cli(capsys, "components", "-", "--pair", "0,1")
         golden = (GOLDEN / "closed8_k5_components_01.sha256").read_text()
         assert code == 0
@@ -337,7 +337,7 @@ class TestComponents:
 class TestReconstructCli:
     def test_shell_roundtrip_n4(self, capsys, monkeypatch, tmp_path):
         t = C.build_closed(4, 4, 2)
-        feed_stdin(monkeypatch, core.to_json(t))
+        feed_stdin(monkeypatch, tableio.to_json(t))
         code, shell_out, _ = run_cli(capsys, "analyze", "-", "--shell",
                                      "--basepoint", "0,0,0,0")
         assert code == 0
@@ -345,27 +345,27 @@ class TestReconstructCli:
         p.write_text(shell_out)
         code, out, _ = run_cli(capsys, "reconstruct", str(p))
         assert code == 0
-        assert core.from_json(out).values == t.values
+        assert tableio.from_json(out).values == t.values
 
     def test_candidate_list_n3(self, capsys, monkeypatch):
         q, f, loop = C.build_shell_counterexample()
-        feed_stdin(monkeypatch, core.to_json(q))
+        feed_stdin(monkeypatch, tableio.to_json(q))
         code, shell_out, _ = run_cli(capsys, "analyze", "-", "--shell",
                                      "--basepoint", "0,0,0")
         feed_stdin(monkeypatch, shell_out)
         code, out, _ = run_cli(capsys, "reconstruct", "-")
         assert code == 0
-        cands = [core.from_json_obj(o).values for o in json.loads(out)]
+        cands = [tableio.from_json_obj(o).values for o in json.loads(out)]
         assert q.values in cands and f.values in cands
 
     def test_split_flag(self, capsys, monkeypatch, tmp_path):
         t = C.build_closed(4, 4, 2)
-        feed_stdin(monkeypatch, core.to_json(t))
+        feed_stdin(monkeypatch, tableio.to_json(t))
         _, shell_out, _ = run_cli(capsys, "analyze", "-", "--shell",
                                   "--basepoint", "0,0,0,0")
         feed_stdin(monkeypatch, shell_out)
         code, out, _ = run_cli(capsys, "reconstruct", "-", "--split", "3,4")
-        assert code == 0 and core.from_json(out).values == t.values
+        assert code == 0 and tableio.from_json(out).values == t.values
 
     def test_split_checked_before_an_arity_1_shell(self, capsys, monkeypatch):
         # the split error is reported, not the shell's missing retracts
@@ -377,7 +377,7 @@ class TestReconstructCli:
 
     def test_irreducible_shell_exit_1(self, capsys, monkeypatch):
         t = C.build_irreducible(4, 4)
-        feed_stdin(monkeypatch, core.to_json(t))
+        feed_stdin(monkeypatch, tableio.to_json(t))
         _, shell_out, _ = run_cli(capsys, "analyze", "-", "--shell",
                                   "--basepoint", "0,0,0,0")
         feed_stdin(monkeypatch, shell_out)
@@ -576,8 +576,9 @@ def _fuzz_inputs():
     both formats and a shell."""
     closed = C.build_closed(3, 4, 2)
     shell = analysis.extract_shell(closed, (0, 1, 0))
-    return [core.to_json(closed).encode(), core.to_json(C.fixture("Q52")).encode(),
-            core.to_text(C.fixture("Q42")).encode(), b"0 1\n0 1\n",
+    return [tableio.to_json(closed).encode(),
+            tableio.to_json(C.fixture("Q52")).encode(),
+            tableio.to_text(C.fixture("Q42")).encode(), b"0 1\n0 1\n",
             json.dumps(analysis.shell_to_json_obj(shell)).encode()]
 
 
@@ -620,7 +621,7 @@ class TestCliFuzz:
         # above does not draw: each refused at once, in one capped child
         t = C.build_closed(3, 4, 2)
         table, shell = tmp_path / "t.json", tmp_path / "s.json"
-        table.write_text(core.to_json(t))
+        table.write_text(tableio.to_json(t))
         shell.write_text(json.dumps(analysis.shell_to_json_obj(
             analysis.extract_shell(t, (0, 1, 0)))))
         code = (
@@ -714,7 +715,7 @@ def test_cyclic_order_22_subquasigroups_at_once(tmp_path):
     # trying all 2^22 - 2 symbol subsets took 50 s; the closed-set search
     # visits three
     table = tmp_path / "z22.json"
-    table.write_text(core.to_json(core.from_function(
+    table.write_text(tableio.to_json(core.from_function(
         2, 22, lambda x, y: (x + y) % 22)))
     t0 = time.perf_counter()
     done = subprocess.run(
@@ -730,7 +731,7 @@ def test_z2_arity_16_reductions_refused_at_once(tmp_path):
     # testing all 2^16 - 18 splits of the Z_2 iterate took 60 s; the split
     # cap refuses it before the first
     table = tmp_path / "z2n16.json"
-    table.write_text(core.to_json(core.iterate(
+    table.write_text(tableio.to_json(core.iterate(
         core.from_function(2, 2, operator.xor), 15)))
     done = subprocess.run(
         [sys.executable, "-m", "nquasigroups.cli", "analyze", str(table),
@@ -745,7 +746,7 @@ def test_table_commands_load_neither_numpy_nor_array(tmp_path):
     # the kernels run on builtins: a child loading either would pay its
     # start-up time and resident memory
     table = tmp_path / "t.json"
-    table.write_text(core.to_json(C.build_closed(4, 5, 2)))
+    table.write_text(tableio.to_json(C.build_closed(4, 5, 2)))
     script = (
         "import contextlib, io, sys\n"
         "from nquasigroups import cli\n"
@@ -776,38 +777,46 @@ LOADS_SCRIPT = (
     "                    ('dataclasses', 'argparse', 'gettext', 'json')))\n")
 
 
-@pytest.mark.parametrize("argv,loaded", [
+# Each command line and the package modules it loads, besides commands
+# for every command but census; the command line is the row's id.
+LOADS = [
     (["--help"], "cli"),
-    (["validate", "TABLE"], "cli core"),
-    (["census", "--n", "3", "--k", "4"], "census cli core"),
-    (["census", "--n", "2", "--k", "5"], "census cli core families"),
+    (["validate", "TABLE"], "cli core tableio"),
+    (["census", "--n", "3", "--k", "4"], "census cli core latin"),
+    (["census", "--n", "2", "--k", "5"], "census cli core families latin"),
     (["components", "TABLE", "--pair", "0,1"],
-     "cli core families switching"),
+     "cli core families switching tableio"),
     (["analyze", "TABLE3", "--reductions"],
-     "analysis cli core reducibility"),
-    (["census", "--n", "3", "--k", "7"],
-     "census cli core families switching"),
-    (["construct", "--closed", "3", "5", "2"], "cli constructions core"),
-    (["reconstruct", "SHELL3"], "analysis cli core reducibility"),
-    (["analyze", "TABLE", "--shell", "--basepoint", "0,1"], "analysis cli core"),
-    (["reconstruct", "SHELL4"], "analysis cli core reducibility"),
-    (["construct", "--fixture", "Q42"], "cli constructions core"),
-    (["construct", "--ptq", "7"], "cli core families"),
-    (["construct", "--family5", "3"], "cli core families"),
+     "analysis cli core reducibility tableio"),
+    (["census", "--n", "3", "--k", "7"], "census cli core families"),
+    (["construct", "--closed", "3", "5", "2"],
+     "cli constructions core tableio"),
+    (["reconstruct", "SHELL3"], "analysis cli core reducibility tableio"),
+    (["analyze", "TABLE", "--shell", "--basepoint", "0,1"],
+     "analysis cli core tableio"),
+    (["reconstruct", "SHELL4"], "analysis cli core reducibility tableio"),
+    (["construct", "--fixture", "Q42"], "cli constructions core tableio"),
+    (["construct", "--ptq", "7"], "cli core families tableio"),
+    (["construct", "--family5", "3"], "cli core families tableio"),
+    (["construct", "--family-k", "3", "7"], "cli core families tableio"),
     (["census", "--n", "6", "--k", "5"], "census cli core families"),
-    (["census", "--n", "5", "--k", "7"],
-     "census cli core families switching"),
-    (["census", "--n", "3", "--k", "6", "--seed", "1"], "census cli core"),
+    (["census", "--n", "5", "--k", "7"], "census cli core families"),
+    (["census", "--n", "3", "--k", "6", "--seed", "1"],
+     "census cli core latin"),
     (["components", "TABLE", "--pair", "0,1", "--switch", "0"],
-     "cli core switching"),
+     "cli core switching tableio"),
     (["construct", "--irreducible", "3", "5"],
-     "cli constructions core families"),
-])
+     "cli constructions core families tableio"),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", LOADS,
+                         ids=[" ".join(argv) for argv, _ in LOADS])
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
-    table.write_text(core.to_json(C.fixture("Q52"), (",", ":")))
+    table.write_text(tableio.to_json(C.fixture("Q52"), (",", ":")))
     table3 = tmp_path / "t3.json"
-    table3.write_text(core.to_json(C.build_closed(3, 4, 2)))
+    table3.write_text(tableio.to_json(C.build_closed(3, 4, 2)))
     shell3 = tmp_path / "s3.json"
     shell3.write_text(json.dumps(analysis.shell_to_json_obj(
         analysis.extract_shell(C.build_closed(3, 4, 2), (0, 0, 0)))))
@@ -819,11 +828,12 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     # census, whose report has its own writer, in construct or analyze
     # --shell, whose compact table or shell of order <= 10 is written
     # without it, in components --switch, or in reconstruct from such a
-    # shell at arity 4; construct --family5 writes its family through
-    # json.dumps
+    # shell at arity 4; construct --family5 and --family-k write their
+    # family through json.dumps
     json_free = (argv[0] in ("--help", "census") or "--shell" in argv
                  or "SHELL4" in argv or "--switch" in argv
-                 or argv[0] == "construct" and "--family5" not in argv)
+                 or argv[0] == "construct" and "--family5" not in argv
+                 and "--family-k" not in argv)
     # every command but census has its handler in commands
     table_command = argv[0] not in ("--help", "census")
     paths = {"TABLE": str(table), "TABLE3": str(table3),
@@ -846,25 +856,26 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
 # counted as CI counts them (test_package.source_tokens), so that a move
 # or a deletion on a launch's path shows here as a number.
 COMPILED_TOKENS = {
-    "--help": 2379,
-    "validate TABLE": 7808,
-    "census --n 3 --k 4": 10107,
-    "census --n 2 --k 5": 11982,
-    "components TABLE --pair 0,1": 11307,
-    "analyze TABLE3 --reductions": 12247,
-    "census --n 3 --k 7": 13606,
-    "construct --closed 3 5 2": 9694,
-    "reconstruct SHELL3": 12247,
-    "analyze TABLE --shell --basepoint 0,1": 11269,
-    "reconstruct SHELL4": 12247,
-    "construct --fixture Q42": 9694,
-    "construct --ptq 7": 9683,
-    "construct --family5 3": 9683,
-    "census --n 6 --k 5": 11982,
-    "census --n 5 --k 7": 13606,
-    "census --n 3 --k 6 --seed 1": 10107,
-    "components TABLE --pair 0,1 --switch 0": 9432,
-    "construct --irreducible 3 5": 11569,
+    "--help": 2387,
+    "validate TABLE": 7471,
+    "census --n 3 --k 4": 9036,
+    "census --n 2 --k 5": 11114,
+    "components TABLE --pair 0,1": 11173,
+    "analyze TABLE3 --reductions": 12293,
+    "census --n 3 --k 7": 9276,
+    "construct --closed 3 5 2": 9359,
+    "reconstruct SHELL3": 12293,
+    "analyze TABLE --shell --basepoint 0,1": 11315,
+    "reconstruct SHELL4": 12293,
+    "construct --fixture Q42": 9359,
+    "construct --ptq 7": 9549,
+    "construct --family5 3": 9549,
+    "construct --family-k 3 7": 9549,
+    "census --n 6 --k 5": 9276,
+    "census --n 5 --k 7": 9276,
+    "census --n 3 --k 6 --seed 1": 9036,
+    "components TABLE --pair 0,1 --switch 0": 9095,
+    "construct --irreducible 3 5": 11437,
 }
 
 
@@ -908,7 +919,7 @@ def test_closed_output_pipe_exits_0_quietly(tmp_path):
     # a reader that stops after 10 bytes of the 2.8 MB 5^8 listing: the
     # writer meets a broken pipe, which is not a domain error
     table = tmp_path / "c8.json"
-    table.write_text(core.to_json(C.build_closed(8, 5, 2)))
+    table.write_text(tableio.to_json(C.build_closed(8, 5, 2)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "nquasigroups.cli", "components", str(table),
          "--pair", "0,1"], env=child_env(), stdout=subprocess.PIPE,
@@ -956,7 +967,7 @@ def test_table_bytes_follow_earlier_text():
         commands._emit_table(t, False)
         print("after")
         out.flush()
-    assert raw.getvalue().decode() == "before\n%s\nafter\n" % core.to_json(
+    assert raw.getvalue().decode() == "before\n%s\nafter\n" % tableio.to_json(
         t, (",", ":"))
 
 
@@ -968,7 +979,7 @@ def test_table_to_missing_stdout_is_quiet(monkeypatch):
 def test_closed_output_descriptor_exits_quietly(tmp_path):
     # started with descriptor 1 closed, the child's sys.stdout is None
     table = tmp_path / "t.json"
-    table.write_text(core.to_json(C.fixture("Q52")))
+    table.write_text(tableio.to_json(C.fixture("Q52")))
     done = subprocess.run(
         ["sh", "-c", '"$0" -m nquasigroups.cli validate "$1" >&-',
          sys.executable, str(table)], env=child_env(), capture_output=True,
@@ -1131,7 +1142,7 @@ class TestTableJobMemory:
     @pytest.fixture(scope="class")
     def closed8(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("memory") / "c8.json"
-        path.write_text(core.to_json(C.build_closed(8, 5, 2), (",", ":")))
+        path.write_text(tableio.to_json(C.build_closed(8, 5, 2), (",", ":")))
         return path
 
     def peak_per_cell(self, call):
@@ -1162,6 +1173,6 @@ class TestTableJobMemory:
 
     def test_from_json_peak(self, closed8):
         text = closed8.read_text()
-        t, peak = self.peak_per_cell(lambda: core.from_json(text))
+        t, peak = self.peak_per_cell(lambda: tableio.from_json(text))
         assert t == C.build_closed(8, 5, 2)
         assert peak <= 3.5

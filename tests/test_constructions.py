@@ -1,6 +1,7 @@
 """Builders: closed embeddings, fixtures, switching, counting families."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from nquasigroups import analysis, core, families, switching
 from nquasigroups import constructions as C
 
 import oracles
+import randgen
 from capped import run_capped
 from oracles import table_outcome
 
@@ -28,7 +30,7 @@ class TestBuildQkr:
     def test_sub_block_is_cyclic(self):
         for k, r in [(5, 2), (7, 2), (9, 2), (8, 3), (11, 4)]:
             t = C.build_qkr(k, r)
-            sub = core.restrict_to_symbols(t, tuple(range(r)))
+            sub = analysis.restrict_to_symbols(t, tuple(range(r)))
             for i in range(r):
                 for j in range(r):
                     assert core.evaluate(sub, (i, j)) == (i + j) % r
@@ -55,7 +57,7 @@ class TestFixtures:
         for fid in C.FixtureId:
             t = C.fixture(fid)
             assert core.is_valid(t)
-            sub = core.restrict_to_symbols(t, (0, 1))
+            sub = analysis.restrict_to_symbols(t, (0, 1))
             assert core.is_valid(sub)
 
     def test_spot_values(self):
@@ -122,14 +124,14 @@ class TestBuildClosed:
     def test_binary_even_order(self):
         t = C.build_closed(2, 4, 2)
         assert core.is_valid(t)
-        assert core.is_valid(core.restrict_to_symbols(t, (0, 1)))
+        assert core.is_valid(analysis.restrict_to_symbols(t, (0, 1)))
 
     def test_restriction_validates_across_grid(self):
         for n in (2, 3):
             for k in range(4, 10):
                 for r in range(2, k // 2 + 1):
                     t = C.build_closed(n, k, r)
-                    sub = core.restrict_to_symbols(t, tuple(range(r)))
+                    sub = analysis.restrict_to_symbols(t, tuple(range(r)))
                     assert sub.order == r and core.is_valid(sub), (n, k, r)
 
     def test_arity_grows_right_nested(self):
@@ -154,14 +156,14 @@ class TestSwitchSub:
 
     def test_identity_switch(self):
         q = C.build_closed(3, 6, 3)
-        h = core.restrict_to_symbols(q, (0, 1, 2))
+        h = analysis.restrict_to_symbols(q, (0, 1, 2))
         assert C.switch_sub(q, (0, 1, 2), h).values == q.values
 
     def test_involution(self):
         q = C.build_closed(4, 5, 2)
         h = core.from_function(4, 2, lambda *x: (sum(x) + 1) % 2)
         f = C.switch_sub(q, (0, 1), h)
-        back = C.switch_sub(f, (0, 1), core.restrict_to_symbols(q, (0, 1)))
+        back = C.switch_sub(f, (0, 1), analysis.restrict_to_symbols(q, (0, 1)))
         assert back.values == q.values
 
     def test_not_closed_rejected(self):
@@ -342,6 +344,30 @@ class TestBuildFamilyK:
         for k in (6, 9, 5):
             with pytest.raises(C.ConstructionError):
                 families.build_family_k(2, k)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_cycles_match_find_components(self, k):
+        # the row-cycle walk against the component search, on every pair
+        # of random squares (non-group ones from k = 5 on) and of each
+        # square with one of its components switched
+        rng = random.Random(k)
+        squares = []
+        for _ in range(3):
+            q = randgen.random_latin_square(k, rng)
+            a, b = rng.sample(range(k), 2)
+            squares += [q, switching.switch_component(
+                q, rng.choice(switching.find_components(q, a, b)))]
+        for q in squares:
+            for a, b in itertools.permutations(range(k), 2):
+                assert families._cycles(q, a, b) == [
+                    comp.indices.tolist()
+                    for comp in switching.find_components(q, a, b)]
+
+    @pytest.mark.parametrize("n,k", [(2, 7), (3, 7), (4, 7), (5, 7), (2, 11),
+                                     (3, 11), (2, 13), (2, 101)])
+    def test_family_matches_search_reference(self, n, k):
+        assert families.build_family_k(n, k) \
+            == oracles.reference_build_family_k(n, k)
 
 
 class TestBuildBudget:
