@@ -170,7 +170,7 @@ def is_reducible_wrt(q, split, return_witness=False):
     S = _checked_axes(split, q.arity)
     witness = reduction_witness(q.values.obj, q.arity, q.order, S)
     if return_witness:
-        return witness is not None, witness
+        return witness is not None, witness and tuple(witness)
     return witness is not None
 
 

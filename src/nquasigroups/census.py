@@ -53,10 +53,10 @@ def _report_json(v):
     return (float if isinstance(v, float) else int).__repr__(v)
 
 
-def _check_ceiling(n, k, budget):
+def _check_ceiling(n, k, budget, seed=0):
     # a family is built as a whole table, which the builders cap at
     # BUILD_CELL_BUDGET cells; one ceiling holds for every census path
-    for name, v in (("arity", n), ("order", k), ("budget", budget)):
+    for name, v in dict(arity=n, order=k, budget=budget, seed=seed).items():
         if type(v) is not int:
             raise ValueError("%s must be an integer, not %r" % (name, v))
     if budget > BUILD_CELL_BUDGET:
@@ -68,8 +68,8 @@ def _check_ceiling(n, k, budget):
         raise ValueError("need n >= 1 and k >= 1")
 
 
-def _check_budget(n, k, budget):
-    _check_ceiling(n, k, budget)
+def _check_budget(n, k, budget, seed=0):
+    _check_ceiling(n, k, budget, seed)
     if _power_over(n, k, budget):
         raise BudgetError(
             "table has %d^%d cells, over the %d-cell budget; a search would "
@@ -281,10 +281,10 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     tables are walked in Gray-code order, one big-integer XOR per step
     (_gray_tables), and counted as materialized.  Past the cap a block
     family is checked on a seeded sample of 9 tables, each validated in
-    full.
+    full; a seed that is not an int is refused with ValueError.
     """
     t0 = time.monotonic()
-    _check_budget(n, k, budget)
+    _check_budget(n, k, budget, seed)
     bounds = bound_exponents(n, k)
     if k == 5 or (k % 2 == 1 and k % 3 != 0):
         # imported here: each path compiles only its own family's code
@@ -316,14 +316,14 @@ def run_census(n, k, budget=DEFAULT_CELL_BUDGET, exact="auto",
     runtimes: (2,4), (2,5), (3,4), and any k <= 3 while n * k**n fits the
     budget, since the search holds n line masks per cell; past that the
     count is None.  'on' forces the attempt, 'off' skips it.  A budget
-    over core.BUILD_CELL_BUDGET is refused with BudgetError, and a time
-    limit that is neither None nor a finite number of seconds > 0 with
-    ValueError, whether or not a search runs.
+    over core.BUILD_CELL_BUDGET is refused with BudgetError, and a seed
+    that is not an int or a time limit that is neither None nor a finite
+    number of seconds > 0 with ValueError, whether or not a path runs.
     """
     _check_time_limit(time_limit)
     if exact not in ("auto", "on", "off"):
         raise ValueError("exact must be 'auto', 'on', or 'off'")
-    _check_ceiling(n, k, budget)
+    _check_ceiling(n, k, budget, seed)
     t0 = time.monotonic()
     exact_count = None
     if exact == "on" or (

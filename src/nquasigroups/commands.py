@@ -7,30 +7,42 @@ Each handler imports what it runs: tableio to read or write a table
 (and reducibility to test a split), switching for components (and
 families for the parts it lists; --switch i flips part i from the block
 labels), constructions for construct (families for Q52, --ptq and the
-families).  Tables of order <= 10 and shells are read and written in
-one byte pass (tableio.from_json and _json_bytes, analysis._shell_json), so
-json loads only on their fallback and for results written by json.dumps.
+families).  Files are read as bytes, and decoded as in text mode unless
+they hold compact table JSON; tables of order <= 10 are written in
+pieces and shells in one pass, so json loads only on their fallbacks.
 """
 
+import io
 import itertools
 import sys
 
 from . import _UsageError
 
 
-def _read_input(path):
+def _read(path):
+    """The bytes of the file at path, or of stdin for -, and a text stream
+    over them that decodes them as text mode does (Python's stdin
+    translates newlines on Windows only)."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        stdin, mode = sys.stdin, None if sys.platform == "win32" else "\n"
+        data, codec = stdin.buffer.read(), (stdin.encoding, stdin.errors, mode)
+    else:
+        with open(path, "rb") as fh:
+            data, codec = fh.read(), ("utf-8", "strict", None)
+    return data, io.TextIOWrapper(io.BytesIO(data), *codec)
 
 
 def _read_table(path):
     from . import tableio
 
-    data = _read_input(path)
-    return (tableio.from_json if data.lstrip().startswith("{")
-            else tableio.from_text)(data)
+    data, text = _read(path)
+    found = tableio._compact(data)
+    if found:
+        del data, text  # not held while the digits translate
+        return tableio._table(*found)
+    text = text.read()
+    return (tableio.from_json if text.lstrip().startswith("{")
+            else tableio.from_text)(text)
 
 
 def _emit(obj):
@@ -59,12 +71,11 @@ def _emit_table(t, pretty):
     elif sys.stdout:  # None when the output descriptor is closed
         from .tableio import _json_bytes
 
-        out = _json_bytes(t)
         if hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
-            sys.stdout.buffer.write(out)
+            sys.stdout.buffer.writelines(_json_bytes(t))
         else:  # a text stream, such as io.StringIO
-            sys.stdout.write(out.decode())
+            sys.stdout.writelines(p.decode() for p in _json_bytes(t))
 
 
 def _component_obj(c):
@@ -136,9 +147,9 @@ def _cmd_construct(args):
 
 
 def _cmd_analyze(args):
+    t = _read_table(args.table)  # before analysis compiles: a lower peak
     from . import analysis
 
-    t = _read_table(args.table)
     if args.reductions:
         _emit([list(s.axes) for s in analysis.find_reductions(t)])
     elif args.subquasigroups:
@@ -163,20 +174,20 @@ def _cmd_components(args):
         _emit([_component_obj(c) for c in switching.find_components(t, a, b)])
     else:
         labelled = switching._labelled(t, a, b)
-        if not 0 <= args.switch < labelled[1]:
+        if not 0 <= args.switch < labelled[0]:
             raise _UsageError(
-                "--switch index out of range 0..%d" % (labelled[1] - 1))
+                "--switch index out of range 0..%d" % (labelled[0] - 1))
+        shape = t.arity, t.order
         vals = switching._flip(t, a, b, labelled, args.switch)
-        del labelled  # not held while the flip is validated and written
-        t = switching._flipped(t, vals)
-        _emit_table(t, args.pretty)
+        del labelled, t  # not held while the flip is validated and written
+        _emit_table(switching._flipped(*shape, vals), args.pretty)
     return 0
 
 
 def _cmd_reconstruct(args):
     from . import analysis, tableio
 
-    sh = analysis._shell_from_json(_read_input(args.shell))
+    sh = analysis._shell_from_json(_read(args.shell)[1].read())
     if args.split:
         t = analysis.reconstruct_with_split(
             sh, analysis.Split(frozenset(args.split)))

@@ -277,16 +277,16 @@ def _one_hot_latin(t, w):
     validate)."""
     k, n = t.order, t.arity
     raw = t.values.obj
-    buf = bytearray(w * len(raw))
-    for i in range(w):
-        # byte i of 1 << v, as a translation table over v
-        buf[i::w] = raw.translate(
-            bytes(8 * i) + b"\x01\x02\x04\x08\x10\x20\x40\x80"
-            + bytes(248 - 8 * i))
-    # slicing a bytearray with a step is a plain C loop, much faster than
-    # copying a strided memoryview
-    fields = buf if w == 1 else memoryview(buf).cast(
-        {2: "H", 4: "I", 8: "Q"}[w])
+    # byte i of 1 << v, as a translation table over v: 1-byte fields are
+    # the one plane, wider ones interleave the planes in a bytearray (a
+    # stepped slice of it is a plain C loop, unlike a memoryview's)
+    planes = (raw.translate(bytes(8 * i) + b"\x01\x02\x04\x08\x10\x20\x40\x80"
+                            + bytes(248 - 8 * i)) for i in range(w))
+    fields = next(planes) if w == 1 else bytearray(w * len(raw))
+    for i, plane in enumerate(planes):  # none left when w == 1
+        fields[i::w] = plane
+    if w > 1:
+        fields = memoryview(fields).cast({2: "H", 4: "I", 8: "Q"}[w])
     full = ((1 << k) - 1).to_bytes(w, "little")
     targets = {}
     for ax in range(n):

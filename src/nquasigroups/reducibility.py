@@ -12,8 +12,8 @@ from .core import _offsets
 
 
 def reduction_witness(vals, n, k, S):
-    """The witness of is_reducible_wrt over the sorted axes S, or None;
-    vals is the bytes of the table's values."""
+    """The witness of is_reducible_wrt over the sorted axes S as bytes, a
+    label per S-tuple, or None; vals is the bytes of the table's values."""
     C = [i for i in range(1, n + 1) if i not in S]
     if not _boxes_agree(vals, n, k, S, C):
         return None
@@ -110,9 +110,9 @@ def _s_major_witness(vals, n, k, S):
         s = first.index(v)
         reps[v] = raw[s * cols:(s + 1) * cols]
     # bytes.join holds an 80-byte buffer record per piece, so the columns
-    # are joined and compared 1024 S-tuples at a time
-    for lo in range(0, len(first), 1024):
-        part = b"".join(map(reps.__getitem__, first[lo:lo + 1024]))
+    # are joined and compared up to 1024 S-tuples and 2^16 bytes at a time
+    for lo in range(0, len(first), step := min(1024, 1 + (1 << 16) // cols)):
+        part = b"".join(map(reps.__getitem__, first[lo:lo + step]))
         if part != raw[lo * cols:lo * cols + len(part)]:
             return None
     lo = int.from_bytes(b"\1" * cols, "little")
@@ -124,4 +124,4 @@ def _s_major_witness(vals, n, k, S):
             if (d - lo) & ~d & hi:
                 return None
     labels = dict(zip(reps, range(len(reps))))
-    return tuple(map(labels.__getitem__, first))
+    return first.translate(bytes(labels.get(v, 0) for v in range(256)))

@@ -2,11 +2,12 @@
 
 find_components and switch_component give the parts and flip one.  `nqg
 components --switch i` reads part i from the block labels (_labelled),
-flips it one first-axis block at a time (_flip) and validates the result
-once the labels are dropped (_flipped): it builds no parts and compiles
-no family code, since find_components alone imports families' Component.
+XORs it into one copy of the values (_flip) and validates that once the
+labels and the input are dropped (_flipped): it builds no parts, and
+compiles no family code, since find_components alone imports Component.
 """
 
+import io
 import itertools
 import sys
 
@@ -38,26 +39,48 @@ def _relabel(labels, w, new, width):
     return out
 
 
+def _links(subs, kids, starts, w):
+    """The distinct (a-cell, b-cell) label pairs of a block's first-axis
+    lines as 2w-byte fields, 2^14 lines at a time (see _block)."""
+    full = 256 ** w - 1
+    links = set()
+    for lo in range(0, len(subs[0]), 1 << 14):
+        ends = [0, 0]
+        for sub, (c, labels), start in zip(subs, kids, starts):
+            cells, lw = bytes(sub[lo:lo + (1 << 14)]), _width(c)
+            shifted = int.from_bytes(_relabel(
+                labels[lo * lw:(lo + len(cells)) * lw], lw,
+                range(start, start + c), w), sys.byteorder)
+            for j, mask in enumerate(((0, full), (0, 0, full))):
+                ends[j] += shifted & int.from_bytes(
+                    _relabel(cells, 1, mask, w), sys.byteorder)
+        pairs = bytearray(2 * w * len(cells))
+        view = memoryview(pairs).cast(_FORMATS[w])
+        for j, end in enumerate(ends):
+            view[j::2] = memoryview(end.to_bytes(
+                w * len(cells), sys.byteorder)).cast(_FORMATS[w])
+        links.update(memoryview(pairs).cast(_FORMATS[2 * w]))
+    return links
+
+
 def _block(pat, k, memo=None):
     """(count, labels): the parts of a block of k^m contiguous cells, those
     sharing their first n-m coordinates, joined by the block's own lines.
 
     They depend only on the block's a/b pattern pat (1 at a, 2 at b, 0
-    elsewhere), so memo keeps one answer per distinct pattern.  The top
-    call (no memo) starts one, takes its own sub-blocks as views of pat
-    rather than copies, and empties the memo once they are solved, since
-    only their labels are read after that.  Parts are numbered by first
-    cell; labels holds each cell's part in _width(count)-byte fields,
-    some part at cells outside the pair.  A line (m = 1) is one part.
+    elsewhere), so memo, keyed by views of pat, keeps one answer per
+    distinct pattern; the top call (no memo) starts it and empties it
+    once its sub-blocks are solved.  Parts are numbered by first cell;
+    labels holds each cell's part in _width(count)-byte fields, some
+    part at cells outside the pair.  A line (m = 1) is one part.
     Otherwise the parts of the k sub-blocks, each shifted past those of
     the sub-blocks before it, are joined by the block's first-axis lines.
     A Latin line holds one a and one b, so the labels of every line's
-    a-cell, and of its b-cell, are the sums over the sub-blocks of their
-    labels masked to a, and to b: big-integer passes over whole
-    sub-blocks.  The union-find sees only the distinct (a, b) label
-    pairs.  A merged part starts at the first cell of its smallest label,
-    so parts renumbered in order of their smallest labels stay numbered
-    by first cell.
+    a-cell, and of its b-cell, are sums over the sub-blocks of their
+    labels masked to a, and to b (_links); the union-find sees their
+    distinct pairs.  A merged part starts at the first cell of its
+    smallest label, so parts renumbered in order of their smallest
+    labels stay numbered by first cell.
     """
     size = len(pat) // k
     if size == 1:
@@ -68,33 +91,16 @@ def _block(pat, k, memo=None):
     got = memo.get(pat)
     if got is not None:
         return got
-    subs = [pat[i:i + size] if top else bytes(pat[i:i + size])
-            for i in range(0, len(pat), size)]
+    subs = [pat[i:i + size] for i in range(0, len(pat), size)]
     kids = [_block(sub, k, memo) for sub in subs]
     if top:
         memo.clear()
     *starts, total = itertools.accumulate((c for c, _ in kids), initial=0)
     w = _width(total)
-    full = 256 ** w - 1
-    # each line's a-cell label, then its b-cell label: full fields mask
-    # the shifted labels to the sub-block's a-cells, then to its b-cells
-    ends = [0, 0]
-    for sub, (c, labels), start in zip(subs, kids, starts):
-        shifted = int.from_bytes(_relabel(labels, _width(c),
-                                          range(start, start + c), w),
-                                 sys.byteorder)
-        for j, mask in enumerate(((0, full), (0, 0, full))):
-            ends[j] += shifted & int.from_bytes(
-                _relabel(bytes(sub), 1, mask, w), sys.byteorder)
-    pairs = bytearray(2 * w * size)
-    view = memoryview(pairs).cast(_FORMATS[w])
-    for j, end in enumerate(ends):
-        view[j::2] = memoryview(end.to_bytes(w * size, sys.byteorder)).cast(
-            _FORMATS[w])
     parent = list(range(total))
-    for pair in set(memoryview(pairs).cast(_FORMATS[2 * w])):
+    for pair in _links(subs, kids, starts, w):
         # path halving; the smaller root wins
-        x, y = pair >> 8 * w, pair & full
+        x, y = divmod(pair, 256 ** w)
         while x != (r := parent[x]):
             parent[x] = x = parent[r]
         while y != (r := parent[y]):
@@ -114,17 +120,17 @@ def _block(pat, k, memo=None):
         else:
             new[g] = new[r]
     width = _width(count)
-    out = bytearray(width * len(pat))
-    for j, ((c, labels), start) in enumerate(zip(kids, starts)):
-        out[j * width * size:(j + 1) * width * size] = _relabel(
-            labels, _width(c), new[start:start + c], width)
+    out = bytearray()
+    for j, start in enumerate(starts):
+        (c, labels), kids[j] = kids[j], None  # each freed once written
+        out += _relabel(labels, _width(c), new[start:start + c], width)
     memo[pat] = count, out
     return count, out
 
 
 def _labelled(q, a, b):
-    """(pat, count, labels) of the pair {a, b} of q: its a/b pattern and
-    the whole table's block (_block), after the pair check and the
+    """(count, labels) of the pair {a, b} of q: the block (_block) of its
+    a/b pattern, which is then dropped, after the pair check and the
     non-Latin refusal that every path to the parts shares."""
     k = q.order
     if a == b or not _ints_below((a, b), k):
@@ -134,8 +140,7 @@ def _labelled(q, a, b):
         raise AnalysisError("table is not Latin; components are undefined")
     pair = bytearray(256)
     pair[a], pair[b] = 1, 2
-    pat = q.values.obj.translate(pair)
-    return (pat, *_block(pat, k))
+    return _block(q.values.obj.translate(pair), k)
 
 
 def find_components(q, a, b):
@@ -157,7 +162,8 @@ def find_components(q, a, b):
     """
     from .families import Component
 
-    pat, count, labels = _labelled(q, a, b)
+    count, labels = _labelled(q, a, b)
+    pat = q.values.obj.translate(bytes(v in (a, b) for v in range(256)))
     parts = [bytearray() for _ in range(count)]
     # bytearray.extend returns None, so any() runs the whole map
     any(map(bytearray.extend, map(parts.__getitem__, itertools.compress(
@@ -189,41 +195,39 @@ def switch_component(q, comp):
                 "not a component of this table: cell %r holds %d, not in {%d,%d}"
                 % (q.coords(idx), v, a, b))
         vals[idx] = a + b - v
-    return _flipped(q, vals)
+    return _flipped(q.arity, q.order, vals)
 
 
-def _flipped(q, vals):
-    """The table of q's shape holding vals, refused unless it is Latin."""
-    t = QTable(q.arity, q.order, vals)
+def _flipped(arity, order, vals):
+    """The table of this shape holding vals, refused unless it is Latin."""
+    t = QTable(arity, order, vals)
     if not validate(t).ok:
         raise AnalysisError("not a component: the flip breaks the Latin property")
     return t
 
 
 def _flip(q, a, b, labelled, i):
-    """The values of switch_component(q, find_components(q, a, b)[i]), as
-    bytes, from labelled = _labelled(q, a, b), building no part; the
-    caller validates them (_flipped).
-
-    One first-axis block of k^(n-1) cells at a time: the block's a/b
-    cells (from pat) whose label matches i in every byte plane, one
-    translate per plane to 1 at i's byte, form a mask, and a ^ b times
-    the mask is XORed into the block's values as one big integer.
-    Blocks without a cell of part i are q's own bytes.
-    """
-    pat, count, labels = labelled
+    """The values of switch_component(q, find_components(q, a, b)[i]) as
+    bytes, from labelled = _labelled(q, a, b); the caller validates them.
+    One copy of q's values, an io.BytesIO's buffer, is XORed 2^14 cells at
+    a time with a ^ b times the mask of the a/b cells whose label is i in
+    every byte plane; getvalue hands the buffer over without a copy."""
+    count, labels = labelled
     w = _width(count)
-    size = len(pat) // q.order
-    blocks = []
-    for lo in range(0, len(pat), size):
-        hi = lo + size
-        mask = int.from_bytes(pat[lo:hi].translate(
-            bytes(0 < v < 3 for v in range(256))), "little")
-        # byte j of each native w-byte label against byte j of i
-        for j, byte in enumerate(i.to_bytes(w, sys.byteorder)):
-            mask &= int.from_bytes(labels[lo * w + j:hi * w:w].translate(
-                bytes(v == byte for v in range(256))), "little")
-        block = q.values[lo:hi]
-        blocks.append((int.from_bytes(block, "little") ^ (a ^ b) * mask)
-                      .to_bytes(size, "little") if mask else block)
-    return b"".join(blocks)
+    ab = bytes(v in (a, b) for v in range(256))
+    # byte j of each native w-byte label against byte j of i
+    planes = [bytes(v == byte for v in range(256))
+              for byte in i.to_bytes(w, sys.byteorder)]
+    vals, step = q.values.obj, 1 << 14
+    copy = io.BytesIO(vals)
+    with copy.getbuffer() as out:
+        for lo in range(0, len(vals), step):
+            chunk = vals[lo:lo + step]
+            mask = int.from_bytes(chunk.translate(ab), "little")
+            for j, plane in enumerate(planes):
+                mask &= int.from_bytes(labels[
+                    lo * w + j:(lo + step) * w:w].translate(plane), "little")
+            if mask:
+                out[lo:lo + step] = (int.from_bytes(chunk, "little") ^ (
+                    a ^ b) * mask).to_bytes(len(chunk), "little")
+    return copy.getvalue()

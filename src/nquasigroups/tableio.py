@@ -1,8 +1,8 @@
 """Table files: JSON (to_json_obj, from_json_obj, to_json, from_json)
 and the k-line text form of binary tables (to_text, from_text).
 
-Tables of order <= 10 are written in one byte pass (_json_bytes), and
-compact JSON of single digits is read by offsets (from_json), so json
+Tables of order <= 10 are written in pieces (_json_bytes), and compact
+JSON of single digits is read from bytes by offsets (_compact), so json
 loads only on their fallbacks.  Out of core so that the commands that
 read or write no table, every census among them, compile none of it;
 core still answers to from_json, to_json and to_json_obj, loading this
@@ -43,66 +43,71 @@ def from_json_obj(obj):
 # symbol d as its digit; core._FROM_DIGITS maps back
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # the compact form's head, up to the first value
-_COMPACT_HEAD = (r'[ \t\n\r]*\{"arity":(0|[1-9][0-9]*),'
-                 r'"order":(0|[1-9][0-9]*),"values":\[')
+_COMPACT_HEAD = (rb'[ \t\n\r]*\{"arity":(0|[1-9][0-9]*),'
+                 rb'"order":(0|[1-9][0-9]*),"values":\[')
+_PIECE = 1 << 16  # cells per piece of _json_bytes
 
 
 def _json_bytes(t, separators=(",", ":"), end=b"\n"):
-    """json.dumps(to_json_obj(t), separators=separators), encoded, + end.
-
-    Below order 11 it is built in one bytearray, allocated once: a digit
-    and the item separator once per value, with room for the head in
-    front and "]}" + end behind.  The surplus front is dropped in O(1),
-    and the head, the digits (the symbols translated, by one extended
-    slice) and "]}" + end, over the last separator, are written in.
-    """
+    """json.dumps(to_json_obj(t), separators=separators), encoded, + end,
+    in pieces: below order 11 the head, then per _PIECE cells a digit (by
+    one translate and extended slice) and the item separator per cell,
+    "]}" + end over the last one; past order 10 one piece of json.dumps."""
     item, key = separators
     if t.order > 10:
         import json
 
-        return json.dumps(to_json_obj(t),
-                          separators=separators).encode() + end
-    head = ('{"arity"%s%d%s"order"%s%d%s"values"%s[' % (
+        yield json.dumps(to_json_obj(t), separators=separators).encode() + end
+        return
+    yield ('{"arity"%s%d%s"order"%s%d%s"values"%s[' % (
         key, t.arity, item, key, t.order, item, key)).encode()
-    tail = b"]}" + end
     unit = b"0" + item.encode()
-    room = len(head) + len(tail)
-    out = bytearray(unit) * (len(t.values) + 2 * room)
-    del out[:room * len(unit) - len(head)]
-    out[:len(head)] = head
-    stop = len(head) + len(t.values) * len(unit)
-    out[len(head):stop:len(unit)] = t.values.obj.translate(_TO_DIGITS)
-    out[stop + 1 - len(unit):] = tail
-    return out
+    for lo in range(0, len(t.values), _PIECE):
+        digits = t.values.obj[lo:lo + _PIECE].translate(_TO_DIGITS)
+        out = bytearray(unit) * len(digits)
+        out[::len(unit)] = digits
+        if lo + _PIECE >= len(t.values):
+            out[len(out) + 1 - len(unit):] = b"]}" + end
+        yield out
 
 
 def to_json(t, separators=(", ", ": ")):
     """json.dumps(to_json_obj(t), separators=separators) (_json_bytes)."""
-    return _json_bytes(t, separators, b"").decode()
+    return b"".join(_json_bytes(t, separators, b"")).decode()
+
+
+def _compact(data):
+    """(arity, order, digits) of the compact form {"arity":N,"order":K,
+    "values":[d,d,...]}, single digits and whitespace only around it, in
+    data, bytes, read by offsets; else None.  The digits are the even
+    positions of the list's body, up to its closing "]}"; once all are
+    digits, a comma count of len(digits) - 1 puts one at each odd one."""
+    head = isinstance(data, (bytes, bytearray)) and re.match(
+        _COMPACT_HEAD, data)
+    if head:
+        lo, hi = head.end(), len(data)
+        # trailing whitespace, found from the end; the head ends in "["
+        while data[hi - 1] in b" \t\n\r":
+            hi -= 1
+        digits = data[lo:hi - 2:2]
+        if (data.endswith(b"]}", lo, hi) and (hi - lo) % 2
+                and digits.isdigit()
+                and data.count(b",", lo, hi) == len(digits) - 1):
+            return int(head[1]), int(head[2]), digits
+    return None
+
+
+def _table(arity, order, digits):
+    return QTable(arity, order, digits.translate(_FROM_DIGITS))
 
 
 def from_json(s):
-    """Table from its JSON text.
-
-    The compact form {"arity":N,"order":K,"values":[d,d,...]} of single
-    digits, with whitespace only around it, is read by offsets into s,
-    without copying it: the values are the even positions of the list's
-    body, up to its closing "]}".  Once every one of them is a digit, the
-    commas can stand only at the odd positions, one fewer than the
-    digits, so a comma count of len(digits) - 1 puts one at each.  Other
-    texts take json.loads and from_json_obj, with the same outcome.
-    """
-    head = isinstance(s, str) and s.isascii() and re.match(_COMPACT_HEAD, s)
-    if head:
-        lo, hi = head.end(), len(s)
-        # trailing whitespace, found from the end; the head ends in "["
-        while s[hi - 1] in " \t\n\r":
-            hi -= 1
-        digits = s[lo:hi - 2:2].encode()
-        if (s.endswith("]}", lo, hi) and (hi - lo) % 2 and digits.isdigit()
-                and s.count(",", lo, hi) == len(digits) - 1):
-            return QTable(int(head[1]), int(head[2]),
-                          digits.translate(_FROM_DIGITS))
+    """Table from its JSON text, a str or bytes: the compact form by
+    _compact (an ASCII str encoded first), any other text by json.loads
+    and from_json_obj, with the same outcome."""
+    found = _compact(s.encode() if isinstance(s, str) and s.isascii() else s)
+    if found:
+        return _table(*found)
     import json
 
     try:

@@ -11,7 +11,8 @@ import argparse
 import itertools
 import sys
 
-from nquasigroups import cli, commands, core, families, latin, switching
+from nquasigroups import (cli, commands, core, families, latin, switching,
+                          tableio)
 from nquasigroups.analysis import AnalysisError
 from nquasigroups.constructions import ConstructionError
 from nquasigroups.families import Component
@@ -252,6 +253,20 @@ def table_outcome(fn, *args):
         return ("ok", fn(*args).values)
     except (ValueError, AssertionError) as e:
         return (type(e).__name__, str(e))
+
+
+def reference_read_table(path):
+    """commands._read_table as it read before tables were read as bytes:
+    stdin's text layer for -, else a text-mode open with UTF-8, then
+    from_json for a text starting with "{" after whitespace, from_text
+    otherwise."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return (tableio.from_json if text.lstrip().startswith("{")
+            else tableio.from_text)(text)
 
 
 def reference_build_parser():

@@ -472,6 +472,20 @@ class TestEntryPointArguments:
                                              r"be an integer, not "):
             call()
 
+    @pytest.mark.parametrize("seed", [[1], "1", 1.5, True],
+                             ids=["list", "str", "float", "bool"])
+    @pytest.mark.parametrize("n,k", [(3, 6), (3, 4), (6, 5)])
+    def test_non_int_or_bool_seed_refused(self, n, k, seed):
+        # (3,6) samples its block family, and a list seed once leaked
+        # TypeError from random.Random; (3,4) and (6,5) sample nothing
+        # and once accepted any seed
+        for call in (lambda: census.run_census(n, k, seed=seed),
+                     lambda: census.verify_family(n, k, seed=seed)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "seed must be an integer, not %r" % (
+                seed,)
+
     @pytest.mark.parametrize("limit", [True, False, 10 ** 400, "1", [1]])
     def test_bool_or_unformable_time_limit_refused(self, limit):
         # True once ran as one second, and 10^400 raised OverflowError

@@ -883,6 +883,10 @@ class TestJsonByOffsets:
         text = edited_compact(drawn_table(data, range(1, 13)), data)
         assert structural_outcome(tableio.from_json, text) \
             == structural_outcome(loads_reference, text)
+        # bytes take the same compact reader, and json.loads otherwise
+        raw = text.encode("utf-8", "surrogatepass")
+        assert structural_outcome(tableio.from_json, raw) \
+            == structural_outcome(loads_reference, raw)
 
     @pytest.mark.parametrize("orders", [range(1, 11), range(11, 17)],
                              ids=["single-digit", "past-10"])
@@ -891,13 +895,63 @@ class TestJsonByOffsets:
     def test_writer_matches_json_dumps(self, orders, data):
         t = drawn_table(data, orders)
         obj = tableio.to_json_obj(t)
-        assert tableio._json_bytes(t) == (
+        assert b"".join(tableio._json_bytes(t)) == (
             json.dumps(obj, separators=(",", ":")) + "\n").encode()
         separators = data.draw(st.sampled_from(
             ((", ", ": "), ("", ""), (" ,\n", " :"), ("\u2028", "::"))))
         assert tableio.to_json(t, separators) \
             == json.dumps(obj, separators=separators)
         assert tableio.to_json(t) == json.dumps(obj)
+
+
+class TestWriterPieces:
+    """_json_bytes yields the head, then one piece per _PIECE cells, the
+    last closing the list, or one piece past order 10; joined, they are
+    json.dumps plus end."""
+
+    # every separator pair src/ writes with: nqg's and to_json's default
+    SEPARATORS = [(",", ":"), (", ", ": ")]
+
+    @staticmethod
+    def z_sum(n, k):
+        return core.QTable(n, k, bytes(
+            sum(x) % k for x in itertools.product(range(k), repeat=n)))
+
+    def check(self, t, separators, end):
+        pieces = list(tableio._json_bytes(t, separators, end))
+        assert b"".join(pieces) == (json.dumps(
+            tableio.to_json_obj(t), separators=separators).encode() + end)
+        return pieces
+
+    @pytest.mark.parametrize("separators", SEPARATORS)
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 5), (2, 10)])
+    def test_cell_counts_around_the_piece_size(self, monkeypatch, shape,
+                                               separators):
+        t = self.z_sum(*shape)
+        cells = len(t.values)
+        for piece in sorted({1, max(cells - 1, 1), cells, cells + 1}):
+            monkeypatch.setattr(tableio, "_PIECE", piece)
+            for end in (b"\n", b""):
+                pieces = self.check(t, separators, end)
+                assert len(pieces) == 1 + -(-cells // piece)
+
+    @pytest.mark.parametrize("separators", SEPARATORS)
+    @pytest.mark.parametrize("n,k", [(10, 3), (8, 4), (7, 5)],
+                             ids=["below", "at", "above"])
+    def test_tables_around_the_real_piece_size(self, n, k, separators):
+        # 3^10 = 59,049, 4^8 = 65,536 and 5^7 = 78,125 cells
+        pieces = self.check(self.z_sum(n, k), separators, b"\n")
+        assert len(pieces) == 1 + -(-k ** n // tableio._PIECE)
+        # a digit and a separator per cell, "]}\n" over the last separator
+        assert max(map(len, pieces)) <= tableio._PIECE * (
+            1 + len(separators[0])) + 2
+
+    @pytest.mark.parametrize("separators", SEPARATORS)
+    @pytest.mark.parametrize("k", [11, 12, 16, 256])
+    def test_past_order_10_one_piece(self, k, separators):
+        t = core.QTable(2 if k < 256 else 1, k, bytes(
+            (x + y) % k for x in range(k) for y in range(k if k < 256 else 1)))
+        assert len(self.check(t, separators, b"\n")) == 1
 
 
 class TestOffsets:
