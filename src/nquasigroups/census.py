@@ -130,17 +130,20 @@ def enumerate_tables(n, k, budget=DEFAULT_CELL_BUDGET,
                        time_limit)
 
 
-def bound_exponents(n, k):
+def bound_exponents(n, k, budget=DEFAULT_CELL_BUDGET):
     """log2 lower bounds on |Q(n,k)| by divisibility class of k.
 
     even: (k/2)^n when k is even.  div3: n*(k/3)^n when 3 | k.  five: the
     order-5 family size by n mod 3.  general: floor(k/2)*floor(k/3)^(n-1)
     for odd k >= 7 not divisible by 3.  Keys that do not apply are absent.
+    A table of more than budget cells is refused with BudgetError, as
+    verify_family and run_census refuse it, before any power is formed.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("arity must be an integer >= 2")
     if not isinstance(k, int) or k < 4:
         raise ValueError("order must be an integer >= 4")
+    _check_budget(n, k, budget)
     out = {}
     if k % 2 == 0:
         out["even"] = (k // 2) ** n
@@ -285,7 +288,7 @@ def verify_family(n, k, seed=0, budget=DEFAULT_CELL_BUDGET):
     """
     t0 = time.monotonic()
     _check_budget(n, k, budget, seed)
-    bounds = bound_exponents(n, k)
+    bounds = bound_exponents(n, k, budget)
     if k == 5 or (k % 2 == 1 and k % 3 != 0):
         # imported here: each path compiles only its own family's code
         from .families import build_family5, build_family_k

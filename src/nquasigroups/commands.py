@@ -7,40 +7,61 @@ Each handler imports what it runs: tableio to read or write a table
 (and reducibility to test a split), switching for components (and
 families for the parts it lists; --switch i flips part i from the block
 labels), constructions for construct (families for Q52, --ptq and the
-families).  Files are read as bytes, and decoded as in text mode unless
-they hold compact table JSON; tables of order <= 10 are written in
-pieces and shells in one pass, so json loads only on their fallbacks.
+families).  Files are read as bytes into a buffer that a compact table
+is compacted in, and decoded as in text mode otherwise; tables of order
+<= 10 are written in pieces and shells in one pass, so json loads only
+on their fallbacks.
 """
 
-import io
 import itertools
+import os
 import sys
 
 from . import _UsageError
 
 
 def _read(path):
-    """The bytes of the file at path, or of stdin for -, and a text stream
-    over them that decodes them as text mode does (Python's stdin
-    translates newlines on Windows only)."""
+    """The bytes of the file at path, or of stdin for -, in a bytearray of
+    their own, and the (encoding, errors, newline) of text mode's read
+    (Python's stdin translates newlines on Windows only).  A file is read
+    into a buffer of its fstat size, with no copy; closed stdin is refused
+    with OSError, which nqg reports with exit code 1."""
     if path == "-":
-        stdin, mode = sys.stdin, None if sys.platform == "win32" else "\n"
-        data, codec = stdin.buffer.read(), (stdin.encoding, stdin.errors, mode)
-    else:
-        with open(path, "rb") as fh:
-            data, codec = fh.read(), ("utf-8", "strict", None)
-    return data, io.TextIOWrapper(io.BytesIO(data), *codec)
+        stdin = sys.stdin
+        if stdin is None:
+            raise OSError("cannot read -: standard input is closed")
+        data, read = bytearray(), stdin.buffer.read
+        while chunk := read(1 << 16):
+            data += chunk
+        mode = None if sys.platform == "win32" else "\n"
+        return data, (stdin.encoding, stdin.errors, mode)
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+        data += fh.read()  # what fstat did not count: a pipe, a file grown
+    return data, ("utf-8", "strict", None)
+
+
+def _text(data, codec):
+    """data decoded as text mode's read decodes it: newline None
+    translates \\r\\n and \\r to \\n (universal newlines), "\\n" nothing."""
+    encoding, errors, newline = codec
+    text = data.decode(encoding, errors)
+    return text if newline else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_table(path):
+    """The table in the file at path, or stdin for -: compact table JSON
+    from _read's buffer in place (tableio._table), any other text decoded
+    (_text) and read by from_json or from_text, as text mode read it."""
     from . import tableio
 
-    data, text = _read(path)
+    data, codec = _read(path)
     found = tableio._compact(data)
     if found:
-        del data, text  # not held while the digits translate
-        return tableio._table(*found)
-    text = text.read()
+        return tableio._table(data, *found)
+    text = _text(data, codec)
+    del data
     return (tableio.from_json if text.lstrip().startswith("{")
             else tableio.from_text)(text)
 
@@ -166,9 +187,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_components(args):
+    t = _read_table(args.table)  # before switching compiles: a lower peak
     from . import switching
 
-    t = _read_table(args.table)
     a, b = args.pair
     if args.switch is None:
         _emit([_component_obj(c) for c in switching.find_components(t, a, b)])
@@ -177,17 +198,21 @@ def _cmd_components(args):
         if not 0 <= args.switch < labelled[0]:
             raise _UsageError(
                 "--switch index out of range 0..%d" % (labelled[0] - 1))
+        from .core import QTable
+
         shape = t.arity, t.order
         vals = switching._flip(t, a, b, labelled, args.switch)
         del labelled, t  # not held while the flip is validated and written
-        _emit_table(switching._flipped(*shape, vals), args.pretty)
+        t = QTable(*shape, b"".join(vals))
+        del vals  # the table holds a copy
+        _emit_table(switching._flipped(t), args.pretty)
     return 0
 
 
 def _cmd_reconstruct(args):
     from . import analysis, tableio
 
-    sh = analysis._shell_from_json(_read(args.shell)[1].read())
+    sh = analysis._shell_from_json(_text(*_read(args.shell)))
     if args.split:
         t = analysis.reconstruct_with_split(
             sh, analysis.Split(frozenset(args.split)))

@@ -73,6 +73,9 @@ def check_cell_budget(n, k, error):
 # The most symbols a table holds: one byte per cell.
 MAX_ORDER = 256
 
+# cells per slice of a pass that would otherwise copy a whole table
+_SLICE = 1 << 14
+
 # digit d as the symbol d (tableio._TO_DIGITS maps back): the stored
 # tables and the compact readers spell their values this way
 _FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -132,7 +135,9 @@ class QTable(_Record):
     0..k-1; bools are refused throughout.  The Latin property is left to
     validate(), so that tables breaking it can exist as values to be
     reported on.  values is a read-only memoryview (format B) of
-    values.obj, a bytes; ==, hash and repr read it as a tuple of ints.
+    values.obj, a bytes (bytes given are kept, a bytearray copied), whose
+    symbols are checked _SLICE at a time; ==, hash and repr read it as a
+    tuple of ints.
     """
 
     __slots__ = ("arity", "order", "values")
@@ -158,8 +163,11 @@ class QTable(_Record):
         if (data is None and set(map(type, values)) <= {int}
                 and 0 <= min(values) and max(values) < order):
             data = bytes(values)
-        # C-level passes first; the scan only names the first bad symbol
-        if data is None or data.translate(None, bytes(range(order))):
+        # C-level passes first, a slice at a time so that nothing
+        # table-sized is made; the scan only names the first bad symbol
+        symbols = bytes(range(order))
+        if data is None or any(data[lo:lo + _SLICE].translate(None, symbols)
+                               for lo in range(0, count, _SLICE)):
             bad = next(v for v in values
                        if type(v) is not int or not 0 <= v < order)
             raise StructuralError("symbol %r out of range 0..%d"

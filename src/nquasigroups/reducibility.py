@@ -1,6 +1,7 @@
 """The reducibility kernel behind analysis.is_reducible_wrt and
-find_reductions: a box prefilter, then an exact check on an S-major copy
-of the values (the argument is in is_reducible_wrt's docstring).
+find_reductions: a box prefilter, then an exact check on the values, read
+in place or from an S-major copy (the argument is in is_reducible_wrt's
+docstring).
 
 A module of its own so that the commands that never test reducibility
 (components, analyze --shell, construct) do not compile it.
@@ -8,7 +9,7 @@ A module of its own so that the commands that never test reducibility
 
 from operator import itemgetter
 
-from .core import _offsets
+from .core import _SLICE, _offsets
 
 
 def reduction_witness(vals, n, k, S):
@@ -87,41 +88,83 @@ def _s_major(vals, n, k, S):
     return vals
 
 
-def _s_major_witness(vals, n, k, S):
-    """Step (b) of is_reducible_wrt, on the S-major copy of vals.
+def _apart(columns, length):
+    """Check (2) of _s_major_witness: no two of the columns, each length
+    bytes, agree at any position.  Two columns are XORed as big integers,
+    4096 positions at a time, and the result asked for a zero byte: with
+    LO the 1 of every byte and HI the top bit of every byte,
+    (x - LO) & ~x & HI is nonzero exactly when a byte of x is zero.
+    Without a zero field no field borrows, and f - 1 has the top bit only
+    when f has it too, which ~x then clears; the lowest zero field
+    receives no borrow and turns to all ones, its top bit set in ~x as
+    well."""
+    for at in range(0, length, 1 << 12):
+        lo = int.from_bytes(b"\1" * min(1 << 12, length - at), "little")
+        hi = lo << 7
+        parts = [int.from_bytes(c[at:at + (1 << 12)], "little")
+                 for c in columns]
+        for i, x in enumerate(parts):
+            for y in parts[i + 1:]:
+                d = x ^ y
+                if (d - lo) & ~d & hi:
+                    return False
+    return True
 
-    Check (1) joins the representatives' columns in S-tuple order and
-    compares the result with the copy.  Check (2) XORs two columns read
-    as big integers and asks for a zero byte: with LO the 1 of every
-    byte and HI the top bit of every byte, (x - LO) & ~x & HI is nonzero
-    exactly when a byte of x is zero.  Without a zero field no field borrows, and f - 1 has the top
-    bit only when f has it too, which ~x then clears; the lowest zero
-    field receives no borrow and turns to all ones, its top bit set in
-    ~x as well.
+
+def _s_major_witness(vals, n, k, S):
+    """Step (b) of is_reducible_wrt.  In S-major order each S-tuple owns
+    the column of its values over the C-tuples; check (1) asks every
+    column to equal its representative's, check (2) the representatives'
+    columns to differ at every position (_apart).
+
+    When S is a run of axes that ends at axis n, the values are read in
+    place, a row of the S-tuples' values per C-tuple: with no more
+    S-tuples than rows, each column is one stepped slice; with more,
+    each row must be the row C = 0 translated by a map of the
+    representatives' values that is one to one, which is (1) and (2) on
+    that row, compared _SLICE S-tuples at a time.  Otherwise check (1)
+    joins the representatives' columns in S-tuple order and compares the
+    result with the S-major copy (_s_major; vals itself for a run that
+    starts at axis 1).
     """
-    m = _s_major(vals, n, k, S)
-    cols = k ** (n - len(S))
-    first = m[::cols]
-    raw = memoryview(m)
-    # the distinct values of the row C = 0 in order of first appearance,
-    # each mapped to the column of the first S-tuple holding it
-    reps = dict.fromkeys(first)
-    for v in reps:
-        s = first.index(v)
-        reps[v] = raw[s * cols:(s + 1) * cols]
-    # bytes.join holds an 80-byte buffer record per piece, so the columns
-    # are joined and compared up to 1024 S-tuples and 2^16 bytes at a time
-    for lo in range(0, len(first), step := min(1024, 1 + (1 << 16) // cols)):
-        part = b"".join(map(reps.__getitem__, first[lo:lo + step]))
-        if part != raw[lo * cols:lo * cols + len(part)]:
+    cols, rows = k ** len(S), k ** (n - len(S))
+    if S[-1] - S[0] == len(S) - 1 and S[-1] == n:
+        first = vals[:cols]
+        # the distinct values of the row C = 0 in order of first
+        # appearance, each mapped to the first S-tuple holding it
+        reps = {v: first.index(v) for v in dict.fromkeys(first)}
+        if cols > rows:
+            for c in range(0, rows * cols, cols):  # each row's offset
+                image = bytearray(256)
+                for v, s in reps.items():
+                    image[v] = vals[c + s]
+                if len(set(map(image.__getitem__, reps))) < len(reps):
+                    return None
+                for lo in range(0, cols, _SLICE):
+                    if first[lo:lo + _SLICE].translate(image) != vals[
+                            c + lo:c + min(lo + _SLICE, cols)]:
+                        return None
+        elif not (all(vals[s::cols] == vals[reps[v]::cols]
+                      for s, v in enumerate(first))
+                  and _apart([vals[s::cols] for s in reps.values()], rows)):
             return None
-    lo = int.from_bytes(b"\1" * cols, "little")
-    hi = lo << 7
-    cols_as_ints = [int.from_bytes(c, "little") for c in reps.values()]
-    for i, x in enumerate(cols_as_ints):
-        for y in cols_as_ints[i + 1:]:
-            d = x ^ y
-            if (d - lo) & ~d & hi:
+    else:
+        m = _s_major(vals, n, k, S)
+        first = m[::rows]
+        raw = memoryview(m)
+        # as above, each mapped to the column of that S-tuple
+        reps = dict.fromkeys(first)
+        for v in reps:
+            s = first.index(v)
+            reps[v] = raw[s * rows:(s + 1) * rows]
+        # bytes.join holds an 80-byte buffer record per piece, so the
+        # columns are joined and compared up to 256 S-tuples and _SLICE
+        # bytes at a time, one join alive at once
+        for lo in range(0, cols, step := min(256, 1 + _SLICE // rows)):
+            if b"".join(map(reps.__getitem__, first[lo:lo + step])) \
+                    != raw[lo * rows:(lo + step) * rows]:
                 return None
+        if not _apart(list(reps.values()), rows):
+            return None
     labels = dict(zip(reps, range(len(reps))))
     return first.translate(bytes(labels.get(v, 0) for v in range(256)))

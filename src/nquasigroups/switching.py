@@ -2,16 +2,15 @@
 
 find_components and switch_component give the parts and flip one.  `nqg
 components --switch i` reads part i from the block labels (_labelled),
-XORs it into one copy of the values (_flip) and validates that once the
-labels and the input are dropped (_flipped): it builds no parts, and
+XORs it into the values, written over the labels (_flip), and validates
+the table once the input is dropped (_flipped): it builds no parts, and
 compiles no family code, since find_components alone imports Component.
 """
 
-import io
 import itertools
 import sys
 
-from .core import AnalysisError, QTable, _ints_below, validate
+from .core import _SLICE, AnalysisError, QTable, _ints_below, validate
 
 # memoryview formats of native unsigned fields, by width in bytes
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -39,68 +38,56 @@ def _relabel(labels, w, new, width):
     return out
 
 
-def _links(subs, kids, starts, w):
-    """The distinct (a-cell, b-cell) label pairs of a block's first-axis
-    lines as 2w-byte fields, 2^14 lines at a time (see _block)."""
+def _links(pattern, off, size, kids, starts, w):
+    """The distinct (a-cell, b-cell) label pairs of the first-axis lines of
+    the block at offset off as 2w-byte fields, _SLICE lines at a time (see
+    _join); its sub-blocks hold size cells, and pattern(at, cells) is the
+    a/b pattern of the table's cells from at on."""
     full = 256 ** w - 1
+    masks = (0, full), (0, 0, full)
+    if w == 1:  # one translate each
+        masks = [bytes(m).ljust(256, b"\0") for m in masks]
     links = set()
-    for lo in range(0, len(subs[0]), 1 << 14):
-        ends = [0, 0]
-        for sub, (c, labels), start in zip(subs, kids, starts):
-            cells, lw = bytes(sub[lo:lo + (1 << 14)]), _width(c)
+    for lo in range(0, size, _SLICE):
+        hi, ends = min(lo + _SLICE, size), [0, 0]
+        for j, ((c, labels), start) in enumerate(zip(kids, starts)):
+            lw = _width(c)
             shifted = int.from_bytes(_relabel(
-                labels[lo * lw:(lo + len(cells)) * lw], lw,
-                range(start, start + c), w), sys.byteorder)
-            for j, mask in enumerate(((0, full), (0, 0, full))):
-                ends[j] += shifted & int.from_bytes(
-                    _relabel(cells, 1, mask, w), sys.byteorder)
-        pairs = bytearray(2 * w * len(cells))
+                labels[lo * lw:hi * lw], lw, range(start, start + c), w),
+                sys.byteorder)
+            sub = pattern(off + j * size + lo, hi - lo)
+            for e, mask in enumerate(masks):
+                ends[e] += shifted & int.from_bytes(
+                    sub.translate(mask) if w == 1
+                    else _relabel(sub, 1, mask, w), sys.byteorder)
+        pairs = bytearray(2 * w * (hi - lo))
         view = memoryview(pairs).cast(_FORMATS[w])
-        for j, end in enumerate(ends):
-            view[j::2] = memoryview(end.to_bytes(
-                w * len(cells), sys.byteorder)).cast(_FORMATS[w])
+        for e, end in enumerate(ends):
+            view[e::2] = memoryview(end.to_bytes(
+                w * (hi - lo), sys.byteorder)).cast(_FORMATS[w])
         links.update(memoryview(pairs).cast(_FORMATS[2 * w]))
     return links
 
 
-def _block(pat, k, memo=None):
-    """(count, labels): the parts of a block of k^m contiguous cells, those
-    sharing their first n-m coordinates, joined by the block's own lines.
+def _join(kids, pattern, off, size):
+    """(count, parts) of the block at offset off from the (count, labels)
+    of its k sub-blocks of size cells each (_block): parts, the list kids
+    reused, holds the block's labels as one bytearray per sub-block.
 
-    They depend only on the block's a/b pattern pat (1 at a, 2 at b, 0
-    elsewhere), so memo, keyed by views of pat, keeps one answer per
-    distinct pattern; the top call (no memo) starts it and empties it
-    once its sub-blocks are solved.  Parts are numbered by first cell;
-    labels holds each cell's part in _width(count)-byte fields, some
-    part at cells outside the pair.  A line (m = 1) is one part.
-    Otherwise the parts of the k sub-blocks, each shifted past those of
-    the sub-blocks before it, are joined by the block's first-axis lines.
-    A Latin line holds one a and one b, so the labels of every line's
-    a-cell, and of its b-cell, are sums over the sub-blocks of their
-    labels masked to a, and to b (_links); the union-find sees their
-    distinct pairs.  A merged part starts at the first cell of its
-    smallest label, so parts renumbered in order of their smallest
+    A Latin line holds one a and one b, so the labels of every
+    first-axis line's a-cell, and of its b-cell, are sums over the
+    sub-blocks of their labels, each shifted past those of the
+    sub-blocks before it, masked to a, and to b (_links); the union-find
+    sees their distinct pairs.  A merged part starts at the first cell of
+    its smallest label, so parts renumbered in order of their smallest
     labels stay numbered by first cell.
     """
-    size = len(pat) // k
-    if size == 1:
-        return 1, bytes(k)
-    top = memo is None
-    if top:
-        memo, pat = {}, memoryview(pat)
-    got = memo.get(pat)
-    if got is not None:
-        return got
-    subs = [pat[i:i + size] for i in range(0, len(pat), size)]
-    kids = [_block(sub, k, memo) for sub in subs]
-    if top:
-        memo.clear()
     *starts, total = itertools.accumulate((c for c, _ in kids), initial=0)
     w = _width(total)
-    parent = list(range(total))
-    for pair in _links(subs, kids, starts, w):
+    parent, shift = list(range(total)), 256 ** w
+    for pair in _links(pattern, off, size, kids, starts, w):
         # path halving; the smaller root wins
-        x, y = divmod(pair, 256 ** w)
+        x, y = divmod(pair, shift)
         while x != (r := parent[x]):
             parent[x] = x = parent[r]
         while y != (r := parent[y]):
@@ -120,27 +107,88 @@ def _block(pat, k, memo=None):
         else:
             new[g] = new[r]
     width = _width(count)
-    out = bytearray()
     for j, start in enumerate(starts):
-        (c, labels), kids[j] = kids[j], None  # each freed once written
-        out += _relabel(labels, _width(c), new[start:start + c], width)
-    memo[pat] = count, out
-    return count, out
+        # each sub-block's labels in a bytearray of their own, the old
+        # ones freed as soon as they are renumbered
+        c, labels = kids[j]
+        kids[j] = _relabel(labels, _width(c), new[start:start + c], width)
+    return count, kids
+
+
+def _block(off, cells, k, pattern, memo, pat=None):
+    """(count, labels): the parts of the block of the table's cells off to
+    off + cells - 1, k^m of them, those sharing their first n-m
+    coordinates, joined by the block's own lines.
+
+    pattern(at, cells) reads the a/b pattern (1 at a, 2 at b, 0
+    elsewhere) of the table's cells from at on; pat, a memoryview of the
+    block's, is read so when not given.  Parts are numbered by first
+    cell; labels holds each cell's part in _width(count)-byte fields,
+    some part at cells outside the pair.  A line (m = 1) is one part.
+    Otherwise the parts of the k sub-blocks, given views of pat, are
+    joined by the block's first-axis lines (_join), which reads their
+    pattern from the table, so pat is dropped first.
+
+    The parts depend only on pat, so memo maps a pattern's hash to the
+    offset of a block holding it and that block's answer, the pattern
+    there compared before the answer is used.  A block of at most _SLICE
+    cells keeps its answer when first solved, and so does one of the top
+    call's (pat not given), whose labels the top call holds anyway.  A
+    block in between keeps only its offset, and its answer once its
+    pattern comes again: such a pattern met once holds no labels, one met
+    twice is solved twice.  A hash taken by another pattern stores
+    nothing more.
+    """
+    if cells == k:
+        return 1, bytearray(k)
+    first = pat is None or cells <= _SLICE  # kept when first solved
+    if pat is None:
+        pat = memoryview(pattern(off, cells))
+    h = hash(pat)
+    known = memo.get(h)
+    if known and pattern(known[0], cells) != pat:
+        known = False
+    elif known and known[1]:
+        return known[1]
+    size = cells // k
+    kids = [_block(off + i, size, k, pattern, memo, pat[i:i + size])
+            for i in range(0, cells, size)]
+    del pat
+    count, parts = _join(kids, pattern, off, size)
+    got = count, bytearray().join(parts)
+    del parts
+    if known is None or known:
+        memo[h] = off, got if known or first else None
+    return got
 
 
 def _labelled(q, a, b):
-    """(count, labels) of the pair {a, b} of q: the block (_block) of its
-    a/b pattern, which is then dropped, after the pair check and the
-    non-Latin refusal that every path to the parts shares."""
+    """(count, parts) of the pair {a, b} of q, after the pair check and
+    the non-Latin refusal that every path to the parts shares: the
+    labels of _block, as k bytearrays, one per first-axis sub-block, so
+    that they are never copied into one.  The parts are the join (_join)
+    of the k sub-blocks (_block), solved in turn, each from its own a/b
+    pattern: no table-sized pattern is made, and the join reads the
+    pattern of the lines it links from q's values, _SLICE at a time."""
     k = q.order
     if a == b or not _ints_below((a, b), k):
         raise AnalysisError("component pair %r is not two distinct symbols "
                             "in 0..%d" % ((a, b), k - 1))
     if not validate(q).ok:
         raise AnalysisError("table is not Latin; components are undefined")
-    pair = bytearray(256)
+    raw, pair = q.values.obj, bytearray(256)
     pair[a], pair[b] = 1, 2
-    return _block(q.values.obj.translate(pair), k)
+
+    def pattern(at, cells):
+        return raw[at:at + cells].translate(pair)
+    size = len(raw) // k
+    if size == 1:  # arity 1: one line
+        return 1, [bytearray(k)]
+    memo = {}
+    kids = [_block(lo, size, k, pattern, memo)
+            for lo in range(0, len(raw), size)]
+    del memo  # every repeat below the top is found
+    return _join(kids, pattern, 0, size)
 
 
 def find_components(q, a, b):
@@ -154,9 +202,10 @@ def find_components(q, a, b):
     A non-Latin table has no such graph and raises AnalysisError; the
     check is validate's one-hot sums.  The parts come from the whole
     table's block (_block), divided along the first axis down to lines and
-    solved once per distinct a/b pattern: the tables built here are
-    superpositions and isotopes of iterates, whose blocks repeat a few
-    patterns.  One C-level pass then appends every ab-cell's uint32
+    solved once per distinct a/b pattern (a block over _SLICE cells below
+    the top call's once more when its pattern repeats): the tables built
+    here are superpositions and isotopes of iterates, whose blocks repeat
+    a few patterns.  One C-level pass then appends every ab-cell's uint32
     index, in index order, to its part, so each part comes out sorted and
     the parts in order of their smallest cells.
     """
@@ -165,9 +214,11 @@ def find_components(q, a, b):
     count, labels = _labelled(q, a, b)
     pat = q.values.obj.translate(bytes(v in (a, b) for v in range(256)))
     parts = [bytearray() for _ in range(count)]
+    fmt = _FORMATS[_width(count)]
     # bytearray.extend returns None, so any() runs the whole map
     any(map(bytearray.extend, map(parts.__getitem__, itertools.compress(
-        memoryview(labels).cast(_FORMATS[_width(count)]), pat)),
+        itertools.chain.from_iterable(
+            memoryview(part).cast(fmt) for part in labels), pat)),
         map(int.to_bytes, itertools.compress(range(len(pat)), pat),
             itertools.repeat(4), itertools.repeat(sys.byteorder))))
     return [Component(memoryview(part).cast("I"), q.arity, q.order, (a, b))
@@ -195,39 +246,42 @@ def switch_component(q, comp):
                 "not a component of this table: cell %r holds %d, not in {%d,%d}"
                 % (q.coords(idx), v, a, b))
         vals[idx] = a + b - v
-    return _flipped(q.arity, q.order, vals)
+    return _flipped(QTable(q.arity, q.order, vals))
 
 
-def _flipped(arity, order, vals):
-    """The table of this shape holding vals, refused unless it is Latin."""
-    t = QTable(arity, order, vals)
+def _flipped(t):
+    """t, refused unless it is Latin."""
     if not validate(t).ok:
         raise AnalysisError("not a component: the flip breaks the Latin property")
     return t
 
 
 def _flip(q, a, b, labelled, i):
-    """The values of switch_component(q, find_components(q, a, b)[i]) as
-    bytes, from labelled = _labelled(q, a, b); the caller validates them.
-    One copy of q's values, an io.BytesIO's buffer, is XORed 2^14 cells at
-    a time with a ^ b times the mask of the a/b cells whose label is i in
-    every byte plane; getvalue hands the buffer over without a copy."""
-    count, labels = labelled
+    """The values of switch_component(q, find_components(q, a, b)[i]), as
+    bytearrays that the caller joins and validates, written over the
+    labels of labelled = _labelled(q, a, b), whose parts this consumes
+    and returns: part j holds the labels of the j-th of as many equal
+    runs of cells.  q's values are XORed _SLICE cells at a time with
+    a ^ b times the mask of the a/b cells whose label is i in every byte
+    plane.  The values go to their cells' offsets in the part, which
+    never pass the labels already read (w bytes a cell), and the labels
+    past the last are cut."""
+    count, parts = labelled
     w = _width(count)
     ab = bytes(v in (a, b) for v in range(256))
     # byte j of each native w-byte label against byte j of i
     planes = [bytes(v == byte for v in range(256))
               for byte in i.to_bytes(w, sys.byteorder)]
-    vals, step = q.values.obj, 1 << 14
-    copy = io.BytesIO(vals)
-    with copy.getbuffer() as out:
-        for lo in range(0, len(vals), step):
-            chunk = vals[lo:lo + step]
+    vals = q.values.obj
+    size = len(vals) // len(parts)
+    for at, labels in zip(range(0, len(vals), size), parts):
+        for lo in range(0, size, _SLICE):
+            chunk = vals[at + lo:at + min(lo + _SLICE, size)]
             mask = int.from_bytes(chunk.translate(ab), "little")
             for j, plane in enumerate(planes):
                 mask &= int.from_bytes(labels[
-                    lo * w + j:(lo + step) * w:w].translate(plane), "little")
-            if mask:
-                out[lo:lo + step] = (int.from_bytes(chunk, "little") ^ (
-                    a ^ b) * mask).to_bytes(len(chunk), "little")
-    return copy.getvalue()
+                    lo * w + j:(lo + _SLICE) * w:w].translate(plane), "little")
+            labels[lo:lo + len(chunk)] = (int.from_bytes(chunk, "little") ^ (
+                a ^ b) * mask).to_bytes(len(chunk), "little") if mask else chunk
+        del labels[size:]
+    return parts

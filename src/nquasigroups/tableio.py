@@ -2,16 +2,17 @@
 and the k-line text form of binary tables (to_text, from_text).
 
 Tables of order <= 10 are written in pieces (_json_bytes), and compact
-JSON of single digits is read from bytes by offsets (_compact), so json
-loads only on their fallbacks.  Out of core so that the commands that
-read or write no table, every census among them, compile none of it;
-core still answers to from_json, to_json and to_json_obj, loading this
-module on first use, for the benchmark harness that reads them there.
+JSON of single digits is read from bytes by offsets (_compact), in a
+reader's own buffer in place (_table), so json loads only on their
+fallbacks.  Out of core so that the commands that read or write no
+table, every census among them, compile none of it; core still answers
+to from_json, to_json and to_json_obj, loading this module on first
+use, for the benchmark harness that reads them there.
 """
 
 import re
 
-from .core import _FROM_DIGITS, QTable, StructuralError, from_rows
+from .core import _FROM_DIGITS, _SLICE, QTable, StructuralError, from_rows
 
 
 def to_json_obj(t):
@@ -77,11 +78,12 @@ def to_json(t, separators=(", ", ": ")):
 
 
 def _compact(data):
-    """(arity, order, digits) of the compact form {"arity":N,"order":K,
+    """(arity, order, lo, count) of the compact form {"arity":N,"order":K,
     "values":[d,d,...]}, single digits and whitespace only around it, in
-    data, bytes, read by offsets; else None.  The digits are the even
-    positions of the list's body, up to its closing "]}"; once all are
-    digits, a comma count of len(digits) - 1 puts one at each odd one."""
+    data, bytes or a bytearray, read by offsets; else None.  The list's
+    body is count digits data[lo:lo + 2 * count:2], a comma between each
+    two, and "]}"; they are read _SLICE digits at a time, so nothing
+    table-sized is made."""
     head = isinstance(data, (bytes, bytearray)) and re.match(
         _COMPACT_HEAD, data)
     if head:
@@ -89,25 +91,41 @@ def _compact(data):
         # trailing whitespace, found from the end; the head ends in "["
         while data[hi - 1] in b" \t\n\r":
             hi -= 1
-        digits = data[lo:hi - 2:2]
-        if (data.endswith(b"]}", lo, hi) and (hi - lo) % 2
-                and digits.isdigit()
-                and data.count(b",", lo, hi) == len(digits) - 1):
-            return int(head[1]), int(head[2]), digits
+        if not (data.endswith(b"]}", lo, hi) and (hi - lo) % 2):
+            return None
+        commas = b"," * _SLICE
+        for j in range(lo, hi - 2, 2 * _SLICE):
+            sep = data[j + 1:min(j + 2 * _SLICE, hi - 3):2]
+            if not (data[j:min(j + 2 * _SLICE, hi - 2):2].isdigit()
+                    and sep == commas[:len(sep)]):
+                return None
+        return int(head[1]), int(head[2]), lo, (hi - lo - 1) // 2
     return None
 
 
-def _table(arity, order, digits):
-    return QTable(arity, order, digits.translate(_FROM_DIGITS))
+def _table(buf, arity, order, lo, count):
+    """The table of the digits _compact found in buf, a reader's own
+    bytearray, which this consumes: buf is compacted in place, _SLICE
+    symbols at a time (each written below the digits still to be read),
+    and cut to them, so the read holds no second copy of the digits."""
+    for i in range(0, count, _SLICE):
+        cells = buf[lo + 2 * i:lo + 2 * min(i + _SLICE, count):2]
+        buf[i:i + len(cells)] = cells.translate(_FROM_DIGITS)
+    del buf[count:]
+    return QTable(arity, order, buf)
 
 
 def from_json(s):
     """Table from its JSON text, a str or bytes: the compact form by
     _compact (an ASCII str encoded first), any other text by json.loads
     and from_json_obj, with the same outcome."""
-    found = _compact(s.encode() if isinstance(s, str) and s.isascii() else s)
+    data = s.encode() if isinstance(s, str) and s.isascii() else s
+    found = _compact(data)
     if found:
-        return _table(*found)
+        arity, order, lo, count = found
+        digits = data[lo:lo + 2 * count:2]
+        del data  # an encoded str is not held while the digits translate
+        return QTable(arity, order, digits.translate(_FROM_DIGITS))
     import json
 
     try:

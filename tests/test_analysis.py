@@ -1085,6 +1085,29 @@ class TestReductionKernel:
         import random
         check_reductions(drawn_table(n, k, kind, random.Random(seed)))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_compared_in_pieces(self, monkeypatch, seed):
+        # a split that ends at the last axis is read in place: with more
+        # S-tuples than rows, row by row, here 3 S-tuples at a time
+        import random
+        monkeypatch.setattr(R, "_SLICE", 3)
+        rng = random.Random(seed)
+        for kind in ("uniform", "composed", "injective"):
+            check_reductions(drawn_table(4, 3, kind, rng))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_isotope_runs_read_in_place(self, seed):
+        # the benchmark's kind of reductions: every tail of the axes of an
+        # isotope of an iterate, read in place by columns (2 and 3 axes)
+        # or by rows (4 and 5), and splits read from the S-major copy
+        t = isotope(C.build_closed(6, 5, 2), seed)
+        for S in [(5, 6), (4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 5, 6),
+                  (1, 2, 3), (2, 3), (3, 4, 5), (2, 6)]:
+            split = A.Split(frozenset(S))
+            assert (A.is_reducible_wrt(t, split, return_witness=True)
+                    == reference_is_reducible_wrt(t, split,
+                                                  return_witness=True))
+
     def test_values_outside_the_order(self):
         # no such table exists: the constructor refuses the first bad symbol
         t, _ = randgen.random_reducible(4, 3, 5)
@@ -1329,6 +1352,46 @@ class TestBlockSearchAgainstUnionFind:
         for a, b in [(0, seed), (4, seed - 1)]:
             assert_parts_match_union_find(t, a, b)
 
+    @pytest.mark.parametrize("t,a,b", [
+        (C.build_closed(6, 5, 2), 0, 1), (core.iterate(z_add(3), 7), 0, 1),
+        (isotope(C.build_closed(6, 5, 2), 1), 1, 2),
+        (isotope(C.build_closed(6, 5, 2), 2), 0, 2)],
+        ids=["closed-6-5", "z3-iterate-8", "isotope-1", "isotope-2"])
+    def test_memo_past_the_slice(self, monkeypatch, t, a, b):
+        # with _SLICE at 25 cells, a block of 125 cells or more keeps its
+        # answer only from its pattern's second sight, and the joins read
+        # their lines 25 at a time; the iterates repeat their patterns,
+        # the isotopes less
+        monkeypatch.setattr(switching, "_SLICE", 25)
+        assert_parts_match_union_find(t, a, b)
+
+    @pytest.mark.parametrize("limit,kept", [(5, False), (25, True)])
+    def test_memo_keeps_answers_by_size(self, monkeypatch, limit, kept):
+        # a block over _SLICE cells keeps only its offset when first
+        # solved, is solved again at its second sight, and then found; a
+        # block of at most _SLICE cells keeps its answer at once
+        monkeypatch.setattr(switching, "_SLICE", limit)
+        t = C.build_closed(4, 5, 2)
+        raw, pair = t.values.obj, bytearray(256)
+        pair[0], pair[1] = 1, 2
+
+        def pattern(at, cells):
+            return raw[at:at + cells].translate(pair)
+        blocks = [pattern(at, 25) for at in range(0, 625, 25)]
+        i = next(i for i, p in enumerate(blocks) if p in blocks[i + 1:])
+        j = blocks.index(blocks[i], i + 1)
+        memo, h = {}, hash(blocks[i])
+
+        def solve(x):
+            return switching._block(25 * x, 25, 5, pattern, memo,
+                                    memoryview(blocks[x]))
+        first = solve(i)
+        assert memo[h] == (25 * i, first if kept else None)
+        second = solve(j)
+        assert second == first
+        assert (second is first) == kept
+        assert memo[h][1] is second and solve(j) is second
+
     @pytest.mark.parametrize("t,a,b,parts,widest", [
         (z_add(8, 5), 0, 4, 256, 256), (z_add(6, 6), 0, 3, 243, 256),
         (C.build_closed(10, 4, 2), 0, 1, 512, 512)],
@@ -1368,12 +1431,12 @@ def assert_flips_match_switch_component(t, a, b, parts=None):
     switch_component on find_components' part i, in both orders of the
     pair, for every part or for the parts listed.  Returns the count."""
     for x, y in ((a, b), (b, a)):
-        labelled = switching._labelled(t, x, y)
         comps = switching.find_components(t, x, y)
-        assert labelled[0] == len(comps)
+        assert switching._labelled(t, x, y)[0] == len(comps)
         for i in range(len(comps)) if parts is None else parts:
-            got = switching._flipped(
-                t.arity, t.order, switching._flip(t, x, y, labelled, i))
+            # _flip writes over the labels: a fresh pair for each part
+            got = switching._flipped(core.QTable(t.arity, t.order, b"".join(
+                switching._flip(t, x, y, switching._labelled(t, x, y), i))))
             want = switching.switch_component(t, comps[i])
             assert (got.arity, got.order, got.values.obj) == \
                 (want.arity, want.order, want.values.obj), (x, y, i)
@@ -1414,8 +1477,8 @@ class TestFlipAgainstSwitchComponent:
         labels = bytearray(len(t.values))
         labels[t.values.obj.index(0)] = 1
         with pytest.raises(A.AnalysisError) as err:
-            switching._flipped(
-                t.arity, t.order, switching._flip(t, 0, 1, (2, labels), 1))
+            switching._flipped(core.QTable(t.arity, t.order, b"".join(
+                switching._flip(t, 0, 1, (2, [labels]), 1))))
         assert str(err.value) == \
             "not a component: the flip breaks the Latin property"
 

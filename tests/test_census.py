@@ -507,6 +507,22 @@ class TestEntryPointArguments:
                 call()
         assert census.enumerate_count(5, 1) == 1
 
+    @pytest.mark.parametrize("n", [10 ** 7, 10 ** 30])
+    def test_huge_arity_bounds_refused(self, n):
+        # (k//2)^n and 3^(n//3) once formed as exact ints first
+        t0 = time.perf_counter()
+        with pytest.raises(census.BudgetError,
+                           match=r"table has 6\^%d cells" % n):
+            census.bound_exponents(n, 6)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_bounds_take_the_callers_budget(self):
+        # 4^11 cells: over the default budget, at the build budget
+        with pytest.raises(census.BudgetError):
+            census.bound_exponents(11, 4)
+        assert census.bound_exponents(11, 4, budget=core.BUILD_CELL_BUDGET) \
+            == {"even": 2048}
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_only_value_or_budget_errors(self, data):
@@ -523,7 +539,8 @@ class TestEntryPointArguments:
                 lambda: next(census.enumerate_tables(n, k, budget, limit,
                                                      visit), None),
                 lambda: census.verify_family(n, k, seed, budget),
-                lambda: census.run_census(n, k, budget, exact, limit, seed)):
+                lambda: census.run_census(n, k, budget, exact, limit, seed),
+                lambda: census.bound_exponents(n, k, budget)):
             try:
                 call()
             except (ValueError, census.BudgetError):

@@ -218,6 +218,43 @@ class TestValidateAgainstReference:
             assert core.validate(t) == reference_validate(t)
 
 
+class TestOneHotAgainstLines:
+    """_one_hot_latin's whole-chunk sums against the line-by-line scan,
+    with one cell broken at every position, so that a violation sits at
+    the first and the last line of every chunk of every axis."""
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (4, 5), (3, 7), (2, 14)],
+                             ids=["3^5", "5^4", "7^3", "14^2"])
+    def test_every_cell_broken(self, n, k):
+        t = isotope_of_sum(n, k, random.Random(n * k))
+        w = core._one_hot_width(k)
+        assert core._one_hot_latin(t, w)
+        for i in range(len(t.values)):
+            vals = bytearray(t.values)
+            vals[i] = (vals[i] + 1) % k
+            bad = core.QTable(n, k, vals)
+            assert not core._one_hot_latin(bad, w)
+            assert core.validate(bad) == reference_validate(bad)
+
+
+class TestSymbolCheckInSlices:
+    """The constructor checks bytes a slice at a time and still names the
+    first bad symbol, wherever it sits against the slices."""
+
+    @pytest.mark.parametrize("size", [1, 3, 4])
+    def test_bad_symbol_at_every_position(self, monkeypatch, size):
+        monkeypatch.setattr(core, "_SLICE", size)
+        good = bytes(z_add(5).values)
+        assert core.QTable(2, 5, good) == z_add(5)
+        for i in range(len(good)):
+            for bad in (5, 255):
+                vals = bytearray(good)
+                vals[i] = bad
+                with pytest.raises(core.StructuralError) as err:
+                    core.QTable(2, 5, vals)
+                assert str(err.value) == "symbol %d out of range 0..4" % bad
+
+
 class TestEvaluate:
     def test_q72_spots(self):
         q = fixture("Q72")
