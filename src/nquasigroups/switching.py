@@ -44,9 +44,6 @@ def _links(pattern, off, size, kids, starts, w):
     _join); its sub-blocks hold size cells, and pattern(at, cells) is the
     a/b pattern of the table's cells from at on."""
     full = 256 ** w - 1
-    masks = (0, full), (0, 0, full)
-    if w == 1:  # one translate each
-        masks = [bytes(m).ljust(256, b"\0") for m in masks]
     links = set()
     for lo in range(0, size, _SLICE):
         hi, ends = min(lo + _SLICE, size), [0, 0]
@@ -56,10 +53,9 @@ def _links(pattern, off, size, kids, starts, w):
                 labels[lo * lw:hi * lw], lw, range(start, start + c), w),
                 sys.byteorder)
             sub = pattern(off + j * size + lo, hi - lo)
-            for e, mask in enumerate(masks):
+            for e, mask in enumerate(((0, full), (0, 0, full))):
                 ends[e] += shifted & int.from_bytes(
-                    sub.translate(mask) if w == 1
-                    else _relabel(sub, 1, mask, w), sys.byteorder)
+                    _relabel(sub, 1, mask, w), sys.byteorder)
         pairs = bytearray(2 * w * (hi - lo))
         view = memoryview(pairs).cast(_FORMATS[w])
         for e, end in enumerate(ends):
@@ -129,26 +125,19 @@ def _block(off, cells, k, pattern, memo, pat=None):
     joined by the block's first-axis lines (_join), which reads their
     pattern from the table, so pat is dropped first.
 
-    The parts depend only on pat, so memo maps a pattern's hash to the
-    offset of a block holding it and that block's answer, the pattern
-    there compared before the answer is used.  A block of at most _SLICE
-    cells keeps its answer when first solved, and so does one of the top
-    call's (pat not given), whose labels the top call holds anyway.  A
-    block in between keeps only its offset, and its answer once its
-    pattern comes again: such a pattern met once holds no labels, one met
-    twice is solved twice.  A hash taken by another pattern stores
-    nothing more.
+    The parts depend only on pat, so memo maps a block's size and its
+    pattern's hash to the offset of the first block solved with them and
+    that block's answer; the pattern at that offset is compared with pat
+    before the answer is used, so the memo is exact.  A key taken by
+    another pattern keeps its entry, and the block is solved.
     """
     if cells == k:
         return 1, bytearray(k)
-    first = pat is None or cells <= _SLICE  # kept when first solved
     if pat is None:
         pat = memoryview(pattern(off, cells))
-    h = hash(pat)
-    known = memo.get(h)
-    if known and pattern(known[0], cells) != pat:
-        known = False
-    elif known and known[1]:
+    key = cells, hash(pat)
+    known = memo.get(key)
+    if known and pattern(known[0], cells) == pat:
         return known[1]
     size = cells // k
     kids = [_block(off + i, size, k, pattern, memo, pat[i:i + size])
@@ -157,8 +146,8 @@ def _block(off, cells, k, pattern, memo, pat=None):
     count, parts = _join(kids, pattern, off, size)
     got = count, bytearray().join(parts)
     del parts
-    if known is None or known:
-        memo[h] = off, got if known or first else None
+    if not known:
+        memo[key] = off, got
     return got
 
 
@@ -202,12 +191,11 @@ def find_components(q, a, b):
     A non-Latin table has no such graph and raises AnalysisError; the
     check is validate's one-hot sums.  The parts come from the whole
     table's block (_block), divided along the first axis down to lines and
-    solved once per distinct a/b pattern (a block over _SLICE cells below
-    the top call's once more when its pattern repeats): the tables built
-    here are superpositions and isotopes of iterates, whose blocks repeat
-    a few patterns.  One C-level pass then appends every ab-cell's uint32
-    index, in index order, to its part, so each part comes out sorted and
-    the parts in order of their smallest cells.
+    solved once per distinct a/b pattern: the tables built here are
+    superpositions and isotopes of iterates, whose blocks repeat a few
+    patterns.  One C-level pass then appends every ab-cell's uint32 index,
+    in index order, to its part, so each part comes out sorted and the
+    parts in order of their smallest cells.
     """
     from .families import Component
 

@@ -1358,19 +1358,14 @@ class TestBlockSearchAgainstUnionFind:
         (isotope(C.build_closed(6, 5, 2), 2), 0, 2)],
         ids=["closed-6-5", "z3-iterate-8", "isotope-1", "isotope-2"])
     def test_memo_past_the_slice(self, monkeypatch, t, a, b):
-        # with _SLICE at 25 cells, a block of 125 cells or more keeps its
-        # answer only from its pattern's second sight, and the joins read
-        # their lines 25 at a time; the iterates repeat their patterns,
-        # the isotopes less
+        # with _SLICE at 25 cells the joins read their lines 25 at a time;
+        # the iterates repeat their patterns, the isotopes less
         monkeypatch.setattr(switching, "_SLICE", 25)
         assert_parts_match_union_find(t, a, b)
 
-    @pytest.mark.parametrize("limit,kept", [(5, False), (25, True)])
-    def test_memo_keeps_answers_by_size(self, monkeypatch, limit, kept):
-        # a block over _SLICE cells keeps only its offset when first
-        # solved, is solved again at its second sight, and then found; a
-        # block of at most _SLICE cells keeps its answer at once
-        monkeypatch.setattr(switching, "_SLICE", limit)
+    def test_memo_checks_the_pattern(self):
+        # an entry under a block's key whose offset holds another pattern
+        # is not used, and stays; the block is solved as with no memo
         t = C.build_closed(4, 5, 2)
         raw, pair = t.values.obj, bytearray(256)
         pair[0], pair[1] = 1, 2
@@ -1378,19 +1373,18 @@ class TestBlockSearchAgainstUnionFind:
         def pattern(at, cells):
             return raw[at:at + cells].translate(pair)
         blocks = [pattern(at, 25) for at in range(0, 625, 25)]
-        i = next(i for i, p in enumerate(blocks) if p in blocks[i + 1:])
-        j = blocks.index(blocks[i], i + 1)
-        memo, h = {}, hash(blocks[i])
-
-        def solve(x):
-            return switching._block(25 * x, 25, 5, pattern, memo,
-                                    memoryview(blocks[x]))
-        first = solve(i)
-        assert memo[h] == (25 * i, first if kept else None)
-        second = solve(j)
-        assert second == first
-        assert (second is first) == kept
-        assert memo[h][1] is second and solve(j) is second
+        j = next(j for j, p in enumerate(blocks) if p != blocks[0])
+        planted = 0, (0, bytearray())
+        memo = {(25, hash(blocks[j])): planted}
+        got = switching._block(25 * j, 25, 5, pattern, memo)
+        assert memo[25, hash(blocks[j])] is planted
+        fresh = switching._block(25 * j, 25, 5, pattern, {})
+        assert got == fresh and got[0] > 0
+        # found again under its key once solved
+        memo = {}
+        got = switching._block(25 * j, 25, 5, pattern, memo)
+        assert memo[25, hash(blocks[j])] == (25 * j, got)
+        assert switching._block(25 * j, 25, 5, pattern, memo) is got
 
     @pytest.mark.parametrize("t,a,b,parts,widest", [
         (z_add(8, 5), 0, 4, 256, 256), (z_add(6, 6), 0, 3, 243, 256),

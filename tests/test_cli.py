@@ -1107,7 +1107,7 @@ COMPILED_TOKENS = {
     "validate TABLE": 8005,
     "census --n 3 --k 4": 9125,
     "census --n 2 --k 5": 11203,
-    "components TABLE --pair 0,1": 12090,
+    "components TABLE --pair 0,1": 12017,
     "analyze TABLE3 --reductions": 13197,
     "census --n 3 --k 7": 9365,
     "construct --closed 3 5 2": 9893,
@@ -1121,7 +1121,7 @@ COMPILED_TOKENS = {
     "census --n 6 --k 5": 9365,
     "census --n 5 --k 7": 9365,
     "census --n 3 --k 6 --seed 1": 9125,
-    "components TABLE --pair 0,1 --switch 0": 10012,
+    "components TABLE --pair 0,1 --switch 0": 9939,
     "construct --irreducible 3 5": 11971,
 }
 
