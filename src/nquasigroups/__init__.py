@@ -19,10 +19,11 @@ _EXPORTS = {
         ValidationReport evaluate from_function from_rows inverse_along
         is_valid iterate superpose validate""",
     "tableio": "from_json from_json_obj from_text to_json to_json_obj to_text",
-    "analysis": """ReconstructionError Shell Split extract_shell
-        find_reductions find_subquasigroups is_reducible_wrt reconstruct
-        reconstruct_with_split restrict_to_symbols retract
-        shell_from_json_obj shell_to_json_obj""",
+    "analysis": """Split find_reductions find_subquasigroups
+        is_reducible_wrt restrict_to_symbols""",
+    "shells": """ReconstructionError Shell extract_shell reconstruct
+        reconstruct_with_split retract shell_from_json_obj
+        shell_to_json_obj""",
     "switching": "find_components switch_component",
     "families": """Component CountingFamily build_family5 build_family_k
         build_ptq""",

@@ -3,14 +3,16 @@ components and reconstruct, which cli calls (cli._handler); --help and
 census compile none of this.
 
 Each handler imports what it runs: tableio to read or write a table
-(and core, which it imports), plus analysis for analyze and reconstruct
-(and reducibility to test a split), switching for components (and
-families for the parts it lists; --switch i flips part i from the block
-labels), constructions for construct (families for Q52, --ptq and the
-families).  Files are read as bytes into a buffer that a compact table
-is compacted in, and decoded as in text mode otherwise; tables of order
-<= 10 are written in pieces and shells in one pass, so json loads only
-on their fallbacks.
+(and core, which it imports), plus analysis for analyze but --shell (and
+reducibility to test a split), shells for analyze --shell and for
+reconstruct (which adds analysis and reducibility), switching for
+components (and families for the parts it lists; --switch i flips part i
+from the block labels), constructions for construct (families for Q52,
+--ptq and the families).  Files are read as bytes into a buffer that a
+compact table is compacted in, and decoded as in text mode otherwise;
+tables of order <= 10 are written in pieces and shells in one pass, and
+validate's {"ok":true} and analyze --reductions' axis lists are printed
+as they are, so json loads only on other outputs and on fallbacks.
 """
 
 import itertools
@@ -116,7 +118,7 @@ def _cmd_validate(args):
 
     rep = core.validate(_read_table(args.table))
     if rep.ok:
-        _emit({"ok": True})
+        print('{"ok":true}')
         return 0
     _emit({"ok": False, "violations": [
         {"axis": v.axis, "fixed": list(v.fixed)} for v in rep.violations]})
@@ -169,20 +171,24 @@ def _cmd_construct(args):
 
 def _cmd_analyze(args):
     t = _read_table(args.table)  # before analysis compiles: a lower peak
+    if args.shell:
+        if args.basepoint is None:
+            raise _UsageError("--shell requires --basepoint")
+        from . import shells
+
+        print(shells._shell_json(shells.extract_shell(t, args.basepoint)))
+        return 0
     from . import analysis
 
-    if args.reductions:
-        _emit([list(s.axes) for s in analysis.find_reductions(t)])
+    if args.reductions:  # lists of ints: json.dumps' compact text
+        print(str([list(s.axes) for s in analysis.find_reductions(t)])
+              .replace(" ", ""))
     elif args.subquasigroups:
         _emit([list(om) for om in analysis.find_subquasigroups(t)])
-    elif args.split:
+    else:
         ok, wit = analysis.is_reducible_wrt(
             t, analysis.Split(frozenset(args.split)), return_witness=True)
         _emit({"reducible": ok, "witness": list(wit) if ok else None})
-    else:
-        if args.basepoint is None:
-            raise _UsageError("--shell requires --basepoint")
-        print(analysis._shell_json(analysis.extract_shell(t, args.basepoint)))
     return 0
 
 
@@ -210,15 +216,14 @@ def _cmd_components(args):
 
 
 def _cmd_reconstruct(args):
-    from . import analysis, tableio
+    from . import shells, tableio
 
-    sh = analysis._shell_from_json(_text(*_read(args.shell)))
+    sh = shells._shell_from_json(_text(*_read(args.shell)))
     if args.split:
-        t = analysis.reconstruct_with_split(
-            sh, analysis.Split(frozenset(args.split)))
+        t = shells.reconstruct_with_split(sh, args.split)
         _emit_table(t, args.pretty)
         return 0
-    tables = analysis.reconstruct(sh)
+    tables = shells.reconstruct(sh)
     if sh.arity == 3:
         if args.pretty:
             raise _UsageError("--pretty applies to single-table outputs only")
@@ -226,7 +231,7 @@ def _cmd_reconstruct(args):
         return 0
     # theorem (1): a reducible table of arity >= 4 is fixed by its shell
     if len(tables) > 1:
-        raise analysis.ReconstructionError(
+        raise shells.ReconstructionError(
             "shell admits %d distinct tables; uniqueness expected at arity >= 4"
             % len(tables))
     _emit_table(tables[0], args.pretty)

@@ -1,7 +1,8 @@
-"""The reducibility kernel behind analysis.is_reducible_wrt and
-find_reductions: a box prefilter, then an exact check on the values, read
-in place or from an S-major copy (the argument is in is_reducible_wrt's
-docstring).
+"""The reducibility kernel behind analysis.is_reducible_wrt,
+find_reductions and the retract tests of shells.reconstruct: a box
+prefilter whose checks a memo decides once per table, then an exact check
+on the values, read in place or from an S-major copy (the argument is in
+is_reducible_wrt's docstring).
 
 A module of its own so that the commands that never test reducibility
 (components, analyze --shell, construct) do not compile it.
@@ -12,31 +13,46 @@ from operator import itemgetter
 from .core import _SLICE, _offsets
 
 
-def reduction_witness(vals, n, k, S):
+def reduction_witness(vals, n, k, S, memo=None):
     """The witness of is_reducible_wrt over the sorted axes S as bytes, a
-    label per S-tuple, or None; vals is the bytes of the table's values."""
+    label per S-tuple, or None; vals is the bytes of the table's values.
+    memo, a dict kept for one table, holds the box checks decided so far
+    (_boxes_agree)."""
     C = [i for i in range(1, n + 1) if i not in S]
-    if not _boxes_agree(vals, n, k, S, C):
+    if not _boxes_agree(vals, n, k, S, C, memo):
         return None
     return _s_major_witness(vals, n, k, S)
 
 
-def _boxes_agree(vals, n, k, S, C):
+def _boxes_agree(vals, n, k, S, C, memo=None):
     """Step (a) of is_reducible_wrt.  Each box's cells are read through
     one itemgetter of their offsets; two rows have the same partition
     exactly when the pairs of their values are a bijection, i.e. there
-    are as many distinct pairs as distinct values on each side."""
-    view = memoryview(vals)
+    are as many distinct pairs as distinct values on each side.
+
+    The box of an axis pair has every other axis at 0, and the row at
+    offset c changes one C axis, so a check's verdict depends on the
+    table, the pair and c only, not on the split: memo keeps it under
+    (pair, c), and a box is read only when one of its checks is new."""
     steps = [v * k ** (n - i) for i in C for v in range(1, k)]
     if not steps:  # order 1: one cell per box, one row
         return True
+    if memo is None:
+        memo = {}
+    view = memoryview(vals)
     for pair in {(S[0], S[-1]), (S[-2], S[-1])}:
-        box = itemgetter(*_offsets(n, k, pair))
-        base = box(view)
-        classes = len(set(base))
+        box = None
         for c in steps:
-            row = box(view[c:])
-            if not len(set(zip(base, row))) == classes == len(set(row)):
+            agree = memo.get((pair, c))
+            if agree is None:
+                if box is None:
+                    box = itemgetter(*_offsets(n, k, pair))
+                    base = box(view)
+                    classes = len(set(base))
+                row = box(view[c:])
+                agree = memo[pair, c] = (
+                    len(set(zip(base, row))) == classes == len(set(row)))
+            if not agree:
                 return False
     return True
 
@@ -132,7 +148,7 @@ def _s_major_witness(vals, n, k, S):
         first = vals[:cols]
         # the distinct values of the row C = 0 in order of first
         # appearance, each mapped to the first S-tuple holding it
-        reps = {v: first.index(v) for v in dict.fromkeys(first)}
+        reps = _first_seen(first)
         if cols > rows:
             for c in range(0, rows * cols, cols):  # each row's offset
                 image = bytearray(256)
@@ -153,10 +169,8 @@ def _s_major_witness(vals, n, k, S):
         first = m[::rows]
         raw = memoryview(m)
         # as above, each mapped to the column of that S-tuple
-        reps = dict.fromkeys(first)
-        for v in reps:
-            s = first.index(v)
-            reps[v] = raw[s * rows:(s + 1) * rows]
+        reps = {v: raw[s * rows:(s + 1) * rows]
+                for v, s in _first_seen(first).items()}
         # bytes.join holds an 80-byte buffer record per piece, so the
         # columns are joined and compared up to 256 S-tuples and _SLICE
         # bytes at a time, one join alive at once
@@ -166,5 +180,19 @@ def _s_major_witness(vals, n, k, S):
                 return None
         if not _apart(list(reps.values()), rows):
             return None
-    labels = dict(zip(reps, range(len(reps))))
-    return first.translate(bytes(labels.get(v, 0) for v in range(256)))
+    labels = bytearray(256)
+    for label, v in enumerate(reps):
+        labels[v] = label
+    return first.translate(labels)
+
+
+_BYTES = bytes(range(256))
+
+
+def _first_seen(first):
+    """{value: position of its first byte} over the values of the bytes
+    first, in order of first appearance: the same dict as
+    {v: first.index(v) for v in dict.fromkeys(first)}, with one find per
+    distinct value instead of a step per byte."""
+    present = _BYTES.translate(None, _BYTES.translate(None, first))
+    return {v: at for at, v in sorted((first.find(v), v) for v in present)}

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nquasigroups import (analysis, census, constructions, core, families,
-                          latin, switching)
+                          latin, shells, switching)
 
 CRITERIA = {
     1: "embedded fixtures validate and match published spot values",
@@ -26,7 +26,7 @@ CRITERIA = {
 
 
 # the table operators whose every output the tests validate, by home module
-OPERATORS = {core: ("superpose", "inverse_along"), analysis: ("retract",),
+OPERATORS = {core: ("superpose", "inverse_along"), shells: ("retract",),
              latin: ("omega_product", "direct_product")}
 
 
@@ -48,24 +48,30 @@ CHECKED = {name: _validated(getattr(home, name))
            for home, names in OPERATORS.items() for name in names}
 
 
-# the operators that core only forwards (core._forward), by home module
-FORWARDED = {latin: ("omega_product",)}
+# the names a module only forwards (core._forward), by forwarding module
+# and home module
+FORWARDED = {core: {latin: ("omega_product",)},
+             analysis: {shells: ("extract_shell", "reconstruct",
+                                 "reconstruct_with_split",
+                                 "shell_from_json_obj", "shell_to_json_obj")}}
 
 
 @pytest.fixture(autouse=True)
 def _validate_operators(monkeypatch):
     # the last test's undo must not have written a forwarded name into
-    # core, where it would shadow the forward for every later test
-    for home, names in FORWARDED.items():
-        for name in names:
-            assert name not in vars(core)
-            assert core.__getattr__(name) is getattr(home, name)
+    # its forwarding module, where it would shadow the forward for every
+    # later test
+    for module, homes in FORWARDED.items():
+        for home, names in homes.items():
+            for name in names:
+                assert name not in vars(module)
+                assert module.__getattr__(name) is getattr(home, name)
     # every module that calls an operator by name reaches the checked one,
     # so every table an operator derives during a test is revalidated.
     # Only a module's own names are patched: core's forward of
     # omega_product reaches latin's patched one.
-    for module in (core, constructions, analysis, census, latin, families,
-                   switching):
+    for module in (core, constructions, analysis, shells, census, latin,
+                   families, switching):
         for name, checked in CHECKED.items():
             if name in vars(module):
                 monkeypatch.setattr(module, name, checked)

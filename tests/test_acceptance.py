@@ -8,7 +8,7 @@ import itertools
 import time
 from pathlib import Path
 
-from nquasigroups import analysis, core, switching
+from nquasigroups import analysis, core, shells, switching
 from nquasigroups import constructions as C
 import nquasigroups.census as census
 
@@ -78,16 +78,16 @@ def test_criterion_5_shell_reconstruction():
     for i in range(50):
         k = 4 + i % 2
         q, _ = randgen.random_reducible(4, k, seed=i)
-        sh = analysis.extract_shell(q, (0,) * 4)
-        assert [c.values for c in analysis.reconstruct(sh)] == [q.values], i
+        sh = shells.extract_shell(q, (0,) * 4)
+        assert [c.values for c in shells.reconstruct(sh)] == [q.values], i
     q3, f3, _ = C.build_shell_counterexample()
-    sh3 = analysis.extract_shell(q3, (0, 0, 0))
-    cands = analysis.reconstruct(sh3)
+    sh3 = shells.extract_shell(q3, (0, 0, 0))
+    cands = shells.reconstruct(sh3)
     vals = {c.values for c in cands}
     assert len(vals) >= 2
     assert q3.values in vals and f3.values in vals
     for c in cands:
-        assert analysis.extract_shell(c, (0, 0, 0)) == sh3
+        assert shells.extract_shell(c, (0, 0, 0)) == sh3
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -1,7 +1,9 @@
 """Reducibility decisions, shells, reconstruction, switching components."""
 
+import contextlib
 import copy
 import functools
+import io
 import itertools
 import json
 import operator
@@ -18,6 +20,7 @@ from nquasigroups import cli, commands
 from nquasigroups import constructions as C
 from nquasigroups import core
 from nquasigroups import reducibility as R
+from nquasigroups import shells as SH
 from nquasigroups import families, latin, switching, tableio
 
 import oracles
@@ -210,28 +213,28 @@ class TestFindSubquasigroups:
 
 def entries(sh):
     """The [cell..., value] rows of a shell's JSON form."""
-    return A.shell_to_json_obj(sh)["entries"]
+    return SH.shell_to_json_obj(sh)["entries"]
 
 
 class TestExtractShell:
     def test_entry_count_2_5(self):
-        sh = A.extract_shell(C.fixture("Q52"), (0, 0))
+        sh = SH.extract_shell(C.fixture("Q52"), (0, 0))
         assert len(entries(sh)) == 9
 
     def test_entry_count_4_4_offcenter(self):
         t = C.build_closed(4, 4, 2)
-        sh = A.extract_shell(t, (2, 2, 2, 2))
+        sh = SH.extract_shell(t, (2, 2, 2, 2))
         assert len(entries(sh)) == 175
 
     def test_xor_shell(self):
-        sh = A.extract_shell(core.from_rows([[0, 1], [1, 0]]), (0, 0))
+        sh = SH.extract_shell(core.from_rows([[0, 1], [1, 0]]), (0, 0))
         assert entries(sh) == [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
         assert sh.values == bytes((0, 1, 1, 0))
 
     def test_off_shell_cells_are_zero(self):
         # the cells that miss the basepoint on every axis hold 0
         q = C.fixture("Q62")
-        sh = A.extract_shell(q, (3, 1))
+        sh = SH.extract_shell(q, (3, 1))
         for x in q.cells():
             v = sh.values[q.index(x)]
             assert v == (core.evaluate(q, x) if x[0] == 3 or x[1] == 1
@@ -239,20 +242,20 @@ class TestExtractShell:
 
     def test_entries_match_table(self):
         q = C.fixture("Q62")
-        sh = A.extract_shell(q, (3, 1))
+        sh = SH.extract_shell(q, (3, 1))
         for *cell, v in entries(sh):
             assert cell[0] == 3 or cell[1] == 1
             assert core.evaluate(q, cell) == v
 
     def test_json_roundtrip(self):
         t = C.build_closed(3, 4, 2)
-        sh = A.extract_shell(t, (1, 2, 3))
-        assert A.shell_from_json_obj(A.shell_to_json_obj(sh)) == sh
+        sh = SH.extract_shell(t, (1, 2, 3))
+        assert SH.shell_from_json_obj(SH.shell_to_json_obj(sh)) == sh
 
 
 SHELL_BASE = (0, 1, 0)
 SHELL_TABLE = C.build_closed(3, 4, 2)
-SHELL_VALUES = A.extract_shell(SHELL_TABLE, SHELL_BASE).values
+SHELL_VALUES = SH.extract_shell(SHELL_TABLE, SHELL_BASE).values
 SHELL_ENTRIES = oracles.reference_extract_shell(SHELL_TABLE, SHELL_BASE)[3]
 LAST = max(SHELL_ENTRIES)  # (3, 3, 0)
 
@@ -330,7 +333,7 @@ class TestShellRecord:
     @pytest.mark.parametrize("obj,error", REFUSED_SHELLS)
     def test_refused(self, obj, error):
         with pytest.raises(A.AnalysisError) as err:
-            A.shell_from_json_obj(obj)
+            SH.shell_from_json_obj(obj)
         assert str(err.value) == error
 
     @pytest.mark.parametrize("values", [
@@ -338,14 +341,14 @@ class TestShellRecord:
         SHELL_VALUES.replace(b"\3", b"\4"), None])
     def test_bad_values_refused(self, values):
         with pytest.raises(A.AnalysisError) as err:
-            A.Shell(3, 4, SHELL_BASE, values)
+            SH.Shell(3, 4, SHELL_BASE, values)
         assert str(err.value) == "shell values must be 4^3 bytes in 0..3"
 
     def test_values_off_the_shell_dropped(self):
         # (3, 3, 3) misses the basepoint (0, 1, 0): its byte is not kept
         vals = bytearray(SHELL_TABLE.values)
         vals[SHELL_TABLE.index((3, 3, 3))] = 200
-        sh = A.Shell(3, 4, SHELL_BASE, vals)
+        sh = SH.Shell(3, 4, SHELL_BASE, vals)
         assert sh.values == SHELL_VALUES and sh.values[63] == 0
 
     def test_float_key_never_serialised(self):
@@ -353,37 +356,37 @@ class TestShellRecord:
         # shell can write it back as [0, 1.0, 1]
         obj = shell_obj(2, 2, (0, 0), {(0, 0): 0, (0, 1.0): 1, (1, 0): 1})
         with pytest.raises(A.AnalysisError) as err:
-            A.shell_from_json_obj(obj)
+            SH.shell_from_json_obj(obj)
         assert str(err.value) == ROW_ERROR % ([0, 1.0, 1],)
 
     def test_arity_1_split_checked_before_the_retracts(self):
         # an arity-1 shell has no retracts of arity >= 1: the split error
         # is the one reported
-        sh = A.Shell(1, 2, (0,), bytes(2))
+        sh = SH.Shell(1, 2, (0,), bytes(2))
         with pytest.raises(A.AnalysisError) as err:
-            A.reconstruct_with_split(sh, (1, 2))
+            SH.reconstruct_with_split(sh, (1, 2))
         assert str(err.value) == "split axes must lie in 1..1"
 
     def test_keeps_its_own_entries(self):
         # the caller may edit its buffer after construction; the shell
         # keeps its own copy
         vals = bytearray(SHELL_VALUES)
-        sh = A.Shell(3, 4, SHELL_BASE, vals)
+        sh = SH.Shell(3, 4, SHELL_BASE, vals)
         vals[0] ^= 1
         assert sh.values == SHELL_VALUES and type(sh.values) is bytes
-        assert A.reconstruct(sh)
+        assert SH.reconstruct(sh)
 
     def test_list_basepoint_stored_as_tuple(self):
-        assert (A.Shell(3, 4, list(SHELL_BASE), SHELL_VALUES)
-                == A.Shell(3, 4, SHELL_BASE, SHELL_VALUES))
+        assert (SH.Shell(3, 4, list(SHELL_BASE), SHELL_VALUES)
+                == SH.Shell(3, 4, SHELL_BASE, SHELL_VALUES))
 
     def test_head_refused_by_the_record(self):
         with pytest.raises(A.AnalysisError, match=BASEPOINT_ERROR):
-            A.Shell(3, 4, (0, 1), SHELL_VALUES)
+            SH.Shell(3, 4, (0, 1), SHELL_VALUES)
         with pytest.raises(A.AnalysisError, match="integers >= 1"):
-            A.Shell(3.0, 4, SHELL_BASE, SHELL_VALUES)
+            SH.Shell(3.0, 4, SHELL_BASE, SHELL_VALUES)
         with pytest.raises(A.AnalysisError, match="over 256"):
-            A.Shell(1, 257, (0,), bytes(257))
+            SH.Shell(1, 257, (0,), bytes(257))
 
     @given(st.integers(1, 5), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -393,10 +396,10 @@ class TestShellRecord:
                                   max_size=k ** n))
         base = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                         max_size=n)))
-        sh = A.extract_shell(core.QTable(n, k, tuple(vals)), base)
-        obj = json.loads(json.dumps(A.shell_to_json_obj(sh)))
+        sh = SH.extract_shell(core.QTable(n, k, tuple(vals)), base)
+        obj = json.loads(json.dumps(SH.shell_to_json_obj(sh)))
         assert len(obj["entries"]) == k ** n - (k - 1) ** n
-        assert A.shell_from_json_obj(obj) == sh
+        assert SH.shell_from_json_obj(obj) == sh
 
 
 def read_outcome(read, to_json, obj):
@@ -421,7 +424,7 @@ class TestShellAgainstReference:
         base = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                         max_size=n)))
         q = core.QTable(n, k, vals)
-        assert (A.shell_to_json_obj(A.extract_shell(q, base))
+        assert (SH.shell_to_json_obj(SH.extract_shell(q, base))
                 == oracles.reference_shell_to_json_obj(
                     oracles.reference_extract_shell(q, base)))
 
@@ -435,7 +438,7 @@ class TestShellAgainstReference:
         vals = [rng.randrange(k) for _ in range(k ** n)]
         base = data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                   max_size=n))
-        rows = entries(A.extract_shell(core.QTable(n, k, vals), base))
+        rows = entries(SH.extract_shell(core.QTable(n, k, vals), base))
         value = st.integers(-1, k)
         for edit in data.draw(st.lists(st.sampled_from(
                 ("drop", "duplicate", "move", "value")), max_size=3)):
@@ -455,13 +458,13 @@ class TestShellAgainstReference:
                 rows[i] = rows[i][:-1] + [data.draw(value)]
         rng.shuffle(rows)
         obj = {"arity": n, "order": k, "basepoint": base, "entries": rows}
-        assert (read_outcome(A.shell_from_json_obj, A.shell_to_json_obj, obj)
+        assert (read_outcome(SH.shell_from_json_obj, SH.shell_to_json_obj, obj)
                 == read_outcome(oracles.reference_shell_from_json_obj,
                                 oracles.reference_shell_to_json_obj, obj))
 
     @pytest.mark.parametrize("obj,error", REFUSED_SHELLS)
     def test_refused_as_the_reference_refuses(self, obj, error):
-        got = read_outcome(A.shell_from_json_obj, A.shell_to_json_obj, obj)
+        got = read_outcome(SH.shell_from_json_obj, SH.shell_to_json_obj, obj)
         want = read_outcome(oracles.reference_shell_from_json_obj,
                             oracles.reference_shell_to_json_obj, obj)
         assert got is A.AnalysisError
@@ -478,7 +481,7 @@ def random_shell(data, k_max=12):
     n = data.draw(st.integers(1, 4 if k <= 8 else 3))
     rng = data.draw(st.randoms(use_true_random=False))
     base = [rng.randrange(k) for _ in range(n)]
-    return A.Shell(n, k, base, bytes(rng.randrange(k) for _ in range(k ** n)))
+    return SH.Shell(n, k, base, bytes(rng.randrange(k) for _ in range(k ** n)))
 
 
 def compact(obj):
@@ -491,7 +494,7 @@ def slow_shell_read(text):
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise A.AnalysisError("bad shell JSON: %s" % e)
-    return A.shell_from_json_obj(obj)
+    return SH.shell_from_json_obj(obj)
 
 
 def text_outcome(read, text):
@@ -517,20 +520,20 @@ class TestShellText:
     def test_writer_matches_json_dumps(self, data):
         # orders 1..12 cover both sides of the single-digit cut at 10
         sh = random_shell(data)
-        assert A._shell_json(sh) == compact(A.shell_to_json_obj(sh))
+        assert SH._shell_json(sh) == compact(SH.shell_to_json_obj(sh))
 
     def test_writer_on_the_closed6_shell(self):
-        sh = A.extract_shell(C.build_closed(6, 5, 2), (3, 0, 4, 1, 2, 1))
-        text = A._shell_json(sh)
+        sh = SH.extract_shell(C.build_closed(6, 5, 2), (3, 0, 4, 1, 2, 1))
+        text = SH._shell_json(sh)
         assert len(text) == 184523
-        assert text == compact(A.shell_to_json_obj(sh))
+        assert text == compact(SH.shell_to_json_obj(sh))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_reader_matches_json_loads(self, data):
         sh = random_shell(data)
         n, k = sh.arity, sh.order
-        obj = A.shell_to_json_obj(sh)
+        obj = SH.shell_to_json_obj(sh)
         rows = obj["entries"]
         pick = st.integers(0, len(rows) - 1)
         edit = data.draw(st.sampled_from((None,) + SHELL_TEXT_EDITS))
@@ -564,23 +567,23 @@ class TestShellText:
             text = text[:data.draw(st.integers(0, len(text) - 1))]
         if data.draw(st.booleans()):
             text = " \n" + text + "\r\t "
-        got = text_outcome(A._shell_from_json, text)
+        got = text_outcome(SH._shell_from_json, text)
         assert got == text_outcome(slow_shell_read, text)
         if edit in (None, "shuffle", "space"):
             assert got == sh
 
     def test_canonical_text_skips_json(self, monkeypatch):
-        sh = A.extract_shell(C.build_closed(4, 5, 2), (4, 0, 3, 1))
-        text = A._shell_json(sh)
+        sh = SH.extract_shell(C.build_closed(4, 5, 2), (4, 0, 3, 1))
+        text = SH._shell_json(sh)
 
         def refuse(obj):
             raise AssertionError("json path taken")
 
-        monkeypatch.setattr(A, "shell_from_json_obj", refuse)
-        assert A._shell_from_json(text) == sh
-        assert A._shell_from_json("\n " + text + " \n") == sh
+        monkeypatch.setattr(SH, "shell_from_json_obj", refuse)
+        assert SH._shell_from_json(text) == sh
+        assert SH._shell_from_json("\n " + text + " \n") == sh
         with pytest.raises(AssertionError, match="json path"):
-            A._shell_from_json(text.replace(",", ", ", 1))
+            SH._shell_from_json(text.replace(",", ", ", 1))
 
     @pytest.mark.parametrize("text", [
         # arity 40 claims 2^40 - 1 entries: the count refuses it
@@ -590,7 +593,7 @@ class TestShellText:
         '{"arity":23,"order":2,"basepoint":[%s],"entries":[[%s]]}'
         % (",".join("0" * 23), ",".join("0" * 24))])
     def test_huge_heads_refused_as_json_refuses(self, text):
-        assert (text_outcome(A._shell_from_json, text)
+        assert (text_outcome(SH._shell_from_json, text)
                 == text_outcome(slow_shell_read, text))
 
 
@@ -598,29 +601,29 @@ class TestReconstructWithSplit:
     def test_fixture_roundtrip_n3(self):
         q = C.fixture("Q52")
         t = core.superpose(q, 2, q)
-        sh = A.extract_shell(t, (0, 0, 0))
-        r = A.reconstruct_with_split(sh, A.Split(frozenset({2, 3})))
+        sh = SH.extract_shell(t, (0, 0, 0))
+        r = SH.reconstruct_with_split(sh, A.Split(frozenset({2, 3})))
         assert r.values == t.values
 
     def test_closed_roundtrip_n4(self):
         t = C.build_closed(4, 4, 2)
-        sh = A.extract_shell(t, (0, 0, 0, 0))
-        r = A.reconstruct_with_split(sh, A.Split(frozenset({3, 4})))
+        sh = SH.extract_shell(t, (0, 0, 0, 0))
+        r = SH.reconstruct_with_split(sh, A.Split(frozenset({3, 4})))
         assert r.values == t.values
 
     def test_wrong_split_on_counterexample(self):
         q, f, loop = C.build_shell_counterexample()
-        sh = A.extract_shell(q, (0, 0, 0))
+        sh = SH.extract_shell(q, (0, 0, 0))
         try:
-            t = A.reconstruct_with_split(sh, A.Split(frozenset({2, 3})))
-        except A.ReconstructionError:
+            t = SH.reconstruct_with_split(sh, A.Split(frozenset({2, 3})))
+        except SH.ReconstructionError:
             return
         assert t.values != q.values
 
     def test_nonzero_basepoint(self):
         t, split = randgen.random_reducible(4, 5, 21)
-        sh = A.extract_shell(t, (4, 1, 0, 2))
-        r = A.reconstruct_with_split(sh, A.Split(frozenset(split)))
+        sh = SH.extract_shell(t, (4, 1, 0, 2))
+        r = SH.reconstruct_with_split(sh, A.Split(frozenset(split)))
         assert r.values == t.values
 
     def test_over_build_budget_refused_first(self, monkeypatch):
@@ -636,51 +639,51 @@ class TestReconstructWithSplit:
         obj = shell_obj(3, k, (0, 0, 0), {x: sum(x) % k for x in cells})
         assert len(obj["entries"]) == k ** 3 - (k - 1) ** 3 == 78247
         with pytest.raises(A.AnalysisError) as err:
-            A.shell_from_json_obj(obj)
+            SH.shell_from_json_obj(obj)
         assert str(err.value) == budget_error
 
         # a record built from the values is refused before it is read
-        sh = A.Shell(3, k, (0, 0, 0), bytes(k ** 3))
+        sh = SH.Shell(3, k, (0, 0, 0), bytes(k ** 3))
 
         def unread(*args):
             raise AssertionError("the shell was read")
 
-        monkeypatch.setattr(A, "_shell_read", unread)
-        monkeypatch.setattr(A, "retract", unread)
+        monkeypatch.setattr(SH, "_shell_read", unread)
+        monkeypatch.setattr(SH, "retract", unread)
         for split in [(1, 2), (2, 3), (1, 3)]:
             with pytest.raises(A.AnalysisError) as err:
-                A.reconstruct_with_split(sh, split)
+                SH.reconstruct_with_split(sh, split)
             assert str(err.value) == budget_error
         # 3 splits of 162^3 cells fit reconstruct's own budget, and the
         # cell budget refuses each assembly
         with pytest.raises(A.AnalysisError, match="4194304-cell build budget"):
-            A.reconstruct(sh)
+            SH.reconstruct(sh)
 
 
 class TestReconstruct:
     def test_unique_n4(self):
         t = C.build_closed(4, 5, 2)
-        sh = A.extract_shell(t, (0, 0, 0, 0))
-        assert [c.values for c in A.reconstruct(sh)] == [t.values]
+        sh = SH.extract_shell(t, (0, 0, 0, 0))
+        assert [c.values for c in SH.reconstruct(sh)] == [t.values]
 
     def test_counterexample_ambiguity(self):
         q, f, loop = C.build_shell_counterexample()
-        sh = A.extract_shell(q, (0, 0, 0))
-        cands = A.reconstruct(sh)
+        sh = SH.extract_shell(q, (0, 0, 0))
+        cands = SH.reconstruct(sh)
         vals = {c.values for c in cands}
         assert len(vals) >= 2
         assert q.values in vals and f.values in vals
 
     def test_irreducible_shell_fails_n4(self):
         t = C.build_irreducible(4, 4)
-        sh = A.extract_shell(t, (0, 0, 0, 0))
-        with pytest.raises(A.ReconstructionError):
-            A.reconstruct(sh)
+        sh = SH.extract_shell(t, (0, 0, 0, 0))
+        with pytest.raises(SH.ReconstructionError):
+            SH.reconstruct(sh)
 
     def test_low_arity_rejected(self):
-        sh = A.extract_shell(C.fixture("Q42"), (0, 0))
+        sh = SH.extract_shell(C.fixture("Q42"), (0, 0))
         with pytest.raises(A.AnalysisError):
-            A.reconstruct(sh)
+            SH.reconstruct(sh)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_roundtrips_with_random_basepoints(self, seed):
@@ -689,25 +692,25 @@ class TestReconstruct:
         t, _ = randgen.random_reducible(4, 4, seed)
         for _ in range(3):
             bp = tuple(rng.randrange(4) for _ in range(4))
-            sh = A.extract_shell(t, bp)
-            assert [c.values for c in A.reconstruct(sh)] == [t.values]
+            sh = SH.extract_shell(t, bp)
+            assert [c.values for c in SH.reconstruct(sh)] == [t.values]
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_partial_shell_refused(self, n):
         # every Shell is complete: JSON missing an entry is refused when
         # it is read, so reconstruct never meets it
         t, _ = randgen.random_reducible(n, 4, 5)
-        rows = entries(A.extract_shell(t, (1,) * n))
+        rows = entries(SH.extract_shell(t, (1,) * n))
         for i in range(0, len(rows), 7):
             obj = {"arity": n, "order": 4, "basepoint": [1] * n,
                    "entries": rows[:i] + rows[i + 1:]}
             with pytest.raises(A.AnalysisError, match=r"entries, not k\^n"):
-                A.shell_from_json_obj(obj)
+                SH.shell_from_json_obj(obj)
 
     def test_retracts_prune_before_assembly(self, monkeypatch):
         assembled = []
         covered = []  # splits skipped because a found candidate covers them
-        assemble = A._assemble
+        assemble = SH._assemble
         reducible = A.is_reducible_wrt
 
         def checked(q, split, **kw):
@@ -720,20 +723,20 @@ class TestReconstruct:
         t, split = randgen.random_reducible(5, 4, 1)
         reductions = A.find_reductions(t)
         assert A.Split(frozenset(split)) in reductions
-        monkeypatch.setattr(A, "_assemble",
+        monkeypatch.setattr(SH, "_assemble",
                             lambda sh, split, *a: assembled.append(split)
                             or assemble(sh, split, *a))
         monkeypatch.setattr(A, "is_reducible_wrt", checked)
-        assert [c.values for c in A.reconstruct(
-            A.extract_shell(t, (0,) * 5))] == [t.values]
+        assert [c.values for c in SH.reconstruct(
+            SH.extract_shell(t, (0,) * 5))] == [t.values]
         # every split t reduces over survives the retract pruning and is
         # either assembled or skipped as covered by a found candidate
         for sp in reductions:
             assert sp.axes in assembled or sp in covered
         assert len(assembled) < 25
         assembled.clear()
-        with pytest.raises(A.ReconstructionError):
-            A.reconstruct(A.extract_shell(C.build_irreducible(5, 4), (0,) * 5))
+        with pytest.raises(SH.ReconstructionError):
+            SH.reconstruct(SH.extract_shell(C.build_irreducible(5, 4), (0,) * 5))
         assert assembled == []
 
     @staticmethod
@@ -743,8 +746,8 @@ class TestReconstruct:
         for size in range(2, sh.arity):
             for S in itertools.combinations(range(1, sh.arity + 1), size):
                 try:
-                    out.append((S, A._assemble(sh, S)))
-                except A.ReconstructionError:
+                    out.append((S, SH._assemble(sh, S)))
+                except SH.ReconstructionError:
                     pass
         return out
 
@@ -757,7 +760,7 @@ class TestReconstruct:
         t, split = randgen.random_reducible(n, k, seed)
         bp = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
                                       max_size=n)))
-        got = self.assembled(A.extract_shell(t, bp))
+        got = self.assembled(SH.extract_shell(t, bp))
         assert (split, t) in got
         for S, u in got:
             assert A.is_reducible_wrt(u, S)
@@ -772,7 +775,7 @@ class TestReconstruct:
         # (4, 4) table at basepoint (0, 1, 2, 3) assembles over {1, 2}
         t = C.build_irreducible(n, k)
         for bp in ((0,) * n, tuple(i % k for i in range(n))):
-            got = self.assembled(A.extract_shell(t, bp))
+            got = self.assembled(SH.extract_shell(t, bp))
             if n >= 4 and not any(bp):
                 assert got == []
             for S, u in got:
@@ -784,21 +787,21 @@ class TestReconstruct:
         t = C.build_closed(4, 4, 2)
         # refused when the shell is built, whether by hand or from a table
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
-            A.Shell(4, 4, basepoint, t.values)
+            SH.Shell(4, 4, basepoint, t.values)
         with pytest.raises(A.AnalysisError, match="basepoint must list 4"):
-            A.extract_shell(t, basepoint)
+            SH.extract_shell(t, basepoint)
 
     def test_scale_5_7_nonzero_basepoint(self, monkeypatch):
         # about 2 s with pruning; assembling all 119 splits took 25-50 s
         assembled = []
-        assemble = A._assemble
-        monkeypatch.setattr(A, "_assemble",
+        assemble = SH._assemble
+        monkeypatch.setattr(SH, "_assemble",
                             lambda sh, split, *a: assembled.append(split)
                             or assemble(sh, split, *a))
         t, _ = randgen.random_reducible(7, 5, 3)
-        sh = A.extract_shell(t, (2, 0, 4, 1, 3, 0, 2))
+        sh = SH.extract_shell(t, (2, 0, 4, 1, 3, 0, 2))
         t0 = time.perf_counter()
-        assert [c.values for c in A.reconstruct(sh)] == [t.values]
+        assert [c.values for c in SH.reconstruct(sh)] == [t.values]
         assert time.perf_counter() - t0 < 15.0
         # 5 splits survive the retracts; the first candidate covers the rest
         assert len(assembled) == 1
@@ -862,7 +865,7 @@ def reference_reconstruct_with_split(sh, split):
             assign[probe] = xp
             h0[(xp,) + ctup] = ent[shell_cell(assign)]
     if sorted(delta) != list(range(k)):
-        raise A.ReconstructionError(
+        raise SH.ReconstructionError(
             "split inconsistent with shell: probe retract is not a permutation")
     dinv = [0] * k
     for x, v in enumerate(delta):
@@ -874,11 +877,11 @@ def reference_reconstruct_with_split(sh, split):
         vals.append(h0[(dinv[g0[stup]],) + ctup])
     t = core.QTable(n, k, tuple(vals))
     if not core.validate(t).ok:
-        raise A.ReconstructionError(
+        raise SH.ReconstructionError(
             "split inconsistent with shell: assembled table is not Latin")
     for cell, v in ent.items():
         if t.values[t.index(cell)] != v:
-            raise A.ReconstructionError(
+            raise SH.ReconstructionError(
                 "split inconsistent with shell: assembled table disagrees at %r"
                 % (cell,))
     return t
@@ -887,7 +890,7 @@ def reference_reconstruct_with_split(sh, split):
 def assembly_outcome(fn, sh, split):
     try:
         return fn(sh, split).values
-    except A.ReconstructionError as e:
+    except SH.ReconstructionError as e:
         return str(e)
 
 
@@ -899,7 +902,7 @@ def reference_reconstruct(sh):
     for split in all_splits(sh.arity):
         try:
             t = reference_reconstruct_with_split(sh, split)
-        except A.ReconstructionError:
+        except SH.ReconstructionError:
             continue
         if reference_is_reducible_wrt(t, split) and t.values not in seen:
             seen.add(t.values)
@@ -909,8 +912,8 @@ def reference_reconstruct(sh):
 
 def reconstruct_or_empty(sh):
     try:
-        return A.reconstruct(sh)
-    except A.ReconstructionError:
+        return SH.reconstruct(sh)
+    except SH.ReconstructionError:
         return []
 
 
@@ -924,7 +927,7 @@ class TestShellAgreement:
         t, split = randgen.random_reducible(4, 4, 3)
         self.t = t
         self.split = A.Split(frozenset(split))
-        self.sh = A.extract_shell(t, (1, 2, 0, 3))
+        self.sh = SH.extract_shell(t, (1, 2, 0, 3))
         self.cells = list(oracles.reference_entries(self.sh))
 
     def altered(self, *cells):
@@ -932,11 +935,11 @@ class TestShellAgreement:
         vals = bytearray(self.sh.values)
         for c in cells:
             vals[self.t.index(c)] = (vals[self.t.index(c)] + 1) % 4
-        return A.Shell(4, 4, self.sh.basepoint, vals)
+        return SH.Shell(4, 4, self.sh.basepoint, vals)
 
     def outcomes(self, sh):
         return [assembly_outcome(fn, sh, split)
-                for fn in (A.reconstruct_with_split,
+                for fn in (SH.reconstruct_with_split,
                            reference_reconstruct_with_split)
                 for split in (self.split, A.Split(frozenset((1, 4))))]
 
@@ -947,7 +950,7 @@ class TestShellAgreement:
                             lambda q, c: calls.append(c) or index(q, c))
         monkeypatch.setattr(core.QTable, "coords",
                             lambda q, i: calls.append(i))
-        assert A.reconstruct_with_split(self.sh, self.split) == self.t
+        assert SH.reconstruct_with_split(self.sh, self.split) == self.t
         assert calls == []
 
     def test_each_altered_entry(self):
@@ -974,10 +977,10 @@ class TestShellAgreement:
             obj = {"arity": 4, "order": 4, "basepoint": [1, 2, 0, 3],
                    "entries": rows[:i] + rows[i + 1:]}
             with pytest.raises(A.AnalysisError, match="has 174 entries"):
-                A.shell_from_json_obj(obj)
+                SH.shell_from_json_obj(obj)
             obj["entries"].append(extra)
             with pytest.raises(A.AnalysisError) as err:
-                A.shell_from_json_obj(obj)
+                SH.shell_from_json_obj(obj)
             # sorted, the rows first differ from the cells at the missing
             # cell, or at the extra row when it sorts first
             cell = rows[i][:-1]
@@ -990,7 +993,7 @@ class TestShellAgreement:
             obj = {"arity": 4, "order": 4, "basepoint": [1, 2, 0, 3],
                    "entries": rows + [[3, 3, 3, 2, value]]}
             with pytest.raises(A.AnalysisError, match="has 176 entries"):
-                A.shell_from_json_obj(obj)
+                SH.shell_from_json_obj(obj)
 
 
 def check_reductions(t):
@@ -1010,7 +1013,7 @@ class TestAgainstReference:
 
     def check_shell(self, sh):
         for split in all_splits(sh.arity):
-            assert (assembly_outcome(A.reconstruct_with_split, sh, split)
+            assert (assembly_outcome(SH.reconstruct_with_split, sh, split)
                     == assembly_outcome(reference_reconstruct_with_split, sh, split))
         got = [c.values for c in reconstruct_or_empty(sh)]
         assert got == [c.values for c in reference_reconstruct(sh)]
@@ -1025,25 +1028,25 @@ class TestAgainstReference:
             t, _ = randgen.random_reducible(n, k, 10 * n + k + seed)
             check_reductions(t)
             bp = tuple(rng.randrange(k) for _ in range(n))
-            assert t.values in self.check_shell(A.extract_shell(t, bp))
+            assert t.values in self.check_shell(SH.extract_shell(t, bp))
 
     def test_shell_counterexample(self):
         q, f, _ = C.build_shell_counterexample()
         for t in (q, f):
             check_reductions(t)
-        got = self.check_shell(A.extract_shell(q, (0, 0, 0)))
+        got = self.check_shell(SH.extract_shell(q, (0, 0, 0)))
         assert q.values in got and f.values in got
 
     @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (5, 4), (4, 5)])
     def test_irreducible(self, n, k):
         t = C.build_irreducible(n, k)
         check_reductions(t)
-        got = self.check_shell(A.extract_shell(t, (0,) * n))
+        got = self.check_shell(SH.extract_shell(t, (0,) * n))
         # at arity 3 a reducible table can share the irreducible one's shell
         assert n == 3 or got == []
         # at other basepoints one may share it at any arity: build_irreducible
         # (4, 4) at (3, 3, 3, 3) is one case, so only agreement is asserted
-        self.check_shell(A.extract_shell(t, (k - 1,) * n))
+        self.check_shell(SH.extract_shell(t, (k - 1,) * n))
 
 
 def drawn_table(n, k, kind, rng):
@@ -1988,3 +1991,135 @@ class TestIndexedComponents:
         assert changed == comp.indices.tolist()
         assert all({t.values[i], switched.values[i]} == {a, b}
                    for i in changed)
+
+
+def retract_reference(t, fixed):
+    """The retract's values read cell by cell through the free axes'
+    offsets, as retract read them before its extended slices."""
+    n, k = t.arity, t.order
+    free = [ax for ax in range(1, n + 1) if ax not in fixed]
+    base = sum(sym * k ** (n - ax) for ax, sym in fixed.items())
+    return bytes(t.values[base + o] for o in core._offsets(n, k, free))
+
+
+def pruned_reconstruct_reference(sh):
+    """reconstruct with its retract tests made by is_reducible_wrt on the
+    retract tables, each with a fresh box memo, as before the kernel was
+    called on the retracts' values with one memo per retract."""
+    n = sh.arity
+    table = core.QTable(n, sh.order, sh.values)
+    retracts = [SH.retract(table, {i: o}) for i, o in enumerate(sh.basepoint, 1)]
+
+    def survives(S):
+        return all(A.is_reducible_wrt(
+            retracts[i - 1], [a - (a > i) for a in S if a != i])
+            for i in range(1, n + 1)
+            if not (len(S) < 3 if i in S else len(S) > n - 2))
+
+    candidates = []
+    for split in all_splits(n):
+        if survives(split.axes) and not any(
+                A.is_reducible_wrt(c, split) for c in candidates):
+            try:
+                candidates.append(SH._assemble(sh, split.axes))
+            except SH.ReconstructionError:
+                pass
+    return [c.values for c in candidates]
+
+
+class TestFastPathsAgainstReferences:
+    """The shared box memo, the first-seen scan, the sliced retract, the
+    per-retract memos of reconstruct and the json-free outputs, each
+    against the slower path it replaced."""
+
+    def tables(self, rng):
+        yield isotope(C.build_closed(5, 4, 2), rng.randrange(100))
+        yield C.build_irreducible(4, 4)
+        for n, k in [(3, 5), (4, 3), (5, 3), (4, 4)]:
+            yield randgen.random_reducible(n, k, rng.randrange(10 ** 5))[0]
+            for kind in ("uniform", "composed", "injective"):
+                yield drawn_table(n, k, kind, rng)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_memo_matches_fresh_tests(self, seed):
+        rng = random.Random(seed)
+        for t in self.tables(rng):
+            fresh = [s for s in sorted(all_splits(t.arity),
+                                       key=A.Split.bitmask)
+                     if A.is_reducible_wrt(t, s)]
+            assert A.find_reductions(t) == fresh
+            # the same on the bytes 0/128 relabelling the kernel reads
+            if t.order == 3:
+                raw = bytes(map((0, 128, 1).__getitem__, t.values))
+                memo = {}
+                for s in all_splits(t.arity):
+                    shared = R.reduction_witness(raw, t.arity, 3, s.axes, memo)
+                    alone = R.reduction_witness(raw, t.arity, 3, s.axes)
+                    assert (shared is None) == (alone is None)
+                    assert shared is None or bytes(shared) == bytes(alone)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_first_seen_matches_dict_fromkeys(self, first):
+        # any byte values, not only those below an order
+        expected = {v: first.index(v) for v in dict.fromkeys(first)}
+        assert list(R._first_seen(first).items()) == list(expected.items())
+
+    def test_first_seen_on_high_bytes(self):
+        first = bytes([200, 3, 255, 3, 0, 128, 200, 7])
+        assert list(R._first_seen(first).items()) == [
+            (200, 0), (3, 1), (255, 2), (0, 4), (128, 5), (7, 7)]
+
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (4, 3), (5, 2), (5, 5),
+                                     (4, 5), (3, 7)])
+    def test_retract_matches_offsets_reference(self, n, k):
+        rng = random.Random(n * 10 + k)
+        t = randgen.random_reducible(n, k, rng.randrange(10 ** 5))[0] \
+            if n >= 3 else randgen.random_binary(k, 3)
+        for size in range(1, n):
+            for axes in itertools.combinations(range(1, n + 1), size):
+                fixed = {ax: rng.randrange(k) for ax in axes}
+                r = SH.retract(t, fixed)
+                assert (r.arity, r.order) == (n - size, k)
+                assert r.values.obj == retract_reference(t, fixed)
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 4), (5, 4), (4, 5)])
+    def test_reconstruct_memos_match_fresh_retract_tests(self, monkeypatch,
+                                                         n, k):
+        assemble, assembled = SH._assemble, []
+        monkeypatch.setattr(SH, "_assemble", lambda sh, S: (
+            assembled.append(S) or assemble(sh, S)))
+        rng = random.Random(n * k)
+        for t in [randgen.random_reducible(n, k, rng.randrange(10 ** 5))[0],
+                  C.build_irreducible(n, k)]:
+            sh = SH.extract_shell(t, tuple(rng.randrange(k) for _ in range(n)))
+            assembled.clear()
+            got = [c.values for c in reconstruct_or_empty(sh)]
+            tried = list(assembled)
+            assembled.clear()
+            assert got == pruned_reconstruct_reference(sh)
+            # the same splits survive the retract tests
+            assert tried == assembled
+
+    @given(st.lists(st.lists(st.integers(1, 12), min_size=2, max_size=6,
+                             unique=True).map(sorted), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_reductions_printed_as_json_dumps(self, lists):
+        found = [A.Split(frozenset(x)) for x in lists]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(commands, "_read_table", lambda path: None)
+            mp.setattr(A, "find_reductions", lambda t: found)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(["analyze", "T", "--reductions"]) == 0
+        assert out.getvalue() == json.dumps(
+            [list(s.axes) for s in found], separators=(",", ":")) + "\n"
+
+    def test_validate_ok_printed_as_json_dumps(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(tableio.to_json(C.build_closed(3, 4, 2)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["validate", str(path)]) == 0
+        assert out.getvalue() == json.dumps(
+            {"ok": True}, separators=(",", ":")) + "\n"

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, census, cli, commands, core, tableio
+from nquasigroups import (analysis, census, cli, commands, core, shells,
+                          tableio)
 from nquasigroups import constructions as C
 
 from capped import run_capped
@@ -675,7 +676,7 @@ class TestReconstructCli:
 class TestStrictShellJson:
     def shell_obj(self):
         t = C.build_closed(3, 4, 2)
-        return analysis.shell_to_json_obj(analysis.extract_shell(t, (0, 0, 0)))
+        return shells.shell_to_json_obj(shells.extract_shell(t, (0, 0, 0)))
 
     @pytest.mark.parametrize("field,value", [
         ("basepoint", [0, 0]),
@@ -822,11 +823,11 @@ def _fuzz_inputs():
     """Well-formed inputs for the fuzz property to start from: tables in
     both formats and a shell."""
     closed = C.build_closed(3, 4, 2)
-    shell = analysis.extract_shell(closed, (0, 1, 0))
+    shell = shells.extract_shell(closed, (0, 1, 0))
     return [tableio.to_json(closed).encode(),
             tableio.to_json(C.fixture("Q52")).encode(),
             tableio.to_text(C.fixture("Q42")).encode(), b"0 1\n0 1\n",
-            json.dumps(analysis.shell_to_json_obj(shell)).encode()]
+            json.dumps(shells.shell_to_json_obj(shell)).encode()]
 
 
 class TestCliFuzz:
@@ -869,8 +870,8 @@ class TestCliFuzz:
         t = C.build_closed(3, 4, 2)
         table, shell = tmp_path / "t.json", tmp_path / "s.json"
         table.write_text(tableio.to_json(t))
-        shell.write_text(json.dumps(analysis.shell_to_json_obj(
-            analysis.extract_shell(t, (0, 1, 0)))))
+        shell.write_text(json.dumps(shells.shell_to_json_obj(
+            shells.extract_shell(t, (0, 1, 0)))))
         code = (
             "import contextlib, io, sys, time\n"
             "from nquasigroups import cli\n"
@@ -1029,6 +1030,7 @@ LOADS_SCRIPT = (
 LOADS = [
     (["--help"], "cli"),
     (["validate", "TABLE"], "cli core tableio"),
+    (["validate", "BADTABLE"], "cli core tableio"),
     (["census", "--n", "3", "--k", "4"], "census cli core latin"),
     (["census", "--n", "2", "--k", "5"], "census cli core families latin"),
     (["components", "TABLE", "--pair", "0,1"],
@@ -1038,10 +1040,12 @@ LOADS = [
     (["census", "--n", "3", "--k", "7"], "census cli core families"),
     (["construct", "--closed", "3", "5", "2"],
      "cli constructions core tableio"),
-    (["reconstruct", "SHELL3"], "analysis cli core reducibility tableio"),
+    (["reconstruct", "SHELL3"],
+     "analysis cli core reducibility shells tableio"),
     (["analyze", "TABLE", "--shell", "--basepoint", "0,1"],
-     "analysis cli core tableio"),
-    (["reconstruct", "SHELL4"], "analysis cli core reducibility tableio"),
+     "cli core shells tableio"),
+    (["reconstruct", "SHELL4"],
+     "analysis cli core reducibility shells tableio"),
     (["construct", "--fixture", "Q42"], "cli constructions core tableio"),
     (["construct", "--ptq", "7"], "cli core families tableio"),
     (["construct", "--family5", "3"], "cli core families tableio"),
@@ -1062,28 +1066,35 @@ LOADS = [
 def test_commands_load_only_their_modules(tmp_path, argv, loaded):
     table = tmp_path / "t.json"
     table.write_text(tableio.to_json(C.fixture("Q52"), (",", ":")))
+    bad = tmp_path / "bad.json"  # not Latin: validate lists a violation
+    bad.write_text(tableio.to_json(core.QTable(2, 2, (0, 0, 1, 1))))
     table3 = tmp_path / "t3.json"
-    table3.write_text(tableio.to_json(C.build_closed(3, 4, 2)))
+    table3.write_text(tableio.to_json(C.build_closed(3, 4, 2), (",", ":")))
     shell3 = tmp_path / "s3.json"
-    shell3.write_text(json.dumps(analysis.shell_to_json_obj(
-        analysis.extract_shell(C.build_closed(3, 4, 2), (0, 0, 0)))))
+    shell3.write_text(json.dumps(shells.shell_to_json_obj(
+        shells.extract_shell(C.build_closed(3, 4, 2), (0, 0, 0)))))
     shell4 = tmp_path / "s4.json"
-    shell4.write_text(analysis._shell_json(
-        analysis.extract_shell(C.build_closed(4, 4, 2), (0, 1, 2, 3))))
+    shell4.write_text(shells._shell_json(
+        shells.extract_shell(C.build_closed(4, 4, 2), (0, 1, 2, 3))))
     # argparse and gettext never load; json loads only in the commands
     # that parse JSON or write through json.dumps, so not in --help, in
     # census, whose report has its own writer, in construct or analyze
     # --shell, whose compact table or shell of order <= 10 is written
-    # without it, in components --switch, or in reconstruct from such a
-    # shell at arity 4; construct --family5 and --family-k write their
-    # family through json.dumps
+    # without it, in components --switch, in reconstruct from such a
+    # shell at arity 4, in validate on a Latin table or in analyze
+    # --reductions, which print their fixed-shape answer as it is;
+    # construct --family5 and --family-k write their family, and
+    # validate on a table that is not Latin its violations, through
+    # json.dumps
     json_free = (argv[0] in ("--help", "census") or "--shell" in argv
                  or "SHELL4" in argv or "--switch" in argv
+                 or "--reductions" in argv or argv == ["validate", "TABLE"]
                  or argv[0] == "construct" and "--family5" not in argv
                  and "--family-k" not in argv)
+    code = 1 if "BADTABLE" in argv else 0
     # every command but census has its handler in commands
     table_command = argv[0] not in ("--help", "census")
-    paths = {"TABLE": str(table), "TABLE3": str(table3),
+    paths = {"TABLE": str(table), "BADTABLE": str(bad), "TABLE3": str(table3),
              "SHELL3": str(shell3), "SHELL4": str(shell4)}
     line = " ".join(argv)
     argv = [paths.get(a, a) for a in argv]
@@ -1093,8 +1104,8 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     modules = loaded.split() + ["commands"] * table_command
-    assert done.stdout == "0 %s\n" % " ".join(
-        sorted(modules + ["json"] * (not json_free)))
+    assert done.stdout == "%d %s\n" % (code, " ".join(
+        sorted(modules + ["json"] * (not json_free))))
     assert sum(source_tokens(SRC_PACKAGE / (m + ".py"))
                for m in modules + ["__init__"]) == COMPILED_TOKENS[line]
 
@@ -1103,26 +1114,27 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
 # counted as CI counts them (test_package.source_tokens), so that a move
 # or a deletion on a launch's path shows here as a number.
 COMPILED_TOKENS = {
-    "--help": 2387,
-    "validate TABLE": 8005,
-    "census --n 3 --k 4": 9125,
-    "census --n 2 --k 5": 11203,
-    "components TABLE --pair 0,1": 12017,
-    "analyze TABLE3 --reductions": 13197,
-    "census --n 3 --k 7": 9365,
-    "construct --closed 3 5 2": 9893,
-    "reconstruct SHELL3": 13197,
-    "analyze TABLE --shell --basepoint 0,1": 11854,
-    "reconstruct SHELL4": 13197,
-    "construct --fixture Q42": 9893,
-    "construct --ptq 7": 10083,
-    "construct --family5 3": 10083,
-    "construct --family-k 3 7": 10083,
-    "census --n 6 --k 5": 9365,
-    "census --n 5 --k 7": 9365,
-    "census --n 3 --k 6 --seed 1": 9125,
-    "components TABLE --pair 0,1 --switch 0": 9939,
-    "construct --irreducible 3 5": 11971,
+    "--help": 2391,
+    "validate TABLE": 8015,
+    "validate BADTABLE": 8015,
+    "census --n 3 --k 4": 9129,
+    "census --n 2 --k 5": 11207,
+    "components TABLE --pair 0,1": 12027,
+    "analyze TABLE3 --reductions": 10534,
+    "census --n 3 --k 7": 9369,
+    "construct --closed 3 5 2": 9903,
+    "reconstruct SHELL3": 13536,
+    "analyze TABLE --shell --basepoint 0,1": 11017,
+    "reconstruct SHELL4": 13536,
+    "construct --fixture Q42": 9903,
+    "construct --ptq 7": 10093,
+    "construct --family5 3": 10093,
+    "construct --family-k 3 7": 10093,
+    "census --n 6 --k 5": 9369,
+    "census --n 5 --k 7": 9369,
+    "census --n 3 --k 6 --seed 1": 9129,
+    "components TABLE --pair 0,1 --switch 0": 9949,
+    "construct --irreducible 3 5": 11981,
 }
 
 
@@ -1442,3 +1454,46 @@ class TestTableJobMemory:
             lambda: commands._read_table(str(closed8)))
         assert t == C.build_closed(8, 5, 2)
         assert peak <= 2.45
+
+
+# Every subcommand under the hostile starts of its streams and inputs: a
+# table argument of T (or a shell argument of S) is read from the named
+# input, from - with stdin closed, or from a good file otherwise.
+PROBE_COMMANDS = [
+    ["validate", "T"], ["eval", "T", "0", "0", "0"],
+    ["construct", "--closed", "3", "5", "2"], ["analyze", "T", "--reductions"],
+    ["components", "T", "--pair", "0,1"], ["reconstruct", "S"],
+    ["census", "--n", "2", "--k", "4"]]
+PROBE_MODES = ["stdin closed", "stdout closed", "stdout full", "empty input",
+               "binary input", "truncated input"]
+
+
+@pytest.mark.parametrize("mode", PROBE_MODES)
+@pytest.mark.parametrize("argv", PROBE_COMMANDS, ids=lambda a: a[0])
+def test_hostile_streams_and_inputs_end_without_a_traceback(tmp_path, argv,
+                                                            mode):
+    good = {"T": tableio.to_json(C.build_closed(3, 5, 2)),
+            "S": shells._shell_json(shells.extract_shell(
+                C.build_closed(4, 4, 2), (0, 0, 0, 0)))}
+    for name, text in good.items():
+        (tmp_path / name).write_text(text)
+        # the first half of the good text
+        (tmp_path / ("truncated " + name)).write_text(text[:len(text) // 2])
+    (tmp_path / "empty input").write_bytes(b"")
+    (tmp_path / "binary input").write_bytes(b"\x00\xff\xfe\x80{\x9c")
+    words = []
+    for word in argv:
+        if word in good:
+            word = ("-" if mode == "stdin closed" else
+                    "truncated " + word if mode == "truncated input" else
+                    mode if mode.endswith("input") else word)
+            word = str(tmp_path / word) if word != "-" else word
+        words.append(word)
+    redirect = {"stdin closed": "<&-", "stdout closed": ">&-",
+                "stdout full": ">/dev/full"}.get(mode, ">/dev/null")
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" %s' % redirect, "sh", sys.executable, "-m",
+         "nquasigroups.cli", *words], env=child_env(), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode in (0, 1, 2), done.stderr
+    assert "Traceback" not in done.stderr

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, core, families, switching
+from nquasigroups import analysis, core, families, shells, switching
 from nquasigroups import constructions as C
 
 import oracles
@@ -417,8 +417,8 @@ class TestShellCounterexample:
 
     def test_shells_agree(self):
         q, f, loop = C.build_shell_counterexample()
-        shq = analysis.extract_shell(q, (0, 0, 0))
-        shf = analysis.extract_shell(f, (0, 0, 0))
+        shq = shells.extract_shell(q, (0, 0, 0))
+        shf = shells.extract_shell(f, (0, 0, 0))
         assert shq == shf
 
     def test_groupings_of_loop(self):

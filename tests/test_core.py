@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nquasigroups import analysis, core, latin, tableio
+from nquasigroups import analysis, core, latin, shells, tableio
 from nquasigroups.constructions import (ConstructionError, build_closed,
                                         fixture, switch_sub)
 
@@ -312,18 +312,18 @@ class TestInverseAlong:
 
 class TestRetract:
     def test_q72_row0(self):
-        r = analysis.retract(fixture("Q72"), {1: 0})
+        r = shells.retract(fixture("Q72"), {1: 0})
         assert r.arity == 1
         assert list(r.values) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_z3_sum_middle_axis(self):
         t = z_add(3, 3)
-        r = analysis.retract(t, {2: 0})
+        r = shells.retract(t, {2: 0})
         assert r.values == z_add(3).values
 
     def test_all_axes_fixed_rejected(self):
         with pytest.raises(core.StructuralError):
-            analysis.retract(fixture("Q42"), {1: 0, 2: 0})
+            shells.retract(fixture("Q42"), {1: 0, 2: 0})
 
     @pytest.mark.parametrize("fixed,error", [
         ({1: 1.5}, "symbol 1.5 out of range 0..4"),
@@ -337,14 +337,14 @@ class TestRetract:
     def test_bad_axis_or_symbol_refused(self, fixed, error):
         # a float symbol ended in a TypeError, a bool axis fixed axis 1
         with pytest.raises(core.StructuralError) as err:
-            analysis.retract(z_add(5, 3), fixed)
+            shells.retract(z_add(5, 3), fixed)
         assert str(err.value) == error
 
     @given(st.integers(2, 5), st.integers(0, 10 ** 6), st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
     def test_retract_valid(self, k, seed, axis):
         t = randgen.random_binary(k, seed)
-        r = analysis.retract(t, {axis: k - 1})
+        r = shells.retract(t, {axis: k - 1})
         assert r.arity == 1 and core.is_valid(r)
 
 
