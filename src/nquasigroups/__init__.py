@@ -2,7 +2,8 @@
 
 The public names below load their module on first use (PEP 562), so
 importing the package, or running one nqg subcommand, compiles only the
-modules that are used.
+modules that are used.  The same _forward serves the names that moved
+out of core, analysis and constructions and still answer there.
 """
 
 import importlib
@@ -36,17 +37,24 @@ _EXPORTS = {
     "latin": "OmegaMap direct_product omega_product",
 }
 
-_HOME = {name: module for module, names in _EXPORTS.items()
-         for name in names.split()}
-
-__all__ = sorted(_HOME)
+__all__ = sorted(" ".join(_EXPORTS.values()).split())
 
 
-def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    value = getattr(importlib.import_module("." + module, __name__), name)
-    globals()[name] = value
-    return value
+def _forward(module, homes):
+    """A module __getattr__ (PEP 562) for module that reads each name of
+    homes, a dict from a module of this package to the names it answers
+    for, from that module on first use, so that the alias costs no
+    import.  Nothing is cached: each use asks the home module."""
+    home_of = {name: home for home, names in homes.items()
+               for name in names.split()}
+
+    def __getattr__(name):
+        if name not in home_of:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (module, name))
+        return getattr(importlib.import_module(
+            "." + home_of[name], __name__), name)
+    return __getattr__
+
+
+__getattr__ = _forward(__name__, _EXPORTS)

@@ -11,8 +11,9 @@ shell_from_json_obj) resolve from their home module on first use.
 
 import itertools
 
-from .core import (AnalysisError, QTable, StructuralError, _forward,
-                   _ints_below, _offsets, _Record)
+from . import _forward
+from .core import (AnalysisError, QTable, StructuralError, _ints_below,
+                   _offsets, _Record)
 
 # find_subquasigroups' work and output grow with the closed sets it finds:
 # refuse tables with more than this (xor on 256 symbols, with 417,198,
@@ -85,14 +86,17 @@ def is_reducible_wrt(q, split, return_witness=False):
         the split, so find_reductions and reconstruct decide each once
         per table (a memo); a single test here keeps a fresh one.
     (b) The exact check, _s_major_witness, only on splits that pass (a).
-        In the S-major copy each S-tuple owns the column of its values
-        over the C-tuples.  Let the representative of a class be its
-        first S-tuple on the row C = 0.  q is reducible exactly when
-        (1) every column equals its representative's, and (2) the
-        representatives' columns differ at every C position.  (1) keeps
-        every class together on every row and (2) keeps classes apart,
-        so every row has the partition of the row C = 0; conversely a
-        reduction's classes are that partition, so (1) and (2) hold.
+        Each S-tuple owns the column of its values over the C-tuples,
+        read by one algorithm through two strides: in place when S is a
+        run of axes that ends at axis n, else from an S-major copy (none
+        is made for a run that starts at axis 1).  Let the
+        representative of a class be its first S-tuple on the row C = 0.
+        q is reducible exactly when (1) every column equals its
+        representative's, and (2) the representatives' columns differ at
+        every C position.  (1) keeps every class together on every row
+        and (2) keeps classes apart, so every row has the partition of
+        the row C = 0; conversely a reduction's classes are that
+        partition, so (1) and (2) hold.
 
     The criterion passes to retracts, which shells.reconstruct uses to
     prune.

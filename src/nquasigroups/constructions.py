@@ -6,12 +6,12 @@ resolve here on first use, for the benchmark harness that reads them.
 
 import enum
 
+from . import _forward
 from .core import (
     _FROM_DIGITS,
     ConstructionError,
     QTable,
     _Record,
-    _forward,
     _ints_below,
     _offsets,
     check_cell_budget,

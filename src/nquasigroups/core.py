@@ -5,14 +5,16 @@ coordinate 1 most significant: index(x_1..x_n) = sum x_i * k**(n-i).
 Symbols are always 0..k-1.
 
 The table file formats live in tableio, the block products OmegaMap,
-omega_product and direct_product in latin, and retract and
+omega_product and direct_product in latin, retract in shells and
 restrict_to_symbols in analysis.  core still answers to from_json,
 to_json, to_json_obj, OmegaMap and omega_product, loading their module
-on first use (_forward), for the benchmark harness that reads them here.
+on first use (the package's _forward), for the benchmark harness that
+reads them here.
 """
 
-import importlib
 import itertools
+
+from . import _forward
 
 
 class StructuralError(ValueError):
@@ -27,22 +29,6 @@ class AnalysisError(ValueError):
 
 class ConstructionError(ValueError):
     """A builder was asked for parameters it cannot serve."""
-
-
-def _forward(module, homes):
-    """A module __getattr__ (PEP 562) for module that reads each name of
-    homes, a dict from a sibling module to the names it answers for, from
-    that module on first use, so that the alias costs no import."""
-    home_of = {name: home for home, names in homes.items()
-               for name in names.split()}
-
-    def __getattr__(name):
-        if name not in home_of:
-            raise AttributeError("module %r has no attribute %r"
-                                 % (module, name))
-        return getattr(importlib.import_module(
-            "." + home_of[name], module.rpartition(".")[0]), name)
-    return __getattr__
 
 
 __getattr__ = _forward(__name__, {"latin": "OmegaMap omega_product",

@@ -1,8 +1,8 @@
 """The reducibility kernel behind analysis.is_reducible_wrt,
 find_reductions and the retract tests of shells.reconstruct: a box
-prefilter whose checks a memo decides once per table, then an exact check
-on the values, read in place or from an S-major copy (the argument is in
-is_reducible_wrt's docstring).
+prefilter whose checks a memo decides once per table, then one exact
+check on the values, which reads a cell through two strides, in place or
+on an S-major copy (the argument is in is_reducible_wrt's docstring).
 
 A module of its own so that the commands that never test reducibility
 (components, analyze --shell, construct) do not compile it.
@@ -133,52 +133,42 @@ def _s_major_witness(vals, n, k, S):
     column to equal its representative's, check (2) the representatives'
     columns to differ at every position (_apart).
 
-    When S is a run of axes that ends at axis n, the values are read in
-    place, a row of the S-tuples' values per C-tuple: with no more
-    S-tuples than rows, each column is one stepped slice; with more,
-    each row must be the row C = 0 translated by a map of the
-    representatives' values that is one to one, which is (1) and (2) on
-    that row, compared _SLICE S-tuples at a time.  Otherwise check (1)
-    joins the representatives' columns in S-tuple order and compares the
-    result with the S-major copy (_s_major; vals itself for a run that
-    starts at axis 1).
+    The cell of C-tuple c and S-tuple s sits at c*rs + s*cs: read in
+    place, (rs, cs) = (cols, 1), when S is a run of axes that ends at
+    axis n, else (1, rows) on the S-major copy (_s_major; vals itself for
+    a run that starts at axis 1).  With no more S-tuples than rows, each
+    column is one slice; with more, each row must be the row C = 0
+    translated by a map of the representatives' values that is one to
+    one, which is (1) and (2) on that row, compared _SLICE S-tuples at a
+    time.
     """
     cols, rows = k ** len(S), k ** (n - len(S))
     if S[-1] - S[0] == len(S) - 1 and S[-1] == n:
-        first = vals[:cols]
-        # the distinct values of the row C = 0 in order of first
-        # appearance, each mapped to the first S-tuple holding it
-        reps = _first_seen(first)
-        if cols > rows:
-            for c in range(0, rows * cols, cols):  # each row's offset
-                image = bytearray(256)
-                for v, s in reps.items():
-                    image[v] = vals[c + s]
-                if len(set(map(image.__getitem__, reps))) < len(reps):
-                    return None
-                for lo in range(0, cols, _SLICE):
-                    if first[lo:lo + _SLICE].translate(image) != vals[
-                            c + lo:c + min(lo + _SLICE, cols)]:
-                        return None
-        elif not (all(vals[s::cols] == vals[reps[v]::cols]
-                      for s, v in enumerate(first))
-                  and _apart([vals[s::cols] for s in reps.values()], rows)):
-            return None
+        m, rs, cs = vals, cols, 1
     else:
-        m = _s_major(vals, n, k, S)
-        first = m[::rows]
-        raw = memoryview(m)
-        # as above, each mapped to the column of that S-tuple
-        reps = {v: raw[s * rows:(s + 1) * rows]
-                for v, s in _first_seen(first).items()}
-        # bytes.join holds an 80-byte buffer record per piece, so the
-        # columns are joined and compared up to 256 S-tuples and _SLICE
-        # bytes at a time, one join alive at once
-        for lo in range(0, cols, step := min(256, 1 + _SLICE // rows)):
-            if b"".join(map(reps.__getitem__, first[lo:lo + step])) \
-                    != raw[lo * rows:(lo + step) * rows]:
+        m, rs, cs = _s_major(vals, n, k, S), 1, rows
+    first = m[:cols * cs:cs]
+    # the distinct values of the row C = 0 in order of first appearance,
+    # each mapped to the first S-tuple holding it
+    reps = _first_seen(first)
+    if cols > rows:
+        for c in range(0, rows * rs, rs):  # each row's offset
+            image = bytearray(256)
+            for v, s in reps.items():
+                image[v] = m[c + s * cs]
+            if len(set(map(image.__getitem__, reps))) < len(reps):
                 return None
-        if not _apart(list(reps.values()), rows):
+            for lo in range(0, cols, _SLICE):
+                if first[lo:lo + _SLICE].translate(image) != m[
+                        c + lo * cs:c + min(lo + _SLICE, cols) * cs:cs]:
+                    return None
+    else:
+        # each S-tuple's column is one slice, its representative's read once
+        span = rows * rs
+        columns = {v: m[s * cs:s * cs + span:rs] for v, s in reps.items()}
+        if not (all(m[s * cs:s * cs + span:rs] == columns[v]
+                    for s, v in enumerate(first))
+                and _apart(list(columns.values()), rows)):
             return None
     labels = bytearray(256)
     for label, v in enumerate(reps):

@@ -1,6 +1,7 @@
 """Shells of quasigroup tables: the values on the cells touching a
 basepoint, their JSON form, retracts, and the reconstruction of a
-reducible table from its shell (claim (1) of the paper).
+reducible table from its shell (claim (1) of the paper).  A shell and a
+retract cut the table's hyperplanes x_i = o by one slice walk, _plane.
 
 The reducibility tests that reconstruction prunes and checks with are
 imported from analysis and reducibility inside reconstruct_with_split and
@@ -66,21 +67,25 @@ def _checked_head(n, k, basepoint):
     return tuple(basepoint)
 
 
-def _on_shell(n, k, base, src):
-    """The k^n bytes src on the cells touching base, 0 elsewhere.
+def _plane(size, k, w, o):
+    """(source, target) slice pairs for the hyperplane x_i = o of size =
+    k^n row-major cells, with w = k^(n-i): its cells o*w + t + j*k*w,
+    t < w, sit at t + j*w in the retract that fixes x_i.  They are w
+    extended slices, or runs of w when there are fewer runs than w."""
+    if w * w * k <= size:
+        return [(slice(o * w + t, None, k * w), slice(t, None, w))
+                for t in range(w)]
+    return [(slice(j * k + o * w, j * k + o * w + w), slice(j, j + w))
+            for j in range(0, size // k, w)]
 
-    With w = k^(n-i), hyperplane x_i = o is the cells o*w + t + j*k*w,
-    t < w: copied as w extended slices, or as runs of w when fewer.
-    """
+
+def _on_shell(n, k, base, src):
+    """The k^n bytes src on the cells touching base, 0 elsewhere: the
+    hyperplanes x_i = base_i (_plane), copied in place."""
     out = bytearray(len(src))
     for i, o in enumerate(base, 1):
-        w = k ** (n - i)
-        if w <= k ** (i - 1):
-            for t in range(o * w, o * w + w):
-                out[t::k * w] = src[t::k * w]
-        else:
-            for j in range(o * w, len(src), k * w):
-                out[j:j + w] = src[j:j + w]
+        for cells, _ in _plane(len(src), k, k ** (n - i), o):
+            out[cells] = src[cells]
     return out
 
 
@@ -165,9 +170,7 @@ def retract(t, fixed):
 
     The fixed axes are taken last first, so the others keep their
     numbers.  Fixing axis i at o keeps the hyperplane x_i = o of the
-    m-ary values, as in _on_shell: with w = k^(m-i), the cells
-    o*w + t + j*k*w, t < w, moved as w extended slices, or as runs of w
-    when fewer.
+    m-ary values, each slice of it copied to its place (_plane).
     """
     n, k = t.arity, t.order
     for ax, sym in fixed.items():
@@ -179,14 +182,9 @@ def retract(t, fixed):
         raise StructuralError("retract must leave at least one axis free")
     vals, m = t.values.obj, n
     for ax in sorted(fixed, reverse=True):
-        w, runs = k ** (m - ax), k ** (ax - 1)
-        at, out = fixed[ax] * w, bytearray(len(vals) // k)
-        if w <= runs:
-            for s in range(w):
-                out[s::w] = vals[at + s::k * w]
-        else:
-            for j in range(0, runs * w, w):
-                out[j:j + w] = vals[j * k + at:j * k + at + w]
+        out = bytearray(len(vals) // k)
+        for cells, to in _plane(len(vals), k, k ** (m - ax), fixed[ax]):
+            out[to] = vals[cells]
         vals, m = out, m - 1
     return QTable(m, k, vals)
 

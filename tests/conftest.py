@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import nquasigroups
 from nquasigroups import (analysis, census, constructions, core, families,
                           latin, shells, switching)
 
@@ -48,9 +49,10 @@ CHECKED = {name: _validated(getattr(home, name))
            for home, names in OPERATORS.items() for name in names}
 
 
-# the names a module only forwards (core._forward), by forwarding module
-# and home module
-FORWARDED = {core: {latin: ("omega_product",)},
+# the names a module only forwards (the package's _forward, which also
+# serves the package root), by forwarding module and home module
+FORWARDED = {nquasigroups: {core: ("superpose",), shells: ("retract",)},
+             core: {latin: ("omega_product",)},
              analysis: {shells: ("extract_shell", "reconstruct",
                                  "reconstruct_with_split",
                                  "shell_from_json_obj", "shell_to_json_obj")}}

@@ -1049,17 +1049,19 @@ class TestAgainstReference:
         self.check_shell(SH.extract_shell(t, (k - 1,) * n))
 
 
-def drawn_table(n, k, kind, rng):
+def drawn_table(n, k, kind, rng, S=None):
     """A table of arity n and order k with values in 0..k-1, Latin or
     not: uniform values on a drawn palette, or h(g(x_S), x_C) with
     arbitrary g and h, where h(., c) is one bijection of classes to
     symbols per C-tuple when kind is "injective" (so S is a reduction)
-    and any map otherwise (S a reduction only by chance)."""
+    and any map otherwise (S a reduction only by chance).  S is drawn
+    unless given."""
     palette = rng.sample(range(k), rng.randint(1, k))
     if kind == "uniform":
         return core.QTable(n, k, [rng.choice(palette) for _ in range(k ** n)])
-    size = rng.randint(2, n - 1)
-    S = sorted(rng.sample(range(1, n + 1), size))
+    if S is None:
+        S = sorted(rng.sample(range(1, n + 1), rng.randint(2, n - 1)))
+    size = len(S)
     rest = [i for i in range(1, n + 1) if i not in S]
     m = len(palette)
     g = {s: rng.randrange(m)
@@ -1075,8 +1077,8 @@ def drawn_table(n, k, kind, rng):
 
 class TestReductionKernel:
     """is_reducible_wrt's two steps, the box prefilter and the exact check
-    on the S-major copy, against the tuple-by-tuple reference on any
-    table."""
+    (in place or on the S-major copy), against the tuple-by-tuple
+    reference on any table."""
 
     @given(st.integers(3, 5), st.integers(1, 6),
            st.sampled_from(["uniform", "composed", "injective"]),
@@ -1097,6 +1099,38 @@ class TestReductionKernel:
         rng = random.Random(seed)
         for kind in ("uniform", "composed", "injective"):
             check_reductions(drawn_table(4, 3, kind, rng))
+
+    @pytest.mark.parametrize("S", [(1, 2), (1, 2, 3, 4), (2, 3), (2, 3, 4),
+                                   (1, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5),
+                                   (4, 5), (3, 4, 5)])
+    def test_one_check_on_every_layout(self, monkeypatch, S):
+        # one exact check, through the strides of either layout: head,
+        # middle and multi-run splits read from the S-major copy (a head
+        # run in place), tails in place; with more S-tuples than rows
+        # (3 or 4 axes of 5) rows compared 3 S-tuples at a time, with no
+        # more (2 axes) column by column
+        import random
+        monkeypatch.setattr(R, "_SLICE", 3)
+        rng = random.Random(sum(S) * 10 + len(S))
+        for _ in range(2):
+            for kind in ("composed", "injective"):
+                t = drawn_table(5, 3, kind, rng, S)
+                check_reductions(t)
+            assert A.is_reducible_wrt(t, A.Split(frozenset(S)))
+            # spoil the row x_C all 1, which with two C axes or more the
+            # box checks do not reach: one cell changed splits its class
+            # (check (1) fails), one value made another merges two
+            # classes (only check (2) fails)
+            at = sum(3 ** (5 - i) for i in range(1, 6) if i not in S)
+            row = [at + off for off in core._offsets(5, 3, S)]
+            a = t.values[row[0]]
+            b = min({t.values[c] for c in row} - {a}, default=a)
+            apart, merged = bytearray(t.values.obj), bytearray(t.values.obj)
+            apart[row[-1]] = (apart[row[-1]] + 1) % 3
+            for c in row:
+                merged[c] = b if merged[c] == a else merged[c]
+            for vals in (apart, merged):
+                check_reductions(core.QTable(5, 3, vals))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_isotope_runs_read_in_place(self, seed):
@@ -2002,6 +2036,18 @@ def retract_reference(t, fixed):
     return bytes(t.values[base + o] for o in core._offsets(n, k, free))
 
 
+def on_shell_reference(t, base):
+    """t's values on the cells touching base, 0 elsewhere, each
+    hyperplane x_i = base_i read through the other axes' offsets."""
+    n, k = t.arity, t.order
+    out = bytearray(k ** n)
+    for i, o in enumerate(base, 1):
+        at = o * k ** (n - i)
+        for off in core._offsets(n, k, [a for a in range(1, n + 1) if a != i]):
+            out[at + off] = t.values[at + off]
+    return out
+
+
 def pruned_reconstruct_reference(sh):
     """reconstruct with its retract tests made by is_reducible_wrt on the
     retract tables, each with a fresh box memo, as before the kernel was
@@ -2073,9 +2119,19 @@ class TestFastPathsAgainstReferences:
     @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (4, 3), (5, 2), (5, 5),
                                      (4, 5), (3, 7)])
     def test_retract_matches_offsets_reference(self, n, k):
+        # every hyperplane (_plane) as extended slices or as runs, cut
+        # out by retract and kept in place by _on_shell
         rng = random.Random(n * 10 + k)
         t = randgen.random_reducible(n, k, rng.randrange(10 ** 5))[0] \
             if n >= 3 else randgen.random_binary(k, 3)
+        for ax in range(1, n + 1):
+            for o in range(k):
+                assert SH.retract(t, {ax: o}).values.obj \
+                    == retract_reference(t, {ax: o})
+        for o in range(k):
+            base = tuple((o + i) % k for i in range(n))
+            assert SH._on_shell(n, k, base, t.values.obj) \
+                == on_shell_reference(t, base)
         for size in range(1, n):
             for axes in itertools.combinations(range(1, n + 1), size):
                 fixed = {ax: rng.randrange(k) for ax in axes}

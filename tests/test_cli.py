@@ -1114,27 +1114,27 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
 # counted as CI counts them (test_package.source_tokens), so that a move
 # or a deletion on a launch's path shows here as a number.
 COMPILED_TOKENS = {
-    "--help": 2391,
-    "validate TABLE": 8015,
-    "validate BADTABLE": 8015,
-    "census --n 3 --k 4": 9129,
-    "census --n 2 --k 5": 11207,
-    "components TABLE --pair 0,1": 12027,
-    "analyze TABLE3 --reductions": 10534,
-    "census --n 3 --k 7": 9369,
-    "construct --closed 3 5 2": 9903,
-    "reconstruct SHELL3": 13536,
-    "analyze TABLE --shell --basepoint 0,1": 11017,
-    "reconstruct SHELL4": 13536,
-    "construct --fixture Q42": 9903,
-    "construct --ptq 7": 10093,
-    "construct --family5 3": 10093,
-    "construct --family-k 3 7": 10093,
-    "census --n 6 --k 5": 9369,
-    "census --n 5 --k 7": 9369,
-    "census --n 3 --k 6 --seed 1": 9129,
-    "components TABLE --pair 0,1 --switch 0": 9949,
-    "construct --irreducible 3 5": 11981,
+    "--help": 2411,
+    "validate TABLE": 7937,
+    "validate BADTABLE": 7937,
+    "census --n 3 --k 4": 9051,
+    "census --n 2 --k 5": 11129,
+    "components TABLE --pair 0,1": 11949,
+    "analyze TABLE3 --reductions": 10384,
+    "census --n 3 --k 7": 9291,
+    "construct --closed 3 5 2": 9828,
+    "reconstruct SHELL3": 13354,
+    "analyze TABLE --shell --basepoint 0,1": 10907,
+    "reconstruct SHELL4": 13354,
+    "construct --fixture Q42": 9828,
+    "construct --ptq 7": 10015,
+    "construct --family5 3": 10015,
+    "construct --family-k 3 7": 10015,
+    "census --n 6 --k 5": 9291,
+    "census --n 5 --k 7": 9291,
+    "census --n 3 --k 6 --seed 1": 9051,
+    "components TABLE --pair 0,1 --switch 0": 9871,
+    "construct --irreducible 3 5": 11906,
 }
 
 
