@@ -16,6 +16,7 @@ runs as __main__.  The table's literals copy library constants; tests
 pin them to their sources.
 """
 
+import gc
 import os
 import sys
 
@@ -286,10 +287,17 @@ def main():
     if sys.stdout is not None:
         try:
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader is gone: send what is still buffered to /dev/null,
-            # so that the flush at exit cannot raise again
+        except OSError as e:
+            # send what is still buffered to /dev/null, so that the flush
+            # at exit cannot raise again; a reader that is gone is no error
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(e, BrokenPipeError):
+                print("error: %s" % e, file=sys.stderr)
+                code = 1
+    # the work is done: spare the exit-time collections every object alive
+    # now, whose memory the OS takes back anyway; atexit handlers, the
+    # stream flushes and module teardown still run
+    gc.freeze()
     sys.exit(code)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, pipelines, exit codes, goldens."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1114,27 +1115,27 @@ def test_commands_load_only_their_modules(tmp_path, argv, loaded):
 # counted as CI counts them (test_package.source_tokens), so that a move
 # or a deletion on a launch's path shows here as a number.
 COMPILED_TOKENS = {
-    "--help": 2411,
-    "validate TABLE": 7937,
-    "validate BADTABLE": 7937,
-    "census --n 3 --k 4": 9051,
-    "census --n 2 --k 5": 11129,
-    "components TABLE --pair 0,1": 11949,
-    "analyze TABLE3 --reductions": 10384,
-    "census --n 3 --k 7": 9291,
-    "construct --closed 3 5 2": 9828,
-    "reconstruct SHELL3": 13354,
-    "analyze TABLE --shell --basepoint 0,1": 10907,
-    "reconstruct SHELL4": 13354,
-    "construct --fixture Q42": 9828,
-    "construct --ptq 7": 10015,
-    "construct --family5 3": 10015,
-    "construct --family-k 3 7": 10015,
-    "census --n 6 --k 5": 9291,
-    "census --n 5 --k 7": 9291,
-    "census --n 3 --k 6 --seed 1": 9051,
-    "components TABLE --pair 0,1 --switch 0": 9871,
-    "construct --irreducible 3 5": 11906,
+    "--help": 2451,
+    "validate TABLE": 7977,
+    "validate BADTABLE": 7977,
+    "census --n 3 --k 4": 9091,
+    "census --n 2 --k 5": 11169,
+    "components TABLE --pair 0,1": 11989,
+    "analyze TABLE3 --reductions": 10424,
+    "census --n 3 --k 7": 9331,
+    "construct --closed 3 5 2": 9868,
+    "reconstruct SHELL3": 13394,
+    "analyze TABLE --shell --basepoint 0,1": 10947,
+    "reconstruct SHELL4": 13394,
+    "construct --fixture Q42": 9868,
+    "construct --ptq 7": 10055,
+    "construct --family5 3": 10055,
+    "construct --family-k 3 7": 10055,
+    "census --n 6 --k 5": 9331,
+    "census --n 5 --k 7": 9331,
+    "census --n 3 --k 6 --seed 1": 9091,
+    "components TABLE --pair 0,1 --switch 0": 9911,
+    "construct --irreducible 3 5": 11946,
 }
 
 
@@ -1151,6 +1152,41 @@ def test_main_never_imports_cli_as_a_module(argv):
                 for line in done.stderr.splitlines()}
     assert "nquasigroups.core" in imported
     assert "nquasigroups.cli" not in imported
+
+
+# cli.main after an atexit handler that reports whether main froze the
+# objects then alive
+ATEXIT_MAIN = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('atexit ran, frozen:',\n"
+    "    gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "from nquasigroups import cli\n"
+    "cli.main()\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0), (["census", "--n", "3"], 2),
+    (["census", "--n", "3", "--k", "7", "--time-limit", "nan"], 1)],
+    ids=["help", "usage-error", "domain-error"])
+def test_main_freezes_and_exits_through_the_interpreter(argv, code):
+    # main ends by sys.exit, not os._exit: its exit code stands and the
+    # atexit handlers still run, after the freeze
+    done = subprocess.run([sys.executable, "-c", ATEXIT_MAIN, *argv],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.endswith("atexit ran, frozen: True\n"), done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["census", "--n", "2", "--k", "4"],
+    ["construct", "--closed", "3", "5", "2"], ["census", "--n", "3"]])
+def test_run_freezes_nothing(capsys, argv):
+    # only main, as a launch ends, freezes: a library or test process
+    # that calls run keeps collecting all its objects
+    before = gc.get_freeze_count()
+    run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == before
 
 
 def test_parser_literals_match_their_sources():
@@ -1465,14 +1501,18 @@ PROBE_COMMANDS = [
     ["components", "T", "--pair", "0,1"], ["reconstruct", "S"],
     ["census", "--n", "2", "--k", "4"]]
 PROBE_MODES = ["stdin closed", "stdout closed", "stdout full", "empty input",
-               "binary input", "truncated input"]
+               "binary input", "truncated input", "reader closes early",
+               "reader gone"]
 
 
 @pytest.mark.parametrize("mode", PROBE_MODES)
 @pytest.mark.parametrize("argv", PROBE_COMMANDS, ids=lambda a: a[0])
 def test_hostile_streams_and_inputs_end_without_a_traceback(tmp_path, argv,
                                                             mode):
-    good = {"T": tableio.to_json(C.build_closed(3, 5, 2)),
+    # a reader that closes early gets T of order 64, whose components
+    # listing (87 kB) overfills the pipe, so that nqg is still writing
+    order = 64 if mode == "reader closes early" else 5
+    good = {"T": tableio.to_json(C.build_closed(3, order, 2)),
             "S": shells._shell_json(shells.extract_shell(
                 C.build_closed(4, 4, 2), (0, 0, 0, 0)))}
     for name, text in good.items():
@@ -1489,11 +1529,39 @@ def test_hostile_streams_and_inputs_end_without_a_traceback(tmp_path, argv,
                     mode if mode.endswith("input") else word)
             word = str(tmp_path / word) if word != "-" else word
         words.append(word)
+    # stdout is buffered, as from a shell, so that a short output meets a
+    # full device or a broken pipe only when main flushes it
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if mode.startswith("reader"):
+        # stdout is a pipe whose reader closes it after the first byte, or
+        # before nqg starts
+        r, w = os.pipe()
+        if mode == "reader gone":
+            os.close(r)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nquasigroups.cli", *words], env=env,
+            stdin=subprocess.DEVNULL, stdout=w, stderr=subprocess.PIPE)
+        os.close(w)
+        try:
+            if mode == "reader closes early":
+                assert os.read(r, 1)
+                os.close(r)
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (0, b"")
+        finally:
+            proc.kill()
+            proc.wait()
+        return
     redirect = {"stdin closed": "<&-", "stdout closed": ">&-",
                 "stdout full": ">/dev/full"}.get(mode, ">/dev/null")
     done = subprocess.run(
         ["sh", "-c", 'exec "$@" %s' % redirect, "sh", sys.executable, "-m",
-         "nquasigroups.cli", *words], env=child_env(), capture_output=True,
-        text=True, timeout=120)
+         "nquasigroups.cli", *words], env=env, capture_output=True, text=True,
+        timeout=120)
     assert done.returncode in (0, 1, 2), done.stderr
     assert "Traceback" not in done.stderr
+    if mode == "stdout full":
+        # output that could not be written is an error, never a quiet 0
+        assert (done.returncode, done.stderr) == (
+            1, "error: [Errno 28] No space left on device\n")
